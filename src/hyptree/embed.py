@@ -93,7 +93,7 @@ def distortion_from_matrices(d_space: np.ndarray, d_tree: np.ndarray) -> Distort
     alpha, beta, injective = kernels.ratio_bounds(
         np.asarray(d_space, np.float64), np.asarray(d_tree, np.float64)
     )
-    return _report_from_bounds(float(alpha), float(beta), bool(injective))
+    return _report_from_bounds(alpha, beta, injective)
 
 
 # ----------------------------------------------------------------------
@@ -430,26 +430,6 @@ def hnn_realize(e: HyperbolicEmbedding, t: WeightedTree, seed: int = 0) -> HnnPa
     pts = np.stack([np.asarray(t.coords[v], np.float64) for v in ids])
     targets = [e.points[v] for v in ids]
     return memorize_hnn(pts, targets, seed=seed)
-
-
-def pad_embedding(e: HyperbolicEmbedding, dim: int) -> HyperbolicEmbedding:
-    """Zero-pad the spatial coordinates to sit inside H^dim isometrically."""
-    if dim < 2:
-        raise EmbedError("target dimension must be >= 2")
-    points = {}
-    for v, p in e.points.items():
-        c = p.coords
-        points[v] = HPoint(np.concatenate([c[:-1], np.zeros(dim - c.size + 1), c[-1:]]))
-    return HyperbolicEmbedding(
-        points=points,
-        kappa=e.kappa,
-        tau=e.tau,
-        root=e.root,
-        parent=e.parent,
-        edge_len=e.edge_len,
-        frames=e.frames,
-        polar=e.polar,
-    )
 
 
 # ----------------------------------------------------------------------

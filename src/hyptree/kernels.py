@@ -1,78 +1,23 @@
-"""Hot numeric kernels, each in two interchangeable implementations.
+"""Hot numeric kernels, one vectorized numpy implementation each.
 
-``*_loops`` variants are scalar loops compiled with numba ``@njit`` when the
-backend allows it; ``*_numpy`` variants are vectorized ndarray code. The
-``fr_step``, ``tree_metric``, ``pairwise_euclidean``, ``pairwise_hyperboloid``
-and ``ratio_bounds`` names exported at the bottom point at whichever variant
-the ``HYPTREE_NUMBA`` env flag selected at import time. Both variants stay
-importable so tests can assert parity and benchmarks can race them.
-
-All kernels are pure: no RNG, no global state, deterministic outputs.
+Scalar references for the kernels live with the tests, which check every
+kernel against an independent oracle. All kernels are pure: no RNG, no
+global state, deterministic outputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, backend_name, jit
-
 _EPS = 1e-12
 
-
-# ----------------------------------------------------------------------
-# Fruchterman-Reingold force iteration
-# ----------------------------------------------------------------------
-
-def _fr_step_loops(pos, eu, ev, k, t):
-    n, dim = pos.shape
-    disp = np.zeros((n, dim))
-    # repulsion between every pair: k^2 / d along the separation
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d2 = 0.0
-            for c in range(dim):
-                diff = pos[i, c] - pos[j, c]
-                d2 += diff * diff
-            d = np.sqrt(d2)
-            if d < _EPS:
-                d = _EPS
-            coef = k * k / (d * d)
-            for c in range(dim):
-                disp[i, c] += (pos[i, c] - pos[j, c]) * coef
-    # attraction along edges: d^2 / k
-    for e in range(eu.shape[0]):
-        u = eu[e]
-        v = ev[e]
-        d2 = 0.0
-        for c in range(dim):
-            diff = pos[u, c] - pos[v, c]
-            d2 += diff * diff
-        d = np.sqrt(d2)
-        if d < _EPS:
-            d = _EPS
-        coef = d / k
-        for c in range(dim):
-            step = (pos[u, c] - pos[v, c]) * coef
-            disp[u, c] -= step
-            disp[v, c] += step
-    # displacement capped at the temperature
-    out = pos.copy()
-    for i in range(n):
-        d2 = 0.0
-        for c in range(dim):
-            d2 += disp[i, c] * disp[i, c]
-        d = np.sqrt(d2)
-        if d > _EPS:
-            scale = min(d, t) / d
-            for c in range(dim):
-                out[i, c] += disp[i, c] * scale
-    return out
+# The benchmark's traced run records this name; numpy is the only backend.
+ACTIVE_BACKEND = "numpy"
 
 
-def fr_step_numpy(pos, eu, ev, k, t):
-    n = pos.shape[0]
+def fr_step(pos, eu, ev, k, t):
+    """One Fruchterman-Reingold iteration: k^2/d repulsion between all pairs,
+    d^2/k attraction along edges, displacement capped at the temperature t."""
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     np.fill_diagonal(dist, 1.0)
@@ -92,158 +37,63 @@ def fr_step_numpy(pos, eu, ev, k, t):
     return pos + disp * scale[:, None]
 
 
-# ----------------------------------------------------------------------
-# All-pairs tree metric
-# ----------------------------------------------------------------------
+def tree_metric_all_pairs(eu, ev, w, n):
+    """All-pairs path lengths of the tree with edges (eu[e], ev[e], w[e]) on nodes 0..n-1.
 
-def _tree_metric_loops(indptr, indices, weights, n):
+    In a DFS preorder from node 0 every subtree is a contiguous range of
+    columns. A bottom-up sweep fills each parent's row on a child's subtree
+    from the child's row; a top-down sweep fills each child's row outside its
+    subtree from the parent's row. Every entry is a sum of edge weights, never
+    a difference, and the diagonal stays exactly 0.
+    """
+    adj = [[] for _ in range(n)]
+    for u, v, wt in zip(eu.tolist(), ev.tolist(), w.tolist()):
+        adj[u].append((v, wt))
+        adj[v].append((u, wt))
+    order, parent, up = [], [-1] * n, [0.0] * n
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for nbr, wt in adj[v]:
+            if nbr != parent[v]:
+                parent[nbr], up[nbr] = v, wt
+                stack.append(nbr)
+    pos = np.empty(n, np.int64)
+    pos[order] = np.arange(n)
+    # from here on, nodes are named by their preorder position; the root is 0
+    par = [0] + [int(pos[parent[v]]) for v in order[1:]]
+    edge = [up[v] for v in order]
+    end = list(range(1, n + 1))  # subtree of i is the column range [i, end[i])
+    for i in range(n - 1, 0, -1):
+        end[par[i]] = max(end[par[i]], end[i])
+
     out = np.zeros((n, n))
-    stack = np.empty(n, np.int64)
-    parent = np.empty(n, np.int64)
-    for s in range(n):
-        top = 0
-        stack[top] = s
-        parent[s] = -1
-        top = 1
-        while top > 0:
-            top -= 1
-            v = stack[top]
-            for e in range(indptr[v], indptr[v + 1]):
-                w = indices[e]
-                if w == parent[v]:
-                    continue
-                out[s, w] = out[s, v] + weights[e]
-                parent[w] = v
-                stack[top] = w
-                top += 1
-    return out
+    for i in range(n - 1, 0, -1):
+        out[par[i], i:end[i]] = out[i, i:end[i]] + edge[i]
+    for i in range(1, n):
+        p, e = par[i], end[i]
+        out[i, :i] = out[p, :i] + edge[i]
+        out[i, e:] = out[p, e:] + edge[i]
+    return out[np.ix_(pos, pos)]
 
 
-def tree_metric_numpy(eu, ev, w, n):
-    """Edge-relaxation sweeps, vectorized over sources; <= diameter rounds."""
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for _ in range(n):
-        changed = False
-        for u, v, wt in zip(eu, ev, w):
-            nv = dist[:, u] + wt
-            better = nv < dist[:, v]
-            if better.any():
-                dist[better, v] = nv[better]
-                changed = True
-            nu = dist[:, v] + wt
-            better = nu < dist[:, u]
-            if better.any():
-                dist[better, u] = nu[better]
-                changed = True
-        if not changed:
-            break
-    return dist
-
-
-# ----------------------------------------------------------------------
-# Pairwise distance matrices and distortion bounds
-# ----------------------------------------------------------------------
-
-def _pairwise_euclidean_loops(pts):
-    n, dim = pts.shape
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d2 = 0.0
-            for c in range(dim):
-                diff = pts[i, c] - pts[j, c]
-                d2 += diff * diff
-            d = np.sqrt(d2)
-            out[i, j] = d
-            out[j, i] = d
-    return out
-
-
-def pairwise_euclidean_numpy(pts):
+def pairwise_euclidean(pts):
     diff = pts[:, None, :] - pts[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def _pairwise_hyperboloid_loops(pts):
-    # chordal-stable d = 2 asinh(sqrt(<x-y|x-y>_M)/2); time coordinate last
-    n, k = pts.shape
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = 0.0
-            for c in range(k - 1):
-                diff = pts[i, c] - pts[j, c]
-                q += diff * diff
-            dt = pts[i, k - 1] - pts[j, k - 1]
-            q -= dt * dt
-            if q < 0.0:
-                q = 0.0
-            d = 2.0 * np.arcsinh(0.5 * np.sqrt(q))
-            out[i, j] = d
-            out[j, i] = d
-    return out
-
-
-def pairwise_hyperboloid_numpy(pts):
+def pairwise_hyperboloid(pts):
+    """Chordal-stable d = 2 asinh(sqrt(<x-y|x-y>_M)/2); time coordinate last."""
     diff = pts[:, None, :] - pts[None, :, :]
     q = np.sum(diff[..., :-1] ** 2, axis=-1) - diff[..., -1] ** 2
     return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))
 
 
-def _ratio_bounds_loops(dspace, dtree):
-    n = dspace.shape[0]
-    alpha = np.inf
-    beta = 0.0
-    injective = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            ds = dspace[i, j]
-            if ds <= 0.0:
-                injective = False
-            r = ds / dtree[i, j]
-            if r < alpha:
-                alpha = r
-            if r > beta:
-                beta = r
-    return alpha, beta, injective
-
-
-def ratio_bounds_numpy(dspace, dtree):
+def ratio_bounds(dspace, dtree):
+    """(min, max) of dspace/dtree over pairs i < j, and whether every dspace > 0."""
     n = dspace.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     ds = dspace[iu, ju]
     ratios = ds / dtree[iu, ju]
     return float(np.min(ratios)), float(np.max(ratios)), bool(np.all(ds > 0.0))
-
-
-# ----------------------------------------------------------------------
-# Backend selection
-# ----------------------------------------------------------------------
-
-fr_step_loops = jit(_fr_step_loops)
-tree_metric_loops = jit(_tree_metric_loops)
-pairwise_euclidean_loops = jit(_pairwise_euclidean_loops)
-pairwise_hyperboloid_loops = jit(_pairwise_hyperboloid_loops)
-ratio_bounds_loops = jit(_ratio_bounds_loops)
-
-if NUMBA_ENABLED:
-    fr_step = fr_step_loops
-    pairwise_euclidean = pairwise_euclidean_loops
-    pairwise_hyperboloid = pairwise_hyperboloid_loops
-    ratio_bounds = ratio_bounds_loops
-else:
-    fr_step = fr_step_numpy
-    pairwise_euclidean = pairwise_euclidean_numpy
-    pairwise_hyperboloid = pairwise_hyperboloid_numpy
-    ratio_bounds = ratio_bounds_numpy
-
-
-def tree_metric_all_pairs(eu, ev, w, indptr, indices, weights, n):
-    """Active-backend all-pairs metric; takes both edge-list and CSR forms."""
-    if NUMBA_ENABLED:
-        return tree_metric_loops(indptr, indices, weights, n)
-    return tree_metric_numpy(eu, ev, w, n)
-
-
-ACTIVE_BACKEND = backend_name()

@@ -180,19 +180,6 @@ def _write_tangent(c: HPoint, z) -> HPoint:
     return exp_map(c, parallel_transport(basepoint(v.dim), c, v))
 
 
-def hyperbolic_layer(a: HPoint, b, c: HPoint, A, x: HPoint) -> HPoint:
-    """One hyperboloid-valued layer: read at a, affine + ReLU, write at c."""
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if x.dim != a.dim:
-        raise NetworkError(f"input on H^{x.dim} but layer reads at a point on H^{a.dim}")
-    if A.ndim != 2 or A.shape != (c.dim, a.dim) or b.shape != (c.dim,):
-        raise NetworkError(f"affine part must map dim {a.dim} to dim {c.dim}")
-    u = _read_tangent(a, x)
-    z = np.maximum(A @ u + b, 0.0)
-    return _write_tangent(c, z)
-
-
 def hnn_forward(p: HnnParams, x) -> HPoint:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != p.input_dim:

@@ -38,8 +38,8 @@ from .autodiff import (
     sqrt_prime,
 )
 from .embed import distortion_from_matrices
-from .hypgeom import distance, minkowski_inner, project_to_hyperboloid
-from .networks import HnnParams, MlpParams, hnn_forward, mlp_forward
+from .hypgeom import minkowski_inner, project_to_hyperboloid
+from .networks import HnnParams, MlpParams
 from .seeding import seed_stream
 from .trees import WeightedTree, tree_metric
 
@@ -133,28 +133,6 @@ class EpochStats:
     epoch: int
     train_mse: float
     test_mse: float
-
-
-# ----------------------------------------------------------------------
-# Scalar prediction heads
-# ----------------------------------------------------------------------
-
-def d_pred_mlp(p: MlpParams, x1, x2) -> float:
-    """Euclidean distance between the two forward passes."""
-    y1 = mlp_forward(p, x1)
-    y2 = mlp_forward(p, x2)
-    return float(np.linalg.norm(y1 - y2))
-
-
-def d_pred_hnn(p: HnnParams, x1, x2) -> float:
-    """Hyperbolic distance (kappa = -1) between the two outputs."""
-    return distance(hnn_forward(p, x1), hnn_forward(p, x2))
-
-
-def loss_mse(batch: PairBatch, predict) -> float:
-    """Mean of (d_true - predict(u, v))^2 over the batch."""
-    preds = np.array([predict(int(a), int(b)) for a, b in zip(batch.u, batch.v)])
-    return float(np.mean((batch.d_true - preds) ** 2))
 
 
 # ----------------------------------------------------------------------
@@ -544,8 +522,8 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig):
     pts = _predict_rows(params, X, cfg.batch_norm)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(params, HnnParams):
-            space = np.asarray(kernels.pairwise_hyperboloid(np.ascontiguousarray(pts)))
+            space = kernels.pairwise_hyperboloid(pts)
         else:
-            space = np.asarray(kernels.pairwise_euclidean(np.ascontiguousarray(pts)))
+            space = kernels.pairwise_euclidean(pts)
     report = distortion_from_matrices(space, metric.matrix)
     return params, history, report

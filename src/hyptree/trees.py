@@ -132,42 +132,14 @@ def _edge_arrays(t: WeightedTree):
     return eu, ev, w
 
 
-def _csr_arrays(eu, ev, w, n):
-    deg = np.zeros(n, np.int64)
-    for u, v in zip(eu, ev):
-        deg[u] += 1
-        deg[v] += 1
-    indptr = np.zeros(n + 1, np.int64)
-    indptr[1:] = np.cumsum(deg)
-    indices = np.empty(2 * len(eu), np.int64)
-    weights = np.empty(2 * len(eu), np.float64)
-    cursor = indptr[:-1].copy()
-    for u, v, wt in zip(eu, ev, w):
-        indices[cursor[u]] = v
-        weights[cursor[u]] = wt
-        cursor[u] += 1
-        indices[cursor[v]] = u
-        weights[cursor[v]] = wt
-        cursor[v] += 1
-    return indptr, indices, weights
-
-
 def tree_metric(t: WeightedTree) -> TreeMetric:
-    """O(n^2) all-pairs metric (per-source DFS on the active backend)."""
-    n = t.n_nodes
-    if n == 1:
-        return TreeMetric((t.node_ids[0],), np.zeros((1, 1)))
+    """O(n^2) all-pairs metric (two additive sweeps over a DFS preorder)."""
     eu, ev, w = _edge_arrays(t)
-    indptr, indices, weights = _csr_arrays(eu, ev, w, n)
-    mat = np.asarray(kernels.tree_metric_all_pairs(eu, ev, w, indptr, indices, weights, n))
-    lower = np.tril(mat)  # per-source accumulation order differs; make d(u,v) == d(v,u) exact
+    mat = kernels.tree_metric_all_pairs(eu, ev, w, t.n_nodes)
+    lower = np.tril(mat)  # the sweeps sum a path in opposite orders; make d(u,v) == d(v,u) exact
     mat = lower + lower.T
     mat.setflags(write=False)
     return TreeMetric(tuple(t.node_ids), mat)
-
-
-def degree(t: WeightedTree, node_id: int) -> int:
-    return sum(1 for u, v, _ in t.edges if node_id in (u, v))
 
 
 def leaves(t: WeightedTree) -> list[int]:
@@ -209,23 +181,6 @@ def centroid(t: WeightedTree) -> int:
         if worst < best_score or (worst == best_score and v < best):
             best, best_score = v, worst
     return best
-
-
-def aspect_ratio(points) -> float:
-    """max/min pairwise Euclidean distance of a point set.
-
-    Errors on fewer than two points and on duplicate points.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError("aspect_ratio needs at least two points")
-    dmat = kernels.pairwise_euclidean(np.ascontiguousarray(pts))
-    iu, ju = np.triu_indices(pts.shape[0], k=1)
-    vals = dmat[iu, ju]
-    lo = float(np.min(vals))
-    if lo <= 0.0:
-        raise ValueError("aspect_ratio is undefined for duplicate points")
-    return float(np.max(vals)) / lo
 
 
 # ----------------------------------------------------------------------

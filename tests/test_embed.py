@@ -25,7 +25,6 @@ from hyptree.embed import (
     embedding_distance_matrix,
     hnn_realize,
     load_embedding,
-    pad_embedding,
     sarkar_embed,
     save_embedding,
 )
@@ -463,31 +462,6 @@ class TestRealize:
         e = sarkar_embed(gen_binary(1), 2.0)
         with pytest.raises(EmbedError, match="missing"):
             hnn_realize(e, t)
-
-
-class TestPadEmbedding:
-    def test_pad_preserves_distances(self):
-        t = gen_spider(4, leg_length=2)
-        e = sarkar_embed(t, 1.0)
-        p5 = pad_embedding(e, 5)
-        ids = sorted(e.points)
-        for v in ids:
-            assert p5.points[v].dim == 5
-        for i, u in enumerate(ids):
-            for v in ids[i + 1 :]:
-                d2 = ambient_distance(e.points[u], e.points[v])
-                d5 = ambient_distance(p5.points[u], p5.points[v])
-                assert d5 == pytest.approx(d2, rel=1e-14, abs=1e-14)
-
-    def test_pad_keeps_evaluator(self):
-        t = gen_binary(2)
-        e = pad_embedding(sarkar_embed(t, 2.0), 4)
-        assert embedding_distance(e, 1, 2) > 0.0
-
-    def test_bad_dim_rejected(self):
-        e = sarkar_embed(gen_binary(1), 1.0)
-        with pytest.raises(EmbedError):
-            pad_embedding(e, 1)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""Parity between the numba kernels and their pure-numpy fallbacks."""
+"""Each numpy kernel against an independent oracle.
 
-import subprocess
-import sys
+The scalar references live in ``scalarref``; the hyperboloid distances are
+checked against mpmath. The tree metric's oracle is scipy's Dijkstra, in
+``test_trees.py``.
+"""
 
 import numpy as np
 from numpy.testing import assert_allclose
 
+import scalarref
 from hyptree import kernels, trees
-from hyptree._accel import HAS_NUMBA, NUMBA_ENABLED, backend_name
+from mputil import mp_distance
 
 
 def _random_tree_arrays(n, seed):
@@ -15,92 +18,51 @@ def _random_tree_arrays(n, seed):
     index = {i: k for k, i in enumerate(t.node_ids)}
     eu = np.array([index[u] for u, v, _ in t.edges], np.int64)
     ev = np.array([index[v] for u, v, _ in t.edges], np.int64)
-    w = np.random.default_rng(seed).uniform(0.5, 2.0, size=len(t.edges))
-    return eu, ev, w
+    return eu, ev
 
 
 class TestBackendsAgree:
+    """The numpy kernels agree with per-pair references computed another way."""
+
     def test_fr_step(self):
         rng = np.random.default_rng(0)
-        eu, ev, w = _random_tree_arrays(40, 1)
+        eu, ev = _random_tree_arrays(40, 1)
         pos = rng.uniform(size=(40, 2))
         k, t = 0.15, 0.02
         for _ in range(3):
-            a = kernels.fr_step_loops(pos, eu, ev, k, t)
-            b = kernels.fr_step_numpy(pos, eu, ev, k, t)
-            assert_allclose(a, b, rtol=1e-9, atol=1e-12)
-            pos = a
-
-    def test_tree_metric(self):
-        for n, seed in ((2, 0), (63, 3), (200, 4)):
-            eu, ev, w = _random_tree_arrays(n, seed)
-            indptr, indices, weights = trees._csr_arrays(eu, ev, w, n)
-            a = kernels.tree_metric_loops(indptr, indices, weights, n)
-            b = kernels.tree_metric_numpy(eu, ev, w, n)
-            assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+            want = scalarref.fr_step(pos, eu, ev, k, t)
+            assert_allclose(kernels.fr_step(pos, eu, ev, k, t), want, rtol=1e-9, atol=1e-12)
+            pos = want
 
     def test_pairwise_euclidean(self):
         pts = np.random.default_rng(2).normal(size=(80, 3))
-        assert_allclose(
-            kernels.pairwise_euclidean_loops(pts),
-            kernels.pairwise_euclidean_numpy(pts),
-            rtol=1e-12,
-            atol=1e-14,
-        )
+        want = np.array([[np.linalg.norm(p - q) for q in pts] for p in pts])
+        assert_allclose(kernels.pairwise_euclidean(pts), want, rtol=1e-12, atol=1e-14)
 
     def test_pairwise_hyperboloid(self):
         rng = np.random.default_rng(3)
-        spatial = rng.normal(size=(60, 2)) * 2.0
+        spatial = rng.normal(size=(30, 2)) * 2.0
         pts = np.column_stack([spatial, np.sqrt(1.0 + np.sum(spatial**2, axis=1))])
-        a = kernels.pairwise_hyperboloid_loops(pts)
-        b = kernels.pairwise_hyperboloid_numpy(pts)
-        assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-        assert np.all(np.diag(a) == 0.0)
+        got = kernels.pairwise_hyperboloid(pts)
+        iu, ju = np.triu_indices(len(pts), k=1)
+        want = [mp_distance(pts[i], pts[j]) for i, j in zip(iu, ju)]
+        assert_allclose(got[iu, ju], want, rtol=1e-12)
+        assert_allclose(got, got.T, rtol=0, atol=0)
+        assert np.all(np.diag(got) == 0.0)
 
     def test_ratio_bounds(self):
         rng = np.random.default_rng(4)
         n = 30
         dt = np.abs(rng.normal(size=(n, n))) + 0.1
         ds = np.abs(rng.normal(size=(n, n))) + 0.1
-        a = kernels.ratio_bounds_loops(ds, dt)
-        b = kernels.ratio_bounds_numpy(ds, dt)
-        assert_allclose(a[:2], b[:2], rtol=1e-14)
-        assert a[2] == b[2]
+        got = kernels.ratio_bounds(ds, dt)
+        want = scalarref.ratio_bounds(ds, dt)
+        assert_allclose(got[:2], want[:2], rtol=1e-14)
+        assert got[2] == want[2]
 
     def test_ratio_bounds_flags_non_injective(self):
         dt = np.ones((3, 3))
         ds = np.ones((3, 3))
         ds[0, 1] = ds[1, 0] = 0.0
-        assert not kernels.ratio_bounds_loops(ds, dt)[2]
-        assert not kernels.ratio_bounds_numpy(ds, dt)[2]
-
-
-class TestBackendSelection:
-    def test_active_backend_matches_flag(self):
-        assert kernels.ACTIVE_BACKEND == backend_name()
-        if NUMBA_ENABLED:
-            assert kernels.fr_step is kernels.fr_step_loops
-        else:
-            assert kernels.fr_step is kernels.fr_step_numpy
-
-    def test_env_flag_disables_numba(self):
-        code = (
-            "import os\n"
-            "os.environ['HYPTREE_NUMBA'] = '0'\n"
-            "from hyptree import kernels\n"
-            "assert kernels.fr_step is kernels.fr_step_numpy\n"
-            "assert kernels.ACTIVE_BACKEND == 'numpy'\n"
-            "print('ok')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
-
-    def test_fallback_importable_without_numba_flag(self):
-        # The pure path must work regardless of whether numba compiled.
-        pts = np.random.default_rng(5).normal(size=(10, 2))
-        out = kernels.pairwise_euclidean_numpy(pts)
-        assert out.shape == (10, 10)
-        assert HAS_NUMBA in (True, False)
+        assert not scalarref.ratio_bounds(ds, dt)[2]
+        assert not kernels.ratio_bounds(ds, dt)[2]

@@ -13,7 +13,6 @@ from hyptree.networks import (
     NetworkError,
     hnn_forward,
     hnn_from_mlp,
-    hyperbolic_layer,
     load_params,
     memorize_hnn,
     memorize_relu,
@@ -23,6 +22,7 @@ from hyptree.networks import (
     params_to_dict,
     save_params,
 )
+from scalarref import hyperbolic_layer
 
 
 def random_mlp(rng, dims):

@@ -32,14 +32,12 @@ from hyptree.train import (
     TrainConfig,
     TrainDivergenceError,
     TrainError,
-    d_pred_hnn,
-    d_pred_mlp,
     grad,
     init_params,
-    loss_mse,
     train_embedding,
 )
 from hyptree.trees import WeightedTree, gen_binary, gen_random, spring_layout, tree_metric
+from scalarref import d_pred_hnn, d_pred_mlp, loss_mse
 
 
 def random_mlp(rng, dims):
