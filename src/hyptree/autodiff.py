@@ -250,30 +250,28 @@ class Tape:
             lambda g: (g * v.value[None, :], (g * M.value).sum(axis=0)),
         )
 
-    def col_mean(self, M: Node) -> Node:
-        n = M.value.shape[0]
+    def col_mean(self, M: Node, weights=None) -> Node:
+        """Column means of a row batch with row ``weights`` (any positive
+        scale, divided by their sum); every row counts once when omitted."""
+        w = np.ones(M.value.shape[0]) if weights is None else np.asarray(weights, np.float64)
+        total = w.sum()
         return self._record(
-            M.value.mean(axis=0),
+            np.sum(w[:, None] * M.value, axis=0) / total,
             (M,),
-            lambda g: (np.repeat(g[None, :] / n, n, axis=0),),
+            lambda g: (w[:, None] * (g[None, :] / total),),
         )
 
-    # row slicing (pairing two input sets pushed through one tower)
-    def top_rows(self, M: Node, k: int) -> Node:
+    # row gathering (pair endpoints indexed out of per-node rows)
+    def take_rows(self, M: Node, idx) -> Node:
+        """M[idx]; the vjp scatter-adds over repeated indices."""
+        idx = np.asarray(idx, np.intp)
+
         def vjp(g):
             out = np.zeros_like(M.value)
-            out[:k] = g
+            np.add.at(out, idx, g)
             return (out,)
 
-        return self._record(M.value[:k], (M,), vjp)
-
-    def bottom_rows(self, M: Node, k: int) -> Node:
-        def vjp(g):
-            out = np.zeros_like(M.value)
-            out[-k:] = g
-            return (out,)
-
-        return self._record(M.value[-k:], (M,), vjp)
+        return self._record(M.value[idx], (M,), vjp)
 
     def scale_const(self, c: Node, k: float) -> Node:
         return self._record(c.value * k, (c,), lambda g: (g * k,))

@@ -371,6 +371,25 @@ def _grid_worker(payload: dict) -> dict:
     return row
 
 
+def resolve_threads(flag: int, env: str | None, rows: int) -> int:
+    """Worker processes for a grid of ``rows`` rows.
+
+    ``env`` (HYPTREE_THREADS) overrides ``flag`` (--threads). A request
+    below 1, or a non-integer ``env``, is a usage error; otherwise the
+    count is clamped to min(rows, CPU count), so no input can start more
+    workers than there are rows or cores.
+    """
+    requested = flag
+    if env is not None:
+        try:
+            requested = int(env)
+        except ValueError:
+            raise UsageError(f"HYPTREE_THREADS={env!r} is not an integer") from None
+    if requested < 1:
+        raise UsageError(f"thread count must be >= 1, got {requested}")
+    return min(requested, rows, os.cpu_count() or 1)
+
+
 GRID_HEADER = ["kind", "n_nodes", "dim", "model", "seed", "train_mse", "test_mse", "dist", "status"]
 
 
@@ -383,6 +402,8 @@ def cmd_grid(args) -> int:
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     cfg = _parse_grid_config(doc)
+    n_rows = len(cfg["trees"]) * len(cfg["dims"]) * len(cfg["models"]) * len(cfg["seeds"])
+    workers = resolve_threads(args.threads, os.environ.get("HYPTREE_THREADS"), n_rows)
     out_dir = cfg["output_dir"] or args.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
@@ -409,8 +430,8 @@ def cmd_grid(args) -> int:
                         "model": model, "seed": seed, "train": cfg["train"],
                     })
 
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_grid_worker, payloads))
     else:
         rows = [_grid_worker(p) for p in payloads]
@@ -604,7 +625,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="top-level seed for all streams")
     common.add_argument("--out-dir", default=".", help="directory for outputs")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for grid rows (HYPTREE_THREADS overrides)")
+                        help="worker processes for grid rows, at most min(rows, CPUs) "
+                             "(HYPTREE_THREADS overrides)")
 
     train_common = argparse.ArgumentParser(add_help=False)
     train_common.add_argument("--epochs", type=int, default=10)
@@ -666,12 +688,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    env_threads = os.environ.get("HYPTREE_THREADS")
-    if env_threads is not None:
-        try:
-            args.threads = int(env_threads)
-        except ValueError:
-            print(f"ignoring HYPTREE_THREADS={env_threads!r} (not an integer)", file=sys.stderr)
     os.makedirs(args.out_dir, exist_ok=True)
     try:
         return args.func(args)

@@ -8,12 +8,16 @@ bias points get the ambient gradient flipped through the Minkowski
 metric and projected to their tangent space, and are pulled back onto
 the sheet after every optimizer step.
 
-Both input sets of a pair batch run through one shared tower (stacked
-rows, split afterwards), which keeps the optional per-batch
-normalization symmetric in the two sides. With ``batch_norm`` enabled
-there is no stored running state: statistics always come from whatever
-batch is being pushed through, including at evaluation time, so a
-trained model is evaluated on the full node set in one pass.
+The pair structure lives only in the loss head. Each step runs the
+tower once over the distinct input rows of the batch, so a node that
+joins many pairs is computed once, and the head gathers the two
+endpoints of every pair from those output rows. With ``batch_norm``
+enabled, the column statistics weight each distinct row by how often it
+occurs among the 2B endpoints of the batch, which is exactly
+normalizing the stacked batch of both endpoint sets. There is no stored
+running state: statistics always come from whatever batch is being
+pushed through, including at evaluation time, so a trained model is
+evaluated on the full node set in one pass.
 """
 
 from __future__ import annotations
@@ -139,10 +143,11 @@ class EpochStats:
 # Tape towers
 # ----------------------------------------------------------------------
 
-def _bn(tape, H):
-    """Whiten over the batch dimension with the batch's own statistics."""
-    c = tape.sub_vec(H, tape.col_mean(H))
-    var = tape.col_mean(tape.mul_cols(c, c))
+def _bn(tape, H, weights):
+    """Whiten over the batch dimension with the batch's own statistics
+    (row i counted ``weights[i]`` times; once each when None)."""
+    c = tape.sub_vec(H, tape.col_mean(H, weights))
+    var = tape.col_mean(tape.mul_cols(c, c), weights)
     rs = tape.elemwise(
         var,
         lambda v: 1.0 / np.sqrt(v + _BN_EPS),
@@ -151,14 +156,14 @@ def _bn(tape, H):
     return tape.mul_vec(c, rs)
 
 
-def _mlp_tower(tape, layer_nodes, X, batch_norm):
+def _mlp_tower(tape, layer_nodes, X, batch_norm, weights):
     H = X
     last = len(layer_nodes) - 1
     for i, (A, b) in enumerate(layer_nodes):
         H = tape.add_vec(tape.matmul_rt(H, A), b)
         if i != last:
             if batch_norm:
-                H = _bn(tape, H)
+                H = _bn(tape, H, weights)
             H = tape.relu(H)
     return H
 
@@ -196,7 +201,7 @@ def _write_point_rows(tape, c, Z):
     return tape.add(tape.outer_vec(f1, c), tape.scale_rows(f2, W))
 
 
-def _hnn_tower(tape, entry_node, layer_nodes, X, batch_norm):
+def _hnn_tower(tape, entry_node, layer_nodes, X, batch_norm, weights):
     P = _write_point_rows(tape, entry_node, X)
     prev = entry_node
     last = len(layer_nodes) - 1
@@ -205,18 +210,46 @@ def _hnn_tower(tape, entry_node, layer_nodes, X, batch_norm):
         H = tape.add_vec(tape.matmul_rt(Z, A), b)
         if i != last:
             if batch_norm:
-                H = _bn(tape, H)
+                H = _bn(tape, H, weights)
             H = tape.relu(H)
         P = _write_point_rows(tape, c, H)
         prev = c
     return P
 
 
-def _pair_loss(tape, Y, n_pairs, d_true, hyperbolic):
-    """MSE head on a stacked output (first half vs second half)."""
-    Y1 = tape.top_rows(Y, n_pairs)
-    Y2 = tape.bottom_rows(Y, n_pairs)
-    D = tape.sub(Y1, Y2)
+def _tower(tape, params, X, batch_norm, weights):
+    """(parameter leaves, output rows) of the model's tower on input rows X."""
+    x = tape.leaf(X)
+    if isinstance(params, MlpParams):
+        nodes = [(tape.leaf(A), tape.leaf(b)) for A, b in params.layers]
+        return nodes, _mlp_tower(tape, nodes, x, batch_norm, weights)
+    if isinstance(params, HnnParams):
+        entry = tape.leaf(params.entry_bias.coords)
+        nodes = [
+            (tape.leaf(A), tape.leaf(b), tape.leaf(c.coords)) for A, b, c in params.layers
+        ]
+        return (entry, nodes), _hnn_tower(tape, entry, nodes, x, batch_norm, weights)
+    raise TrainError("params must be MlpParams or HnnParams")
+
+
+def _distinct_rows(x1, x2):
+    """Distinct rows of the stacked endpoints [x1; x2].
+
+    Returns (X, i1, i2, counts) with X[i1] == x1 and X[i2] == x2 row for
+    row, and counts[k] the number of times X[k] occurs among the 2B
+    endpoints. Rows are matched by their bytes; identical rows share one
+    entry.
+    """
+    R = np.concatenate([x1, x2], axis=0)
+    keys = R.view(np.dtype((np.void, R.itemsize * R.shape[1]))).ravel()
+    _, first, inv, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    n = x1.shape[0]
+    return R[first], inv[:n], inv[n:], counts
+
+
+def _pair_loss(tape, Y, i1, i2, d_true, hyperbolic):
+    """MSE head on pairs of output rows (Y[i1] against Y[i2])."""
+    D = tape.sub(tape.take_rows(Y, i1), tape.take_rows(Y, i2))
     if hyperbolic:
         q = tape.row_mink(D, D)
         d = tape.elemwise(q, dist_fn, dist_prime)
@@ -243,8 +276,9 @@ def _tangent_project(g, c):
     return jg + float(minkowski_inner(jg, c)) * c
 
 
-def _zero(x):
-    return np.zeros_like(np.asarray(x, np.float64))
+def _grad_of(node):
+    """The node's gradient after backward; zeros if the loss never reached it."""
+    return node.grad if node.grad is not None else np.zeros_like(node.value)
 
 
 def grad(params, x1, x2, d_true, batch_norm: bool = False):
@@ -261,71 +295,39 @@ def grad(params, x1, x2, d_true, batch_norm: bool = False):
     d_true = np.atleast_1d(np.asarray(d_true, np.float64))
     if x1.shape != x2.shape or x1.shape[0] != d_true.size:
         raise TrainError("pair inputs must align: x1, x2 (B,n); d_true (B,)")
-    n_pairs = x1.shape[0]
-    X = np.concatenate([x1, x2], axis=0)
+    X, i1, i2, counts = _distinct_rows(x1, x2)
     tape = Tape()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if isinstance(params, MlpParams):
-            nodes = [(tape.leaf(A), tape.leaf(b)) for A, b in params.layers]
-            Y = _mlp_tower(tape, nodes, tape.leaf(X), batch_norm)
-            loss = _pair_loss(tape, Y, n_pairs, d_true, hyperbolic=False)
-            tape.backward(loss)
-            grads = tuple(
-                (An.grad if An.grad is not None else _zero(An.value),
-                 bn.grad if bn.grad is not None else _zero(bn.value))
-                for An, bn in nodes
-            )
-            return float(loss.value), grads
-        if isinstance(params, HnnParams):
-            entry = tape.leaf(params.entry_bias.coords)
-            nodes = [
-                (tape.leaf(A), tape.leaf(b), tape.leaf(c.coords))
-                for A, b, c in params.layers
-            ]
-            Y = _hnn_tower(tape, entry, nodes, tape.leaf(X), batch_norm)
-            loss = _pair_loss(tape, Y, n_pairs, d_true, hyperbolic=True)
-            tape.backward(loss)
-            d_entry = _tangent_project(
-                entry.grad if entry.grad is not None else _zero(entry.value),
-                entry.value,
-            )
-            layer_grads = tuple(
-                (
-                    An.grad if An.grad is not None else _zero(An.value),
-                    bn.grad if bn.grad is not None else _zero(bn.value),
-                    _tangent_project(
-                        cn.grad if cn.grad is not None else _zero(cn.value), cn.value
-                    ),
-                )
-                for An, bn, cn in nodes
-            )
-            return float(loss.value), (d_entry, layer_grads)
-    raise TrainError("params must be MlpParams or HnnParams")
+        nodes, Y = _tower(tape, params, X, batch_norm, counts)
+        hyperbolic = isinstance(params, HnnParams)
+        loss = _pair_loss(tape, Y, i1, i2, d_true, hyperbolic)
+        tape.backward(loss)
+        if not hyperbolic:
+            return float(loss.value), tuple((_grad_of(An), _grad_of(bn)) for An, bn in nodes)
+        entry, layer_nodes = nodes
+        layer_grads = tuple(
+            (_grad_of(An), _grad_of(bn), _tangent_project(_grad_of(cn), cn.value))
+            for An, bn, cn in layer_nodes
+        )
+        return float(loss.value), (_tangent_project(_grad_of(entry), entry.value), layer_grads)
 
 
-def _predict_rows(params, X, batch_norm):
-    """Model outputs for input rows, via the same towers (values only)."""
+def _predict_rows(params, X, batch_norm, weights=None):
+    """Model outputs for input rows, via the same towers (values only).
+
+    With ``batch_norm``, row i counts ``weights[i]`` times in the batch
+    statistics (once each when None).
+    """
     X = np.atleast_2d(np.asarray(X, np.float64))
-    tape = Tape()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if isinstance(params, MlpParams):
-            nodes = [(tape.leaf(A), tape.leaf(b)) for A, b in params.layers]
-            return _mlp_tower(tape, nodes, tape.leaf(X), batch_norm).value
-        entry = tape.leaf(params.entry_bias.coords)
-        nodes = [
-            (tape.leaf(A), tape.leaf(b), tape.leaf(c.coords)) for A, b, c in params.layers
-        ]
-        return _hnn_tower(tape, entry, nodes, tape.leaf(X), batch_norm).value
+        return _tower(Tape(), params, X, batch_norm, weights)[1].value
 
 
 def _pair_mse(params, x1, x2, d_true, batch_norm):
-    """Full-batch evaluation MSE (no gradient)."""
-    x1 = np.atleast_2d(x1)
-    x2 = np.atleast_2d(x2)
-    X = np.concatenate([x1, x2], axis=0)
-    Y = _predict_rows(params, X, batch_norm)
-    n = x1.shape[0]
-    D = Y[:n] - Y[n:]
+    """Full-batch evaluation MSE (no gradient), on distinct rows like ``grad``."""
+    X, i1, i2, counts = _distinct_rows(np.atleast_2d(x1), np.atleast_2d(x2))
+    Y = _predict_rows(params, X, batch_norm, counts)
+    D = Y[i1] - Y[i2]
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(params, HnnParams):
             q = np.sum(D[:, :-1] ** 2, axis=1) - D[:, -1] ** 2

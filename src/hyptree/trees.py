@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,11 +78,17 @@ def validate_tree(t: WeightedTree) -> None:
         seen.add(key)
         if not (w > 0.0 and np.isfinite(w)):
             raise TreeError("nonpositive_weight", f"edge {key} has weight {w}")
+    lengths = set()
     for i, c in t.coords.items():
         if i not in idset:
             raise TreeError("unknown_endpoint", f"coords for missing node {i}")
         if c.ndim != 1:
             raise TreeError("bad_coords", f"coords for node {i} are not a vector")
+        if not np.all(np.isfinite(c)):
+            raise TreeError("nonfinite_coords", f"coords for node {i} are not finite")
+        lengths.add(c.size)
+    if len(lengths) > 1:
+        raise TreeError("coord_length_mismatch", f"coords have lengths {sorted(lengths)}")
     # connectivity by BFS, then the edge count separates cycle from forest
     adj: dict[int, list[int]] = {i: [] for i in ids}
     for u, v, _ in t.edges:
@@ -110,7 +117,7 @@ class TreeMetric:
     ids: tuple[int, ...]
     matrix: np.ndarray
 
-    @property
+    @cached_property
     def index(self) -> dict[int, int]:
         return {i: k for k, i in enumerate(self.ids)}
 

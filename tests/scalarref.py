@@ -3,13 +3,15 @@
 Each function here is a plain per-element or per-pair restatement of
 something the library computes in vectorized or batched form: the spring
 layout step, the distortion bounds, one hyperbolic layer, the pair
-distance heads and the pair loss.
+distance heads and the pair loss. ``stacked_pair_loss`` restates the
+batched training loss without deduplicating the pair endpoints.
 """
 
 import numpy as np
 
 from hyptree.hypgeom import basepoint, distance, drop, exp_map, lift, log_map, parallel_transport
-from hyptree.networks import NetworkError, hnn_forward, mlp_forward
+from hyptree.networks import HnnParams, NetworkError, hnn_forward, mlp_forward
+from hyptree.train import _predict_rows
 
 _EPS = 1e-12
 
@@ -95,3 +97,17 @@ def loss_mse(batch, predict) -> float:
     """Mean of (d_true - predict(u, v))^2 over the batch."""
     preds = np.array([predict(int(a), int(b)) for a, b in zip(batch.u, batch.v)])
     return float(np.mean((batch.d_true - preds) ** 2))
+
+
+def stacked_pair_loss(params, x1, x2, d_true, batch_norm) -> float:
+    """Pair MSE with all 2B endpoint rows [x1; x2] pushed through the tower
+    as one batch, every row once in the batch statistics, then split in half."""
+    n = len(x1)
+    Y = _predict_rows(params, np.concatenate([x1, x2], axis=0), batch_norm)
+    D = Y[:n] - Y[n:]
+    if isinstance(params, HnnParams):
+        q = np.sum(D[:, :-1] ** 2, axis=1) - D[:, -1] ** 2
+        d = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))
+    else:
+        d = np.sqrt(np.sum(D * D, axis=1))
+    return float(np.mean((np.asarray(d_true) - d) ** 2))

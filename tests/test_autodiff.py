@@ -233,7 +233,7 @@ class TestBackwardContract:
 
 
 class TestBatchingOps:
-    """Ops added for batch statistics and paired-tower row splits."""
+    """Ops for batch statistics and for gathering pair endpoints."""
 
     def test_col_mean_value_and_grad(self):
         rng = np.random.default_rng(3)
@@ -261,21 +261,41 @@ class TestBatchingOps:
 
         check_leaf_grads(build, [M, v])
 
-    def test_row_splits_grads(self):
-        rng = np.random.default_rng(5)
-        M = rng.normal(size=(6, 2))
+    def test_col_mean_weighted(self):
+        # integer weights act like repeating rows: weighted mean of M equals
+        # the plain mean of the row-repeated batch
+        rng = np.random.default_rng(9)
+        M = rng.normal(size=(4, 3))
+        weights = np.array([3.0, 1.0, 5.0, 2.0])
+        w = rng.normal(size=3)
+        tape = Tape()
+        out = tape.col_mean(tape.leaf(M), weights)
+        repeated = np.repeat(M, weights.astype(int), axis=0)
+        assert_allclose(out.value, repeated.mean(axis=0), rtol=1e-14, atol=1e-15)
+        check_leaf_grads(lambda t, ns: t.wsum(t.col_mean(ns[0], weights), w), [M])
 
-        def build(t, ns):
-            top = t.top_rows(ns[0], 3)
-            bot = t.bottom_rows(ns[0], 3)
-            d = t.sub(top, bot)
-            return t.mean(t.mul_cols(d, d))
+    def test_take_rows_repeated_indices(self):
+        # every row is taken at least twice and row 3 not at all, so the vjp
+        # must accumulate repeats and leave untouched rows at zero
+        rng = np.random.default_rng(5)
+        M = rng.normal(size=(5, 2))
+        idx = np.array([0, 2, 2, 1, 0, 4, 2, 1, 4])
+        w = rng.normal(size=(idx.size, 2))
 
         tape = Tape()
         n = tape.leaf(M)
-        assert np.array_equal(tape.top_rows(n, 3).value, M[:3])
-        assert np.array_equal(tape.bottom_rows(n, 3).value, M[-3:])
+        assert np.array_equal(tape.take_rows(n, idx).value, M[idx])
+        check_leaf_grads(lambda t, ns: t.wsum(t.take_rows(ns[0], idx), w), [M])
+
+        def build(t, ns):
+            d = t.sub(t.take_rows(ns[0], idx[:4]), t.take_rows(ns[0], idx[5:]))
+            return t.mean(t.mul_cols(d, d))
+
         check_leaf_grads(build, [M])
+        tape = Tape()
+        n = tape.leaf(M)
+        tape.backward(tape.wsum(tape.take_rows(n, idx), w))
+        assert np.all(n.grad[3] == 0.0)
 
     def test_batch_norm_tower_grads(self):
         # (x - mean) / sqrt(var + eps): the per-batch whitening transform

@@ -208,6 +208,22 @@ class TestTrain:
         assert code == 2
         assert "layout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "node2_coords,code",
+        [([1.0, 0.5, 2.0], "coord_length_mismatch"), ([math.nan, 0.5], "nonfinite_coords")],
+    )
+    def test_bad_coords_exit_2(self, tmp_path, capsys, node2_coords, code):
+        # written by hand: the tree constructor rejects such coords itself
+        doc = {"n_dim": 2,
+               "nodes": [{"id": 0, "coords": [0.0, 0.0]}, {"id": 1, "coords": [1.0, 0.0]},
+                         {"id": 2, "coords": node2_coords}],
+               "edges": [{"u": 0, "v": 1, "w": 1.0}, {"u": 1, "v": 2, "w": 1.0}]}
+        with open(tmp_path / "t.json", "w") as fh:
+            json.dump(doc, fh)
+        assert run(["train", tmp_path / "t.json", "--out-dir", tmp_path, "--epochs", 1]) == 2
+        err = capsys.readouterr().err
+        assert code in err and "Traceback" not in err
+
 
 # ----------------------------------------------------------------------
 # grid
@@ -298,6 +314,30 @@ class TestGrid:
         rows = read_csv(tmp_path / "grid_results.csv")
         assert rows[1][8].startswith("diverged@")
         assert code == 4
+
+
+class TestResolveThreads:
+    """The worker count is checked and clamped before any pool starts."""
+
+    def test_flag_and_env_override(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert cli.resolve_threads(1, None, 10) == 1
+        assert cli.resolve_threads(3, None, 10) == 3
+        assert cli.resolve_threads(1, "4", 10) == 4
+
+    def test_clamped_to_rows_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert cli.resolve_threads(10**6, None, 100) == 2
+        assert cli.resolve_threads(1, str(10**9), 100) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli.resolve_threads(10**6, None, 3) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli.resolve_threads(4, None, 3) == 1
+
+    @pytest.mark.parametrize("flag,env", [(0, None), (-3, None), (2, "0"), (2, "-1"), (2, "many")])
+    def test_below_one_or_non_integer_is_usage_error(self, flag, env):
+        with pytest.raises(cli.UsageError):
+            cli.resolve_threads(flag, env, 10)
 
 
 # ----------------------------------------------------------------------

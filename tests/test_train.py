@@ -37,7 +37,7 @@ from hyptree.train import (
     train_embedding,
 )
 from hyptree.trees import WeightedTree, gen_binary, gen_random, spring_layout, tree_metric
-from scalarref import d_pred_hnn, d_pred_mlp, loss_mse
+from scalarref import d_pred_hnn, d_pred_mlp, loss_mse, stacked_pair_loss
 
 
 def random_mlp(rng, dims):
@@ -373,6 +373,59 @@ class TestGradFiniteDifferences:
         p = random_mlp(rng, (2, 3, 2))
         with pytest.raises(TrainError):
             grad(p, np.ones((3, 2)), np.ones((2, 2)), np.ones(3))
+
+
+class TestDistinctRows:
+    """``grad`` runs the tower once per distinct input row; pairs that share
+    endpoints must give the loss and gradients of the stacked batch."""
+
+    @staticmethod
+    def shared_endpoint_pairs(rng, n_rows=6, n_pairs=40):
+        nodes = rng.normal(size=(n_rows, 2))
+        i = rng.integers(0, n_rows, n_pairs)
+        j = (i + rng.integers(1, n_rows, n_pairs)) % n_rows
+        return nodes[i], nodes[j], rng.uniform(0.5, 2.5, n_pairs)
+
+    @staticmethod
+    def check_fd(p, x1, x2, dt, bn, h=1e-5, tol=1e-4):
+        """Central differences along every parameter entry (affine arrays)
+        and every chart direction (hyperbolic bias points)."""
+        _, grads = grad(p, x1, x2, dt, bn)
+        arrays, kinds = tr._flatten(p)
+        for k, (arr, kind, g) in enumerate(zip(arrays, kinds, tr._flatten_grads(p, grads))):
+            if kind == "hyper":
+                probes = [(v, float(minkowski_inner(g, v)), h) for v in tangent_basis(arr)]
+            else:
+                probes = [
+                    (e.reshape(arr.shape), g.ravel()[i], h * max(1.0, abs(arr.ravel()[i])))
+                    for i, e in enumerate(np.eye(arr.size))
+                ]
+            for v, an, step in probes:
+                vals = []
+                for sgn in (1, -1):
+                    moved = list(arrays)
+                    moved[k] = arr + sgn * step * v
+                    vals.append(loss_at(tr._rebuild(p, moved), x1, x2, dt, bn))
+                fd = (vals[0] - vals[1]) / (2 * step)
+                assert abs(an - fd) <= tol * max(abs(fd), 1e-5), (k, an, fd)
+
+    @pytest.mark.parametrize("bn", [False, True])
+    @pytest.mark.parametrize("kind", ["mlp", "hnn"])
+    def test_matches_stacked_batch(self, kind, bn):
+        rng = np.random.default_rng(14)
+        x1, x2, dt = self.shared_endpoint_pairs(rng)
+        assert np.unique(np.concatenate([x1, x2]), axis=0).shape[0] == 6
+        p = random_mlp(rng, (2, 5, 4, 2)) if kind == "mlp" else random_hnn(rng, (2, 5, 4, 2))
+        loss, _ = grad(p, x1, x2, dt, bn)
+        assert loss == pytest.approx(stacked_pair_loss(p, x1, x2, dt, bn), rel=1e-12)
+        self.check_fd(p, x1, x2, dt, bn, tol=1e-4 if kind == "mlp" else 1e-3)
+
+    def test_held_out_mse_matches_stacked_batch(self):
+        rng = np.random.default_rng(15)
+        x1, x2, dt = self.shared_endpoint_pairs(rng)
+        p = random_hnn(rng, (2, 5, 2))
+        got = tr._pair_mse(p, x1, x2, dt, batch_norm=True)
+        assert got == pytest.approx(stacked_pair_loss(p, x1, x2, dt, True), rel=1e-12)
 
 
 # ----------------------------------------------------------------------

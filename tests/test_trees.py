@@ -143,6 +143,16 @@ class TestMetric:
         m = trees.tree_metric(trees.WeightedTree([3], []))
         assert m.matrix.shape == (1, 1)
 
+    def test_dist_reads_matrix_for_every_pair(self):
+        base = random_weighted_tree(12, 13)
+        ids = [int(i) for i in np.random.default_rng(13).permutation(12) * 7 + 3]
+        relabel = dict(zip(base.node_ids, ids))
+        t = trees.WeightedTree(ids, [(relabel[u], relabel[v], w) for u, v, w in base.edges])
+        m = trees.tree_metric(t)
+        for i, u in enumerate(t.node_ids):
+            for j, v in enumerate(t.node_ids):
+                assert m.dist(u, v) == m.matrix[i, j]
+
 
 class TestCentroidLeavesDegree:
     def test_path_centroid_is_middle(self):
