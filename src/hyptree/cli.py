@@ -148,24 +148,36 @@ def _train_config_from_args(args, seed: int) -> TrainConfig:
 # gen
 # ----------------------------------------------------------------------
 
-def _generate_tree(kind: str, depth, n, seed: int, layout_dim: int) -> WeightedTree:
-    if kind in ("binary", "ternary"):
-        if depth is None:
-            raise UsageError(f"--depth is required for --kind {kind}")
-        t = gen_binary(depth) if kind == "binary" else gen_ternary(depth)
-    elif kind == "random":
-        if n is None:
-            raise UsageError("--n is required for --kind random")
-        t = gen_random(n, child_seeds(seed, "tree", 1)[0])
-    else:
+def _tree_size(spec: dict, trainable: bool = False) -> int:
+    """Check a tree request {kind, depth or n}; return the depth of a binary or
+    ternary tree, or the node count of a random one. A trainable tree needs
+    at least two nodes."""
+    kind = spec.get("kind")
+    if kind not in ("binary", "ternary", "random"):
         raise UsageError(f"unknown tree kind {kind!r}")
-    spring_layout(t, dim=layout_dim, seed=child_seeds(seed, "layout", 1)[0])
+    key, low = ("n", 1 + trainable) if kind == "random" else ("depth", int(trainable))
+    value = spec.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise UsageError(f"a {kind} tree needs an integer {key} >= {low}, got {value!r}")
+    return value
+
+
+def _build_tree(kind: str, size: int, seed: int, tag: str = "", layout_dim: int = 2) -> WeightedTree:
+    """Generate a checked tree request and lay it out; ``tag`` names its seed streams."""
+    if kind == "random":
+        t = gen_random(size, child_seeds(seed, f"tree{tag}", 1)[0])
+    else:
+        t = gen_binary(size) if kind == "binary" else gen_ternary(size)
+    spring_layout(t, dim=layout_dim, seed=child_seeds(seed, f"layout{tag}", 1)[0])
     return t
 
 
 def cmd_gen(args) -> int:
+    size = _tree_size({"kind": args.kind, "depth": args.depth, "n": args.n})
+    if args.layout_dim < 1:
+        raise UsageError(f"--layout-dim must be >= 1, got {args.layout_dim}")
     out = _out_path(args.out_dir, args.output or f"tree_{args.kind}.json")
-    t = _generate_tree(args.kind, args.depth, args.n, args.seed, args.layout_dim)
+    t = _build_tree(args.kind, size, args.seed, layout_dim=args.layout_dim)
     _write_manifest(
         args.out_dir, "gen",
         {"kind": args.kind, "depth": args.depth, "n": args.n, "layout_dim": args.layout_dim},
@@ -272,7 +284,13 @@ def cmd_train(args) -> int:
 # grid
 # ----------------------------------------------------------------------
 
-def _parse_grid_config(doc: dict) -> dict:
+def _parse_grid_config(doc: dict) -> tuple[dict, list, dict]:
+    """Check a grid config before any work runs.
+
+    Returns the resolved config as the manifest records it, the checked
+    size of each tree, and a TrainConfig per (dim, model) whose seed and
+    max_pairs each row fills in.
+    """
     if not isinstance(doc, dict):
         raise UsageError("grid config must be a JSON object")
     trees = doc.get("trees")
@@ -280,28 +298,11 @@ def _parse_grid_config(doc: dict) -> dict:
         kind = doc.get("kind")
         if kind is None:
             raise UsageError('grid config needs "trees" or "kind"')
-        if kind in ("binary", "ternary"):
-            depths = doc.get("depths") or ([doc["depth"]] if "depth" in doc else None)
-            if not depths:
-                raise UsageError(f'kind {kind!r} needs "depth" or "depths"')
-            trees = [{"kind": kind, "depth": d} for d in depths]
-        elif kind == "random":
-            ns = doc.get("ns") or ([doc["n"]] if "n" in doc else None)
-            if not ns:
-                raise UsageError('kind "random" needs "n" or "ns"')
-            trees = [{"kind": kind, "n": n} for n in ns]
-        else:
-            raise UsageError(f"unknown tree kind {kind!r}")
-    for spec in trees:
-        kind = spec.get("kind")
-        if kind in ("binary", "ternary"):
-            if "depth" not in spec:
-                raise UsageError(f"tree spec {spec} needs a depth")
-        elif kind == "random":
-            if "n" not in spec:
-                raise UsageError(f"tree spec {spec} needs n")
-        else:
-            raise UsageError(f"unknown tree kind in spec {spec}")
+        key = "n" if kind == "random" else "depth"
+        trees = [{"kind": kind, key: size} for size in doc.get(key + "s") or [doc.get(key)]]
+    if not isinstance(trees, list) or not all(isinstance(spec, dict) for spec in trees):
+        raise UsageError("grid config: trees must be a list of JSON objects")
+    sizes = [_tree_size(spec, trainable=True) for spec in trees]
     dims = doc.get("dims", [2, 4, 6, 8])
     models = doc.get("models", ["mlp", "hnn"])
     seeds = doc.get("seeds", [0])
@@ -310,7 +311,15 @@ def _parse_grid_config(doc: dict) -> dict:
     bad = set(models) - {"mlp", "hnn"}
     if bad:
         raise UsageError(f"unknown model kinds {sorted(bad)}")
-    train = dict(doc.get("train", {}))
+    try:
+        dims, seeds = [int(d) for d in dims], [int(s) for s in seeds]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"grid config: dims and seeds must be integers ({exc})") from exc
+    if min(seeds) < 0:
+        raise UsageError(f"grid config: seeds must be >= 0, got {min(seeds)}")
+    train = doc.get("train", {})
+    if not isinstance(train, dict):
+        raise UsageError('grid config: "train" must be a JSON object')
     allowed = {"epochs", "batch_size", "learning_rate", "hidden_layers",
                "hidden_width", "optimizer", "batch_norm", "max_pairs"}
     unknown = set(train) - allowed
@@ -319,41 +328,21 @@ def _parse_grid_config(doc: dict) -> dict:
             f"train overrides {sorted(unknown)} not allowed; "
             "model_kind, embed_dim and seed come from the sweep"
         )
-    return {
-        "trees": trees,
-        "dims": [int(d) for d in dims],
-        "models": list(models),
-        "seeds": [int(s) for s in seeds],
-        "train": train,
-        "output_dir": doc.get("output_dir"),
-    }
-
-
-def _grid_tree(spec: dict, index: int, seed: int) -> WeightedTree:
-    kind = spec["kind"]
-    if kind == "binary":
-        t = gen_binary(int(spec["depth"]))
-    elif kind == "ternary":
-        t = gen_ternary(int(spec["depth"]))
-    else:
-        t = gen_random(int(spec["n"]), child_seeds(seed, f"tree-{index}", 1)[0])
-    spring_layout(t, dim=2, seed=child_seeds(seed, f"layout-{index}", 1)[0])
-    return t
+    try:
+        bases = {(d, m): TrainConfig(model_kind=m, embed_dim=d, **train) for d in dims for m in models}
+    except (TrainError, TypeError) as exc:
+        raise UsageError(f"grid config: {exc}") from exc
+    cfg = {"trees": trees, "dims": dims, "models": list(models), "seeds": seeds,
+           "train": train, "output_dir": doc.get("output_dir")}
+    return cfg, sizes, bases
 
 
 def _grid_worker(payload: dict) -> dict:
     t = tree_from_dict(payload["tree"])
-    n = t.n_nodes
-    overrides = dict(payload["train"])
-    if "max_pairs" not in overrides:
-        overrides["max_pairs"] = min(n * (n - 1) // 2, 50 * n)
-    cfg = TrainConfig(
-        model_kind=payload["model"], embed_dim=payload["dim"],
-        seed=payload["seed"], **overrides,
-    )
+    cfg = payload["config"]
     row = {
-        "kind": payload["kind"], "n_nodes": n, "dim": payload["dim"],
-        "model": payload["model"], "seed": payload["seed"],
+        "kind": payload["kind"], "n_nodes": t.n_nodes, "dim": cfg.embed_dim,
+        "model": cfg.model_kind, "seed": cfg.seed,
         "train_mse": math.nan, "test_mse": math.nan, "dist": math.nan,
         "status": "ok",
     }
@@ -401,7 +390,7 @@ def cmd_grid(args) -> int:
         raise UsageError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
-    cfg = _parse_grid_config(doc)
+    cfg, sizes, bases = _parse_grid_config(doc)
     n_rows = len(cfg["trees"]) * len(cfg["dims"]) * len(cfg["models"]) * len(cfg["seeds"])
     workers = resolve_threads(args.threads, os.environ.get("HYPTREE_THREADS"), n_rows)
     out_dir = cfg["output_dir"] or args.out_dir
@@ -419,15 +408,17 @@ def cmd_grid(args) -> int:
     )
 
     payloads = []
-    for ti, spec in enumerate(cfg["trees"]):
-        t = _grid_tree(spec, ti, args.seed)
+    for ti, (spec, size) in enumerate(zip(cfg["trees"], sizes)):
+        t = _build_tree(spec["kind"], size, args.seed, f"-{ti}")
+        n = t.n_nodes
+        pairs = {} if "max_pairs" in cfg["train"] else {"max_pairs": min(n * (n - 1) // 2, 50 * n)}
         tdict = tree_to_dict(t)
         for dim in cfg["dims"]:
             for model in cfg["models"]:
                 for seed in cfg["seeds"]:
                     payloads.append({
-                        "tree": tdict, "kind": spec["kind"], "dim": dim,
-                        "model": model, "seed": seed, "train": cfg["train"],
+                        "tree": tdict, "kind": spec["kind"],
+                        "config": replace(bases[dim, model], seed=seed, **pairs),
                     })
 
     if workers > 1:
@@ -543,19 +534,21 @@ def _svg_for_model(out_dir: str, model: str, rows) -> None:
 # lowerbound
 # ----------------------------------------------------------------------
 
-def _int_list(text: str, flag: str) -> list[int]:
+def _int_list(text: str, flag: str, low: int) -> list[int]:
     try:
         vals = [int(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise UsageError(f"{flag} expects a comma-separated integer list") from exc
     if not vals:
         raise UsageError(f"{flag} must be non-empty")
+    if min(vals) < low:
+        raise UsageError(f"{flag} values must be >= {low}, got {min(vals)}")
     return vals
 
 
 def cmd_lowerbound(args) -> int:
-    leaf_counts = _int_list(args.leaves, "--leaves")
-    dims = _int_list(args.dims, "--dims")
+    leaf_counts = _int_list(args.leaves, "--leaves", 1)
+    dims = _int_list(args.dims, "--dims", 1)
     if args.lam <= 1.0:
         raise UsageError("--lambda must be > 1")
     args.model = "mlp"
@@ -620,9 +613,16 @@ def cmd_lowerbound(args) -> int:
 # parser / entry point
 # ----------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="top-level seed for all streams")
+    common.add_argument("--seed", type=_seed, default=0, help="top-level seed for all streams")
     common.add_argument("--out-dir", default=".", help="directory for outputs")
     common.add_argument("--threads", type=int, default=1,
                         help="worker processes for grid rows, at most min(rows, CPUs) "
@@ -680,7 +680,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--dims", default="2", help="comma-separated embed dims")
     lb.add_argument("--lambda", dest="lam", type=float, default=1.1,
                     help="distortion target for the constructive column")
-    lb.add_argument("--study-seeds", type=lambda s: _int_list(s, "--study-seeds"),
+    lb.add_argument("--study-seeds", type=lambda s: _int_list(s, "--study-seeds", 0),
                     default=[0, 1, 2], help="seeds per study cell (comma-separated)")
     lb.set_defaults(func=cmd_lowerbound)
     return p

@@ -13,10 +13,12 @@ coordinates grow like cosh(tau * depth), and beyond radius ~35 float64
 spacing exceeds the angular separation of nearby images, so coordinates
 alone cannot support distance evaluation. The construction therefore
 tracks each node intrinsically (distance from the root, bearing at the root,
-and exact frame angles at every node) and evaluates pair distances by
-unrolling the tree path with the hyperbolic law of cosines entirely in
-log space. Ambient coordinates are materialized from the polar data for
-interop and small-scale work; the evaluator never reads them.
+and exact frame angles at every node) and evaluates distances from one
+source at a time: a walk outward from the source over the tree gives each
+node its distance and back-bearing to the source from its predecessor's,
+in one hyperbolic law-of-cosines step evaluated entirely in log space.
+Ambient coordinates are materialized from the polar data for interop and
+small-scale work; the evaluator never reads them.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .hypgeom import Curvature, GeometryError, HPoint, OVERFLOW_CAP, OverflowGuardError
+from .hypgeom import Curvature, HPoint, OVERFLOW_CAP, OverflowGuardError
 from .networks import HnnParams, memorize_hnn
-from .trees import TreeMetric, WeightedTree, centroid, tree_metric
+from .trees import WeightedTree, centroid, tree_metric
 
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
@@ -58,42 +60,16 @@ class DistortionReport:
     injective: bool
 
 
-def _report_from_bounds(alpha: float, beta: float, injective: bool) -> DistortionReport:
-    if not injective or alpha <= 0.0:
-        return DistortionReport(alpha, beta, math.inf, False)
-    return DistortionReport(alpha, beta, beta / alpha, True)
-
-
-def distortion(f: dict, d_tree: TreeMetric, d_space) -> DistortionReport:
-    """Compare a node->point map against the tree metric pair by pair.
-
-    ``d_space`` is any distance callable on two image points. Quadratic
-    in the node count; the matrix front ends below are the fast path.
-    """
-    ids = list(d_tree.ids)
-    if len(ids) < 2:
-        raise EmbedError("distortion needs at least two nodes")
-    missing = [v for v in ids if v not in f]
-    if missing:
-        raise EmbedError(f"map is missing nodes {missing[:3]}")
-    alpha, beta, injective = math.inf, 0.0, True
-    for i, u in enumerate(ids):
-        for v in ids[i + 1 :]:
-            ds = float(d_space(f[u], f[v]))
-            ratio = ds / d_tree.dist(u, v)
-            alpha = min(alpha, ratio)
-            beta = max(beta, ratio)
-            if ds <= 0.0:
-                injective = False
-    return _report_from_bounds(alpha, beta, injective)
-
-
 def distortion_from_matrices(d_space: np.ndarray, d_tree: np.ndarray) -> DistortionReport:
-    """Same report from dense distance matrices (kernel-backed)."""
+    """Worst-case ratio d_space/d_tree over the pairs i < j of two dense matrices."""
+    if np.shape(d_space)[0] < 2:
+        raise EmbedError("distortion needs at least two nodes")
     alpha, beta, injective = kernels.ratio_bounds(
         np.asarray(d_space, np.float64), np.asarray(d_tree, np.float64)
     )
-    return _report_from_bounds(alpha, beta, injective)
+    if not injective or alpha <= 0.0:
+        return DistortionReport(alpha, beta, math.inf, False)
+    return DistortionReport(alpha, beta, beta / alpha, True)
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +151,8 @@ class HyperbolicEmbedding:
 
     ``points`` are unit-curvature ambient coordinates; ``kappa`` is the
     curvature under which tree units are recovered (d_kappa = d_{-1}/tau).
-    ``polar``/``frames``/``parent`` describe the construction intrinsically
-    and power the exact pair-distance evaluator; they are None on
+    ``frames``/``parent``/``edge_len`` describe the construction
+    intrinsically and power the exact distance evaluator; they are None on
     embeddings loaded from JSON, which carry points only.
     """
 
@@ -187,7 +163,6 @@ class HyperbolicEmbedding:
     parent: dict | None = field(default=None, repr=False)
     edge_len: dict | None = field(default=None, repr=False)
     frames: dict | None = field(default=None, repr=False)
-    polar: dict | None = field(default=None, repr=False)
 
     def node_ids(self) -> list:
         return sorted(self.points)
@@ -238,14 +213,18 @@ def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
     if tau <= 0.0:
         raise EmbedError("tau must be positive")
     root = centroid(t)
-    metric_root = _single_source(t, root)
-    ecc = max(metric_root.values())
+    frames, parent, w_up = _neighbor_frames(t, root)
+    # parent lists the nodes in BFS order, so every parent's depth is known first
+    depth = {root: 0.0}
+    for v in parent:
+        if v != root:
+            depth[v] = depth[parent[v]] + w_up[v]
+    ecc = max(depth.values())
     if tau * ecc > OVERFLOW_CAP:
         raise OverflowGuardError(
             f"tau {tau:g} puts nodes at radius {tau * ecc:.1f} > {OVERFLOW_CAP:g}; "
             "reduce tau"
         )
-    frames, parent, w_up = _neighbor_frames(t, root)
 
     # polar[v] = (r, bearing); beta[v] = signed angle at v from the ray
     # back to the parent to the ray toward the root
@@ -287,75 +266,56 @@ def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
         parent=parent,
         edge_len=edge_len,
         frames=frames,
-        polar=polar,
     )
 
 
-def _single_source(t: WeightedTree, src: int) -> dict:
-    adj = t.adjacency()
-    dist = {src: 0.0}
-    stack = [src]
-    while stack:
-        v = stack.pop()
-        for nb, w in adj[v]:
-            if nb not in dist:
-                dist[nb] = dist[v] + w
-                stack.append(nb)
-    return dist
+def embedding_distance(e: HyperbolicEmbedding, u: int) -> dict:
+    """d_{-1} from the image of u to the image of every node, as {node: d}.
 
-
-def _tree_path(e: HyperbolicEmbedding, u: int, v: int) -> list:
-    up_u = [u]
-    while e.parent[up_u[-1]] is not None:
-        up_u.append(e.parent[up_u[-1]])
-    on_u = set(up_u)
-    up_v = [v]
-    while up_v[-1] not in on_u:
-        up_v.append(e.parent[up_v[-1]])
-    lca = up_v[-1]
-    head = up_u[: up_u.index(lca) + 1]
-    return head + up_v[-2::-1]
-
-
-def embedding_distance(e: HyperbolicEmbedding, u: int, v: int) -> float:
-    """d_{-1} between two node images, evaluated intrinsically.
-
-    Unrolls the tree path through the construction record, so accuracy
-    does not degrade with scale the way ambient coordinates do.
+    Walks outward from u through the construction record. A node's
+    distance and back-bearing to u follow from its predecessor's in one
+    law-of-cosines step, so accuracy does not degrade with scale the way
+    ambient coordinates do.
     """
     if e.frames is None:
         raise EmbedError("embedding carries no construction record")
-    if u == v:
-        return 0.0
-    path = _tree_path(e, u, v)
-    d = e.edge_len[path[1]] if e.parent[path[1]] == path[0] else e.edge_len[path[0]]
-    if len(path) == 2:
-        return d
-    # state: d = dist(u, p_i); psi = signed angle at p_i from the ray
-    # toward p_{i+1} to the ray toward u
-    psi = _wrap(e.frames[path[1]][path[0]] - e.frames[path[1]][path[2]])
-    for i in range(1, len(path) - 1):
-        mid, nxt = path[i], path[i + 1]
-        ell = e.edge_len[nxt] if e.parent.get(nxt) == mid else e.edge_len[mid]
-        d_new = _side_from_angle(d, ell, psi)
-        delta = _angle_opposite(d_new, ell, d, psi)
-        sign = 1.0 if psi >= 0.0 else -1.0
-        back_to_u = _wrap(-sign * delta)
-        if i + 2 < len(path):
-            turn = _wrap(e.frames[nxt][path[i + 2]] - e.frames[nxt][mid])
-            psi = _wrap(back_to_u - turn)
-        d = d_new
-    return d
+    frames, parent, edge_len = e.frames, e.parent, e.edge_len
+
+    def ell(a, b):
+        return edge_len[b] if parent[b] == a else edge_len[a]
+
+    out = {u: 0.0}
+    # (node, predecessor, distance from u to the predecessor, signed angle
+    # at the predecessor from the ray toward the node to the ray toward u)
+    stack = []
+    for p1 in frames[u]:
+        out[p1] = d = ell(u, p1)
+        stack += [(c, p1, d, _wrap(frames[p1][u] - frames[p1][c])) for c in frames[p1] if c != u]
+    while stack:
+        v, mid, d, psi = stack.pop()
+        ell_v = ell(mid, v)
+        out[v] = d_v = _side_from_angle(d, ell_v, psi)
+        kids = [c for c in frames[v] if c != mid]
+        if kids:
+            sign = 1.0 if psi >= 0.0 else -1.0
+            back_to_u = _wrap(-sign * _angle_opposite(d_v, ell_v, d, psi))
+            stack += [(c, v, d_v, _wrap(back_to_u - _wrap(frames[v][c] - frames[v][mid])))
+                      for c in kids]
+    return out
 
 
 def embedding_distance_matrix(e: HyperbolicEmbedding, ids=None) -> np.ndarray:
+    """Symmetric matrix of d_{-1} over ``ids`` (default: all nodes, sorted).
+
+    Row i comes from the walk of ids[i], one walk at a time.
+    """
     ids = list(ids) if ids is not None else e.node_ids()
     n = len(ids)
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = embedding_distance(e, ids[i], ids[j])
-            out[i, j] = out[j, i] = d
+    for i in range(n - 1):
+        row = embedding_distance(e, ids[i])
+        out[i, i + 1 :] = [row[v] for v in ids[i + 1 :]]
+        out[i + 1 :, i] = out[i, i + 1 :]
     return out
 
 
@@ -393,17 +353,11 @@ def choose_curvature(t: WeightedTree, lam: float, tau_grid=None):
             emb = sarkar_embed(t, tau)
         except OverflowGuardError:
             break
-        alpha, beta = math.inf, 0.0
-        for i, u in enumerate(ids):
-            for v in ids[i + 1 :]:
-                ratio = embedding_distance(emb, u, v) / (tau * metric.dist(u, v))
-                alpha = min(alpha, ratio)
-                beta = max(beta, ratio)
-        if alpha >= 1.0 / lam and beta <= lam:
-            report = _report_from_bounds(alpha, beta, alpha > 0.0)
+        report = distortion_from_matrices(embedding_distance_matrix(emb, ids), tau * metric.matrix)
+        if report.alpha >= 1.0 / lam and report.beta <= lam:
             return emb, Curvature.from_scale(tau), report
-        if alpha > 0.0 and beta / alpha < best[0]:
-            best = (beta / alpha, tau)
+        if report.dist < best[0]:
+            best = (report.dist, tau)
     raise EmbedError(
         f"no grid scale met lambda={lam:g}; best distortion {best[0]:.6g} at tau={best[1]}"
     )

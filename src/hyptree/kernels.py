@@ -80,7 +80,9 @@ def tree_metric_all_pairs(eu, ev, w, n):
 
 def pairwise_euclidean(pts):
     diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    diff *= diff  # squared in place: one (n, n, dim) temporary, not two
+    out = np.sum(diff, axis=-1)
+    return np.sqrt(out, out=out)
 
 
 def pairwise_hyperboloid(pts):

@@ -5,11 +5,25 @@ something the library computes in vectorized or batched form: the spring
 layout step, the distortion bounds, one hyperbolic layer, the pair
 distance heads and the pair loss. ``stacked_pair_loss`` restates the
 batched training loss without deduplicating the pair endpoints.
+``embedding_distance_pair`` unrolls the tree path of one pair, and
+``curvature_scan_pairwise`` runs the curvature scan pair by pair on it.
 """
+
+import math
 
 import numpy as np
 
-from hyptree.hypgeom import basepoint, distance, drop, exp_map, lift, log_map, parallel_transport
+from hyptree.embed import _angle_opposite, _side_from_angle, _wrap, sarkar_embed
+from hyptree.hypgeom import (
+    OverflowGuardError,
+    basepoint,
+    distance,
+    drop,
+    exp_map,
+    lift,
+    log_map,
+    parallel_transport,
+)
 from hyptree.networks import HnnParams, NetworkError, hnn_forward, mlp_forward
 from hyptree.train import _predict_rows
 
@@ -111,3 +125,65 @@ def stacked_pair_loss(params, x1, x2, d_true, batch_norm) -> float:
     else:
         d = np.sqrt(np.sum(D * D, axis=1))
     return float(np.mean((np.asarray(d_true) - d) ** 2))
+
+
+def _tree_path(e, u, v):
+    """Nodes on the tree path from u to v, both included."""
+    up_u = [u]
+    while e.parent[up_u[-1]] is not None:
+        up_u.append(e.parent[up_u[-1]])
+    on_u = set(up_u)
+    up_v = [v]
+    while up_v[-1] not in on_u:
+        up_v.append(e.parent[up_v[-1]])
+    lca = up_v[-1]
+    head = up_u[: up_u.index(lca) + 1]
+    return head + up_v[-2::-1]
+
+
+def embedding_distance_pair(e, u, v):
+    """d_{-1} between the images of u and v: one law-of-cosines step per
+    hop along the tree path from u to v."""
+    if u == v:
+        return 0.0
+    path = _tree_path(e, u, v)
+    d = e.edge_len[path[1]] if e.parent[path[1]] == path[0] else e.edge_len[path[0]]
+    if len(path) == 2:
+        return d
+    # state: d = dist(u, p_i); psi = signed angle at p_i from the ray
+    # toward p_{i+1} to the ray toward u
+    psi = _wrap(e.frames[path[1]][path[0]] - e.frames[path[1]][path[2]])
+    for i in range(1, len(path) - 1):
+        mid, nxt = path[i], path[i + 1]
+        ell = e.edge_len[nxt] if e.parent.get(nxt) == mid else e.edge_len[mid]
+        d_new = _side_from_angle(d, ell, psi)
+        delta = _angle_opposite(d_new, ell, d, psi)
+        sign = 1.0 if psi >= 0.0 else -1.0
+        back_to_u = _wrap(-sign * delta)
+        if i + 2 < len(path):
+            turn = _wrap(e.frames[nxt][path[i + 2]] - e.frames[nxt][mid])
+            psi = _wrap(back_to_u - turn)
+        d = d_new
+    return d
+
+
+def curvature_scan_pairwise(t, metric, lam, tau_grid):
+    """(tau, alpha, beta) of the first grid scale meeting lam, or None.
+
+    Every pair's ratio d_{-1} / (tau d_T) is formed one at a time.
+    """
+    ids = list(metric.ids)
+    for tau in sorted(tau_grid):
+        try:
+            emb = sarkar_embed(t, tau)
+        except OverflowGuardError:
+            return None
+        alpha, beta = math.inf, 0.0
+        for i, u in enumerate(ids):
+            for v in ids[i + 1 :]:
+                ratio = embedding_distance_pair(emb, u, v) / (tau * metric.dist(u, v))
+                alpha = min(alpha, ratio)
+                beta = max(beta, ratio)
+        if alpha >= 1.0 / lam and beta <= lam:
+            return tau, alpha, beta
+    return None

@@ -86,6 +86,25 @@ class TestGen:
             run(["gen", "--kind", "star"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--kind", "binary", "--depth", -1], "depth >= 0"),
+            (["--kind", "random", "--n", 0], "n >= 1"),
+            (["--kind", "binary", "--depth", 2, "--layout-dim", 0], "layout-dim"),
+        ],
+    )
+    def test_bad_size_exits_2_before_work(self, tmp_path, capsys, argv, message):
+        assert run(["gen", "--out-dir", tmp_path] + argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["gen", "--kind", "binary", "--depth", 2, "--seed", -1, "--out-dir", tmp_path])
+        assert exc.value.code == 2
+
 
 # ----------------------------------------------------------------------
 # embed
@@ -294,11 +313,21 @@ class TestGrid:
             {"dims": []},
             {"train": {"model_kind": "hnn"}},
             {"trees": [{"kind": "binary"}]},
+            {"train": {"epochs": 0}},
+            {"dims": [0]},
+            {"trees": [{"kind": "binary", "depth": -1}]},
+            {"trees": [{"kind": "random", "n": "x"}]},
+            {"trees": [{"kind": "ternary", "depth": 0}]},
+            {"seeds": [-1]},
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, patch):
         cfgf = tiny_grid_config(tmp_path / "cfg.json", **patch)
-        assert run(["grid", cfgf, "--out-dir", tmp_path]) == 2
+        out = tmp_path / "out"
+        assert run(["grid", cfgf, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert os.listdir(out) == []
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run(["grid", tmp_path / "nope.json", "--out-dir", tmp_path]) == 2
@@ -363,6 +392,13 @@ class TestLowerbound:
 
     def test_empty_leaves_exits_2(self, tmp_path):
         assert run(["lowerbound", "--leaves", ",", "--out-dir", tmp_path]) == 2
+
+    @pytest.mark.parametrize("argv", [["--leaves", "0"], ["--leaves", "4", "--dims", "2,0"]])
+    def test_nonpositive_values_exit_2_before_work(self, tmp_path, capsys, argv):
+        assert run(["lowerbound", "--out-dir", tmp_path] + argv) == 2
+        err = capsys.readouterr().err
+        assert ">= 1" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 import ambientutil as amb
+import scalarref as ref
 from hyptree import embed as em
 from hyptree.embed import (
     EmbedError,
     choose_curvature,
-    distortion,
     distortion_from_matrices,
     embedding_distance,
     embedding_distance_matrix,
@@ -193,9 +193,10 @@ class TestConstructionOracle:
         oracle = amb.ambient_points_mp(t, centroid(t), 32.0, dps=160)
         ids = sorted(e.points)
         for i, u in enumerate(ids):
+            row = embedding_distance(e, u)
             for v in ids[i + 1 :]:
                 want = amb.mp_distance(oracle[u], oracle[v], dps=160)
-                got = embedding_distance(e, u, v)
+                got = row[v]
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_evaluator_agrees_with_ambient_distance_small_scale(self):
@@ -205,9 +206,10 @@ class TestConstructionOracle:
         e = sarkar_embed(t, 1.0)
         ids = sorted(e.points)
         for i, u in enumerate(ids):
+            row = embedding_distance(e, u)
             for v in ids[i + 1 :]:
                 want = ambient_distance(e.points[u], e.points[v])
-                assert embedding_distance(e, u, v) == pytest.approx(want, abs=1e-9)
+                assert row[v] == pytest.approx(want, abs=1e-9)
 
     def test_frame_assignment_matches_oracle(self):
         for t in SMALL_TREES:
@@ -224,6 +226,45 @@ class TestConstructionOracle:
 
 
 # ----------------------------------------------------------------------
+# The per-source walk against the per-pair path unroll
+# ----------------------------------------------------------------------
+
+def _reweighted(t, seed):
+    rng = np.random.default_rng(seed)
+    return WeightedTree(t.node_ids, [(u, v, float(rng.uniform(0.2, 3.0))) for u, v, _ in t.edges])
+
+
+PARITY_TREES = SMALL_TREES + [_reweighted(gen_random(30, seed=9), seed=1)]
+
+
+class TestPairwiseReference:
+    @pytest.mark.parametrize("idx", range(len(PARITY_TREES)))
+    @pytest.mark.parametrize("tau", [1.0, 2.0, 4.0, 8.0])
+    def test_matrix_bitwise_equal(self, idx, tau):
+        t = PARITY_TREES[idx]
+        e = sarkar_embed(t, tau)
+        ids = list(np.random.default_rng(idx).permutation(t.node_ids))
+        want = np.zeros((len(ids), len(ids)))
+        for i, u in enumerate(ids):
+            for j in range(i + 1, len(ids)):
+                want[i, j] = want[j, i] = ref.embedding_distance_pair(e, u, ids[j])
+        np.testing.assert_array_equal(embedding_distance_matrix(e, ids), want)
+
+    @pytest.mark.parametrize("idx", range(len(PARITY_TREES)))
+    @pytest.mark.parametrize("lam", [1.5, 1.1, 1.02])
+    def test_choose_curvature_identical(self, idx, lam):
+        t = PARITY_TREES[idx]
+        want = ref.curvature_scan_pairwise(t, tree_metric(t), lam, em.DEFAULT_TAU_GRID)
+        if want is None:
+            with pytest.raises(EmbedError, match="best distortion"):
+                choose_curvature(t, lam)
+            return
+        e, kappa, rep = choose_curvature(t, lam)
+        assert (e.tau, rep.alpha, rep.beta) == want
+        assert kappa.scale == e.tau
+
+
+# ----------------------------------------------------------------------
 # Metric invariants of the construction
 # ----------------------------------------------------------------------
 
@@ -231,7 +272,7 @@ class TestEmbeddingInvariants:
     def test_single_edge_exact_length(self):
         t = WeightedTree([0, 1], [(0, 1, 1.0)])
         e = sarkar_embed(t, 3.0)
-        assert embedding_distance(e, 0, 1) == 3.0
+        assert embedding_distance(e, 0)[1] == 3.0
         assert ambient_distance(e.points[0], e.points[1]) == pytest.approx(3.0, abs=1e-12)
 
     def test_edges_map_to_exact_scaled_length(self):
@@ -248,20 +289,22 @@ class TestEmbeddingInvariants:
         e = sarkar_embed(t, tau)
         metric = tree_metric(t)
         for i, u in enumerate(metric.ids):
+            row = embedding_distance(e, u)
             for v in metric.ids[i + 1 :]:
-                d = embedding_distance(e, u, v)
+                d = row[v]
                 assert d <= tau * metric.dist(u, v) + 1e-9
 
     def test_evaluator_symmetry(self):
         t = gen_random(12, seed=2)
         e = sarkar_embed(t, 3.0)
         ids = sorted(e.points)
+        rows = {u: embedding_distance(e, u) for u in ids}
         for i, u in enumerate(ids):
             for v in ids[i + 1 :]:
-                a = embedding_distance(e, u, v)
-                b = embedding_distance(e, v, u)
+                a = rows[u][v]
+                b = rows[v][u]
                 assert a == pytest.approx(b, abs=1e-9)
-        assert embedding_distance(e, ids[0], ids[0]) == 0.0
+        assert rows[ids[0]][ids[0]] == 0.0
 
     def test_distance_matrix_is_symmetric_with_sorted_ids(self):
         t = gen_spider(4, leg_length=2)
@@ -321,47 +364,24 @@ class TestEmbeddingInvariants:
 # ----------------------------------------------------------------------
 
 class TestDistortion:
+    PATH3 = tree_metric(WeightedTree([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0)])).matrix
+
     def test_pure_scaling_has_unit_distortion(self):
-        t = WeightedTree([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0)])
-        metric = tree_metric(t)
-        f = {i: np.array([2.0 * i, 0.0]) for i in range(3)}
-        rep = distortion(f, metric, lambda a, b: float(np.linalg.norm(a - b)))
+        rep = distortion_from_matrices(2.0 * self.PATH3, self.PATH3)
         assert rep.alpha == pytest.approx(2.0)
         assert rep.beta == pytest.approx(2.0)
         assert rep.dist == pytest.approx(1.0)
         assert rep.injective
 
     def test_collision_reported_non_injective(self):
-        t = WeightedTree([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0)])
-        metric = tree_metric(t)
-        f = {i: np.zeros(2) for i in range(3)}
-        rep = distortion(f, metric, lambda a, b: float(np.linalg.norm(a - b)))
+        rep = distortion_from_matrices(np.zeros((3, 3)), self.PATH3)
         assert not rep.injective
         assert rep.dist == math.inf
 
-    def test_callable_and_matrix_forms_agree(self):
-        t = gen_random(9, seed=4)
-        metric = tree_metric(t)
-        rng = np.random.default_rng(0)
-        f = {i: rng.normal(size=3) for i in metric.ids}
-        rep_a = distortion(f, metric, lambda a, b: float(np.linalg.norm(a - b)))
-        pts = np.stack([f[i] for i in metric.ids])
-        diff = pts[:, None, :] - pts[None, :, :]
-        mat = np.sqrt((diff**2).sum(-1))
-        rep_b = distortion_from_matrices(mat, metric.matrix)
-        assert rep_a.alpha == pytest.approx(rep_b.alpha, rel=1e-12)
-        assert rep_a.beta == pytest.approx(rep_b.beta, rel=1e-12)
-        assert rep_a.dist == pytest.approx(rep_b.dist, rel=1e-12)
-
-    def test_missing_node_rejected(self):
-        t = WeightedTree([0, 1], [(0, 1, 1.0)])
-        with pytest.raises(EmbedError, match="missing"):
-            distortion({0: np.zeros(2)}, tree_metric(t), lambda a, b: 0.0)
-
     def test_single_node_rejected(self):
-        t = WeightedTree([0], [])
-        with pytest.raises(EmbedError):
-            distortion({0: np.zeros(2)}, tree_metric(t), lambda a, b: 0.0)
+        for n in (0, 1):
+            with pytest.raises(EmbedError, match="at least two nodes"):
+                distortion_from_matrices(np.zeros((n, n)), np.zeros((n, n)))
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +516,7 @@ class TestEmbeddingJson:
         save_embedding(path, e)
         loaded = load_embedding(path)
         with pytest.raises(EmbedError, match="construction record"):
-            embedding_distance(loaded, 0, 1)
+            embedding_distance(loaded, 0)
 
     def test_empty_points_rejected(self):
         with pytest.raises(EmbedError):
