@@ -193,10 +193,14 @@ def cmd_gen(args) -> int:
 # embed
 # ----------------------------------------------------------------------
 
+def _check_lambda(lam: float) -> None:
+    if not (math.isfinite(lam) and lam > 1.0):
+        raise UsageError(f"--lambda must be a finite number > 1, got {lam:g}")
+
+
 def cmd_embed(args) -> int:
     t = _load_tree_arg(args.tree)
-    if args.lam <= 1.0:
-        raise UsageError("--lambda must be > 1")
+    _check_lambda(args.lam)
     if t.n_nodes < 2:
         raise UsageError("tree must have at least 2 nodes")
 
@@ -549,8 +553,8 @@ def _int_list(text: str, flag: str, low: int) -> list[int]:
 def cmd_lowerbound(args) -> int:
     leaf_counts = _int_list(args.leaves, "--leaves", 1)
     dims = _int_list(args.dims, "--dims", 1)
-    if args.lam <= 1.0:
-        raise UsageError("--lambda must be > 1")
+    study_seeds = _int_list(args.study_seeds, "--study-seeds", 0)
+    _check_lambda(args.lam)
     args.model = "mlp"
     base_cfg = _train_config_from_args(args, args.seed)
 
@@ -563,7 +567,7 @@ def cmd_lowerbound(args) -> int:
          "learning_rate": base_cfg.learning_rate,
          "hidden_layers": base_cfg.hidden_layers,
          "hidden_width": base_cfg.hidden_width,
-         "study_seeds": list(args.study_seeds)},
+         "study_seeds": study_seeds},
         args.seed, [out_csv, out_summary],
     )
 
@@ -581,7 +585,7 @@ def cmd_lowerbound(args) -> int:
     exponents = {}
     for dim in dims:
         rows, exponent = mlp_distortion_study(
-            leaf_counts, dim, base_cfg, seeds=tuple(args.study_seeds)
+            leaf_counts, dim, base_cfg, seeds=tuple(study_seeds)
         )
         exponents[str(dim)] = exponent
         for row in rows:
@@ -680,8 +684,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--dims", default="2", help="comma-separated embed dims")
     lb.add_argument("--lambda", dest="lam", type=float, default=1.1,
                     help="distortion target for the constructive column")
-    lb.add_argument("--study-seeds", type=lambda s: _int_list(s, "--study-seeds", 0),
-                    default=[0, 1, 2], help="seeds per study cell (comma-separated)")
+    lb.add_argument("--study-seeds", default="0,1,2",
+                    help="seeds per study cell (comma-separated)")
     lb.set_defaults(func=cmd_lowerbound)
     return p
 

@@ -160,6 +160,15 @@ class TestEmbed:
         tree = two_node_file(tmp_path / "t.json")
         assert run(["embed", tree, "--lambda", 0.9, "--out-dir", tmp_path]) == 2
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_nonfinite_lambda_exits_2_before_work(self, tmp_path, capsys, lam):
+        tree = two_node_file(tmp_path / "t.json")
+        out = tmp_path / "out"
+        assert run(["embed", tree, "--lambda", lam, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert "--lambda must be a finite number > 1" in err
+        assert os.listdir(out) == []
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run(["embed", tmp_path / "nope.json", "--lambda", 1.5,
                     "--out-dir", tmp_path]) == 2
@@ -398,6 +407,17 @@ class TestLowerbound:
         assert run(["lowerbound", "--out-dir", tmp_path] + argv) == 2
         err = capsys.readouterr().err
         assert ">= 1" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_negative_study_seed_exits_2_with_reason(self, tmp_path, capsys):
+        assert run(["lowerbound", "--study-seeds", "-1", "--out-dir", tmp_path]) == 2
+        assert "--study-seeds values must be >= 0" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_nonfinite_lambda_exits_2_before_work(self, tmp_path, capsys, lam):
+        assert run(["lowerbound", "--lambda", lam, "--out-dir", tmp_path]) == 2
+        assert "--lambda must be a finite number > 1" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
 
