@@ -13,12 +13,14 @@ coordinates grow like cosh(tau * depth), and beyond radius ~35 float64
 spacing exceeds the angular separation of nearby images, so coordinates
 alone cannot support distance evaluation. The construction therefore
 tracks each node intrinsically (distance from the root, bearing at the root,
-and exact frame angles at every node) and evaluates distances from one
-source at a time: a walk outward from the source over the tree gives each
-node its distance and back-bearing to the source from its predecessor's,
-in one hyperbolic law-of-cosines step evaluated entirely in log space.
-Ambient coordinates are materialized from the polar data for interop and
-small-scale work; the evaluator never reads them.
+and exact frame angles at every node) and evaluates distances on that
+record: every source walks outward over the tree at once, one hop per step,
+and each (source, node) pair gets its distance and back-bearing to the
+source from its predecessor's in one hyperbolic law-of-cosines step
+evaluated entirely in log space (``kernels.triangle_step``, which also
+places the nodes level by level). Ambient coordinates are materialized from
+the polar data for interop and small-scale work; the evaluator never reads
+them.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .hypgeom import Curvature, HPoint, OVERFLOW_CAP, OverflowGuardError
 from .networks import HnnParams, memorize_hnn
 from .trees import WeightedTree, centroid, tree_metric
 
-_LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
 
 
@@ -70,75 +71,6 @@ def distortion_from_matrices(d_space: np.ndarray, d_tree: np.ndarray) -> Distort
     if not injective or alpha <= 0.0:
         return DistortionReport(alpha, beta, math.inf, False)
     return DistortionReport(alpha, beta, beta / alpha, True)
-
-
-# ----------------------------------------------------------------------
-# Log-space scalar kernels
-# ----------------------------------------------------------------------
-
-def _ln_cosh(x: float) -> float:
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax)) - _LN2
-
-
-def _ln_sinh(x: float) -> float:
-    # requires x > 0
-    return x + math.log1p(-math.exp(-2.0 * x)) - _LN2
-
-
-def _inv_ln_cosh(y: float) -> float:
-    """Solve ln cosh D = y for D >= 0."""
-    if y <= 0.0:
-        return 0.0
-    if y < 30.0:
-        return math.acosh(math.exp(y))
-    # e^{-2D} < 1e-26 here, so the log1p correction is below resolution
-    return y + _LN2
-
-
-def _wrap(a: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    r = math.remainder(a, _TWO_PI)
-    return math.pi if r == -math.pi else r
-
-
-def _side_from_angle(d: float, ell: float, theta: float) -> float:
-    """Third side of a triangle with sides d, ell and included angle |theta|.
-
-    Half-angle split of the law of cosines, evaluated in log space:
-    cosh D' = sin^2(t/2) cosh(d+ell) + cos^2(t/2) cosh(d-ell).
-    """
-    s = math.sin(0.5 * abs(theta))
-    c = math.cos(0.5 * abs(theta))
-    s2, c2 = s * s, c * c
-    terms = []
-    if s2 > 0.0:
-        terms.append(math.log(s2) + _ln_cosh(d + ell))
-    if c2 > 0.0:
-        terms.append(math.log(c2) + _ln_cosh(d - ell))
-    y = terms[0] if len(terms) == 1 else np.logaddexp(terms[0], terms[1])
-    return _inv_ln_cosh(float(y))
-
-
-def _angle_opposite(side_far: float, side_near: float, side_op: float, theta: float) -> float:
-    """Angle adjacent to side_near, opposite side_op, in a triangle whose
-    included angle between side_op and side_near is |theta|.
-
-    sin from the law of sines, cos from the law of cosines, both formed
-    with shifted exponentials so huge cosh values never materialize.
-    """
-    if side_far <= 0.0 or side_near <= 0.0:
-        return 0.0
-    if side_op <= 0.0:
-        sin_a = 0.0
-    else:
-        sin_a = math.sin(abs(theta)) * math.exp(_ln_sinh(side_op) - _ln_sinh(side_far))
-    a = _ln_cosh(side_far) + _ln_cosh(side_near)
-    b = _ln_cosh(side_op)
-    m = max(a, b)
-    num = math.exp(a - m) - math.exp(b - m)
-    den = math.exp(_ln_sinh(side_far) + _ln_sinh(side_near) - m)
-    return math.atan2(sin_a, num / den)
 
 
 # ----------------------------------------------------------------------
@@ -207,56 +139,48 @@ def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
     The root sits at the apex. Every child goes at exact geodesic
     distance tau * w from its parent, rotated from the parent's incoming
     direction by an exact multiple of 2*pi/deg. Positions are tracked as
-    (distance from root, bearing at root) via triangle recursions in log
-    space; ambient coordinates come from that polar data at the end.
+    (distance from root, bearing at root), one tree level per
+    ``kernels.triangle_step`` call; ambient coordinates come from that polar
+    data at the end.
     """
     if tau <= 0.0:
         raise EmbedError("tau must be positive")
     root = centroid(t)
     frames, parent, w_up = _neighbor_frames(t, root)
-    # parent lists the nodes in BFS order, so every parent's depth is known first
-    depth = {root: 0.0}
-    for v in parent:
-        if v != root:
-            depth[v] = depth[parent[v]] + w_up[v]
-    ecc = max(depth.values())
+    # parent lists the nodes in BFS order, so each tree level is one contiguous run
+    order = list(parent)
+    index = {v: k for k, v in enumerate(order)}
+    par = [0] + [index[parent[v]] for v in order[1:]]
+    w = [0.0] + [w_up[v] for v in order[1:]]
+    hops, depth = [0], [0.0]
+    for k in range(1, len(order)):
+        hops.append(hops[par[k]] + 1)
+        depth.append(depth[par[k]] + w[k])
+    ecc = max(depth)
     if tau * ecc > OVERFLOW_CAP:
         raise OverflowGuardError(
             f"tau {tau:g} puts nodes at radius {tau * ecc:.1f} > {OVERFLOW_CAP:g}; "
             "reduce tau"
         )
 
-    # polar[v] = (r, bearing); beta[v] = signed angle at v from the ray
-    # back to the parent to the ray toward the root
-    polar = {root: (0.0, 0.0)}
-    beta = {root: 0.0}
-    stack = [(c, root) for c in sorted(frames[root], reverse=True)]
-    while stack:
-        v, p = stack.pop()
-        ell = tau * w_up[v]
-        if p == root:
-            r = ell
-            bearing = frames[root][v]
-            beta[v] = 0.0
-        else:
-            r_p, bearing_p = polar[p]
-            # signed angle at p from the ray toward v to the ray toward root
-            theta = _wrap(beta[p] - frames[p][v])
-            r = _side_from_angle(r_p, ell, theta)
-            delta = _angle_opposite(r, ell, r_p, theta)
-            eps = _angle_opposite(r, r_p, ell, theta)
-            sign = 1.0 if theta >= 0.0 else -1.0
-            beta[v] = _wrap(-sign * delta)
-            bearing = _wrap(bearing_p + sign * eps)
-        polar[v] = (r, bearing)
-        for c in sorted(frames[v]):
-            if c != parent.get(v):
-                stack.append((c, v))
+    # r = distance from the root, bearing = angle at the root, beta = signed
+    # angle at the node from the ray back to its parent to the ray toward the
+    # root; the root's neighbors sit at r = ell on their slot, with beta = 0
+    par, ell = np.array(par), tau * np.array(w)
+    slot = np.array([0.0] + [frames[parent[v]][v] for v in order[1:]])
+    r, bearing, beta = ell.copy(), slot.copy(), np.zeros(len(order))
+    level = np.searchsorted(hops, np.arange(2, hops[-1] + 2))
+    for lo, hi in zip(level[:-1], level[1:]):
+        p = par[lo:hi]
+        # signed angle at the parent from the ray toward the node to the ray toward the root
+        theta = kernels.wrap_angle(beta[p] - slot[lo:hi])
+        r[lo:hi], beta[lo:hi], turn = kernels.triangle_step(r[p], ell[lo:hi], theta)
+        bearing[lo:hi] = kernels.wrap_angle(bearing[p] + turn)
 
     points = {}
-    for v, (r, b) in polar.items():
-        sr = math.sinh(r)
-        points[v] = HPoint(np.array([sr * math.cos(b), sr * math.sin(b), math.cosh(r)]))
+    for v, rv, b in zip(order, r.tolist(), bearing.tolist()):
+        sr = math.sinh(rv)
+        points[v] = HPoint(np.array([sr * math.cos(b), sr * math.sin(b), math.cosh(rv)]))
     edge_len = {v: tau * w for v, w in w_up.items()}
     return HyperbolicEmbedding(
         points=points,
@@ -269,52 +193,90 @@ def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
     )
 
 
-def embedding_distance(e: HyperbolicEmbedding, u: int) -> dict:
-    """d_{-1} from the image of u to the image of every node, as {node: d}.
+def _ranges(first, count):
+    """Concatenated ranges first[i] .. first[i] + count[i] - 1, with the i of each entry."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) + (first - np.cumsum(count) + count)[owner]
 
-    Walks outward from u through the construction record. A node's
-    distance and back-bearing to u follow from its predecessor's in one
-    law-of-cosines step, so accuracy does not degrade with scale the way
-    ambient coordinates do.
+
+def _edge_table(e: HyperbolicEmbedding, index: dict):
+    """Directed edges of the construction record, grouped by tail node.
+
+    Node v is numbered index[v]; its out-edges are start[k] .. start[k + 1] - 1
+    for k = index[v]. Edge j ends at node head[j] after length[j]. The
+    successors of edge a->b are the edges b->c with c != a, at
+    succ_ptr[j] .. succ_ptr[j + 1] - 1 of succ_edge, each with its turn at b:
+    the signed angle from the ray toward a to the ray toward c.
+    """
+    frames, parent, edge_len = e.frames, e.parent, e.edge_len
+    edge_id, head, length, angle = {}, [], [], []
+    for a in index:
+        for b, ang in frames[a].items():
+            edge_id[a, b] = len(head)
+            head.append(index[b])
+            length.append(edge_len[b] if parent[b] == a else edge_len[a])
+            angle.append(ang)
+    head, angle = np.array(head, np.intp), np.array(angle)
+    rev = np.array([edge_id[b, a] for a, b in edge_id], np.intp)
+    start = np.cumsum([0] + [len(frames[a]) for a in index])
+    # every out-edge of b is a candidate successor of a->b, except b->a
+    count = start[head + 1] - start[head]
+    j, cand = _ranges(start[head], count)
+    keep = cand != rev[j]
+    succ_edge = cand[keep]
+    succ_turn = kernels.wrap_angle(angle[succ_edge] - angle[rev[j[keep]]])
+    succ_ptr = np.concatenate([[0], np.cumsum(count - 1)])
+    return start, head, np.array(length), succ_ptr, succ_edge, succ_turn
+
+
+def embedding_distance(e: HyperbolicEmbedding, sources) -> np.ndarray:
+    """d_{-1} from the image of each source to the image of every node.
+
+    Row i holds the distances from sources[i], one column per node in
+    ``e.node_ids()`` order. The sources walk the construction record together,
+    one hop per step. The state of (source, directed edge a->b) is the
+    distance from the source to b and the signed angle at b from the ray back
+    to a to the ray toward the source; one ``kernels.triangle_step`` call
+    gives every next hop's state, so accuracy does not degrade with scale the
+    way ambient coordinates do. Raises EmbedError on a non-finite distance.
     """
     if e.frames is None:
         raise EmbedError("embedding carries no construction record")
-    frames, parent, edge_len = e.frames, e.parent, e.edge_len
-
-    def ell(a, b):
-        return edge_len[b] if parent[b] == a else edge_len[a]
-
-    out = {u: 0.0}
-    # (node, predecessor, distance from u to the predecessor, signed angle
-    # at the predecessor from the ray toward the node to the ray toward u)
-    stack = []
-    for p1 in frames[u]:
-        out[p1] = d = ell(u, p1)
-        stack += [(c, p1, d, _wrap(frames[p1][u] - frames[p1][c])) for c in frames[p1] if c != u]
-    while stack:
-        v, mid, d, psi = stack.pop()
-        ell_v = ell(mid, v)
-        out[v] = d_v = _side_from_angle(d, ell_v, psi)
-        kids = [c for c in frames[v] if c != mid]
-        if kids:
-            sign = 1.0 if psi >= 0.0 else -1.0
-            back_to_u = _wrap(-sign * _angle_opposite(d_v, ell_v, d, psi))
-            stack += [(c, v, d_v, _wrap(back_to_u - _wrap(frames[v][c] - frames[v][mid])))
-                      for c in kids]
+    index = {v: k for k, v in enumerate(e.node_ids())}
+    start, head, length, succ_ptr, succ_edge, succ_turn = _edge_table(e, index)
+    src = np.array([index[u] for u in sources], np.intp)
+    out = np.zeros((len(src), len(index)))
+    # A block of b sources holds at most b * n states in one hop (on a star,
+    # one hop holds almost every ordered pair), so blocks of n / 4 sources
+    # keep each hop's temporaries to a few n^2 / 4 floats.
+    step = -(-len(index) // 4)
+    for lo in range(0, len(src), step):
+        block = src[lo : lo + step]
+        row, edge = _ranges(start[block], start[block + 1] - start[block])
+        dist, back = length[edge], np.zeros(len(edge))
+        while edge.size:
+            out[lo + row, head[edge]] = dist
+            prev, pos = _ranges(succ_ptr[edge], succ_ptr[edge + 1] - succ_ptr[edge])
+            # signed angle at the edge's head from the ray ahead to the ray toward the source
+            psi = kernels.wrap_angle(back[prev] - succ_turn[pos])
+            row, edge, dist = row[prev], succ_edge[pos], dist[prev]
+            del prev, pos, back
+            dist, back, _ = kernels.triangle_step(dist, length[edge], psi)
+    if not np.isfinite(out).all():
+        raise EmbedError("embedding distance is not finite; check the edge lengths")
     return out
 
 
 def embedding_distance_matrix(e: HyperbolicEmbedding, ids=None) -> np.ndarray:
     """Symmetric matrix of d_{-1} over ``ids`` (default: all nodes, sorted).
 
-    Row i comes from the walk of ids[i], one walk at a time.
+    Row i comes from the walk of ids[i] and fills the entries j > i; the
+    rest is its mirror image, so the matrix is exactly symmetric.
     """
     ids = list(ids) if ids is not None else e.node_ids()
-    n = len(ids)
-    out = np.zeros((n, n))
-    for i in range(n - 1):
-        row = embedding_distance(e, ids[i])
-        out[i, i + 1 :] = [row[v] for v in ids[i + 1 :]]
+    col = {v: k for k, v in enumerate(e.node_ids())}
+    out = embedding_distance(e, ids)[:, [col[v] for v in ids]]
+    for i in range(len(ids)):
         out[i + 1 :, i] = out[i, i + 1 :]
     return out
 

@@ -7,9 +7,13 @@ global state, deterministic outputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _EPS = 1e-12
+_LN2 = math.log(2.0)
+_TWO_PI = 2.0 * math.pi
 
 # The benchmark's traced run records this name; numpy is the only backend.
 ACTIVE_BACKEND = "numpy"
@@ -129,3 +133,66 @@ def ratio_bounds(dspace, dtree):
     ds = dspace[iu, ju]
     ratios = ds / dtree[iu, ju]
     return float(np.min(ratios)), float(np.max(ratios)), bool(np.all(ds > 0.0))
+
+
+def wrap_angle(a):
+    """Angles reduced to (-pi, pi]: math.remainder(a, 2*pi) bit for bit, with -pi
+    sent to pi. fmod is exact, and so is its one correction by 2*pi (Sterbenz)."""
+    r = np.fmod(a, _TWO_PI)
+    r = np.where(r > np.pi, r - _TWO_PI, r)
+    return np.where(r <= -np.pi, r + _TWO_PI, r)
+
+
+def _log_cosh(x):
+    ax = np.abs(x)
+    return ax + np.log1p(np.exp(-2.0 * ax)) - _LN2
+
+
+def _log_sinh(x):
+    # requires x > 0
+    return x + np.log1p(-np.exp(-2.0 * x)) - _LN2
+
+
+def _inv_log_cosh(y):
+    """Solve ln cosh D = y for D >= 0 (D = 0 where y <= 0)."""
+    # beyond y = 30, e^{-2D} < 1e-26, so the log1p correction is below resolution
+    return np.where(y < 30.0, np.arccosh(np.exp(np.clip(y, 0.0, 30.0))), y + _LN2)
+
+
+def _interior_angle(lc_far, ls_far, lc_near, ls_near, lc_op, ls_op, sin_t):
+    """Angle between the sides far and near, opposite the side op, from the
+    sides' ln cosh and ln sinh: sin by the law of sines, cos by the law of
+    cosines, with shifted exponentials so huge cosh values never materialize."""
+    sin_a = sin_t * np.exp(ls_op - ls_far)
+    a = lc_far + lc_near
+    m = np.maximum(a, lc_op)
+    cos_num = np.exp(a - m) - np.exp(lc_op - m)
+    return np.arctan2(sin_a, cos_num / np.exp(ls_far + ls_near - m))
+
+
+def triangle_step(d, ell, theta):
+    """One log-space law-of-cosines step, on arrays.
+
+    The sides d = PA and ell = PB meet at P, where theta is the signed angle
+    from the ray PB to the ray PA. Returns (side, at_b, at_a): the third side
+    AB, the signed angle at B from the ray BP to the ray BA, in (-pi, pi], and
+    the signed angle at A from the ray AP to the ray AB. Both angles are 0
+    where any side is 0. The side is the half-angle split
+    cosh AB = sin^2(t/2) cosh(d + ell) + cos^2(t/2) cosh(d - ell), in log space.
+    """
+    half = 0.5 * np.abs(theta)
+    with np.errstate(divide="ignore"):  # log(0) where theta = 0 drops that term
+        y = np.logaddexp(np.log(np.sin(half) ** 2) + _log_cosh(d + ell),
+                         np.log(np.cos(half) ** 2) + _log_cosh(d - ell))
+    side = _inv_log_cosh(y)
+    sides = (side, d, ell)
+    ok = (side > 0.0) & (d > 0.0) & (ell > 0.0)
+    if not ok.all():
+        sides = tuple(np.where(ok, s, 1.0) for s in sides)
+    lc = [_log_cosh(s) for s in sides]
+    ls = [_log_sinh(s) for s in sides]
+    sin_t = np.sin(np.abs(theta))
+    at_b = np.where(ok, _interior_angle(lc[0], ls[0], lc[2], ls[2], lc[1], ls[1], sin_t), 0.0)
+    at_a = np.where(ok, _interior_angle(lc[0], ls[0], lc[1], ls[1], lc[2], ls[2], sin_t), 0.0)
+    sign = np.where(theta >= 0.0, 1.0, -1.0)
+    return side, wrap_angle(-sign * at_b), sign * at_a

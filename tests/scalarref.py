@@ -5,15 +5,16 @@ something the library computes in vectorized or batched form: the spring
 layout step, the distortion bounds, one hyperbolic layer, the pair
 distance heads and the pair loss. ``stacked_pair_loss`` restates the
 batched training loss without deduplicating the pair endpoints.
-``embedding_distance_pair`` unrolls the tree path of one pair, and
-``curvature_scan_pairwise`` runs the curvature scan pair by pair on it.
+``embedding_distance_pair`` unrolls the tree path of one pair with the
+scalar log-space triangle helpers below, and ``curvature_scan_pairwise``
+runs the curvature scan pair by pair on it.
 """
 
 import math
 
 import numpy as np
 
-from hyptree.embed import _angle_opposite, _side_from_angle, _wrap, sarkar_embed
+from hyptree.embed import sarkar_embed
 from hyptree.hypgeom import (
     OverflowGuardError,
     basepoint,
@@ -28,6 +29,8 @@ from hyptree.networks import HnnParams, NetworkError, hnn_forward, mlp_forward
 from hyptree.train import _predict_rows
 
 _EPS = 1e-12
+_LN2 = math.log(2.0)
+_TWO_PI = 2.0 * math.pi
 
 
 def fr_step(pos, eu, ev, k, t):
@@ -125,6 +128,63 @@ def stacked_pair_loss(params, x1, x2, d_true, batch_norm) -> float:
     else:
         d = np.sqrt(np.sum(D * D, axis=1))
     return float(np.mean((np.asarray(d_true) - d) ** 2))
+
+
+def _ln_cosh(x: float) -> float:
+    ax = abs(x)
+    return ax + math.log1p(math.exp(-2.0 * ax)) - _LN2
+
+
+def _ln_sinh(x: float) -> float:
+    # requires x > 0
+    return x + math.log1p(-math.exp(-2.0 * x)) - _LN2
+
+
+def _inv_ln_cosh(y: float) -> float:
+    """Solve ln cosh D = y for D >= 0."""
+    if y <= 0.0:
+        return 0.0
+    if y < 30.0:
+        return math.acosh(math.exp(y))
+    return y + _LN2
+
+
+def _wrap(a: float) -> float:
+    """Reduce an angle to (-pi, pi]."""
+    r = math.remainder(a, _TWO_PI)
+    return math.pi if r == -math.pi else r
+
+
+def _side_from_angle(d: float, ell: float, theta: float) -> float:
+    """Third side of a triangle with sides d, ell and included angle |theta|:
+    cosh D' = sin^2(t/2) cosh(d+ell) + cos^2(t/2) cosh(d-ell), in log space."""
+    s = math.sin(0.5 * abs(theta))
+    c = math.cos(0.5 * abs(theta))
+    s2, c2 = s * s, c * c
+    terms = []
+    if s2 > 0.0:
+        terms.append(math.log(s2) + _ln_cosh(d + ell))
+    if c2 > 0.0:
+        terms.append(math.log(c2) + _ln_cosh(d - ell))
+    y = terms[0] if len(terms) == 1 else np.logaddexp(terms[0], terms[1])
+    return _inv_ln_cosh(float(y))
+
+
+def _angle_opposite(side_far: float, side_near: float, side_op: float, theta: float) -> float:
+    """Angle adjacent to side_near, opposite side_op, in a triangle whose
+    included angle between side_op and side_near is |theta|."""
+    if side_far <= 0.0 or side_near <= 0.0:
+        return 0.0
+    if side_op <= 0.0:
+        sin_a = 0.0
+    else:
+        sin_a = math.sin(abs(theta)) * math.exp(_ln_sinh(side_op) - _ln_sinh(side_far))
+    a = _ln_cosh(side_far) + _ln_cosh(side_near)
+    b = _ln_cosh(side_op)
+    m = max(a, b)
+    num = math.exp(a - m) - math.exp(b - m)
+    den = math.exp(_ln_sinh(side_far) + _ln_sinh(side_near) - m)
+    return math.atan2(sin_a, num / den)
 
 
 def _tree_path(e, u, v):
