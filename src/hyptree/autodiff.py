@@ -6,10 +6,12 @@ value and a closure mapping the output cotangent to parent cotangents;
 ``backward`` walks nodes in reverse creation order, which is a valid
 topological order because operands always exist before their result.
 
-The op set is deliberately narrow: exactly what affine/ReLU towers and
-hyperboloid read/write maps need. Smooth per-component functions take an
-explicit derivative, with series branches near zero so arguments that
-round to tiny negatives stay finite.
+The op set is deliberately narrow: exactly what the affine/ReLU tower,
+its batch statistics and the two pair heads need. The Euclidean head is
+built from elementwise ops; ``pair_rows`` takes a per-pair function with
+closed-form row gradients, which is how the hyperbolic head enters.
+Smooth per-component functions take an explicit derivative, clamped so
+arguments that round to tiny negatives stay finite.
 """
 
 from __future__ import annotations
@@ -17,78 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-def _piecewise(x, thresh, small, big):
-    """Componentwise small/big branch split at thresh; both vectorized."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    m = x > thresh
-    out[m] = big(x[m])
-    out[~m] = small(x[~m])
-    return out
-
-
-# scale factor of Log: gamma(q) = 2 asinh(sqrt(q)/2) / sqrt(q (1 + q/4))
-def gamma_fn(q):
-    return _piecewise(
-        q,
-        1e-8,
-        lambda s: 1.0 - s / 6.0,
-        lambda b: 2.0 * np.arcsinh(0.5 * np.sqrt(b)) / np.sqrt(b * (1.0 + 0.25 * b)),
-    )
-
-
-def gamma_prime(q):
-    def big(b):
-        g = 2.0 * np.arcsinh(0.5 * np.sqrt(b)) / np.sqrt(b * (1.0 + 0.25 * b))
-        return (1.0 - g * (1.0 + 0.5 * b)) / (2.0 * b * (1.0 + 0.25 * b))
-
-    return _piecewise(q, 1e-8, lambda s: np.full_like(s, -1.0 / 6.0), big)
-
-
-# Exp coefficients as functions of w = theta^2 (entire, so the series
-# branch absorbs round-off negatives)
-def cosh_sqrt(w):
-    return _piecewise(
-        w,
-        1e-8,
-        lambda s: 1.0 + 0.5 * s + s * s / 24.0,
-        lambda b: np.cosh(np.sqrt(b)),
-    )
-
-
-def cosh_sqrt_prime(w):
-    return 0.5 * sinhc_sqrt(w)
-
-
-def sinhc_sqrt(w):
-    return _piecewise(
-        w,
-        1e-8,
-        lambda s: 1.0 + s / 6.0 + s * s / 120.0,
-        lambda b: np.sinh(np.sqrt(b)) / np.sqrt(b),
-    )
-
-
-def sinhc_sqrt_prime(w):
-    return _piecewise(
-        w,
-        1e-8,
-        lambda s: 1.0 / 6.0 + s / 60.0,
-        lambda b: (np.cosh(np.sqrt(b)) - np.sinh(np.sqrt(b)) / np.sqrt(b)) / (2.0 * b),
-    )
-
-
-# hyperbolic distance from the chordal gap: d(q) = 2 asinh(sqrt(q)/2)
-def dist_fn(q):
-    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))
-
-
-def dist_prime(q):
-    # unbounded at q -> 0; the cap keeps 0 * inf out of the chain rule
-    qc = np.maximum(q, 1e-20)
-    return 1.0 / (2.0 * np.sqrt(qc * (1.0 + 0.25 * qc)))
 
 
 def sqrt_fn(s):
@@ -99,6 +29,14 @@ def sqrt_prime(s):
     return 0.5 / np.sqrt(np.maximum(s, 1e-20))
 
 
+def _scatter_rows(n, idx, rows):
+    """out[i] = sum of rows[p] over idx[p] == i, for i < n, summed in the order
+    of p (the order np.add.at uses), one bincount per column."""
+    return np.stack(
+        [np.bincount(idx, weights=rows[:, c], minlength=n) for c in range(rows.shape[1])], axis=1
+    )
+
+
 class Node:
     __slots__ = ("value", "parents", "vjp", "grad")
 
@@ -107,13 +45,6 @@ class Node:
         self.parents = parents
         self.vjp = vjp
         self.grad = None
-
-
-def _mink_flip(m):
-    """Negate the last column (or entry): the Minkowski metric matrix applied."""
-    out = np.array(m, copy=True)
-    out[..., -1] = -out[..., -1]
-    return out
 
 
 class Tape:
@@ -153,89 +84,14 @@ class Tape:
         mask = M.value > 0.0
         return self._record(np.where(mask, M.value, 0.0), (M,), lambda g: (g * mask,))
 
-    def add(self, M: Node, N: Node) -> Node:
-        return self._record(M.value + N.value, (M, N), lambda g: (g, g))
-
     def sub(self, M: Node, N: Node) -> Node:
         return self._record(M.value - N.value, (M, N), lambda g: (g, -g))
-
-    # column shuffling
-    def pad_zero_col(self, M: Node) -> Node:
-        val = np.concatenate([M.value, np.zeros((M.value.shape[0], 1))], axis=1)
-        return self._record(val, (M,), lambda g: (g[:, :-1],))
-
-    def drop_last_col(self, M: Node) -> Node:
-        def vjp(g):
-            out = np.concatenate([g, np.zeros((g.shape[0], 1))], axis=1)
-            return (out,)
-
-        return self._record(M.value[:, :-1], (M,), vjp)
-
-    def last_col(self, M: Node) -> Node:
-        def vjp(g):
-            out = np.zeros_like(M.value)
-            out[:, -1] = g
-            return (out,)
-
-        return self._record(M.value[:, -1], (M,), vjp)
-
-    def vec_head(self, v: Node) -> Node:
-        """All but the last entry of a parameter vector."""
-
-        def vjp(g):
-            out = np.zeros_like(v.value)
-            out[:-1] = g
-            return (out,)
-
-        return self._record(v.value[:-1], (v,), vjp)
-
-    def scalar_last(self, v: Node) -> Node:
-        def vjp(g):
-            out = np.zeros_like(v.value)
-            out[-1] = g
-            return (out,)
-
-        return self._record(v.value[-1], (v,), vjp)
-
-    # rowwise contractions
-    def row_mink(self, M: Node, N: Node) -> Node:
-        """Per-row Minkowski product: spatial dot minus the time product."""
-        val = np.einsum("ij,ij->i", M.value, _mink_flip(N.value))
-        return self._record(
-            val,
-            (M, N),
-            lambda g: (g[:, None] * _mink_flip(N.value), g[:, None] * _mink_flip(M.value)),
-        )
-
-    def row_dot_vec(self, M: Node, v: Node) -> Node:
-        return self._record(
-            M.value @ v.value,
-            (M, v),
-            lambda g: (g[:, None] * v.value[None, :], M.value.T @ g),
-        )
 
     def row_sum(self, M: Node) -> Node:
         return self._record(
             M.value.sum(axis=1),
             (M,),
             lambda g: (np.repeat(g[:, None], M.value.shape[1], axis=1),),
-        )
-
-    # broadcasting products
-    def scale_rows(self, c: Node, M: Node) -> Node:
-        return self._record(
-            c.value[:, None] * M.value,
-            (c, M),
-            lambda g: ((g * M.value).sum(axis=1), c.value[:, None] * g),
-        )
-
-    def outer_vec(self, c: Node, v: Node, const=None) -> Node:
-        """c[:, None] * (v + const)[None, :]; const is a plain array offset."""
-        vv = v.value if const is None else v.value + const
-        return self._record(
-            c.value[:, None] * vv[None, :],
-            (c, v),
-            lambda g: (g @ vv, g.T @ c.value),
         )
 
     def mul_cols(self, a: Node, b: Node) -> Node:
@@ -265,25 +121,26 @@ class Tape:
     def take_rows(self, M: Node, idx) -> Node:
         """M[idx]; the vjp scatter-adds over repeated indices."""
         idx = np.asarray(idx, np.intp)
+        n = M.value.shape[0]
+        return self._record(M.value[idx], (M,), lambda g: (_scatter_rows(n, idx, g),))
+
+    def pair_rows(self, M: Node, i1, i2, f) -> Node:
+        """Per-pair values d[p] of the rows M[i1[p]] and M[i2[p]].
+
+        ``f(M, i1, i2)`` returns (d, G1, G2), where G1[p] and G2[p] are the
+        gradients of d[p] with respect to the two rows; the vjp scatter-adds
+        them over repeated indices.
+        """
+        i1 = np.asarray(i1, np.intp)
+        i2 = np.asarray(i2, np.intp)
+        d, G1, G2 = f(M.value, i1, i2)
+        idx = np.concatenate([i1, i2])
+        n = M.value.shape[0]
 
         def vjp(g):
-            out = np.zeros_like(M.value)
-            np.add.at(out, idx, g)
-            return (out,)
+            return (_scatter_rows(n, idx, np.concatenate([g[:, None] * G1, g[:, None] * G2])),)
 
-        return self._record(M.value[idx], (M,), vjp)
-
-    def scale_const(self, c: Node, k: float) -> Node:
-        return self._record(c.value * k, (c,), lambda g: (g * k,))
-
-    def div_shift(self, c: Node, s: Node, shift: float) -> Node:
-        """c / (shift + s) for a scalar node s."""
-        den = shift + s.value
-        return self._record(
-            c.value / den,
-            (c, s),
-            lambda g: (g / den, -np.sum(g * c.value) / (den * den)),
-        )
+        return self._record(d, (M,), vjp)
 
     def elemwise(self, c: Node, f, fp) -> Node:
         return self._record(f(c.value), (c,), lambda g: (g * fp(c.value),))
@@ -297,10 +154,6 @@ class Tape:
         return self._record(
             c.value.mean(), (c,), lambda g: (np.full_like(c.value, g / n),)
         )
-
-    def wsum(self, M: Node, weights) -> Node:
-        w = np.asarray(weights, np.float64)
-        return self._record(float((M.value * w).sum()), (M,), lambda g: (g * w,))
 
     def backward(self, loss: Node) -> None:
         if loss.value.ndim != 0:

@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -274,7 +273,12 @@ def cmd_train(args) -> int:
         out_csv, ["epoch", "train_mse", "test_mse"],
         [[row.epoch, _fmt(row.train_mse), _fmt(row.test_mse)] for row in history],
     )
-    _write_json(out_report, _report_doc(report))
+    doc = _report_doc(report)
+    doc["epochs"] = [
+        {"epoch": row.epoch, "grad_norm": row.grad_norm, "max_radius": row.max_radius}
+        for row in history
+    ]
+    _write_json(out_report, doc)
     save_params(out_params, params)
     last = history[-1]
     print(
@@ -341,27 +345,63 @@ def _parse_grid_config(doc: dict) -> tuple[dict, list, dict]:
     return cfg, sizes, bases
 
 
-def _grid_worker(payload: dict) -> dict:
-    t = tree_from_dict(payload["tree"])
+def _grid_row(payload: dict, n_nodes: int, status: str) -> dict:
     cfg = payload["config"]
-    row = {
-        "kind": payload["kind"], "n_nodes": t.n_nodes, "dim": cfg.embed_dim,
+    return {
+        "kind": payload["kind"], "n_nodes": n_nodes, "dim": cfg.embed_dim,
         "model": cfg.model_kind, "seed": cfg.seed,
         "train_mse": math.nan, "test_mse": math.nan, "dist": math.nan,
-        "status": "ok",
+        "status": status,
     }
+
+
+def _grid_worker(payload: dict) -> dict:
+    t = tree_from_dict(payload["tree"])
+    row = _grid_row(payload, t.n_nodes, "ok")
     try:
-        _, history, report = train_embedding(t, cfg)
+        _, history, report = train_embedding(t, payload["config"])
     except TrainDivergenceError as exc:
         row["status"] = f"diverged@{exc.epoch}"
         return row
-    except (TrainError, FloatingPointError) as exc:
+    except (TrainError, FloatingPointError, MemoryError) as exc:
         row["status"] = f"error:{type(exc).__name__}"
         return row
     row["train_mse"] = history[-1].train_mse
     row["test_mse"] = history[-1].test_mse
     row["dist"] = report.dist
     return row
+
+
+def _pool_rows(payloads: list, workers: int) -> list:
+    """Grid rows from a pool of ``workers`` processes, in payload order.
+
+    Each row is collected from its own future. A worker that dies breaks
+    the pool and fails every row still pending, so each of those rows runs
+    again alone, in a fresh one-worker pool; a payload that kills its worker
+    there too costs only its own row, ``error:BrokenProcessPool``. At most
+    ``workers`` processes run at any time.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def collect(todo, n_workers):
+        out = {}
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            futures = [(i, pool.submit(_grid_worker, payloads[i])) for i in todo]
+            for i, fut in futures:
+                try:
+                    out[i] = fut.result()
+                except BrokenProcessPool:
+                    out[i] = None
+        return out
+
+    rows = collect(range(len(payloads)), workers)
+    for i in [i for i, row in rows.items() if row is None]:
+        rows[i] = collect([i], 1)[i]
+        if rows[i] is None:
+            rows[i] = _grid_row(payloads[i], len(payloads[i]["tree"]["nodes"]),
+                                "error:BrokenProcessPool")
+    return [rows[i] for i in range(len(payloads))]
 
 
 def resolve_threads(flag: int, env: str | None, rows: int) -> int:
@@ -425,11 +465,7 @@ def cmd_grid(args) -> int:
                         "config": replace(bases[dim, model], seed=seed, **pairs),
                     })
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_grid_worker, payloads))
-    else:
-        rows = [_grid_worker(p) for p in payloads]
+    rows = _pool_rows(payloads, workers) if workers > 1 else [_grid_worker(p) for p in payloads]
 
     _write_csv(
         out_csv, GRID_HEADER,

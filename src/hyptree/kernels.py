@@ -149,8 +149,8 @@ def _log_cosh(x):
 
 
 def _log_sinh(x):
-    # requires x > 0
-    return x + np.log1p(-np.exp(-2.0 * x)) - _LN2
+    # requires x >= 0 (-inf at 0); expm1 keeps full relative accuracy as x -> 0
+    return x + np.log(-np.expm1(-2.0 * x)) - _LN2
 
 
 def _inv_log_cosh(y):

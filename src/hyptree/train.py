@@ -3,10 +3,16 @@
 A model maps layout coordinates to an embedding space (R^k for MLPs,
 the hyperboloid H^k for the hyperbolic networks) and is fit by mean
 squared error between predicted pair distances and tree distances.
-Gradients come from the reverse-mode tape in ``autodiff``; hyperbolic
-bias points get the ambient gradient flipped through the Minkowski
-metric and projected to their tangent space, and are pulled back onto
-the sheet after every optimizer step.
+Gradients come from the reverse-mode tape in ``autodiff``.
+
+An HNN is trained as what it computes. Each of its layers reads its
+input at the bias point where the previous layer wrote it, so every
+Log/Exp pair and both transports cancel, and the network is Exp_0 of the
+MLP on its affine layers followed by an isometry of H^k. Pair distances,
+the only thing the loss reads, are therefore d(Exp_0 u1, Exp_0 u2) for
+the MLP's tangent outputs u: the tower is the MLP tower, the head is an
+intrinsic H^k distance evaluated in log space, and no ambient point is
+formed. The bias points get exactly zero gradient and keep their values.
 
 The pair structure lives only in the loss head. Each step runs the
 tower once over the distinct input rows of the batch, so a node that
@@ -28,26 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .autodiff import (
-    Tape,
-    cosh_sqrt,
-    cosh_sqrt_prime,
-    dist_fn,
-    dist_prime,
-    gamma_fn,
-    gamma_prime,
-    sinhc_sqrt,
-    sinhc_sqrt_prime,
-    sqrt_fn,
-    sqrt_prime,
-)
+from .autodiff import Tape, sqrt_fn, sqrt_prime
 from .embed import distortion_from_matrices
-from .hypgeom import minkowski_inner, project_to_hyperboloid
+from .hypgeom import project_to_hyperboloid
 from .networks import HnnParams, MlpParams
 from .seeding import seed_stream
 from .trees import WeightedTree, tree_metric
 
 _BN_EPS = 1e-5
+_LN2 = math.log(2.0)
 
 
 class TrainError(ValueError):
@@ -134,9 +129,16 @@ class PairBatch:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch's losses, the largest L2 norm of the full parameter
+    gradient over its steps, and the largest output radius |u| over all
+    nodes after it (the Euclidean norm of an MLP output, the distance from
+    the apex of an HNN output)."""
+
     epoch: int
     train_mse: float
     test_mse: float
+    grad_norm: float
+    max_radius: float
 
 
 # ----------------------------------------------------------------------
@@ -168,68 +170,15 @@ def _mlp_tower(tape, layer_nodes, X, batch_norm, weights):
     return H
 
 
-def _e_time(k):
-    e = np.zeros(k)
-    e[-1] = 1.0
-    return e
-
-
-def _read_tangent_rows(tape, a, P):
-    """Rows of drop(transport bias->apex (Log_bias(P))).
-
-    a is the bias point node (K+1,), P the point rows (B, K+1). The
-    transported vector's time component vanishes identically, so the
-    final column drop is exact.
-    """
-    D = tape.sub_vec(P, a)
-    q = tape.row_mink(D, D)
-    gam = tape.elemwise(q, gamma_fn, gamma_prime)
-    U = tape.scale_rows(gam, tape.sub(D, tape.outer_vec(tape.scale_const(q, 0.5), a)))
-    coef = tape.div_shift(tape.last_col(U), tape.scalar_last(a), 1.0)
-    Ut = tape.sub(U, tape.outer_vec(coef, a, const=_e_time(a.value.size)))
-    return tape.drop_last_col(Ut)
-
-
-def _write_point_rows(tape, c, Z):
-    """Rows of Exp_c(transport apex->c (lift(Z)))."""
-    V = tape.pad_zero_col(Z)
-    coef = tape.div_shift(tape.row_dot_vec(Z, tape.vec_head(c)), tape.scalar_last(c), 1.0)
-    W = tape.add(V, tape.outer_vec(coef, c, const=_e_time(c.value.size)))
-    w = tape.row_mink(W, W)
-    f1 = tape.elemwise(w, cosh_sqrt, cosh_sqrt_prime)
-    f2 = tape.elemwise(w, sinhc_sqrt, sinhc_sqrt_prime)
-    return tape.add(tape.outer_vec(f1, c), tape.scale_rows(f2, W))
-
-
-def _hnn_tower(tape, entry_node, layer_nodes, X, batch_norm, weights):
-    P = _write_point_rows(tape, entry_node, X)
-    prev = entry_node
-    last = len(layer_nodes) - 1
-    for i, (A, b, c) in enumerate(layer_nodes):
-        Z = _read_tangent_rows(tape, prev, P)
-        H = tape.add_vec(tape.matmul_rt(Z, A), b)
-        if i != last:
-            if batch_norm:
-                H = _bn(tape, H, weights)
-            H = tape.relu(H)
-        P = _write_point_rows(tape, c, H)
-        prev = c
-    return P
-
-
 def _tower(tape, params, X, batch_norm, weights):
-    """(parameter leaves, output rows) of the model's tower on input rows X."""
+    """(affine parameter leaves, output rows) of the model's tower on input
+    rows X. An HNN's tower is the MLP on its affine layers: its outputs are
+    tangent rows at the apex, which the hyperbolic head reads."""
     x = tape.leaf(X)
-    if isinstance(params, MlpParams):
-        nodes = [(tape.leaf(A), tape.leaf(b)) for A, b in params.layers]
-        return nodes, _mlp_tower(tape, nodes, x, batch_norm, weights)
-    if isinstance(params, HnnParams):
-        entry = tape.leaf(params.entry_bias.coords)
-        nodes = [
-            (tape.leaf(A), tape.leaf(b), tape.leaf(c.coords)) for A, b, c in params.layers
-        ]
-        return (entry, nodes), _hnn_tower(tape, entry, nodes, x, batch_norm, weights)
-    raise TrainError("params must be MlpParams or HnnParams")
+    if not isinstance(params, (MlpParams, HnnParams)):
+        raise TrainError("params must be MlpParams or HnnParams")
+    nodes = [(tape.leaf(layer[0]), tape.leaf(layer[1])) for layer in params.layers]
+    return nodes, _mlp_tower(tape, nodes, x, batch_norm, weights)
 
 
 def _distinct_rows(x1, x2):
@@ -247,13 +196,84 @@ def _distinct_rows(x1, x2):
     return R[first], inv[:n], inv[n:], counts
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # ln 0 = -inf is meant
+def _hyperbolic_head(U, i1, i2, with_grad=False):
+    """Distances d(Exp_0 U[i1], Exp_0 U[i2]) on H^k (kappa = -1) from tangent
+    rows U at the apex.
+
+    With a = |u1|, b = |u2| and s = |u1/a - u2/b|^2, the squared chord
+    between the two directions, the half-angle split
+
+        sinh^2(d/2) = sinh^2((a - b)/2) + sinh a sinh b s/4
+
+    is evaluated in log space, so no cosh of a radius is formed. Both a - b
+    and the chord are formed from u1 - u2 and u1 + u2, never from two
+    rounded norms or two rounded directions, so each term keeps its relative
+    accuracy as a, b -> 0, as a -> b and as the directions meet. A zero row
+    has no direction; its term vanishes with sinh 0.
+
+    With ``with_grad`` it returns (d, G1, G2), where G1 and G2 are the
+    gradients of d with respect to the rows u1 and u2 (0 where d = 0).
+    """
+    a = np.sqrt(np.einsum("ij,ij->i", U, U))
+    r = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)
+    ls = kernels._log_sinh(a)
+    U1, U2 = np.take(U, i1, axis=0), np.take(U, i2, axis=0)
+    a1, a2, r1, r2 = np.take(a, i1), np.take(a, i2), np.take(r, i1), np.take(r, i2)
+    delta, total = U1 - U2, U1 + U2
+    a_sum = a1 + a2
+    a_diff = np.einsum("ij,ij->i", delta, total) / np.where(a_sum > 0.0, a_sum, 1.0)
+    # chord = u1/a - u2/b = ((a + b)(u1 - u2) - (a - b)(u1 + u2)) / (2ab); where a
+    # row is zero, ((1/a + 1/b)(u1 - u2) - (1/b - 1/a)(u1 + u2)) / 2 with 1/0 -> 0
+    both = a1 * a2 > 0.0
+    p = np.where(both, a_sum, 0.5 * (r1 + r2))
+    q = np.where(both, a_diff, 0.5 * (r2 - r1))
+    chord = (p[:, None] * delta - q[:, None] * total) * np.where(both, 0.5 * r1 * r2, 1.0)[:, None]
+    s = np.einsum("ij,ij->i", chord, chord)
+    half = 0.5 * np.abs(a_diff)
+    ls_half = kernels._log_sinh(half)
+    ls1, ls2 = np.take(ls, i1), np.take(ls, i2)
+    log_s4 = np.log(0.25 * s)
+    h = 0.5 * np.logaddexp(2.0 * ls_half, ls1 + ls2 + log_s4)  # ln sinh(d/2)
+    d = np.where(h < 20.0, 2.0 * np.arcsinh(np.exp(np.minimum(h, 20.0))), 2.0 * (h + _LN2))
+    if not with_grad:
+        return d
+    # dd/du1 = (dd/da) u1/a + (dd/ds) ds/du1 with ds/du1 = (2/a)(chord - (s/2) u1/a),
+    # and likewise for u2; each factor is the exponential of a sum of logs
+    lc = kernels._log_cosh(a)
+    ls_a = np.where(a > 0.0, ls - np.log(a), 0.0)  # ln(sinh a / a)
+    # ln(dd/dS) for S = sinh^2(d/2): dd/dS = 1 / (sinh(d/2) cosh(d/2))
+    ld = np.where(np.isfinite(h), -h - kernels._log_cosh(0.5 * d), -np.inf)
+    radial = np.sign(a_diff) * np.exp(ld + ls_half + kernels._log_cosh(half))
+    beta1 = np.exp(ld + np.take(ls_a, i1) + ls2 - _LN2)
+    beta2 = np.exp(ld + ls1 + np.take(ls_a, i2) - _LN2)
+    c1 = radial + np.exp(ld + log_s4 + np.take(lc, i1) + ls2) - 0.5 * s * beta1
+    c2 = -radial + np.exp(ld + log_s4 + ls1 + np.take(lc, i2)) - 0.5 * s * beta2
+    G1 = (c1 * r1)[:, None] * U1 + beta1[:, None] * chord
+    G2 = (c2 * r2)[:, None] * U2 - beta2[:, None] * chord
+    return d, G1, G2
+
+
+def _hyperbolic_matrix(U):
+    """Head distances between all rows of U, ceil(n/16) source rows per call,
+    so that no call holds more than n^2/16 pairs (the head keeps about 14
+    floats per pair alive)."""
+    n = U.shape[0]
+    out = np.empty((n, n))
+    step = -(-n // 16)
+    cols = np.arange(n)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        out[rows] = _hyperbolic_head(U, np.repeat(rows, n), np.tile(cols, rows.size)).reshape(rows.size, n)
+    return out
+
+
 def _pair_loss(tape, Y, i1, i2, d_true, hyperbolic):
     """MSE head on pairs of output rows (Y[i1] against Y[i2])."""
-    D = tape.sub(tape.take_rows(Y, i1), tape.take_rows(Y, i2))
     if hyperbolic:
-        q = tape.row_mink(D, D)
-        d = tape.elemwise(q, dist_fn, dist_prime)
+        d = tape.pair_rows(Y, i1, i2, lambda U, j1, j2: _hyperbolic_head(U, j1, j2, True))
     else:
+        D = tape.sub(tape.take_rows(Y, i1), tape.take_rows(Y, i2))
         s = tape.row_sum(tape.mul_cols(D, D))
         d = tape.elemwise(s, sqrt_fn, sqrt_prime)
     r = tape.sub_from_const(d_true, d)
@@ -263,18 +283,6 @@ def _pair_loss(tape, Y, i1, i2, d_true, hyperbolic):
 # ----------------------------------------------------------------------
 # Gradients
 # ----------------------------------------------------------------------
-
-def _tangent_project(g, c):
-    """Riemannian gradient at a hyperboloid point from the ambient one.
-
-    Flip the time component (inverse Minkowski metric), then project to
-    the tangent space: rgrad = Jg + <Jg|c>_M c. For any tangent v this
-    satisfies <rgrad|v>_M = g . v, the ambient directional derivative.
-    """
-    jg = np.array(g, copy=True)
-    jg[-1] = -jg[-1]
-    return jg + float(minkowski_inner(jg, c)) * c
-
 
 def _grad_of(node):
     """The node's gradient after backward; zeros if the loss never reached it."""
@@ -286,8 +294,10 @@ def grad(params, x1, x2, d_true, batch_norm: bool = False):
 
     Returns (loss, grads) with grads shaped like the parameters: for an
     MLP a tuple of (dA, db) per layer; for an HNN a pair
-    (d_entry_bias, tuple of (dA, db, dc)) where bias gradients are
-    Riemannian (tangent to the hyperboloid at the bias point).
+    (d_entry_bias, tuple of (dA, db, dc)). The bias gradients of an HNN
+    are exactly 0: each layer reads at the point where the previous one
+    wrote, so the tower is Exp_0 of its MLP followed by an isometry, and
+    pair distances do not depend on the bias points.
     Raises FloatingPointError when the loss is not finite.
     """
     x1 = np.atleast_2d(np.asarray(x1, np.float64))
@@ -297,19 +307,18 @@ def grad(params, x1, x2, d_true, batch_norm: bool = False):
         raise TrainError("pair inputs must align: x1, x2 (B,n); d_true (B,)")
     X, i1, i2, counts = _distinct_rows(x1, x2)
     tape = Tape()
+    hyperbolic = isinstance(params, HnnParams)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         nodes, Y = _tower(tape, params, X, batch_norm, counts)
-        hyperbolic = isinstance(params, HnnParams)
         loss = _pair_loss(tape, Y, i1, i2, d_true, hyperbolic)
         tape.backward(loss)
-        if not hyperbolic:
-            return float(loss.value), tuple((_grad_of(An), _grad_of(bn)) for An, bn in nodes)
-        entry, layer_nodes = nodes
-        layer_grads = tuple(
-            (_grad_of(An), _grad_of(bn), _tangent_project(_grad_of(cn), cn.value))
-            for An, bn, cn in layer_nodes
-        )
-        return float(loss.value), (_tangent_project(_grad_of(entry), entry.value), layer_grads)
+    affine = tuple((_grad_of(An), _grad_of(bn)) for An, bn in nodes)
+    if not hyperbolic:
+        return float(loss.value), affine
+    layer_grads = tuple(
+        (dA, db, np.zeros_like(c.coords)) for (dA, db), (_, _, c) in zip(affine, params.layers)
+    )
+    return float(loss.value), (np.zeros_like(params.entry_bias.coords), layer_grads)
 
 
 def _predict_rows(params, X, batch_norm, weights=None):
@@ -327,12 +336,11 @@ def _pair_mse(params, x1, x2, d_true, batch_norm):
     """Full-batch evaluation MSE (no gradient), on distinct rows like ``grad``."""
     X, i1, i2, counts = _distinct_rows(np.atleast_2d(x1), np.atleast_2d(x2))
     Y = _predict_rows(params, X, batch_norm, counts)
-    D = Y[i1] - Y[i2]
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(params, HnnParams):
-            q = np.sum(D[:, :-1] ** 2, axis=1) - D[:, -1] ** 2
-            d = dist_fn(q)
+            d = _hyperbolic_head(Y, i1, i2)
         else:
+            D = Y[i1] - Y[i2]
             d = np.sqrt(np.sum(D * D, axis=1))
         return float(np.mean((d_true - d) ** 2))
 
@@ -498,7 +506,7 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig):
     history = []
     for epoch in range(cfg.epochs):
         order = order_rng.permutation(train_idx.size)
-        total, steps = 0.0, 0
+        total, steps, grad_norm = 0.0, 0, 0.0
         for start in range(0, train_idx.size, cfg.batch_size):
             sel = train_idx[order[start : start + cfg.batch_size]]
             try:
@@ -508,7 +516,9 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig):
             except FloatingPointError as exc:
                 raise TrainDivergenceError(epoch, str(exc)) from exc
             arrays, kinds = _flatten(params)
-            stepped = opt.step(arrays, _flatten_grads(params, grads))
+            flat = _flatten_grads(params, grads)
+            grad_norm = max(grad_norm, math.sqrt(sum(float(np.vdot(g, g)) for g in flat)))
+            stepped = opt.step(arrays, flat)
             try:
                 params = _rebuild(params, stepped)
             except Exception as exc:
@@ -517,14 +527,15 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig):
             steps += sel.size
         train_mse = total / steps
         test_mse = _pair_mse(params, x1_test, x2_test, d_test, cfg.batch_norm)
-        if not (math.isfinite(train_mse) and math.isfinite(test_mse)):
-            raise TrainDivergenceError(epoch, "non-finite epoch loss")
-        history.append(EpochStats(epoch, float(train_mse), float(test_mse)))
+        pts = _predict_rows(params, X, cfg.batch_norm)
+        max_radius = float(np.max(np.sqrt(np.einsum("ij,ij->i", pts, pts))))
+        if not (math.isfinite(train_mse) and math.isfinite(test_mse) and math.isfinite(max_radius)):
+            raise TrainDivergenceError(epoch, "non-finite epoch loss or output")
+        history.append(EpochStats(epoch, float(train_mse), float(test_mse), grad_norm, max_radius))
 
-    pts = _predict_rows(params, X, cfg.batch_norm)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(params, HnnParams):
-            space = kernels.pairwise_hyperboloid(pts)
+            space = _hyperbolic_matrix(pts)
         else:
             space = kernels.pairwise_euclidean(pts)
     report = distortion_from_matrices(space, metric.matrix)

@@ -43,6 +43,20 @@ def mp_exp_map(x, v, dps=60):
         return np.array([float(c) for c in out])
 
 
+def mp_apex_distance(u1, u2, dps=120):
+    """d(Exp_0 u1, Exp_0 u2) on H^k for flat tangent rows at the apex (floats
+    or mpf entries), with both points formed in high precision."""
+    with mp.workdps(dps):
+        pts = []
+        for u in (u1, u2):
+            us = [mp.mpf(c) for c in u]
+            r = mp.sqrt(sum(c * c for c in us))
+            sinhc = mp.sinh(r) / r if r > 0 else mp.mpf(1)
+            pts.append([sinhc * c for c in us] + [mp.cosh(r)])
+        s = -_inner(*pts)
+        return mp.acosh(max(s, mp.mpf(1)))
+
+
 def _log(xs, ys):
     c = _inner(xs, ys)
     u = [b + c * a for a, b in zip(xs, ys)]

@@ -118,15 +118,17 @@ def loss_mse(batch, predict) -> float:
 
 def stacked_pair_loss(params, x1, x2, d_true, batch_norm) -> float:
     """Pair MSE with all 2B endpoint rows [x1; x2] pushed through the tower
-    as one batch, every row once in the batch statistics, then split in half."""
+    as one batch, every row once in the batch statistics, then split in half.
+    An HNN's rows are tangent vectors at the apex; each pair's distance is
+    taken between their ambient images Exp_0 u."""
     n = len(x1)
     Y = _predict_rows(params, np.concatenate([x1, x2], axis=0), batch_norm)
-    D = Y[:n] - Y[n:]
     if isinstance(params, HnnParams):
-        q = np.sum(D[:, :-1] ** 2, axis=1) - D[:, -1] ** 2
-        d = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))
+        apex = basepoint(Y.shape[1])
+        pts = [exp_map(apex, lift(u)) for u in Y]
+        d = np.array([distance(p, q) for p, q in zip(pts[:n], pts[n:])])
     else:
-        d = np.sqrt(np.sum(D * D, axis=1))
+        d = np.sqrt(np.sum((Y[:n] - Y[n:]) ** 2, axis=1))
     return float(np.mean((np.asarray(d_true) - d) ** 2))
 
 

@@ -12,6 +12,7 @@ from hyptree import cli
 from hyptree.embed import distortion_from_matrices, load_embedding
 from hyptree.kernels import pairwise_hyperboloid
 from hyptree.networks import HnnParams, MlpParams, hnn_forward, load_params
+from hyptree.train import _predict_rows
 from hyptree.trees import WeightedTree, gen_binary, load_tree, save_tree, spring_layout, tree_metric
 
 
@@ -191,7 +192,7 @@ class TestTrain:
         assert len(rows) == 201
         assert float(rows[-1][1]) < 1e-4
         report = json.load(open(tmp_path / "train_report.json"))
-        assert set(report) == {"alpha", "beta", "dist", "injective"}
+        assert set(report) == {"alpha", "beta", "dist", "injective", "epochs"}
         assert isinstance(load_params(tmp_path / "model_params.json"), MlpParams)
 
     def test_same_seed_identical_outputs(self, tmp_path):
@@ -203,6 +204,27 @@ class TestTrain:
         for name in ("train_loss.csv", "train_report.json",
                      "model_params.json", "train_manifest.json"):
             assert read_bytes(tmp_path / "a" / name) == read_bytes(tmp_path / "b" / name)
+
+    @pytest.mark.parametrize("model", ["mlp", "hnn"])
+    def test_report_records_epoch_stats(self, tmp_path, model):
+        t = gen_binary(4)
+        spring_layout(t, dim=2, seed=0)
+        save_tree(t, tmp_path / "t.json")
+        args = ["train", tmp_path / "t.json", "--model", model, "--seed", 2,
+                "--epochs", 4, "--batch-size", 64, "--width", 8, "--hidden-layers", 2]
+        for sub in ("a", "b"):
+            assert run(args + ["--out-dir", tmp_path / sub]) == 0
+        name = "train_report.json"
+        assert read_bytes(tmp_path / "a" / name) == read_bytes(tmp_path / "b" / name)
+        epochs = json.load(open(tmp_path / "a" / name))["epochs"]
+        assert [e["epoch"] for e in epochs] == [0, 1, 2, 3]
+        assert all(set(e) == {"epoch", "grad_norm", "max_radius"} for e in epochs)
+        assert all(math.isfinite(e["grad_norm"]) and e["grad_norm"] > 0 for e in epochs)
+        # the radius is the largest |u| over all nodes' outputs after the epoch
+        params = load_params(tmp_path / "a" / "model_params.json")
+        X = np.stack([t.coords[i] for i in tree_metric(t).ids])
+        rows = _predict_rows(params, X, batch_norm=False)
+        assert epochs[-1]["max_radius"] == float(np.max(np.linalg.norm(rows, axis=1)))
 
     def test_hnn_beats_mlp_binary5(self, tmp_path):
         t = gen_binary(5)
@@ -352,6 +374,55 @@ class TestGrid:
         rows = read_csv(tmp_path / "grid_results.csv")
         assert rows[1][8].startswith("diverged@")
         assert code == 4
+
+
+    def test_random_tree_hnn_row_trains(self, tmp_path):
+        # random(255), grid seed 3: the HNN's output radii pass 20 within
+        # three epochs, where ambient hyperboloid coordinates lose the pair
+        # distances to rounding
+        path = tmp_path / "cfg.json"
+        with open(path, "w") as fh:
+            json.dump({"trees": [{"kind": "random", "n": 255}], "dims": [2],
+                       "models": ["hnn"], "seeds": [3], "train": {"epochs": 3}}, fh)
+        assert run(["grid", path, "--seed", 3, "--out-dir", tmp_path]) == 0
+        rows = read_csv(tmp_path / "grid_results.csv")
+        assert len(rows) == 2 and rows[1][8] == "ok"
+
+    def test_dead_worker_costs_only_its_row(self, tmp_path, monkeypatch):
+        cfgf = tiny_grid_config(tmp_path / "cfg.json")
+        assert run(["grid", cfgf, "--out-dir", tmp_path / "serial"]) == 0
+        monkeypatch.delenv("HYPTREE_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_grid_worker", _worker_exits_on_hnn)
+        assert run(["grid", cfgf, "--threads", 2, "--out-dir", tmp_path / "pool"]) == 0
+        serial = read_csv(tmp_path / "serial" / "grid_results.csv")
+        pool = read_csv(tmp_path / "pool" / "grid_results.csv")
+        assert [r[3] for r in pool[1:]] == ["mlp", "hnn"]
+        assert pool[1] == serial[1]
+        assert pool[2][:5] == serial[2][:5] and pool[2][8] == "error:BrokenProcessPool"
+
+    def test_memory_error_costs_only_its_row(self, tmp_path, monkeypatch):
+        train = cli.train_embedding
+
+        def train_or_fail(t, cfg):
+            if cfg.model_kind == "hnn":
+                raise MemoryError
+            return train(t, cfg)
+
+        monkeypatch.setattr(cli, "train_embedding", train_or_fail)
+        assert run(["grid", tiny_grid_config(tmp_path / "cfg.json"), "--out-dir", tmp_path]) == 0
+        rows = read_csv(tmp_path / "grid_results.csv")
+        assert [r[8] for r in rows[1:]] == ["ok", "error:MemoryError"]
+
+
+_grid_worker = cli._grid_worker
+
+
+def _worker_exits_on_hnn(payload):
+    """A grid worker whose process dies on every HNN payload."""
+    if payload["config"].model_kind == "hnn":
+        os._exit(1)
+    return _grid_worker(payload)
 
 
 class TestResolveThreads:

@@ -3,8 +3,10 @@ and the behavior of the full loop (convergence, determinism, divergence).
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -37,6 +39,7 @@ from hyptree.train import (
     train_embedding,
 )
 from hyptree.trees import WeightedTree, gen_binary, gen_random, spring_layout, tree_metric
+from mputil import mp_apex_distance
 from scalarref import d_pred_hnn, d_pred_mlp, loss_mse, stacked_pair_loss
 
 
@@ -208,21 +211,100 @@ class TestTowers:
         want = np.stack([mlp_forward(p, x) for x in X])
         assert_allclose(rows, want, rtol=1e-12, atol=1e-14)
 
-    def test_hnn_rows_match_forward(self):
+    @pytest.mark.parametrize("dims", [(3, 5, 4, 2), (2, 8, 8, 3)])
+    def test_hnn_head_matches_forward_distances(self, dims):
+        # the training tower keeps only the affine layers: every bias point
+        # (here away from the apex) acts on the outputs as an isometry
         rng = np.random.default_rng(5)
-        p = random_hnn(rng, (3, 5, 4, 2))
-        X = rng.normal(size=(7, 3))
+        p = random_hnn(rng, dims)
+        X = rng.normal(size=(7, dims[0]))
         rows = tr._predict_rows(p, X, batch_norm=False)
-        want = np.stack([hnn_forward(p, x).coords for x in X])
-        assert_allclose(rows, want, rtol=1e-10, atol=1e-12)
+        iu, ju = np.triu_indices(len(X), k=1)
+        got = tr._hyperbolic_head(rows, iu, ju)
+        want = [distance(hnn_forward(p, X[i]), hnn_forward(p, X[j])) for i, j in zip(iu, ju)]
+        assert_allclose(got, want, rtol=1e-10)
 
-    def test_hnn_rows_stay_on_sheet(self):
-        rng = np.random.default_rng(6)
-        p = random_hnn(rng, (2, 8, 3))
-        X = rng.normal(size=(11, 2)) * 2.0
-        rows = tr._predict_rows(p, X, batch_norm=False)
-        resid = 1.0 + np.sum(rows[:, :-1] ** 2, axis=1) - rows[:, -1] ** 2
-        assert np.max(np.abs(resid)) <= 1e-8 * np.max(rows[:, -1] ** 2) + 1e-8
+
+def head_cases(r, k=3, seed=0):
+    """Tangent-row pairs at radius r: equal radii, nearly equal directions,
+    one collinear pair (directions equal up to rounding) and a zero row."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=k)
+    v /= np.linalg.norm(v)
+    w = rng.normal(size=k)
+    w -= (w @ v) * v
+    w /= np.linalg.norm(w)
+    near = math.cos(1e-7) * v + math.sin(1e-7) * w
+    far = math.cos(1.0) * v + math.sin(1.0) * w
+    return [
+        ("equal-radii-near", r * v, r * near),
+        ("equal-radii-far", r * v, r * far),
+        ("near", r * v, 1.3 * r * near),
+        ("collinear", r * v, r * (1.0 + 1e-9) * v),
+        ("zero-row", r * v, np.zeros(k)),
+    ]
+
+
+class TestHyperbolicHead:
+    """The intrinsic head against mpmath, which forms both ambient points
+    Exp_0 u at high precision. The radii span the series regime (1e-9),
+    the float64 limit of ambient points (30; cosh 30 = 5e12) and a radius
+    whose sinh^2 overflows float64 (400).
+
+    The collinear pair is the worst-conditioned input: at r = 400 one ulp
+    of a row turns the direction by 1e-16 rad, which sinh 400 amplifies, so
+    the gradient check there holds to 1e-6 of its largest entry (a head that
+    normalizes each row before taking the chord misses by 100%).
+    """
+
+    @pytest.mark.parametrize("r", [1e-9, 1.0, 30.0, 400.0])
+    def test_distance_and_gradient_against_mpmath(self, r):
+        h = mp.mpf(10) ** -40
+        for name, u1, u2 in head_cases(r):
+            d, G1, G2 = tr._hyperbolic_head(np.stack([u1, u2]), [0], [1], with_grad=True)
+            want = float(mp_apex_distance(u1, u2))
+            assert abs(d[0] - want) <= 1e-10 * want, (name, d[0], want)
+            fd = []
+            with mp.workdps(150):
+                for row in (0, 1):
+                    for c in range(u1.size):
+                        ends = []
+                        for sgn in (1, -1):
+                            us = [[mp.mpf(x) for x in u1], [mp.mpf(x) for x in u2]]
+                            us[row][c] += sgn * h
+                            ends.append(mp_apex_distance(*us, dps=150))
+                        fd.append(float((ends[0] - ends[1]) / (2 * h)))
+            fd = np.array(fd)
+            got = np.concatenate([G1[0], G2[0]])
+            assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd)), (name, got, fd)
+
+    def test_coincident_rows_give_zero_distance_and_gradient(self):
+        U = np.array([[0.3, -1.2], [0.3, -1.2], [0.0, 0.0], [0.0, 0.0]])
+        d, G1, G2 = tr._hyperbolic_head(U, [0, 2], [1, 3], with_grad=True)
+        assert np.all(d == 0.0)
+        assert np.all(G1 == 0.0) and np.all(G2 == 0.0)
+
+    def test_distance_matrix(self):
+        # every entry is the head on that pair, and the evaluation peaks
+        # below 4 n^2 floats, the matrix included
+        rng = np.random.default_rng(16)
+        n = 500
+        U = rng.normal(size=(n, 2)) * 3.0
+        tracemalloc.start()
+        M = tr._hyperbolic_matrix(U)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 4 * n * n * 8
+        iu, ju = np.triu_indices(n, k=1)
+        assert np.array_equal(M[iu, ju], tr._hyperbolic_head(U, iu, ju))
+        assert np.array_equal(M, M.T) and not np.any(np.diag(M))
+
+    def test_log_branch_hand_off(self):
+        # d = 2 asinh(e^h) below h = 20 and 2 (h + ln 2) above: the two
+        # sides of the seam agree to rounding
+        u1 = np.array([[20.0 - 1e-9, 0.0], [20.0 + 1e-9, 0.0], [0.0, 0.0]])
+        d = tr._hyperbolic_head(u1, [0, 1], [2, 2])
+        assert_allclose(d, [20.0 - 1e-9, 20.0 + 1e-9], rtol=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +425,7 @@ class TestGradFiniteDifferences:
         x2 = rng.normal(size=(4, 2))
         dt = rng.uniform(0.5, 2.0, 4)
         _, (d_entry, layer_grads) = grad(p, x1, x2, dt)
+        assert not np.any(d_entry) and not any(np.any(dc) for _, _, dc in layer_grads)
         assert abs(minkowski_inner(d_entry, p.entry_bias.coords)) < 1e-9
         for (dA, db, dc), (_, _, c) in zip(layer_grads, p.layers):
             assert abs(minkowski_inner(dc, c.coords)) < 1e-9
@@ -531,6 +614,17 @@ class TestTrainEmbedding:
             v = c.coords
             resid = abs(1.0 + float(v[:-1] @ v[:-1]) - float(v[-1] * v[-1]))
             assert resid <= 1e-8 * max(1.0, v[-1] ** 2)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_hnn_biases_keep_their_apex_init(self, optimizer):
+        # pair distances do not depend on the bias points, so their gradient
+        # is exactly 0 and neither optimizer moves them
+        t = gen_binary(3)
+        spring_layout(t, dim=2, seed=0)
+        cfg = TrainConfig(model_kind="hnn", optimizer=optimizer, seed=1, **SMALL)
+        params, _, _ = train_embedding(t, cfg)
+        for c in [params.entry_bias] + [c for _, _, c in params.layers]:
+            assert np.array_equal(c.coords, basepoint(c.dim).coords)
 
     def test_mlp_divergence_raises_with_epoch(self):
         # seed 1: the first giant step leaves live relu paths, so the next
