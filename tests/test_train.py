@@ -211,6 +211,37 @@ class TestTowers:
         want = np.stack([mlp_forward(p, x) for x in X])
         assert_allclose(rows, want, rtol=1e-12, atol=1e-14)
 
+    def test_hnn_rows_match_forward(self):
+        # the HNN's training rows are tangent vectors at the apex: with every
+        # bias point at the apex, Exp_0 of a row is the network's output; the
+        # bias points do not enter the rows at all
+        rng = np.random.default_rng(5)
+        p = random_hnn(rng, (3, 5, 4, 2))
+        p0 = hnn_from_mlp(MlpParams(tuple((A, b) for A, b, _ in p.layers)))
+        X = rng.normal(size=(7, 3))
+        rows = tr._predict_rows(p0, X, batch_norm=False)
+        assert np.array_equal(rows, tr._predict_rows(p, X, batch_norm=False))
+        got = np.stack([exp_map(basepoint(2), lift(u)).coords for u in rows])
+        want = np.stack([hnn_forward(p0, x).coords for x in X])
+        assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    def test_hnn_rows_stay_on_sheet(self):
+        # the point a row names, Exp_0(u), lies on the sheet at distance |u|
+        # from the apex, and the head measures it so against a zero row
+        rng = np.random.default_rng(6)
+        p = random_hnn(rng, (2, 8, 3))
+        X = rng.normal(size=(11, 2)) * 2.0
+        rows = tr._predict_rows(p, X, batch_norm=False)
+        pts = np.stack([exp_map(basepoint(3), lift(u)).coords for u in rows])
+        resid = 1.0 + np.sum(pts[:, :-1] ** 2, axis=1) - pts[:, -1] ** 2
+        assert np.max(np.abs(resid)) <= 1e-8 * np.max(pts[:, -1] ** 2) + 1e-8
+        U = np.vstack([rows, np.zeros(3)])
+        idx = np.arange(len(rows))
+        got = tr._hyperbolic_head(U, idx, np.full(len(rows), len(rows)))
+        assert_allclose(got, np.linalg.norm(rows, axis=1), rtol=1e-12)
+        apex = basepoint(3)
+        assert_allclose(got, [distance(HPoint(c), apex) for c in pts], rtol=1e-10)
+
     @pytest.mark.parametrize("dims", [(3, 5, 4, 2), (2, 8, 8, 3)])
     def test_hnn_head_matches_forward_distances(self, dims):
         # the training tower keeps only the affine layers: every bias point
