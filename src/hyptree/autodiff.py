@@ -7,11 +7,10 @@ value and a closure mapping the output cotangent to parent cotangents;
 topological order because operands always exist before their result.
 
 The op set is deliberately narrow: exactly what the affine/ReLU tower,
-its batch statistics and the two pair heads need. The Euclidean head is
-built from elementwise ops; ``pair_rows`` takes a per-pair function with
-closed-form row gradients, which is how the hyperbolic head enters.
-Smooth per-component functions take an explicit derivative, clamped so
-arguments that round to tiny negatives stay finite.
+its batch statistics and the pair loss need. Both pair heads, the
+Euclidean and the hyperbolic one, enter through ``pair_rows``, which takes
+a per-pair function with closed-form row gradients. ``elemwise`` takes a
+smooth per-component function together with its explicit derivative.
 """
 
 from __future__ import annotations
@@ -19,14 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-def sqrt_fn(s):
-    return np.sqrt(np.maximum(s, 0.0))
-
-
-def sqrt_prime(s):
-    return 0.5 / np.sqrt(np.maximum(s, 1e-20))
 
 
 def _scatter_rows(n, idx, rows):
@@ -84,16 +75,6 @@ class Tape:
         mask = M.value > 0.0
         return self._record(np.where(mask, M.value, 0.0), (M,), lambda g: (g * mask,))
 
-    def sub(self, M: Node, N: Node) -> Node:
-        return self._record(M.value - N.value, (M, N), lambda g: (g, -g))
-
-    def row_sum(self, M: Node) -> Node:
-        return self._record(
-            M.value.sum(axis=1),
-            (M,),
-            lambda g: (np.repeat(g[:, None], M.value.shape[1], axis=1),),
-        )
-
     def mul_cols(self, a: Node, b: Node) -> Node:
         return self._record(
             a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value)
@@ -117,13 +98,7 @@ class Tape:
             lambda g: (w[:, None] * (g[None, :] / total),),
         )
 
-    # row gathering (pair endpoints indexed out of per-node rows)
-    def take_rows(self, M: Node, idx) -> Node:
-        """M[idx]; the vjp scatter-adds over repeated indices."""
-        idx = np.asarray(idx, np.intp)
-        n = M.value.shape[0]
-        return self._record(M.value[idx], (M,), lambda g: (_scatter_rows(n, idx, g),))
-
+    # pair heads (pair endpoints indexed out of per-node rows)
     def pair_rows(self, M: Node, i1, i2, f) -> Node:
         """Per-pair values d[p] of the rows M[i1[p]] and M[i2[p]].
 

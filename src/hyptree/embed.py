@@ -275,10 +275,8 @@ def embedding_distance_matrix(e: HyperbolicEmbedding, ids=None) -> np.ndarray:
     """
     ids = list(ids) if ids is not None else e.node_ids()
     col = {v: k for k, v in enumerate(e.node_ids())}
-    out = embedding_distance(e, ids)[:, [col[v] for v in ids]]
-    for i in range(len(ids)):
-        out[i + 1 :, i] = out[i, i + 1 :]
-    return out
+    upper = np.triu(embedding_distance(e, ids)[:, [col[v] for v in ids]], 1)
+    return upper + upper.T
 
 
 # ----------------------------------------------------------------------
@@ -296,9 +294,10 @@ def choose_curvature(t: WeightedTree, lam: float, tau_grid=None):
     units: accepted iff (1/lam) d_T <= d_kappa <= lam * d_T on every
     pair. Tighter lam forces larger tau, hence more negative curvature.
 
-    Returns (embedding, curvature, report). Raises EmbedError with the
-    best achieved distortion if the grid runs out (extend the grid), or
-    if every scale overflows.
+    Returns (embedding, curvature, report). Raises EmbedError if no scale
+    meets the bound: with the best achieved distortion whenever some scale
+    was evaluated, and with the scale and radius that stopped the scan when
+    one passed the overflow cap.
     """
     if lam <= 1.0:
         raise EmbedError("lambda must exceed 1")
@@ -309,20 +308,25 @@ def choose_curvature(t: WeightedTree, lam: float, tau_grid=None):
     ids = list(metric.ids)
     if len(ids) < 2:
         raise EmbedError("need at least two nodes")
-    best = (math.inf, None)
+    best = capped = None
     for tau in grid:
         try:
             emb = sarkar_embed(t, tau)
         except OverflowGuardError:
+            ecc = float(metric.matrix[ids.index(centroid(t))].max())
+            capped = f"tau={tau:g} hit the overflow cap: radius {tau * ecc:.1f} > {OVERFLOW_CAP:g}"
             break
         report = distortion_from_matrices(embedding_distance_matrix(emb, ids), tau * metric.matrix)
         if report.alpha >= 1.0 / lam and report.beta <= lam:
             return emb, Curvature.from_scale(tau), report
-        if report.dist < best[0]:
+        if best is None or report.dist < best[0]:
             best = (report.dist, tau)
-    raise EmbedError(
-        f"no grid scale met lambda={lam:g}; best distortion {best[0]:.6g} at tau={best[1]}"
-    )
+    reasons = [f"no grid scale met lambda={lam:g}"]
+    if best is not None:
+        reasons.append(f"best distortion {best[0]:.6g} at tau={best[1]:g}")
+    if capped:
+        reasons.append(capped)
+    raise EmbedError("; ".join(reasons))
 
 
 # ----------------------------------------------------------------------

@@ -12,12 +12,17 @@ MLP on its affine layers followed by an isometry of H^k. Pair distances,
 the only thing the loss reads, are therefore d(Exp_0 u1, Exp_0 u2) for
 the MLP's tangent outputs u: the tower is the MLP tower, the head is an
 intrinsic H^k distance evaluated in log space, and no ambient point is
-formed. The bias points get exactly zero gradient and keep their values.
+formed. The bias points get exactly zero gradient, so the optimizer
+trains only the affine arrays of either model kind, and an HNN keeps its
+bias points as they are.
 
 The pair structure lives only in the loss head. Each step runs the
 tower once over the distinct input rows of the batch, so a node that
 joins many pairs is computed once, and the head gathers the two
-endpoints of every pair from those output rows. With ``batch_norm``
+endpoints of every pair from those output rows. Both heads, R^k distance
+for an MLP and H^k distance for an HNN, have one contract: distances of
+row pairs plus their closed-form row gradients, which enter the tape
+through ``Tape.pair_rows``. With ``batch_norm``
 enabled, the column statistics weight each distinct row by how often it
 occurs among the 2B endpoints of the batch, which is exactly
 normalizing the stacked batch of both endpoint sets. There is no stored
@@ -34,10 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .autodiff import Tape, sqrt_fn, sqrt_prime
+from .autodiff import Tape
 from .embed import distortion_from_matrices
-from .hypgeom import project_to_hyperboloid
-from .networks import HnnParams, MlpParams
+from .networks import HnnParams, MlpParams, NetworkError
 from .seeding import seed_stream
 from .trees import WeightedTree, tree_metric
 
@@ -268,14 +272,29 @@ def _hyperbolic_matrix(U):
     return out
 
 
-def _pair_loss(tape, Y, i1, i2, d_true, hyperbolic):
-    """MSE head on pairs of output rows (Y[i1] against Y[i2])."""
-    if hyperbolic:
-        d = tape.pair_rows(Y, i1, i2, lambda U, j1, j2: _hyperbolic_head(U, j1, j2, True))
-    else:
-        D = tape.sub(tape.take_rows(Y, i1), tape.take_rows(Y, i2))
-        s = tape.row_sum(tape.mul_cols(D, D))
-        d = tape.elemwise(s, sqrt_fn, sqrt_prime)
+def _euclidean_head(U, i1, i2, with_grad=False):
+    """Distances |U[i1] - U[i2]| between rows of U in R^k.
+
+    With ``with_grad`` it returns (d, G1, G2), where G1 = (u1 - u2)/d and
+    G2 = -G1 are the gradients of d with respect to the rows u1 and u2
+    (0 where d = 0).
+    """
+    D = np.take(U, i1, axis=0) - np.take(U, i2, axis=0)
+    d = np.sqrt(np.einsum("ij,ij->i", D, D))
+    if not with_grad:
+        return d
+    G1 = np.divide(D, d[:, None], out=np.zeros_like(D), where=d[:, None] > 0.0)
+    return d, G1, -G1
+
+
+def _head(params):
+    """The pair head of the model kind: R^k distance for an MLP, H^k for an HNN."""
+    return _hyperbolic_head if isinstance(params, HnnParams) else _euclidean_head
+
+
+def _pair_loss(tape, Y, i1, i2, d_true, head):
+    """MSE of the ``head`` distances between output rows Y[i1] and Y[i2]."""
+    d = tape.pair_rows(Y, i1, i2, lambda U, j1, j2: head(U, j1, j2, True))
     r = tape.sub_from_const(d_true, d)
     return tape.mean(tape.mul_cols(r, r))
 
@@ -307,13 +326,12 @@ def grad(params, x1, x2, d_true, batch_norm: bool = False):
         raise TrainError("pair inputs must align: x1, x2 (B,n); d_true (B,)")
     X, i1, i2, counts = _distinct_rows(x1, x2)
     tape = Tape()
-    hyperbolic = isinstance(params, HnnParams)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         nodes, Y = _tower(tape, params, X, batch_norm, counts)
-        loss = _pair_loss(tape, Y, i1, i2, d_true, hyperbolic)
+        loss = _pair_loss(tape, Y, i1, i2, d_true, _head(params))
         tape.backward(loss)
     affine = tuple((_grad_of(An), _grad_of(bn)) for An, bn in nodes)
-    if not hyperbolic:
+    if isinstance(params, MlpParams):
         return float(loss.value), affine
     layer_grads = tuple(
         (dA, db, np.zeros_like(c.coords)) for (dA, db), (_, _, c) in zip(affine, params.layers)
@@ -337,11 +355,7 @@ def _pair_mse(params, x1, x2, d_true, batch_norm):
     X, i1, i2, counts = _distinct_rows(np.atleast_2d(x1), np.atleast_2d(x2))
     Y = _predict_rows(params, X, batch_norm, counts)
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(params, HnnParams):
-            d = _hyperbolic_head(Y, i1, i2)
-        else:
-            D = Y[i1] - Y[i2]
-            d = np.sqrt(np.sum(D * D, axis=1))
+        d = _head(params)(Y, i1, i2)
         return float(np.mean((d_true - d) ** 2))
 
 
@@ -350,48 +364,24 @@ def _pair_mse(params, x1, x2, d_true, batch_norm):
 # ----------------------------------------------------------------------
 
 def _flatten(params):
-    """(arrays, kinds): kinds mark hyperbolic bias points for retraction."""
-    if isinstance(params, MlpParams):
-        arrays, kinds = [], []
-        for A, b in params.layers:
-            arrays += [A, b]
-            kinds += ["euclid", "euclid"]
-        return arrays, kinds
-    arrays = [params.entry_bias.coords]
-    kinds = ["hyper"]
-    for A, b, c in params.layers:
-        arrays += [A, b, c.coords]
-        kinds += ["euclid", "euclid", "hyper"]
-    return arrays, kinds
+    """The trained arrays, A and b of every layer in order. An HNN's bias
+    points are not among them: their gradient is exactly 0."""
+    return [arr for layer in params.layers for arr in layer[:2]]
 
 
 def _flatten_grads(params, grads):
-    if isinstance(params, MlpParams):
-        out = []
-        for dA, db in grads:
-            out += [dA, db]
-        return out
-    d_entry, layer_grads = grads
-    out = [d_entry]
-    for dA, db, dc in layer_grads:
-        out += [dA, db, dc]
-    return out
+    """``grad``'s gradients of the arrays of ``_flatten``, in its order."""
+    layer_grads = grads[1] if isinstance(params, HnnParams) else grads
+    return [g for layer in layer_grads for g in layer[:2]]
 
 
 def _rebuild(params, arrays):
-    if isinstance(params, MlpParams):
-        layers = []
-        it = iter(arrays)
-        for _ in params.layers:
-            layers.append((next(it), next(it)))
-        return MlpParams(tuple(layers))
+    """``params`` with the arrays of ``_flatten`` replaced; an HNN keeps its
+    bias points."""
     it = iter(arrays)
-    entry = project_to_hyperboloid(next(it))
-    layers = []
-    for _ in params.layers:
-        A, b, c = next(it), next(it), next(it)
-        layers.append((A, b, project_to_hyperboloid(c)))
-    return HnnParams(entry, tuple(layers))
+    if isinstance(params, MlpParams):
+        return MlpParams(tuple((next(it), next(it)) for _ in params.layers))
+    return HnnParams(params.entry_bias, tuple((next(it), next(it), c) for _, _, c in params.layers))
 
 
 class _Sgd:
@@ -515,13 +505,13 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig):
                 )
             except FloatingPointError as exc:
                 raise TrainDivergenceError(epoch, str(exc)) from exc
-            arrays, kinds = _flatten(params)
             flat = _flatten_grads(params, grads)
             grad_norm = max(grad_norm, math.sqrt(sum(float(np.vdot(g, g)) for g in flat)))
-            stepped = opt.step(arrays, flat)
+            with np.errstate(over="ignore", invalid="ignore"):  # a step to inf is caught below
+                stepped = opt.step(_flatten(params), flat)
             try:
                 params = _rebuild(params, stepped)
-            except Exception as exc:
+            except NetworkError as exc:
                 raise TrainDivergenceError(epoch, f"parameters left the domain ({exc})") from exc
             total += loss * sel.size
             steps += sel.size

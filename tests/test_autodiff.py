@@ -52,21 +52,6 @@ def check_leaf_grads(build, leaves, rtol=1e-5, atol=1e-8):
         assert_allclose(got, want, rtol=rtol, atol=atol)
 
 
-class TestSmoothFunctions:
-    """Analytic derivatives of the scalar kernels vs direct FD."""
-
-    def test_sqrt_derivative_matches_fd(self):
-        for q in [1e-12, 1e-6, 1e-3, 0.1, 1.0, 7.0, 100.0]:
-            h = 1e-7 * q
-            want = (ad.sqrt_fn(np.array([q + h]))[0] - ad.sqrt_fn(np.array([q - h]))[0]) / (2 * h)
-            assert_allclose(ad.sqrt_prime(np.array([q]))[0], want, rtol=5e-5)
-
-    def test_tiny_negative_inputs_stay_finite(self):
-        w = np.array([-1e-16, 0.0])
-        assert np.all(ad.sqrt_fn(w) == 0.0)
-        assert np.all(np.isfinite(ad.sqrt_prime(w)))
-
-
 class TestAffineOps:
     def test_two_layer_tower(self):
         rng = np.random.default_rng(0)
@@ -94,12 +79,6 @@ class TestAffineOps:
 
 
 class TestRowOps:
-    def test_row_sum(self):
-        rng = np.random.default_rng(3)
-        M = rng.normal(size=(5, 3))
-        w = rng.normal(size=5)
-        check_leaf_grads(lambda t, ns: wsum(t, t.row_sum(ns[0]), w), [M])
-
     def test_mul_cols(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=6)
@@ -173,7 +152,7 @@ class TestBackwardContract:
 
 
 class TestBatchingOps:
-    """Ops for batch statistics and for gathering pair endpoints."""
+    """Ops for batch statistics."""
 
     def test_col_mean_value_and_grad(self):
         rng = np.random.default_rng(3)
@@ -213,29 +192,6 @@ class TestBatchingOps:
         repeated = np.repeat(M, weights.astype(int), axis=0)
         assert_allclose(out.value, repeated.mean(axis=0), rtol=1e-14, atol=1e-15)
         check_leaf_grads(lambda t, ns: wsum(t, t.col_mean(ns[0], weights), w), [M])
-
-    def test_take_rows_repeated_indices(self):
-        # every row is taken at least twice and row 3 not at all, so the vjp
-        # must accumulate repeats and leave untouched rows at zero
-        rng = np.random.default_rng(5)
-        M = rng.normal(size=(5, 2))
-        idx = np.array([0, 2, 2, 1, 0, 4, 2, 1, 4])
-        w = rng.normal(size=(idx.size, 2))
-
-        tape = Tape()
-        n = tape.leaf(M)
-        assert np.array_equal(tape.take_rows(n, idx).value, M[idx])
-        check_leaf_grads(lambda t, ns: wsum(t, t.take_rows(ns[0], idx), w), [M])
-
-        def build(t, ns):
-            d = t.sub(t.take_rows(ns[0], idx[:4]), t.take_rows(ns[0], idx[5:]))
-            return t.mean(t.mul_cols(d, d))
-
-        check_leaf_grads(build, [M])
-        tape = Tape()
-        n = tape.leaf(M)
-        tape.backward(wsum(tape, tape.take_rows(n, idx), w))
-        assert np.all(n.grad[3] == 0.0)
 
     def test_batch_norm_tower_grads(self):
         # (x - mean) / sqrt(var + eps): the per-batch whitening transform
@@ -282,7 +238,7 @@ class TestOpSet:
             n for n, f in inspect.getmembers(ad, inspect.isfunction)
             if not n.startswith("_") and f.__module__ == ad.__name__
         ]
-        assert len(ops) >= 10 and helpers
+        assert len(ops) >= 10
         unused = [n for n in ops if not re.search(rf"\.{n}\(", library)]
         unused += [n for n in helpers if not re.search(rf"\b{n}\b", library)]
         assert unused == []

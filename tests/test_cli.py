@@ -157,6 +157,14 @@ class TestEmbed:
         err = capsys.readouterr().err
         assert "best distortion" in err
 
+    def test_cap_before_any_scale_exits_3_naming_the_cap(self, tmp_path, capsys):
+        t = WeightedTree([0, 1], [(0, 1, 400.0)], coords={0: [0.0, 0.0], 1: [1.0, 0.0]})
+        save_tree(t, tmp_path / "t.json")
+        assert run(["embed", tmp_path / "t.json", "--lambda", 1.1, "--out-dir", tmp_path]) == 3
+        err = capsys.readouterr().err
+        assert "tau=1 hit the overflow cap: radius 400.0 > 350" in err
+        assert "best distortion" not in err
+
     def test_bad_lambda_exits_2(self, tmp_path, capsys):
         tree = two_node_file(tmp_path / "t.json")
         assert run(["embed", tree, "--lambda", 0.9, "--out-dir", tmp_path]) == 2

@@ -544,6 +544,26 @@ class TestChooseCurvature:
         with pytest.raises(EmbedError, match="best distortion"):
             choose_curvature(t, 1.0001, tau_grid=(1.0, 2.0))
 
+    def test_cap_before_any_scale_names_the_cap(self):
+        # a 400-unit edge puts the first grid scale past the overflow cap, so
+        # no distortion was measured and none is reported
+        t = WeightedTree([0, 1], [(0, 1, 400.0)])
+        with pytest.raises(EmbedError) as err:
+            choose_curvature(t, 1.1)
+        assert str(err.value) == (
+            "no grid scale met lambda=1.1; tau=1 hit the overflow cap: radius 400.0 > 350"
+        )
+
+    def test_cap_after_best_names_both(self):
+        # binary(5) is 5 deep from its centroid: tau=64 is the last scale
+        # inside the cap, and tau=128 stops the scan at radius 640
+        with pytest.raises(EmbedError) as err:
+            choose_curvature(gen_binary(5), 1.001)
+        assert str(err.value) == (
+            "no grid scale met lambda=1.001; best distortion 1.00395 at tau=64; "
+            "tau=128 hit the overflow cap: radius 640.0 > 350"
+        )
+
     def test_bad_lambda_rejected(self):
         t = WeightedTree([0, 1], [(0, 1, 1.0)])
         with pytest.raises(EmbedError):

@@ -338,6 +338,43 @@ class TestHyperbolicHead:
         assert_allclose(d, [20.0 - 1e-9, 20.0 + 1e-9], rtol=1e-15)
 
 
+class TestEuclideanHead:
+    """The R^k head against numpy and central differences."""
+
+    def test_distance_against_norm(self):
+        rng = np.random.default_rng(17)
+        U = rng.normal(size=(6, 3)) * 2.0
+        i1 = np.array([0, 1, 2, 5, 3, 0])
+        i2 = np.array([1, 0, 4, 2, 4, 5])
+        want = np.linalg.norm(U[i1] - U[i2], axis=1)
+        assert_allclose(tr._euclidean_head(U, i1, i2), want, rtol=1e-14)
+        d, _, _ = tr._euclidean_head(U, i1, i2, with_grad=True)
+        assert np.array_equal(d, tr._euclidean_head(U, i1, i2))
+
+    def test_row_gradients_against_central_differences(self):
+        rng = np.random.default_rng(18)
+        U = rng.normal(size=(5, 3))
+        i1 = np.array([0, 2, 4, 1])
+        i2 = np.array([1, 3, 0, 4])
+        _, G1, G2 = tr._euclidean_head(U, i1, i2, with_grad=True)
+        h = 1e-6
+        for p in range(i1.size):
+            j1, j2 = i1[p : p + 1], i2[p : p + 1]
+            for G, row in ((G1, i1[p]), (G2, i2[p])):
+                for c in range(U.shape[1]):
+                    up, dn = U.copy(), U.copy()
+                    up[row, c] += h
+                    dn[row, c] -= h
+                    fd = (tr._euclidean_head(up, j1, j2)[0] - tr._euclidean_head(dn, j1, j2)[0]) / (2 * h)
+                    assert abs(G[p, c] - fd) <= 1e-8, (p, row, c, G[p, c], fd)
+
+    def test_coincident_rows_give_zero_distance_and_gradient(self):
+        U = np.array([[0.3, -1.2], [0.3, -1.2], [0.0, 0.0], [0.0, 0.0]])
+        d, G1, G2 = tr._euclidean_head(U, [0, 2, 1], [1, 3, 1], with_grad=True)
+        assert np.all(d == 0.0)
+        assert np.all(G1 == 0.0) and np.all(G2 == 0.0)
+
+
 # ----------------------------------------------------------------------
 # Gradients vs finite differences
 # ----------------------------------------------------------------------
@@ -501,27 +538,42 @@ class TestDistinctRows:
         return nodes[i], nodes[j], rng.uniform(0.5, 2.5, n_pairs)
 
     @staticmethod
-    def check_fd(p, x1, x2, dt, bn, h=1e-5, tol=1e-4):
-        """Central differences along every parameter entry (affine arrays)
-        and every chart direction (hyperbolic bias points)."""
-        _, grads = grad(p, x1, x2, dt, bn)
-        arrays, kinds = tr._flatten(p)
-        for k, (arr, kind, g) in enumerate(zip(arrays, kinds, tr._flatten_grads(p, grads))):
-            if kind == "hyper":
-                probes = [(v, float(minkowski_inner(g, v)), h) for v in tangent_basis(arr)]
-            else:
-                probes = [
-                    (e.reshape(arr.shape), g.ravel()[i], h * max(1.0, abs(arr.ravel()[i])))
-                    for i, e in enumerate(np.eye(arr.size))
-                ]
-            for v, an, step in probes:
-                vals = []
-                for sgn in (1, -1):
+    def probes(p, grads, h):
+        """(move, analytic derivative, step) along every affine entry and, for
+        an HNN, every chart direction at each bias point; move(s) returns the
+        parameters moved by s along the probe."""
+        arrays = tr._flatten(p)
+        for k, (arr, g) in enumerate(zip(arrays, tr._flatten_grads(p, grads))):
+            for i, e in enumerate(np.eye(arr.size)):
+
+                def move(s, k=k, e=e.reshape(arr.shape)):
                     moved = list(arrays)
-                    moved[k] = arr + sgn * step * v
-                    vals.append(loss_at(tr._rebuild(p, moved), x1, x2, dt, bn))
-                fd = (vals[0] - vals[1]) / (2 * step)
-                assert abs(an - fd) <= tol * max(abs(fd), 1e-5), (k, an, fd)
+                    moved[k] = arrays[k] + s * e
+                    return tr._rebuild(p, moved)
+
+                yield move, g.ravel()[i], h * max(1.0, abs(arr.ravel()[i]))
+        if isinstance(p, HnnParams):
+            d_entry, layer_grads = grads
+            points = [p.entry_bias] + [c for _, _, c in p.layers]
+            bias_grads = [d_entry] + [dc for _, _, dc in layer_grads]
+            for j, (c, g) in enumerate(zip(points, bias_grads)):
+                for v in tangent_basis(c.coords):
+
+                    def move(s, j=j, v=v):
+                        moved = list(points)
+                        moved[j] = project_to_hyperboloid(moved[j].coords + s * v)
+                        layers = tuple((A, b, m) for (A, b, _), m in zip(p.layers, moved[1:]))
+                        return HnnParams(moved[0], layers)
+
+                    yield move, float(minkowski_inner(g, v)), h
+
+    @classmethod
+    def check_fd(cls, p, x1, x2, dt, bn, h=1e-5, tol=1e-4):
+        """Central differences along every probe of ``probes``."""
+        _, grads = grad(p, x1, x2, dt, bn)
+        for move, an, step in cls.probes(p, grads, h):
+            fd = (loss_at(move(step), x1, x2, dt, bn) - loss_at(move(-step), x1, x2, dt, bn)) / (2 * step)
+            assert abs(an - fd) <= tol * max(abs(fd), 1e-5), (an, fd)
 
     @pytest.mark.parametrize("bn", [False, True])
     @pytest.mark.parametrize("kind", ["mlp", "hnn"])
@@ -675,6 +727,29 @@ class TestTrainEmbedding:
         cfg = TrainConfig(model_kind="hnn", learning_rate=1e6, seed=0, **SMALL)
         with pytest.raises(TrainDivergenceError):
             train_embedding(t, cfg)
+
+    @pytest.mark.parametrize("kind", ["mlp", "hnn"])
+    def test_step_to_non_finite_params_is_divergence(self, kind):
+        # the first loss is finite, but one SGD step of size 1e308 overflows
+        # the affine arrays, which the parameter containers reject
+        t = gen_binary(3)
+        spring_layout(t, dim=2, seed=0)
+        cfg = TrainConfig(model_kind=kind, optimizer="sgd", learning_rate=1e308, seed=1, **SMALL)
+        with pytest.raises(TrainDivergenceError, match="left the domain") as err:
+            train_embedding(t, cfg)
+        assert err.value.epoch == 0
+
+    def test_memory_error_in_a_step_propagates(self, monkeypatch):
+        # only a rejected parameter set is divergence; running out of memory
+        # is not, so the grid can record it as error:MemoryError
+        def out_of_memory(params, arrays):
+            raise MemoryError
+
+        monkeypatch.setattr(tr, "_rebuild", out_of_memory)
+        t = gen_binary(3)
+        spring_layout(t, dim=2, seed=0)
+        with pytest.raises(MemoryError):
+            train_embedding(t, TrainConfig(**SMALL))
 
     def test_missing_layout_rejected(self):
         with pytest.raises(TrainError, match="layout"):
