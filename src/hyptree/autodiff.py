@@ -6,11 +6,12 @@ value and a closure mapping the output cotangent to parent cotangents;
 ``backward`` walks nodes in reverse creation order, which is a valid
 topological order because operands always exist before their result.
 
-The op set is deliberately narrow: exactly what the affine/ReLU tower,
-its batch statistics and the pair loss need. Both pair heads, the
-Euclidean and the hyperbolic one, enter through ``pair_rows``, which takes
-a per-pair function with closed-form row gradients. ``elemwise`` takes a
-smooth per-component function together with its explicit derivative.
+The op set is the model's layers and nothing else: ``affine`` and
+``relu`` for the tower, ``batch_norm`` for its optional batch statistics,
+``pair_rows`` for the pair head and ``mse`` for the loss, each with a
+closed-form vjp. Both pair heads, the Euclidean and the hyperbolic one,
+enter through ``pair_rows``, which takes a per-pair function with
+closed-form row gradients.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+_BN_EPS = 1e-5
 
 
 def _scatter_rows(n, idx, rows):
@@ -52,53 +55,42 @@ class Tape:
     def leaf(self, value) -> Node:
         return self._record(value)
 
-    # affine pieces
-    def matmul_rt(self, X: Node, A: Node) -> Node:
-        """Rows times a weight matrix: X @ A.T."""
+    # the tower's layers
+    def affine(self, X: Node, A: Node, b: Node) -> Node:
+        """Rows through one affine layer: X @ A.T + b."""
         return self._record(
-            X.value @ A.value.T,
-            (X, A),
-            lambda g: (g @ A.value, g.T @ X.value),
-        )
-
-    def add_vec(self, M: Node, v: Node) -> Node:
-        return self._record(
-            M.value + v.value[None, :], (M, v), lambda g: (g, g.sum(axis=0))
-        )
-
-    def sub_vec(self, M: Node, v: Node) -> Node:
-        return self._record(
-            M.value - v.value[None, :], (M, v), lambda g: (g, -g.sum(axis=0))
+            X.value @ A.value.T + b.value[None, :],
+            (X, A, b),
+            lambda g: (g @ A.value, g.T @ X.value, g.sum(axis=0)),
         )
 
     def relu(self, M: Node) -> Node:
         mask = M.value > 0.0
         return self._record(np.where(mask, M.value, 0.0), (M,), lambda g: (g * mask,))
 
-    def mul_cols(self, a: Node, b: Node) -> Node:
-        return self._record(
-            a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value)
-        )
+    def batch_norm(self, H: Node, weights=None) -> Node:
+        """Whiten each column with the batch's own statistics, z = c rs with
+        c = h - mean and rs = (var + eps)^(-1/2).
 
-    def mul_vec(self, M: Node, v: Node) -> Node:
-        return self._record(
-            M.value * v.value[None, :],
-            (M, v),
-            lambda g: (g * v.value[None, :], (g * M.value).sum(axis=0)),
-        )
-
-    def col_mean(self, M: Node, weights=None) -> Node:
-        """Column means of a row batch with row ``weights`` (any positive
-        scale, divided by their sum); every row counts once when omitted."""
-        w = np.ones(M.value.shape[0]) if weights is None else np.asarray(weights, np.float64)
+        Row k counts ``weights[k]`` times in the mean and variance (any
+        positive scale, divided by their sum; once each when None). Row k
+        stands for a share wbar[k] of the batch, so the vjp
+        rs (g - wbar (sum g + z sum g z)) sums over rows without weights.
+        """
+        h = H.value
+        w = np.ones(h.shape[0]) if weights is None else np.asarray(weights, np.float64)
         total = w.sum()
-        return self._record(
-            np.sum(w[:, None] * M.value, axis=0) / total,
-            (M,),
-            lambda g: (w[:, None] * (g[None, :] / total),),
-        )
+        c = h - (np.sum(w[:, None] * h, axis=0) / total)[None, :]
+        rs = 1.0 / np.sqrt(np.sum(w[:, None] * (c * c), axis=0) / total + _BN_EPS)
+        z = c * rs[None, :]
+        wbar = (w / total)[:, None]
 
-    # pair heads (pair endpoints indexed out of per-node rows)
+        def vjp(g):
+            return (rs * (g - wbar * (g.sum(axis=0) + z * (g * z).sum(axis=0))),)
+
+        return self._record(z, (H,), vjp)
+
+    # the pair head (pair endpoints indexed out of per-node rows)
     def pair_rows(self, M: Node, i1, i2, f) -> Node:
         """Per-pair values d[p] of the rows M[i1[p]] and M[i2[p]].
 
@@ -117,18 +109,12 @@ class Tape:
 
         return self._record(d, (M,), vjp)
 
-    def elemwise(self, c: Node, f, fp) -> Node:
-        return self._record(f(c.value), (c,), lambda g: (g * fp(c.value),))
-
-    # loss heads
-    def sub_from_const(self, const, c: Node) -> Node:
-        return self._record(np.asarray(const, np.float64) - c.value, (c,), lambda g: (-g,))
-
-    def mean(self, c: Node) -> Node:
-        n = c.value.size
-        return self._record(
-            c.value.mean(), (c,), lambda g: (np.full_like(c.value, g / n),)
-        )
+    # the loss
+    def mse(self, d: Node, target) -> Node:
+        """Mean of (target - d)^2 over the entries of d."""
+        r = np.asarray(target, np.float64) - d.value
+        n = r.size
+        return self._record(np.mean(r * r), (d,), lambda g: (-2.0 * ((g / n) * r),))
 
     def backward(self, loss: Node) -> None:
         if loss.value.ndim != 0:

@@ -115,6 +115,12 @@ def _load_tree_arg(path: str) -> WeightedTree:
         raise UsageError(f"malformed tree file {path}: {exc}") from exc
 
 
+def _check_layout(t: WeightedTree) -> None:
+    missing = [i for i in t.node_ids if i not in t.coords]
+    if missing:
+        raise UsageError(f"tree nodes lack layout coordinates: {missing[:3]}")
+
+
 def _report_doc(report) -> dict:
     return {
         "alpha": report.alpha,
@@ -202,6 +208,8 @@ def cmd_embed(args) -> int:
     _check_lambda(args.lam)
     if t.n_nodes < 2:
         raise UsageError("tree must have at least 2 nodes")
+    if args.realize_hnn:
+        _check_layout(t)
 
     out_emb = _out_path(args.out_dir, args.output or "embedding.json")
     out_report = _out_path(args.out_dir, "embed_report.json")
@@ -245,6 +253,7 @@ def cmd_embed(args) -> int:
 
 def cmd_train(args) -> int:
     t = _load_tree_arg(args.tree)
+    _check_layout(t)
     cfg = _train_config_from_args(args, args.seed)
 
     out_csv = _out_path(args.out_dir, "train_loss.csv")

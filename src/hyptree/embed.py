@@ -345,8 +345,9 @@ def hnn_realize(e: HyperbolicEmbedding, t: WeightedTree, seed: int = 0) -> HnnPa
     missing = [v for v in t.node_ids if v not in e.points]
     if missing:
         raise EmbedError(f"embedding is missing nodes {missing[:3]}")
-    if not t.coords:
-        raise EmbedError("tree nodes carry no layout coordinates")
+    unplaced = [v for v in ids if v not in t.coords]
+    if unplaced:
+        raise EmbedError(f"tree nodes lack layout coordinates: {unplaced[:3]}")
     pts = np.stack([np.asarray(t.coords[v], np.float64) for v in ids])
     targets = [e.points[v] for v in ids]
     return memorize_hnn(pts, targets, seed=seed)

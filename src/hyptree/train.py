@@ -3,7 +3,10 @@
 A model maps layout coordinates to an embedding space (R^k for MLPs,
 the hyperboloid H^k for the hyperbolic networks) and is fit by mean
 squared error between predicted pair distances and tree distances.
-Gradients come from the reverse-mode tape in ``autodiff``.
+Gradients come from the reverse-mode tape in ``autodiff``, which records
+one node per layer: ``affine`` for each layer, ``batch_norm`` (if enabled)
+and ``relu`` between layers, ``pair_rows`` for the pair head and ``mse``
+for the loss.
 
 An HNN is trained as what it computes. Each of its layers reads its
 input at the bias point where the previous layer wrote it, so every
@@ -45,7 +48,6 @@ from .networks import HnnParams, MlpParams, NetworkError
 from .seeding import seed_stream
 from .trees import WeightedTree, tree_metric
 
-_BN_EPS = 1e-5
 _LN2 = math.log(2.0)
 
 
@@ -63,7 +65,7 @@ class TrainDivergenceError(TrainError):
 
 
 # ----------------------------------------------------------------------
-# Configuration and batches
+# Configuration
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -104,34 +106,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class PairBatch:
-    """Node id pairs with their tree distances."""
-
-    u: np.ndarray
-    v: np.ndarray
-    d_true: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, np.int64)
-        v = np.asarray(self.v, np.int64)
-        d = np.asarray(self.d_true, np.float64)
-        if not (u.ndim == v.ndim == d.ndim == 1 and u.size == v.size == d.size):
-            raise TrainError("pair arrays must be 1-d and equally long")
-        if u.size == 0:
-            raise TrainError("a pair batch cannot be empty")
-        if np.any(u == v):
-            raise TrainError("pairs must join distinct nodes")
-        if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
-            raise TrainError("pair distances must be positive and finite")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "d_true", d)
-
-    def __len__(self) -> int:
-        return int(self.u.size)
-
-
-@dataclass(frozen=True)
 class EpochStats:
     """One epoch's losses, the largest L2 norm of the full parameter
     gradient over its steps, and the largest output radius |u| over all
@@ -149,40 +123,20 @@ class EpochStats:
 # Tape towers
 # ----------------------------------------------------------------------
 
-def _bn(tape, H, weights):
-    """Whiten over the batch dimension with the batch's own statistics
-    (row i counted ``weights[i]`` times; once each when None)."""
-    c = tape.sub_vec(H, tape.col_mean(H, weights))
-    var = tape.col_mean(tape.mul_cols(c, c), weights)
-    rs = tape.elemwise(
-        var,
-        lambda v: 1.0 / np.sqrt(v + _BN_EPS),
-        lambda v: -0.5 * (v + _BN_EPS) ** -1.5,
-    )
-    return tape.mul_vec(c, rs)
-
-
-def _mlp_tower(tape, layer_nodes, X, batch_norm, weights):
-    H = X
-    last = len(layer_nodes) - 1
-    for i, (A, b) in enumerate(layer_nodes):
-        H = tape.add_vec(tape.matmul_rt(H, A), b)
-        if i != last:
-            if batch_norm:
-                H = _bn(tape, H, weights)
-            H = tape.relu(H)
-    return H
-
-
 def _tower(tape, params, X, batch_norm, weights):
     """(affine parameter leaves, output rows) of the model's tower on input
-    rows X. An HNN's tower is the MLP on its affine layers: its outputs are
+    rows X: affine layers with ReLU (after batch norm, if enabled) between
+    them. An HNN's tower is the MLP on its affine layers: its outputs are
     tangent rows at the apex, which the hyperbolic head reads."""
-    x = tape.leaf(X)
     if not isinstance(params, (MlpParams, HnnParams)):
         raise TrainError("params must be MlpParams or HnnParams")
+    H = tape.leaf(X)
     nodes = [(tape.leaf(layer[0]), tape.leaf(layer[1])) for layer in params.layers]
-    return nodes, _mlp_tower(tape, nodes, x, batch_norm, weights)
+    for i, (A, b) in enumerate(nodes):
+        if i:
+            H = tape.relu(tape.batch_norm(H, weights) if batch_norm else H)
+        H = tape.affine(H, A, b)
+    return nodes, H
 
 
 def _distinct_rows(x1, x2):
@@ -292,21 +246,9 @@ def _head(params):
     return _hyperbolic_head if isinstance(params, HnnParams) else _euclidean_head
 
 
-def _pair_loss(tape, Y, i1, i2, d_true, head):
-    """MSE of the ``head`` distances between output rows Y[i1] and Y[i2]."""
-    d = tape.pair_rows(Y, i1, i2, lambda U, j1, j2: head(U, j1, j2, True))
-    r = tape.sub_from_const(d_true, d)
-    return tape.mean(tape.mul_cols(r, r))
-
-
 # ----------------------------------------------------------------------
 # Gradients
 # ----------------------------------------------------------------------
-
-def _grad_of(node):
-    """The node's gradient after backward; zeros if the loss never reached it."""
-    return node.grad if node.grad is not None else np.zeros_like(node.value)
-
 
 def grad(params, x1, x2, d_true, batch_norm: bool = False):
     """Reverse-mode gradient of the pair MSE at ``params``.
@@ -328,9 +270,10 @@ def grad(params, x1, x2, d_true, batch_norm: bool = False):
     tape = Tape()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         nodes, Y = _tower(tape, params, X, batch_norm, counts)
-        loss = _pair_loss(tape, Y, i1, i2, d_true, _head(params))
+        d = tape.pair_rows(Y, i1, i2, lambda U, j1, j2: _head(params)(U, j1, j2, True))
+        loss = tape.mse(d, d_true)
         tape.backward(loss)
-    affine = tuple((_grad_of(An), _grad_of(bn)) for An, bn in nodes)
+    affine = tuple((A.grad, b.grad) for A, b in nodes)
     if isinstance(params, MlpParams):
         return float(loss.value), affine
     layer_grads = tuple(

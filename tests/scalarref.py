@@ -110,10 +110,10 @@ def d_pred_hnn(p, x1, x2) -> float:
     return distance(hnn_forward(p, x1), hnn_forward(p, x2))
 
 
-def loss_mse(batch, predict) -> float:
-    """Mean of (d_true - predict(u, v))^2 over the batch."""
-    preds = np.array([predict(int(a), int(b)) for a, b in zip(batch.u, batch.v)])
-    return float(np.mean((batch.d_true - preds) ** 2))
+def loss_mse(u, v, d_true, predict) -> float:
+    """Mean of (d_true - predict(u, v))^2 over the node pairs (u, v)."""
+    preds = np.array([predict(int(a), int(b)) for a, b in zip(u, v)])
+    return float(np.mean((np.asarray(d_true) - preds) ** 2))
 
 
 def stacked_pair_loss(params, x1, x2, d_true, batch_norm) -> float:

@@ -149,6 +149,22 @@ class TestEmbed:
         )
         assert rep.dist == pytest.approx(reported, abs=1e-5)
 
+    @pytest.mark.parametrize("emptied,listed", [(None, "[0, 1, 2]"), (3, "[3]")])
+    def test_realize_hnn_without_layout_exits_2(self, tmp_path, capsys, emptied, listed):
+        # a file saved without layout, or with one node's coords emptied
+        t = gen_binary(3)
+        if emptied is not None:
+            spring_layout(t, dim=2, seed=0)
+            del t.coords[emptied]
+        save_tree(t, tmp_path / "t.json")
+        code = run(["embed", tmp_path / "t.json", "--lambda", 1.1,
+                    "--realize-hnn", "--out-dir", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"tree nodes lack layout coordinates: {listed}" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path / "out") == []
+
     def test_unreachable_target_exits_3(self, tmp_path, capsys):
         t = gen_binary(6)
         save_tree(t, tmp_path / "t.json")
@@ -262,9 +278,12 @@ class TestTrain:
 
     def test_layoutless_tree_exits_2(self, tmp_path, capsys):
         save_tree(gen_binary(2), tmp_path / "t.json")
-        code = run(["train", tmp_path / "t.json", "--out-dir", tmp_path])
+        code = run(["train", tmp_path / "t.json", "--out-dir", tmp_path / "out"])
         assert code == 2
-        assert "layout" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "tree nodes lack layout coordinates: [0, 1, 2]" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path / "out") == []
 
     @pytest.mark.parametrize(
         "node2_coords,code",

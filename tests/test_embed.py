@@ -616,6 +616,14 @@ class TestRealize:
         with pytest.raises(EmbedError, match="layout"):
             hnn_realize(e, t)
 
+    def test_one_node_without_coords_rejected(self):
+        t = gen_binary(2)
+        spring_layout(t, dim=2, seed=0)
+        del t.coords[3]
+        e = sarkar_embed(t, 2.0)
+        with pytest.raises(EmbedError, match=r"lack layout coordinates: \[3\]"):
+            hnn_realize(e, t)
+
     def test_missing_node_rejected(self):
         t = gen_binary(2)
         spring_layout(t, dim=2, seed=0)

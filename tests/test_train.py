@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hyptree import train as tr
+from hyptree.autodiff import Tape
 from hyptree.hypgeom import (
     HPoint,
     basepoint,
@@ -30,7 +31,6 @@ from hyptree.networks import (
 )
 from hyptree.train import (
     EpochStats,
-    PairBatch,
     TrainConfig,
     TrainDivergenceError,
     TrainError,
@@ -113,28 +113,6 @@ class TestTrainConfig:
             TrainConfig(**kw)
 
 
-class TestPairBatch:
-    def test_basic(self):
-        b = PairBatch(np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0]))
-        assert len(b) == 2
-
-    def test_self_pair_rejected(self):
-        with pytest.raises(TrainError):
-            PairBatch(np.array([0, 1]), np.array([0, 2]), np.array([1.0, 2.0]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(TrainError):
-            PairBatch(np.array([], int), np.array([], int), np.array([]))
-
-    def test_nonpositive_distance_rejected(self):
-        with pytest.raises(TrainError):
-            PairBatch(np.array([0]), np.array([1]), np.array([0.0]))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(TrainError):
-            PairBatch(np.array([0]), np.array([1, 2]), np.array([1.0, 1.0]))
-
-
 # ----------------------------------------------------------------------
 # Prediction heads
 # ----------------------------------------------------------------------
@@ -179,22 +157,20 @@ class TestLossMse:
         t = gen_binary(3)
         metric = tree_metric(t)
         iu, ju = np.triu_indices(t.n_nodes, k=1)
-        batch = PairBatch(iu[:20], ju[:20], metric.matrix[iu[:20], ju[:20]])
-        assert loss_mse(batch, lambda u, v: metric.dist(u, v)) == 0.0
+        u, v = iu[:20], ju[:20]
+        assert loss_mse(u, v, metric.matrix[u, v], lambda a, b: metric.dist(a, b)) == 0.0
 
     def test_constant_zero_on_unit_pairs(self):
-        batch = PairBatch(np.array([0, 1, 2]), np.array([3, 4, 5]), np.ones(3))
-        assert loss_mse(batch, lambda u, v: 0.0) == pytest.approx(1.0)
+        assert loss_mse([0, 1, 2], [3, 4, 5], np.ones(3), lambda a, b: 0.0) == pytest.approx(1.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         u = np.arange(10)
         v = np.arange(10) + 10
         d = rng.uniform(0.5, 3.0, 10)
-        batch = PairBatch(u, v, d)
         preds = {(a, b): rng.uniform(0.5, 3.0) for a, b in zip(u, v)}
         want = sum((d[i] - preds[(u[i], v[i])]) ** 2 for i in range(10)) / 10
-        got = loss_mse(batch, lambda a, b: preds[(a, b)])
+        got = loss_mse(u, v, d, lambda a, b: preds[(a, b)])
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -210,6 +186,16 @@ class TestTowers:
         rows = tr._predict_rows(p, X, batch_norm=False)
         want = np.stack([mlp_forward(p, x) for x in X])
         assert_allclose(rows, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("bn", [False, True])
+    def test_tape_records_one_node_per_layer(self, bn):
+        # a leaf for X and for each A and b, one affine node per layer, and
+        # between layers one relu node (after one batch_norm node with BN)
+        rng = np.random.default_rng(6)
+        p = random_mlp(rng, (3, 6, 4, 2))
+        tape = Tape()
+        tr._tower(tape, p, rng.normal(size=(5, 3)), bn, None)
+        assert len(tape.nodes) == 1 + 2 * 3 + 3 + 2 * (1 + bn)
 
     def test_hnn_rows_match_forward(self):
         # the HNN's training rows are tangent vectors at the apex: with every
