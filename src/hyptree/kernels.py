@@ -3,6 +3,15 @@
 Scalar references for the kernels live with the tests, which check every
 kernel against an independent oracle. All kernels are pure: no RNG, no
 global state, deterministic outputs.
+
+The n x n kernels (``fr_step``, ``pairwise_euclidean``,
+``pairwise_hyperboloid`` and ``ratio_bounds``) walk their rows in blocks of
+about ``_BLOCK`` entries, so a block's arrays stay in cache and no kernel
+allocates an n x n scratch array. ``_row_blocks`` reads the coordinates as
+contiguous columns and gives each block its coordinate differences and
+their squared sum. Every entry still goes through the float operations of
+the full-matrix form, in the same order, so the outputs are bitwise equal
+to it.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import numpy as np
 _EPS = 1e-12
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
+_BLOCK = 1 << 16  # float64 entries per block array (512 KB), so a block stays in L2
 
 # The benchmark's traced run records this name; numpy is the only backend.
 ACTIVE_BACKEND = "numpy"
@@ -23,24 +33,24 @@ def fr_step(pos, eu, ev, k, t):
     """One Fruchterman-Reingold iteration: k^2/d repulsion between all pairs,
     d^2/k attraction along edges, displacement capped at the temperature t.
 
-    The repulsion coefficients k^2/d^2 fill one n x n matrix, and each
-    coordinate of the displacement is its row contraction with the n x n
-    differences of that coordinate, so no (n, n, dim) array is formed. The
-    contraction keeps the difference form sum_j c_ij (x_i - x_j): the
-    expanded x_i sum_j c_ij - sum_j c_ij x_j cancels on near-coincident
-    points (with two of 40 points 1e-9 apart, the step's relative error is
-    2e-7 in that form and 5e-15 in this one).
+    The repulsion runs over blocks of rows. In each block the squared
+    distances turn in place into the coefficients k^2/d^2 (0 on the
+    diagonal), and each coordinate of the block's displacement is the row
+    contraction of the coefficients with that coordinate's differences, so
+    the step holds no n x n array. Each row's contraction is the same
+    einsum over the same n entries as in the full-matrix form, so the step
+    is bitwise equal to it. The contraction keeps the difference form
+    sum_j c_ij (x_i - x_j): the expanded x_i sum_j c_ij - sum_j c_ij x_j
+    cancels on near-coincident points (with two of 40 points 1e-9 apart,
+    the step's relative error is 2e-7 in that form and 5e-15 in this one).
     """
-    n = pos.shape[0]
-    diff = np.empty((n, n))
-    coef = _squared_distances(pos, diff)
-    np.maximum(coef, _EPS * _EPS, out=coef)
-    np.divide(k * k, coef, out=coef)
-    np.fill_diagonal(coef, 0.0)
     disp = np.empty_like(pos)
-    for c in range(pos.shape[1]):
-        np.subtract.outer(pos[:, c], pos[:, c], out=diff)
-        disp[:, c] = np.einsum("ij,ij->i", coef, diff)
+    for r0, r1, diff, coef in _row_blocks(pos, pos.shape[1]):
+        np.maximum(coef, _EPS * _EPS, out=coef)
+        np.divide(k * k, coef, out=coef)
+        coef[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0
+        for c in range(pos.shape[1]):
+            disp[r0:r1, c] = np.einsum("ij,ij->i", coef, diff[c])
 
     edge_diff = pos[eu] - pos[ev]
     edge_dist = np.maximum(np.sqrt(np.sum(edge_diff**2, axis=-1)), _EPS)
@@ -94,45 +104,75 @@ def tree_metric_all_pairs(eu, ev, w, n):
     return out[np.ix_(pos, pos)]
 
 
-def _squared_distances(pts, diff):
-    """sum_c (x_ic - x_jc)^2 as one n x n matrix, accumulated one coordinate
-    at a time through the n x n scratch array diff."""
-    n = pts.shape[0]
-    out = np.zeros((n, n))
-    for c in range(pts.shape[1]):
-        np.subtract.outer(pts[:, c], pts[:, c], out=diff)
-        out += np.square(diff, out=diff)
-    return out
+def _block_rows(n):
+    """Rows per block of an n-column walk: about _BLOCK entries, at least one."""
+    return max(1, min(n, _BLOCK // max(n, 1)))
+
+
+def _row_blocks(pts, summed):
+    """Walk the rows of pts in blocks; yield (r0, r1, diff, sq) for each.
+
+    diff[c] holds x_ic - x_jc for the rows i in [r0, r1) and every column j,
+    read from contiguous column copies of pts. sq holds the sum of diff[c]^2
+    over the first ``summed`` coordinates, accumulated as square(diff[0]),
+    then += square(diff[c]) in coordinate order. Both are views of one
+    buffer that the next block overwrites.
+    """
+    cols = np.ascontiguousarray(pts.T)
+    dim, n = cols.shape
+    rows = _block_rows(n)
+    buf = np.empty((dim + 2, rows, n))
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        block = buf[:, : r1 - r0]
+        diff, sq, tmp = block[:dim], block[dim], block[dim + 1]
+        np.subtract(cols[:, r0:r1, None], cols[:, None, :], out=diff)
+        np.square(diff[0], out=sq)
+        for c in range(1, summed):
+            sq += np.square(diff[c], out=tmp)
+        yield r0, r1, diff, sq
 
 
 def pairwise_euclidean(pts):
     n = pts.shape[0]
-    out = _squared_distances(pts, np.empty((n, n)))
-    return np.sqrt(out, out=out)
+    out = np.empty((n, n))
+    for r0, r1, _, sq in _row_blocks(pts, pts.shape[1]):
+        np.sqrt(sq, out=out[r0:r1])
+    return out
 
 
 def pairwise_hyperboloid(pts):
     """Chordal-stable d = 2 asinh(sqrt(<x-y|x-y>_M)/2); time coordinate last."""
     n = pts.shape[0]
-    diff = np.empty((n, n))
-    q = _squared_distances(pts[:, :-1], diff)
-    np.subtract.outer(pts[:, -1], pts[:, -1], out=diff)
-    q -= np.square(diff, out=diff)
-    np.maximum(q, 0.0, out=q)
-    np.sqrt(q, out=q)
-    q *= 0.5
-    np.arcsinh(q, out=q)
-    q *= 2.0
-    return q
+    out = np.empty((n, n))
+    for r0, r1, diff, q in _row_blocks(pts, pts.shape[1] - 1):
+        q -= np.square(diff[-1], out=diff[-1])
+        np.maximum(q, 0.0, out=q)
+        np.sqrt(q, out=q)
+        q *= 0.5
+        np.arcsinh(q, out=q)
+        np.multiply(q, 2.0, out=out[r0:r1])
+    return out
 
 
 def ratio_bounds(dspace, dtree):
-    """(min, max) of dspace/dtree over pairs i < j, and whether every dspace > 0."""
+    """(min, max) of dspace/dtree over pairs i < j, and whether every dspace > 0.
+
+    Each block of rows divides only its pairs j > i, so the diagonal's 0/0
+    is never formed; NaN ratios propagate to both bounds.
+    """
     n = dspace.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    ds = dspace[iu, ju]
-    ratios = ds / dtree[iu, ju]
-    return float(np.min(ratios)), float(np.max(ratios)), bool(np.all(ds > 0.0))
+    alpha, beta, injective = np.inf, -np.inf, True
+    col, rows = np.arange(n), _block_rows(n)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        upper = col[None, r0:] > col[r0:r1, None]
+        ds = dspace[r0:r1, r0:]
+        ratios = np.divide(ds, dtree[r0:r1, r0:], where=upper, out=np.empty(ds.shape))
+        alpha = np.minimum(alpha, np.min(ratios, where=upper, initial=np.inf))
+        beta = np.maximum(beta, np.max(ratios, where=upper, initial=-np.inf))
+        injective = injective and bool(np.all(ds > 0.0, where=upper))
+    return float(alpha), float(beta), injective
 
 
 def wrap_angle(a):

@@ -3,7 +3,10 @@
 Each function here is a plain per-element or per-pair restatement of
 something the library computes in vectorized or batched form: the spring
 layout step, the distortion bounds, one hyperbolic layer, the pair
-distance heads and the pair loss. ``stacked_pair_loss`` restates the
+distance heads and the pair loss. The ``*_full`` kernels compute the spring
+layout step and the pairwise distance matrices on whole n x n matrices,
+with the float operations of the row-blocked library kernels, as oracles
+those kernels must match bit for bit. ``stacked_pair_loss`` restates the
 batched training loss without deduplicating the pair endpoints.
 ``embedding_distance_pair`` unrolls the tree path of one pair with the
 scalar log-space triangle helpers below, and ``curvature_scan_pairwise``
@@ -85,6 +88,65 @@ def ratio_bounds(dspace, dtree):
             alpha = min(alpha, r)
             beta = max(beta, r)
     return alpha, beta, injective
+
+
+def _squared_distances_full(pts, diff):
+    """sum_c (x_ic - x_jc)^2 as one n x n matrix, accumulated one coordinate
+    at a time through the n x n scratch array diff."""
+    n = pts.shape[0]
+    out = np.zeros((n, n))
+    for c in range(pts.shape[1]):
+        np.subtract.outer(pts[:, c], pts[:, c], out=diff)
+        out += np.square(diff, out=diff)
+    return out
+
+
+def fr_step_full(pos, eu, ev, k, t):
+    """One Fruchterman-Reingold iteration on full n x n matrices, with the
+    float operations of the row-blocked kernel in the same order: the oracle
+    the kernel must match bit for bit."""
+    n = pos.shape[0]
+    diff = np.empty((n, n))
+    coef = _squared_distances_full(pos, diff)
+    np.maximum(coef, _EPS * _EPS, out=coef)
+    np.divide(k * k, coef, out=coef)
+    np.fill_diagonal(coef, 0.0)
+    disp = np.empty_like(pos)
+    for c in range(pos.shape[1]):
+        np.subtract.outer(pos[:, c], pos[:, c], out=diff)
+        disp[:, c] = np.einsum("ij,ij->i", coef, diff)
+
+    edge_diff = pos[eu] - pos[ev]
+    edge_dist = np.maximum(np.sqrt(np.sum(edge_diff**2, axis=-1)), _EPS)
+    pull = edge_diff * (edge_dist / k)[:, None]
+    np.subtract.at(disp, eu, pull)
+    np.add.at(disp, ev, pull)
+
+    length = np.sqrt(np.sum(disp * disp, axis=-1))
+    scale = np.where(length > _EPS, np.minimum(length, t) / np.maximum(length, _EPS), 0.0)
+    return pos + disp * scale[:, None]
+
+
+def pairwise_euclidean_full(pts):
+    """Euclidean distance matrix on full n x n matrices (bit-for-bit oracle)."""
+    n = pts.shape[0]
+    out = _squared_distances_full(pts, np.empty((n, n)))
+    return np.sqrt(out, out=out)
+
+
+def pairwise_hyperboloid_full(pts):
+    """Hyperboloid distance matrix on full n x n matrices (bit-for-bit oracle)."""
+    n = pts.shape[0]
+    diff = np.empty((n, n))
+    q = _squared_distances_full(pts[:, :-1], diff)
+    np.subtract.outer(pts[:, -1], pts[:, -1], out=diff)
+    q -= np.square(diff, out=diff)
+    np.maximum(q, 0.0, out=q)
+    np.sqrt(q, out=q)
+    q *= 0.5
+    np.arcsinh(q, out=q)
+    q *= 2.0
+    return q
 
 
 def hyperbolic_layer(a, b, c, A, x):

@@ -2,14 +2,18 @@
 
 The scalar references live in ``scalarref``; the hyperboloid distances are
 checked against mpmath. The tree metric's oracle is scipy's Dijkstra, in
-``test_trees.py``. ``TestTemporaries`` bounds the memory the n x n kernels
-allocate, so none of them builds an (n, n, dim) array.
+``test_trees.py``. ``TestRowBlocks`` checks the row-blocked n x n kernels bit
+for bit against their full-matrix forms, at sizes on both sides of a block
+boundary. ``TestTemporaries`` bounds the memory the n x n kernels allocate,
+so none of them builds an n x n scratch array.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
-from numpy.testing import assert_allclose
+import pytest
+from numpy.testing import assert_allclose, assert_array_equal
 
 import scalarref
 from hyptree import kernels, trees
@@ -91,6 +95,99 @@ class TestBackendsAgree:
         assert not kernels.ratio_bounds(ds, dt)[2]
 
 
+def _block_sizes():
+    """n = 2, n within one block, a multiple of the block's row count, and one
+    row past a multiple, so the last block is a single row."""
+    below = 200
+    assert kernels._block_rows(below) == below
+    multiple = next(n for n in range(below + 1, 4096) if n % kernels._block_rows(n) == 0
+                    and n > kernels._block_rows(n))
+    one_past = next(n for n in range(below + 1, 4096) if n % kernels._block_rows(n) == 1)
+    return (2, below, multiple, one_past)
+
+
+BLOCK_SIZES = _block_sizes()
+
+
+def _hyperboloid_points(rng, n, spatial_dim):
+    spatial = rng.normal(size=(n, spatial_dim))
+    return np.column_stack([spatial, np.sqrt(1.0 + np.sum(spatial**2, axis=1))])
+
+
+@pytest.mark.filterwarnings("error")
+class TestRowBlocks:
+    """The row-blocked kernels equal their full-matrix forms bit for bit."""
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_fr_step(self, n):
+        rng = np.random.default_rng(n)
+        eu, ev = np.arange(n - 1), np.arange(1, n)
+        for dim in (1, 2, 3, 4):
+            pos = rng.uniform(size=(n, dim))
+            want = scalarref.fr_step_full(pos, eu, ev, 0.05, 0.01)
+            assert_array_equal(kernels.fr_step(pos, eu, ev, 0.05, 0.01), want)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_pairwise_euclidean(self, n):
+        rng = np.random.default_rng(n)
+        for dim in (1, 2, 3, 4):
+            pts = rng.normal(size=(n, dim))
+            assert_array_equal(kernels.pairwise_euclidean(pts), scalarref.pairwise_euclidean_full(pts))
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_pairwise_hyperboloid(self, n):
+        rng = np.random.default_rng(n)
+        for spatial_dim in (1, 2, 3, 4):
+            pts = _hyperboloid_points(rng, n, spatial_dim)
+            assert_array_equal(kernels.pairwise_hyperboloid(pts), scalarref.pairwise_hyperboloid_full(pts))
+
+    def test_spring_layout_random_1000(self, monkeypatch):
+        got = trees.spring_layout(trees.gen_random(1000, 3), iterations=50)
+        monkeypatch.setattr(kernels, "fr_step", scalarref.fr_step_full)
+        want = trees.spring_layout(trees.gen_random(1000, 3), iterations=50)
+        assert want.keys() == got.keys()
+        for i in want:
+            assert_array_equal(got[i], want[i])
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_ratio_bounds(self, n):
+        rng = np.random.default_rng(n)
+        pts = rng.normal(size=(n, 3))
+        dt = kernels.pairwise_euclidean(rng.normal(size=(n, 2))) + 0.5
+        np.fill_diagonal(dt, 0.0)
+        ds = kernels.pairwise_euclidean(pts)
+        assert kernels.ratio_bounds(ds, dt) == scalarref.ratio_bounds(ds, dt)
+        # a zero distance at the last pair i < j, in the last block with pairs
+        ds[n - 2, n - 1] = ds[n - 1, n - 2] = 0.0
+        got = kernels.ratio_bounds(ds, dt)
+        assert got == scalarref.ratio_bounds(ds, dt)
+        assert got[0] == 0.0 and not got[2]
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_ratio_bounds_nan_propagates(self, n):
+        rng = np.random.default_rng(n)
+        ds = kernels.pairwise_euclidean(rng.normal(size=(n, 2)))
+        dt = ds + 1.0
+        i, j = n // 3, n - 1
+        # NaN below the diagonal is never read, as in the i < j reduction
+        ds[j, i] = np.nan
+        assert kernels.ratio_bounds(ds, dt) == scalarref.ratio_bounds(ds, dt)
+        dnan = ds.copy()
+        dnan[i, j] = np.nan
+        alpha, beta, injective = kernels.ratio_bounds(dnan, dt)
+        assert math.isnan(alpha) and math.isnan(beta) and not injective
+        dt[i, j] = np.nan
+        alpha, beta, injective = kernels.ratio_bounds(ds, dt)
+        assert math.isnan(alpha) and math.isnan(beta) and injective
+
+    def test_ratio_bounds_two_points(self):
+        # the pair the acceptance suite warms the kernels with
+        pts = np.array([[0.0, 0.0, 1.0], [0.3, 0.1, math.sqrt(1.1)]])
+        d = kernels.pairwise_hyperboloid(pts)
+        dt = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert kernels.ratio_bounds(d, dt) == (d[0, 1], d[0, 1], True)
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -102,10 +199,15 @@ def _peak_bytes(fn, *args):
 
 class TestTemporaries:
     """Each n x n kernel peaks below four n x n float64 arrays at dim 4: it
-    accumulates one coordinate at a time, with no (n, n, dim) temporary."""
+    accumulates one coordinate at a time, with no (n, n, dim) temporary. At
+    n = 2000 the row blocks bound fr_step and ratio_bounds below a quarter of
+    one n x n array, so their peak no longer grows with n^2, and the pairwise
+    kernels below their output plus half of one more."""
 
     N, DIM = 500, 4
     BOUND = 4 * N * N * 8
+    BIG_N = 2000
+    SQUARE = BIG_N * BIG_N * 8
 
     def test_fr_step(self):
         eu, ev = _random_tree_arrays(self.N, 2)
@@ -117,6 +219,30 @@ class TestTemporaries:
         assert _peak_bytes(kernels.pairwise_euclidean, pts) < self.BOUND
 
     def test_pairwise_hyperboloid(self):
-        spatial = np.random.default_rng(10).normal(size=(self.N, self.DIM - 1))
-        pts = np.column_stack([spatial, np.sqrt(1.0 + np.sum(spatial**2, axis=1))])
+        pts = _hyperboloid_points(np.random.default_rng(10), self.N, self.DIM - 1)
         assert _peak_bytes(kernels.pairwise_hyperboloid, pts) < self.BOUND
+
+    def test_ratio_bounds(self):
+        rng = np.random.default_rng(11)
+        ds = kernels.pairwise_euclidean(rng.normal(size=(self.N, self.DIM)))
+        dt = ds + 1.0
+        assert _peak_bytes(kernels.ratio_bounds, ds, dt) < self.BOUND
+
+    def test_fr_step_big(self):
+        eu, ev = _random_tree_arrays(self.BIG_N, 2)
+        pos = np.random.default_rng(12).uniform(size=(self.BIG_N, self.DIM))
+        assert _peak_bytes(kernels.fr_step, pos, eu, ev, 0.02, 0.002) < self.SQUARE / 4
+
+    def test_ratio_bounds_big(self):
+        rng = np.random.default_rng(13)
+        ds = kernels.pairwise_euclidean(rng.normal(size=(self.BIG_N, self.DIM)))
+        dt = ds + 1.0
+        assert _peak_bytes(kernels.ratio_bounds, ds, dt) < self.SQUARE / 4
+
+    def test_pairwise_euclidean_big(self):
+        pts = np.random.default_rng(14).normal(size=(self.BIG_N, self.DIM))
+        assert _peak_bytes(kernels.pairwise_euclidean, pts) < 1.5 * self.SQUARE
+
+    def test_pairwise_hyperboloid_big(self):
+        pts = _hyperboloid_points(np.random.default_rng(15), self.BIG_N, self.DIM - 1)
+        assert _peak_bytes(kernels.pairwise_hyperboloid, pts) < 1.5 * self.SQUARE
