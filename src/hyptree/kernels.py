@@ -5,13 +5,16 @@ kernel against an independent oracle. All kernels are pure: no RNG, no
 global state, deterministic outputs.
 
 The n x n kernels (``fr_step``, ``pairwise_euclidean``,
-``pairwise_hyperboloid`` and ``ratio_bounds``) walk their rows in blocks of
-about ``_BLOCK`` entries, so a block's arrays stay in cache and no kernel
-allocates an n x n scratch array. ``_row_blocks`` reads the coordinates as
-contiguous columns and gives each block its coordinate differences and
-their squared sum. Every entry still goes through the float operations of
-the full-matrix form, in the same order, so the outputs are bitwise equal
-to it.
+``pairwise_hyperboloid``, ``pairwise_intrinsic`` and ``ratio_bounds``) walk
+their rows in blocks of about ``_BLOCK`` entries, so a block's arrays stay
+in cache and no kernel allocates an n x n scratch array. ``_row_blocks``
+reads the coordinates as contiguous columns and gives each block its
+coordinate differences and their squared sum. Every entry still goes
+through the float operations of the full-matrix form, in the same order, so
+the outputs are bitwise equal to it. ``pairwise_intrinsic``, the H^k
+distance between the images Exp_0 u of tangent rows, forms each unordered
+pair once through ``_apex_distance``, the one implementation of that
+distance, which the HNN training head evaluates on pair lists.
 """
 
 from __future__ import annotations
@@ -152,6 +155,87 @@ def pairwise_hyperboloid(pts):
         q *= 0.5
         np.arcsinh(q, out=q)
         np.multiply(q, 2.0, out=out[r0:r1])
+    return out
+
+
+@np.errstate(divide="ignore")  # ln sinh 0 = -inf is meant
+def _apex_radii(U):
+    """(a, 1/a, ln sinh a) of the tangent rows U at the apex, a = |u|; 1/a is
+    0 for a zero row."""
+    a = np.sqrt(np.einsum("ij,ij->i", U, U))
+    return a, np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0), _log_sinh(a)
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # ln 0 = -inf is meant
+def _apex_distance(a1, a2, r1, r2, ls1, ls2, delta, total):
+    """Distances d(Exp_0 u1, Exp_0 u2) on H^k (kappa = -1) between tangent
+    vectors u1, u2 at the apex.
+
+    The arguments broadcast together: the ``_apex_radii`` of u1 and of u2,
+    and delta = u1 - u2 and total = u1 + u2 with the coordinate on the first
+    axis. With s = |u1/a1 - u2/a2|^2, the squared chord between the two
+    directions, the half-angle split
+
+        sinh^2(d/2) = sinh^2((a1 - a2)/2) + sinh a1 sinh a2 s/4
+
+    is evaluated in log space, so no cosh of a radius is formed. Both
+    a1 - a2 = <delta, total>/(a1 + a2) and the chord are formed from delta
+    and total, never from two rounded norms or two rounded directions, so
+    each term keeps its relative accuracy as a -> 0, as a1 -> a2 and as the
+    directions meet. A zero vector has no direction; its term vanishes with
+    sinh 0. Swapping u1 and u2 negates a1 - a2 and the chord exactly, so d
+    is exactly symmetric, and d = 0 where u1 = u2.
+
+    Overwrites delta with the chord and total with scratch. Returns
+    (d, h, a_diff, ls_half, log_s4, s, chord): h = ln sinh(d/2),
+    a_diff = a1 - a2, ls_half = ln sinh(|a_diff|/2) and log_s4 = ln(s/4).
+    """
+    a_sum = a1 + a2
+    a_diff = np.einsum("i...,i...->...", delta, total)
+    np.divide(a_diff, a_sum, out=a_diff, where=a_sum > 0.0)
+    # chord = ((a1 + a2) delta - (a1 - a2) total) / (2 a1 a2); where a vector is
+    # zero, ((1/a1 + 1/a2) delta - (1/a2 - 1/a1) total) / 2 with 1/0 -> 0
+    both = a1 * a2 > 0.0
+    delta *= np.where(both, a_sum, 0.5 * (r1 + r2))
+    total *= np.where(both, a_diff, 0.5 * (r2 - r1))
+    delta -= total
+    delta *= np.where(both, 0.5 * r1 * r2, 1.0)
+    s = np.einsum("i...,i...->...", delta, delta)
+    ls_half = _log_sinh(0.5 * np.abs(a_diff))
+    log_s4 = np.log(0.25 * s)
+    h = 0.5 * np.logaddexp(2.0 * ls_half, ls1 + ls2 + log_s4)
+    d = np.where(h < 20.0, 2.0 * np.arcsinh(np.exp(np.minimum(h, 20.0))), 2.0 * (h + _LN2))
+    return d, h, a_diff, ls_half, log_s4, s, delta
+
+
+def pairwise_intrinsic(U):
+    """d(Exp_0 u_i, Exp_0 u_j) on H^k between all tangent rows of U at the
+    apex, by ``_apex_distance``.
+
+    The value is exactly symmetric, so each block of rows [r0, r1) forms its
+    columns j >= r0 once and mirrors them. The formula keeps about 16 arrays
+    of a block alive, so a block holds about _BLOCK/8 entries: its rows grow
+    as its columns shrink. Its delta and total share one buffer that every
+    block reuses.
+    """
+    n, k = U.shape
+    a, r, ls = _apex_radii(U)
+    cols = np.ascontiguousarray(U.T)
+    out = np.empty((n, n))
+    buf = np.empty(2 * k * min(n * n, max(_BLOCK // 8, n)))  # the largest block
+    r0 = 0
+    while r0 < n:
+        m = n - r0
+        r1 = min(n, r0 + _block_rows(8 * m))
+        i, j = slice(r0, r1), slice(r0, n)
+        delta, total = buf[: 2 * k * (r1 - r0) * m].reshape(2, k, r1 - r0, m)
+        np.subtract(cols[:, i, None], cols[:, None, j], out=delta)
+        np.add(cols[:, i, None], cols[:, None, j], out=total)
+        d = _apex_distance(a[i, None], a[None, j], r[i, None], r[None, j],
+                           ls[i, None], ls[None, j], delta, total)[0]
+        out[i, j] = d
+        out[j, i] = d.T
+        r0 = r1
     return out
 
 

@@ -19,10 +19,13 @@ formed. The bias points get exactly zero gradient, so the optimizer
 trains only the affine arrays of either model kind, and an HNN keeps its
 bias points as they are.
 
-The pair structure lives only in the loss head. Each step runs the
-tower once over the distinct input rows of the batch, so a node that
-joins many pairs is computed once, and the head gathers the two
-endpoints of every pair from those output rows. Both heads, R^k distance
+The pair structure lives only in the loss head. The loop holds every
+pair as two node ids, and each step runs the tower once over the
+distinct nodes of the batch, found from those ids by a bincount over the
+nodes, never by comparing coordinate rows. A node that joins many pairs
+is computed once, and the head gathers the two endpoints of every pair
+from the output rows. ``grad``, which takes coordinate rows, deduplicates
+them by their bytes and runs the same step. Both heads, R^k distance
 for an MLP and H^k distance for an HNN, have one contract: distances of
 row pairs plus their closed-form row gradients, which enter the tape
 through ``Tape.pair_rows``. With ``batch_norm``
@@ -91,18 +94,24 @@ class TrainConfig:
     max_pairs: int | None = None
 
     def __post_init__(self):
+        # a JSON config can carry true/false where a count belongs, and bool is an int
+        def count(v):
+            return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
         for name in ("epochs", "batch_size", "hidden_layers", "hidden_width", "embed_dim"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise TrainError(f"{name} must be an integer >= 1")
-        if not (self.learning_rate > 0.0 and math.isfinite(self.learning_rate)):
+            if not count(getattr(self, name)):
+                raise TrainError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not (lr > 0.0 and math.isfinite(lr)):
             raise TrainError("learning_rate must be a positive real")
         if self.model_kind not in ("mlp", "hnn"):
             raise TrainError("model_kind must be 'mlp' or 'hnn'")
         if self.optimizer not in ("adam", "sgd"):
             raise TrainError("optimizer must be 'adam' or 'sgd'")
-        if self.max_pairs is not None and (not isinstance(self.max_pairs, int) or self.max_pairs < 1):
-            raise TrainError("max_pairs must be None or an integer >= 1")
+        if not isinstance(self.batch_norm, bool):
+            raise TrainError(f"batch_norm must be true or false, got {self.batch_norm!r}")
+        if self.max_pairs is not None and not count(self.max_pairs):
+            raise TrainError(f"max_pairs must be None or an integer >= 1, got {self.max_pairs!r}")
 
 
 @dataclass(frozen=True)
@@ -157,43 +166,17 @@ def _distinct_rows(x1, x2):
 @np.errstate(divide="ignore", invalid="ignore")  # ln 0 = -inf is meant
 def _hyperbolic_head(U, i1, i2, with_grad=False):
     """Distances d(Exp_0 U[i1], Exp_0 U[i2]) on H^k (kappa = -1) from tangent
-    rows U at the apex.
-
-    With a = |u1|, b = |u2| and s = |u1/a - u2/b|^2, the squared chord
-    between the two directions, the half-angle split
-
-        sinh^2(d/2) = sinh^2((a - b)/2) + sinh a sinh b s/4
-
-    is evaluated in log space, so no cosh of a radius is formed. Both a - b
-    and the chord are formed from u1 - u2 and u1 + u2, never from two
-    rounded norms or two rounded directions, so each term keeps its relative
-    accuracy as a, b -> 0, as a -> b and as the directions meet. A zero row
-    has no direction; its term vanishes with sinh 0.
+    rows U at the apex, by ``kernels._apex_distance``.
 
     With ``with_grad`` it returns (d, G1, G2), where G1 and G2 are the
     gradients of d with respect to the rows u1 and u2 (0 where d = 0).
     """
-    a = np.sqrt(np.einsum("ij,ij->i", U, U))
-    r = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)
-    ls = kernels._log_sinh(a)
-    U1, U2 = np.take(U, i1, axis=0), np.take(U, i2, axis=0)
-    a1, a2, r1, r2 = np.take(a, i1), np.take(a, i2), np.take(r, i1), np.take(r, i2)
-    delta, total = U1 - U2, U1 + U2
-    a_sum = a1 + a2
-    a_diff = np.einsum("ij,ij->i", delta, total) / np.where(a_sum > 0.0, a_sum, 1.0)
-    # chord = u1/a - u2/b = ((a + b)(u1 - u2) - (a - b)(u1 + u2)) / (2ab); where a
-    # row is zero, ((1/a + 1/b)(u1 - u2) - (1/b - 1/a)(u1 + u2)) / 2 with 1/0 -> 0
-    both = a1 * a2 > 0.0
-    p = np.where(both, a_sum, 0.5 * (r1 + r2))
-    q = np.where(both, a_diff, 0.5 * (r2 - r1))
-    chord = (p[:, None] * delta - q[:, None] * total) * np.where(both, 0.5 * r1 * r2, 1.0)[:, None]
-    s = np.einsum("ij,ij->i", chord, chord)
-    half = 0.5 * np.abs(a_diff)
-    ls_half = kernels._log_sinh(half)
-    ls1, ls2 = np.take(ls, i1), np.take(ls, i2)
-    log_s4 = np.log(0.25 * s)
-    h = 0.5 * np.logaddexp(2.0 * ls_half, ls1 + ls2 + log_s4)  # ln sinh(d/2)
-    d = np.where(h < 20.0, 2.0 * np.arcsinh(np.exp(np.minimum(h, 20.0))), 2.0 * (h + _LN2))
+    a, r, ls = kernels._apex_radii(U)
+    U1, U2 = np.take(U.T, i1, axis=1), np.take(U.T, i2, axis=1)
+    a1, a2, r1, r2, ls1, ls2 = (np.take(v, i) for v in (a, r, ls) for i in (i1, i2))
+    d, h, a_diff, ls_half, log_s4, s, chord = kernels._apex_distance(
+        a1, a2, r1, r2, ls1, ls2, U1 - U2, U1 + U2
+    )
     if not with_grad:
         return d
     # dd/du1 = (dd/da) u1/a + (dd/ds) ds/du1 with ds/du1 = (2/a)(chord - (s/2) u1/a),
@@ -202,28 +185,14 @@ def _hyperbolic_head(U, i1, i2, with_grad=False):
     ls_a = np.where(a > 0.0, ls - np.log(a), 0.0)  # ln(sinh a / a)
     # ln(dd/dS) for S = sinh^2(d/2): dd/dS = 1 / (sinh(d/2) cosh(d/2))
     ld = np.where(np.isfinite(h), -h - kernels._log_cosh(0.5 * d), -np.inf)
-    radial = np.sign(a_diff) * np.exp(ld + ls_half + kernels._log_cosh(half))
+    radial = np.sign(a_diff) * np.exp(ld + ls_half + kernels._log_cosh(0.5 * a_diff))
     beta1 = np.exp(ld + np.take(ls_a, i1) + ls2 - _LN2)
     beta2 = np.exp(ld + ls1 + np.take(ls_a, i2) - _LN2)
     c1 = radial + np.exp(ld + log_s4 + np.take(lc, i1) + ls2) - 0.5 * s * beta1
     c2 = -radial + np.exp(ld + log_s4 + ls1 + np.take(lc, i2)) - 0.5 * s * beta2
-    G1 = (c1 * r1)[:, None] * U1 + beta1[:, None] * chord
-    G2 = (c2 * r2)[:, None] * U2 - beta2[:, None] * chord
-    return d, G1, G2
-
-
-def _hyperbolic_matrix(U):
-    """Head distances between all rows of U, ceil(n/16) source rows per call,
-    so that no call holds more than n^2/16 pairs (the head keeps about 14
-    floats per pair alive)."""
-    n = U.shape[0]
-    out = np.empty((n, n))
-    step = -(-n // 16)
-    cols = np.arange(n)
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
-        out[rows] = _hyperbolic_head(U, np.repeat(rows, n), np.tile(cols, rows.size)).reshape(rows.size, n)
-    return out
+    G1 = (c1 * r1) * U1 + beta1 * chord
+    G2 = (c2 * r2) * U2 - beta2 * chord
+    return d, G1.T, G2.T
 
 
 def _euclidean_head(U, i1, i2, with_grad=False):
@@ -267,19 +236,43 @@ def grad(params, x1, x2, d_true, batch_norm: bool = False):
     if x1.shape != x2.shape or x1.shape[0] != d_true.size:
         raise TrainError("pair inputs must align: x1, x2 (B,n); d_true (B,)")
     X, i1, i2, counts = _distinct_rows(x1, x2)
+    loss, flat = _step(params, X, i1, i2, d_true, counts, batch_norm)
+    affine = tuple(zip(flat[::2], flat[1::2]))
+    if isinstance(params, MlpParams):
+        return loss, affine
+    layer_grads = tuple(
+        (dA, db, np.zeros_like(c.coords)) for (dA, db), (_, _, c) in zip(affine, params.layers)
+    )
+    return loss, (np.zeros_like(params.entry_bias.coords), layer_grads)
+
+
+def _step(params, X, i1, i2, d_true, counts, batch_norm):
+    """(loss, gradients of the arrays of ``_flatten``) of the pair MSE on the
+    pairs (X[i1[p]], X[i2[p]]) of distinct input rows X, where counts[k] is
+    how often X[k] occurs among the 2B endpoints. The tower runs once over
+    X. Raises FloatingPointError when the loss is not finite.
+    """
     tape = Tape()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         nodes, Y = _tower(tape, params, X, batch_norm, counts)
         d = tape.pair_rows(Y, i1, i2, lambda U, j1, j2: _head(params)(U, j1, j2, True))
         loss = tape.mse(d, d_true)
         tape.backward(loss)
-    affine = tuple((A.grad, b.grad) for A, b in nodes)
-    if isinstance(params, MlpParams):
-        return float(loss.value), affine
-    layer_grads = tuple(
-        (dA, db, np.zeros_like(c.coords)) for (dA, db), (_, _, c) in zip(affine, params.layers)
-    )
-    return float(loss.value), (np.zeros_like(params.entry_bias.coords), layer_grads)
+    return float(loss.value), [leaf.grad for layer in nodes for leaf in layer]
+
+
+def _node_batch(X, i1, i2, d_true):
+    """``_step``'s (rows, i1, i2, d_true, counts) for the pairs of node ids
+    (i1[p], i2[p]) over the input rows X of all nodes: the rows of the
+    batch's distinct nodes in node order, both endpoints' positions among
+    them, and each node's count among the 2B endpoints, by bincount over the
+    nodes, so no float row is compared or sorted."""
+    n = X.shape[0]
+    counts = np.bincount(i1, minlength=n) + np.bincount(i2, minlength=n)
+    nodes = np.flatnonzero(counts)
+    pos = np.empty(n, np.intp)
+    pos[nodes] = np.arange(nodes.size)
+    return X[nodes], pos[i1], pos[i2], d_true, counts[nodes]
 
 
 def _predict_rows(params, X, batch_norm, weights=None):
@@ -293,9 +286,8 @@ def _predict_rows(params, X, batch_norm, weights=None):
         return _tower(Tape(), params, X, batch_norm, weights)[1].value
 
 
-def _pair_mse(params, x1, x2, d_true, batch_norm):
-    """Full-batch evaluation MSE (no gradient), on distinct rows like ``grad``."""
-    X, i1, i2, counts = _distinct_rows(np.atleast_2d(x1), np.atleast_2d(x2))
+def _pair_mse(params, X, i1, i2, d_true, counts, batch_norm):
+    """Full-batch evaluation MSE (no gradient) on ``_step``'s arguments."""
     Y = _predict_rows(params, X, batch_norm, counts)
     with np.errstate(over="ignore", invalid="ignore"):
         d = _head(params)(Y, i1, i2)
@@ -310,12 +302,6 @@ def _flatten(params):
     """The trained arrays, A and b of every layer in order. An HNN's bias
     points are not among them: their gradient is exactly 0."""
     return [arr for layer in params.layers for arr in layer[:2]]
-
-
-def _flatten_grads(params, grads):
-    """``grad``'s gradients of the arrays of ``_flatten``, in its order."""
-    layer_grads = grads[1] if isinstance(params, HnnParams) else grads
-    return [g for layer in layer_grads for g in layer[:2]]
 
 
 def _rebuild(params, arrays):
@@ -435,7 +421,7 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig):
     opt = _make_optimizer(cfg)
     order_rng = seed_stream(cfg.seed, "batch-order")
 
-    x1_test, x2_test, d_test = X[iu[test_idx]], X[ju[test_idx]], d_all[test_idx]
+    test = _node_batch(X, iu[test_idx], ju[test_idx], d_all[test_idx])
     history = []
     for epoch in range(cfg.epochs):
         order = order_rng.permutation(train_idx.size)
@@ -443,12 +429,10 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig):
         for start in range(0, train_idx.size, cfg.batch_size):
             sel = train_idx[order[start : start + cfg.batch_size]]
             try:
-                loss, grads = grad(
-                    params, X[iu[sel]], X[ju[sel]], d_all[sel], cfg.batch_norm
-                )
+                batch = _node_batch(X, iu[sel], ju[sel], d_all[sel])
+                loss, flat = _step(params, *batch, cfg.batch_norm)
             except FloatingPointError as exc:
                 raise TrainDivergenceError(epoch, str(exc)) from exc
-            flat = _flatten_grads(params, grads)
             grad_norm = max(grad_norm, math.sqrt(sum(float(np.vdot(g, g)) for g in flat)))
             with np.errstate(over="ignore", invalid="ignore"):  # a step to inf is caught below
                 stepped = opt.step(_flatten(params), flat)
@@ -459,7 +443,7 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig):
             total += loss * sel.size
             steps += sel.size
         train_mse = total / steps
-        test_mse = _pair_mse(params, x1_test, x2_test, d_test, cfg.batch_norm)
+        test_mse = _pair_mse(params, *test, cfg.batch_norm)
         pts = _predict_rows(params, X, cfg.batch_norm)
         max_radius = float(np.max(np.sqrt(np.einsum("ij,ij->i", pts, pts))))
         if not (math.isfinite(train_mse) and math.isfinite(test_mse) and math.isfinite(max_radius)):
@@ -468,7 +452,7 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig):
 
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(params, HnnParams):
-            space = _hyperbolic_matrix(pts)
+            space = kernels.pairwise_intrinsic(pts)
         else:
             space = kernels.pairwise_euclidean(pts)
     report = distortion_from_matrices(space, metric.matrix)

@@ -6,7 +6,9 @@ layout step, the distortion bounds, one hyperbolic layer, the pair
 distance heads and the pair loss. The ``*_full`` kernels compute the spring
 layout step and the pairwise distance matrices on whole n x n matrices,
 with the float operations of the row-blocked library kernels, as oracles
-those kernels must match bit for bit. ``stacked_pair_loss`` restates the
+those kernels must match bit for bit; ``hyperbolic_matrix`` evaluates the
+HNN training head on every ordered pair, the oracle of the symmetric
+intrinsic kernel. ``stacked_pair_loss`` restates the
 batched training loss without deduplicating the pair endpoints.
 ``embedding_distance_pair`` unrolls the tree path of one pair with the
 scalar log-space triangle helpers below, and ``curvature_scan_pairwise``
@@ -29,7 +31,7 @@ from hyptree.hypgeom import (
     parallel_transport,
 )
 from hyptree.networks import HnnParams, NetworkError, hnn_forward, mlp_forward
-from hyptree.train import _predict_rows
+from hyptree.train import _hyperbolic_head, _predict_rows
 
 _EPS = 1e-12
 _LN2 = math.log(2.0)
@@ -147,6 +149,20 @@ def pairwise_hyperboloid_full(pts):
     np.arcsinh(q, out=q)
     q *= 2.0
     return q
+
+
+def hyperbolic_matrix(U):
+    """H^k distances d(Exp_0 u_i, Exp_0 u_j) between all tangent rows of U:
+    the training head on every ordered pair, ceil(n/16) source rows per
+    call (the oracle of ``kernels.pairwise_intrinsic``)."""
+    n = U.shape[0]
+    out = np.empty((n, n))
+    step = -(-n // 16)
+    cols = np.arange(n)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        out[rows] = _hyperbolic_head(U, np.repeat(rows, n), np.tile(cols, rows.size)).reshape(rows.size, n)
+    return out
 
 
 def hyperbolic_layer(a, b, c, A, x):

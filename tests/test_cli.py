@@ -387,6 +387,26 @@ class TestGrid:
         assert err.startswith("error: ") and "Traceback" not in err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize(
+        "train, message",
+        [
+            # a bool is a Python int: true ran 1 epoch, and in max_pairs it
+            # reached numpy's sampler and ended in a traceback
+            ({"epochs": True}, "epochs must be an integer >= 1, got True"),
+            ({"max_pairs": True}, "max_pairs must be None or an integer >= 1, got True"),
+            # a non-empty string is truthy, so "false" turned batch norm on
+            ({"batch_norm": "false"}, "batch_norm must be true or false, got 'false'"),
+        ],
+    )
+    def test_mistyped_train_field_exits_2(self, tmp_path, capsys, train, message):
+        cfgf = tiny_grid_config(tmp_path / "cfg.json", train={"hidden_layers": 2, **train})
+        out = tmp_path / "out"
+        assert run(["grid", cfgf, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid config: ") and message in err
+        assert "Traceback" not in err
+        assert os.listdir(out) == []
+
     def test_missing_config_exits_2(self, tmp_path):
         assert run(["grid", tmp_path / "nope.json", "--out-dir", tmp_path]) == 2
 

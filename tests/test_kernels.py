@@ -4,8 +4,9 @@ The scalar references live in ``scalarref``; the hyperboloid distances are
 checked against mpmath. The tree metric's oracle is scipy's Dijkstra, in
 ``test_trees.py``. ``TestRowBlocks`` checks the row-blocked n x n kernels bit
 for bit against their full-matrix forms, at sizes on both sides of a block
-boundary. ``TestTemporaries`` bounds the memory the n x n kernels allocate,
-so none of them builds an n x n scratch array.
+boundary, and ``TestPairwiseIntrinsic`` the intrinsic kernel against the
+training head on every pair. ``TestTemporaries`` bounds the memory the n x n
+kernels allocate, so none of them builds an n x n scratch array.
 """
 
 import math
@@ -188,6 +189,69 @@ class TestRowBlocks:
         assert kernels.ratio_bounds(d, dt) == (d[0, 1], d[0, 1], True)
 
 
+def _tangent_rows(rng, n, dim, scale):
+    """n tangent rows; past three rows, row 1 is zero and row 3 repeats row 2."""
+    U = rng.normal(size=(n, dim)) * scale
+    if n > 3:
+        U[1] = 0.0
+        U[3] = U[2]
+    return U
+
+
+@pytest.mark.filterwarnings("error")
+class TestPairwiseIntrinsic:
+    """The symmetric row-blocked intrinsic kernel against the training head
+    on every ordered pair (``scalarref.hyperbolic_matrix``). The head is
+    checked against mpmath in ``test_train.py``. A block's row count grows as
+    its columns shrink: up to n = 5 the kernel takes one block, at n = 97
+    two, and at n = 400 many of growing height."""
+
+    SIZES = (1, 2, 5, 97, 400)
+    SCALES = (1e-9, 1.0, 30.0, 400.0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bitwise_at_dim_2(self, n):
+        rng = np.random.default_rng(n)
+        for scale in self.SCALES:
+            U = _tangent_rows(rng, n, 2, scale)
+            assert_array_equal(kernels.pairwise_intrinsic(U), scalarref.hyperbolic_matrix(U))
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_higher_dims(self, n, dim):
+        rng = np.random.default_rng(100 * dim + n)
+        for scale in self.SCALES:
+            U = _tangent_rows(rng, n, dim, scale)
+            assert_allclose(kernels.pairwise_intrinsic(U), scalarref.hyperbolic_matrix(U),
+                            rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_symmetric_with_zero_diagonal(self, n):
+        rng = np.random.default_rng(n + 7)
+        for dim in (1, 2, 3):
+            M = kernels.pairwise_intrinsic(_tangent_rows(rng, n, dim, 3.0))
+            assert_array_equal(M, M.T)
+            assert not np.any(np.diag(M))
+
+    def test_zero_and_coincident_rows(self):
+        # a zero row sits at its own radius from every row; coincident rows,
+        # zero or not, are at distance exactly 0
+        rng = np.random.default_rng(3)
+        U = _tangent_rows(rng, 6, 3, 2.0)
+        U[5] = 0.0
+        M = kernels.pairwise_intrinsic(U)
+        assert_allclose(M[1], np.linalg.norm(U, axis=1), rtol=1e-15)
+        assert_array_equal(M[2], M[3])
+        iu, ju = np.triu_indices(6, k=1)
+        zero = {(1, 5), (2, 3)}
+        assert all((M[i, j] == 0.0) == ((i, j) in zero) for i, j in zip(iu.tolist(), ju.tolist()))
+
+    def test_one_and_two_rows(self):
+        assert_array_equal(kernels.pairwise_intrinsic(np.array([[0.4, -1.0]])), [[0.0]])
+        U = np.array([[0.0, 0.0], [3.0, 4.0]])
+        assert_array_equal(kernels.pairwise_intrinsic(U), [[0.0, 5.0], [5.0, 0.0]])
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -228,6 +292,10 @@ class TestTemporaries:
         dt = ds + 1.0
         assert _peak_bytes(kernels.ratio_bounds, ds, dt) < self.BOUND
 
+    def test_pairwise_intrinsic(self):
+        U = np.random.default_rng(16).normal(size=(self.N, self.DIM)) * 3.0
+        assert _peak_bytes(kernels.pairwise_intrinsic, U) < self.BOUND
+
     def test_fr_step_big(self):
         eu, ev = _random_tree_arrays(self.BIG_N, 2)
         pos = np.random.default_rng(12).uniform(size=(self.BIG_N, self.DIM))
@@ -246,3 +314,7 @@ class TestTemporaries:
     def test_pairwise_hyperboloid_big(self):
         pts = _hyperboloid_points(np.random.default_rng(15), self.BIG_N, self.DIM - 1)
         assert _peak_bytes(kernels.pairwise_hyperboloid, pts) < 1.5 * self.SQUARE
+
+    def test_pairwise_intrinsic_big(self):
+        U = np.random.default_rng(17).normal(size=(self.BIG_N, self.DIM)) * 3.0
+        assert _peak_bytes(kernels.pairwise_intrinsic, U) < 1.5 * self.SQUARE

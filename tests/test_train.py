@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hyptree import kernels
 from hyptree import train as tr
 from hyptree.autodiff import Tape
 from hyptree.hypgeom import (
@@ -67,6 +68,12 @@ def two_node_tree():
     )
 
 
+def flatten_grads(params, grads):
+    """``grad``'s gradients of the arrays of ``tr._flatten``, in its order."""
+    layer_grads = grads[1] if isinstance(params, HnnParams) else grads
+    return [g for layer in layer_grads for g in layer[:2]]
+
+
 def tangent_basis(c):
     """d chart directions at an on-sheet point: v_i = (e_i, c_i / c_t)."""
     d = c.size - 1
@@ -106,6 +113,12 @@ class TestTrainConfig:
             {"model_kind": "cnn"},
             {"optimizer": "rmsprop"},
             {"max_pairs": 0},
+            {"epochs": True},
+            {"hidden_width": False},
+            {"max_pairs": True},
+            {"learning_rate": True},
+            {"batch_norm": "false"},
+            {"batch_norm": 1},
         ],
     )
     def test_invalid_rejected(self, kw):
@@ -302,13 +315,13 @@ class TestHyperbolicHead:
         assert np.all(G1 == 0.0) and np.all(G2 == 0.0)
 
     def test_distance_matrix(self):
-        # every entry is the head on that pair, and the evaluation peaks
-        # below 4 n^2 floats, the matrix included
+        # every entry of the all-pairs kernel is the head on that pair, and
+        # the kernel peaks below 4 n^2 floats, the matrix included
         rng = np.random.default_rng(16)
         n = 500
         U = rng.normal(size=(n, 2)) * 3.0
         tracemalloc.start()
-        M = tr._hyperbolic_matrix(U)
+        M = kernels.pairwise_intrinsic(U)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 4 * n * n * 8
@@ -496,7 +509,7 @@ class TestGradFiniteDifferences:
                 dt = np.array([d_pred_hnn(p, a, b) for a, b in zip(x1, x2)])
             loss, grads = grad(p, x1, x2, dt)
             assert loss <= 1e-24
-            flat = tr._flatten_grads(p, grads)
+            flat = flatten_grads(p, grads)
             for g in flat:
                 assert_allclose(g, 0.0, atol=1e-10)
 
@@ -513,15 +526,24 @@ class TestGradFiniteDifferences:
 
 
 class TestDistinctRows:
-    """``grad`` runs the tower once per distinct input row; pairs that share
-    endpoints must give the loss and gradients of the stacked batch."""
+    """``grad`` runs the tower once per distinct input row, and the training
+    step once per distinct node of the batch; pairs that share endpoints
+    must give the loss and gradients of the stacked batch."""
 
     @staticmethod
-    def shared_endpoint_pairs(rng, n_rows=6, n_pairs=40):
+    def shared_endpoint_ids(rng, n_rows=6, n_pairs=40):
+        """(node rows, i, j, d_true) for n_pairs pairs (i[p], j[p]) of node
+        ids over n_rows nodes; the defaults draw more pairs than there are
+        ordered pairs, so some repeat."""
         nodes = rng.normal(size=(n_rows, 2))
         i = rng.integers(0, n_rows, n_pairs)
         j = (i + rng.integers(1, n_rows, n_pairs)) % n_rows
-        return nodes[i], nodes[j], rng.uniform(0.5, 2.5, n_pairs)
+        return nodes, i, j, rng.uniform(0.5, 2.5, n_pairs)
+
+    @classmethod
+    def shared_endpoint_pairs(cls, rng, n_rows=6, n_pairs=40):
+        nodes, i, j, dt = cls.shared_endpoint_ids(rng, n_rows, n_pairs)
+        return nodes[i], nodes[j], dt
 
     @staticmethod
     def probes(p, grads, h):
@@ -529,7 +551,7 @@ class TestDistinctRows:
         an HNN, every chart direction at each bias point; move(s) returns the
         parameters moved by s along the probe."""
         arrays = tr._flatten(p)
-        for k, (arr, g) in enumerate(zip(arrays, tr._flatten_grads(p, grads))):
+        for k, (arr, g) in enumerate(zip(arrays, flatten_grads(p, grads))):
             for i, e in enumerate(np.eye(arr.size)):
 
                 def move(s, k=k, e=e.reshape(arr.shape)):
@@ -574,10 +596,45 @@ class TestDistinctRows:
 
     def test_held_out_mse_matches_stacked_batch(self):
         rng = np.random.default_rng(15)
-        x1, x2, dt = self.shared_endpoint_pairs(rng)
+        X, i, j, dt = self.shared_endpoint_ids(rng)
         p = random_hnn(rng, (2, 5, 2))
-        got = tr._pair_mse(p, x1, x2, dt, batch_norm=True)
-        assert got == pytest.approx(stacked_pair_loss(p, x1, x2, dt, True), rel=1e-12)
+        got = tr._pair_mse(p, *tr._node_batch(X, i, j, dt), batch_norm=True)
+        assert got == pytest.approx(stacked_pair_loss(p, X[i], X[j], dt, True), rel=1e-12)
+
+    def test_node_batch(self):
+        # the distinct nodes of the batch in node order, unused nodes skipped,
+        # and each node's count among the 2B endpoints
+        X = np.arange(20.0).reshape(10, 2)
+        i, j = np.array([7, 2, 7, 4, 2]), np.array([2, 4, 2, 7, 9])
+        d = np.arange(5.0)
+        rows, j1, j2, dt, counts = tr._node_batch(X, i, j, d)
+        assert np.array_equal(rows, X[[2, 4, 7, 9]])
+        assert np.array_equal(rows[j1], X[i]) and np.array_equal(rows[j2], X[j])
+        assert np.array_equal(counts, [4, 2, 3, 1]) and dt is d
+
+    @pytest.mark.parametrize("bn", [False, True])
+    @pytest.mark.parametrize("kind", ["mlp", "hnn"])
+    def test_node_step_matches_grad(self, kind, bn):
+        # repeated pairs, nodes in both endpoint sets, and nodes that no pair
+        # of the batch uses; grad deduplicates the gathered rows by their
+        # bytes instead, in another row order
+        rng = np.random.default_rng(18)
+        _, i, j, dt = self.shared_endpoint_ids(rng)
+        used = np.array([1, 2, 4, 5, 7, 8])
+        i, j = used[i], used[j]
+        assert len(set(zip(i.tolist(), j.tolist()))) < i.size and set(i.tolist()) & set(j.tolist())
+        X = rng.normal(size=(10, 2))
+        p = random_mlp(rng, (2, 5, 4, 2)) if kind == "mlp" else random_hnn(rng, (2, 5, 4, 2))
+        loss, flat = tr._step(p, *tr._node_batch(X, i, j, dt), bn)
+        want_loss, grads = grad(p, X[i], X[j], dt, bn)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        want = flatten_grads(p, grads)
+        assert len(flat) == len(want)
+        # an MLP's output bias gradient is 0 up to rounding (its distances
+        # do not move under translation), so the floor is the largest entry
+        scale = max(np.max(np.abs(w)) for w in want)
+        for g, w in zip(flat, want):
+            assert_allclose(g, w, rtol=1e-12, atol=1e-12 * scale)
 
 
 # ----------------------------------------------------------------------
@@ -736,6 +793,19 @@ class TestTrainEmbedding:
         spring_layout(t, dim=2, seed=0)
         with pytest.raises(MemoryError):
             train_embedding(t, TrainConfig(**SMALL))
+
+    @pytest.mark.parametrize("kind", ["mlp", "hnn"])
+    def test_training_batches_by_node_id(self, monkeypatch, kind):
+        # the loop takes each batch's distinct nodes from their ids; only
+        # grad, the row-input adapter, deduplicates rows by their bytes
+        def no_row_dedup(x1, x2):
+            raise AssertionError("training deduplicated rows by their bytes")
+
+        monkeypatch.setattr(tr, "_distinct_rows", no_row_dedup)
+        t = gen_binary(3)
+        spring_layout(t, dim=2, seed=0)
+        _, history, _ = train_embedding(t, TrainConfig(model_kind=kind, **{**SMALL, "epochs": 1}))
+        assert len(history) == 1
 
     def test_missing_layout_rejected(self):
         with pytest.raises(TrainError, match="layout"):
