@@ -215,24 +215,18 @@ def pairwise_intrinsic(U):
     The value is exactly symmetric, so each block of rows [r0, r1) forms its
     columns j >= r0 once and mirrors them. The formula keeps about 16 arrays
     of a block alive, so a block holds about _BLOCK/8 entries: its rows grow
-    as its columns shrink. Its delta and total share one buffer that every
-    block reuses.
+    as its columns shrink.
     """
-    n, k = U.shape
+    n = U.shape[0]
     a, r, ls = _apex_radii(U)
     cols = np.ascontiguousarray(U.T)
     out = np.empty((n, n))
-    buf = np.empty(2 * k * min(n * n, max(_BLOCK // 8, n)))  # the largest block
     r0 = 0
     while r0 < n:
-        m = n - r0
-        r1 = min(n, r0 + _block_rows(8 * m))
+        r1 = min(n, r0 + max(1, _BLOCK // (8 * (n - r0))))
         i, j = slice(r0, r1), slice(r0, n)
-        delta, total = buf[: 2 * k * (r1 - r0) * m].reshape(2, k, r1 - r0, m)
-        np.subtract(cols[:, i, None], cols[:, None, j], out=delta)
-        np.add(cols[:, i, None], cols[:, None, j], out=total)
-        d = _apex_distance(a[i, None], a[None, j], r[i, None], r[None, j],
-                           ls[i, None], ls[None, j], delta, total)[0]
+        d = _apex_distance(a[i, None], a[None, j], r[i, None], r[None, j], ls[i, None], ls[None, j],
+                           cols[:, i, None] - cols[:, None, j], cols[:, i, None] + cols[:, None, j])[0]
         out[i, j] = d
         out[j, i] = d.T
         r0 = r1

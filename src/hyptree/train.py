@@ -24,17 +24,16 @@ pair as two node ids, and each step runs the tower once over the
 distinct nodes of the batch, found from those ids by a bincount over the
 nodes, never by comparing coordinate rows. A node that joins many pairs
 is computed once, and the head gathers the two endpoints of every pair
-from the output rows. ``grad``, which takes coordinate rows, deduplicates
-them by their bytes and runs the same step. Both heads, R^k distance
-for an MLP and H^k distance for an HNN, have one contract: distances of
-row pairs plus their closed-form row gradients, which enter the tape
-through ``Tape.pair_rows``. With ``batch_norm``
-enabled, the column statistics weight each distinct row by how often it
-occurs among the 2B endpoints of the batch, which is exactly
-normalizing the stacked batch of both endpoint sets. There is no stored
-running state: statistics always come from whatever batch is being
-pushed through, including at evaluation time, so a trained model is
-evaluated on the full node set in one pass.
+from the output rows. ``grad``, which takes coordinate rows, runs the
+same step on the stacked batch of both endpoint sets. Both heads, R^k
+distance for an MLP and H^k distance for an HNN, have one contract:
+distances of row pairs plus their closed-form row gradients, which enter
+the tape through ``Tape.pair_rows``. With ``batch_norm`` enabled, the
+column statistics weight each distinct node by how often it occurs among
+the 2B endpoints of the batch, which is exactly normalizing the stacked
+batch. There is no stored running state: statistics always come from
+whatever batch is being pushed through, including at evaluation time, so
+a trained model is evaluated on the full node set in one pass.
 """
 
 from __future__ import annotations
@@ -148,21 +147,6 @@ def _tower(tape, params, X, batch_norm, weights):
     return nodes, H
 
 
-def _distinct_rows(x1, x2):
-    """Distinct rows of the stacked endpoints [x1; x2].
-
-    Returns (X, i1, i2, counts) with X[i1] == x1 and X[i2] == x2 row for
-    row, and counts[k] the number of times X[k] occurs among the 2B
-    endpoints. Rows are matched by their bytes; identical rows share one
-    entry.
-    """
-    R = np.concatenate([x1, x2], axis=0)
-    keys = R.view(np.dtype((np.void, R.itemsize * R.shape[1]))).ravel()
-    _, first, inv, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
-    n = x1.shape[0]
-    return R[first], inv[:n], inv[n:], counts
-
-
 @np.errstate(divide="ignore", invalid="ignore")  # ln 0 = -inf is meant
 def _hyperbolic_head(U, i1, i2, with_grad=False):
     """Distances d(Exp_0 U[i1], Exp_0 U[i2]) on H^k (kappa = -1) from tangent
@@ -235,8 +219,9 @@ def grad(params, x1, x2, d_true, batch_norm: bool = False):
     d_true = np.atleast_1d(np.asarray(d_true, np.float64))
     if x1.shape != x2.shape or x1.shape[0] != d_true.size:
         raise TrainError("pair inputs must align: x1, x2 (B,n); d_true (B,)")
-    X, i1, i2, counts = _distinct_rows(x1, x2)
-    loss, flat = _step(params, X, i1, i2, d_true, counts, batch_norm)
+    B = x1.shape[0]
+    X = np.concatenate([x1, x2])
+    loss, flat = _step(params, X, np.arange(B), np.arange(B, 2 * B), d_true, None, batch_norm)
     affine = tuple(zip(flat[::2], flat[1::2]))
     if isinstance(params, MlpParams):
         return loss, affine
@@ -248,9 +233,9 @@ def grad(params, x1, x2, d_true, batch_norm: bool = False):
 
 def _step(params, X, i1, i2, d_true, counts, batch_norm):
     """(loss, gradients of the arrays of ``_flatten``) of the pair MSE on the
-    pairs (X[i1[p]], X[i2[p]]) of distinct input rows X, where counts[k] is
-    how often X[k] occurs among the 2B endpoints. The tower runs once over
-    X. Raises FloatingPointError when the loss is not finite.
+    pairs (X[i1[p]], X[i2[p]]) of input rows X, where counts[k] is how often
+    X[k] occurs among the 2B endpoints (once each when None). The tower runs
+    once over X. Raises FloatingPointError when the loss is not finite.
     """
     tape = Tape()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -3,7 +3,6 @@ and the behavior of the full loop (convergence, determinism, divergence).
 """
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import mpmath as mp
@@ -315,19 +314,14 @@ class TestHyperbolicHead:
         assert np.all(G1 == 0.0) and np.all(G2 == 0.0)
 
     def test_distance_matrix(self):
-        # every entry of the all-pairs kernel is the head on that pair, and
-        # the kernel peaks below 4 n^2 floats, the matrix included
+        # every entry of the all-pairs kernel is the head on that pair; its
+        # symmetry and memory are checked in test_kernels.py
         rng = np.random.default_rng(16)
         n = 500
         U = rng.normal(size=(n, 2)) * 3.0
-        tracemalloc.start()
         M = kernels.pairwise_intrinsic(U)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak < 4 * n * n * 8
         iu, ju = np.triu_indices(n, k=1)
         assert np.array_equal(M[iu, ju], tr._hyperbolic_head(U, iu, ju))
-        assert np.array_equal(M, M.T) and not np.any(np.diag(M))
 
     def test_log_branch_hand_off(self):
         # d = 2 asinh(e^h) below h = 20 and 2 (h + ln 2) above: the two
@@ -526,9 +520,9 @@ class TestGradFiniteDifferences:
 
 
 class TestDistinctRows:
-    """``grad`` runs the tower once per distinct input row, and the training
-    step once per distinct node of the batch; pairs that share endpoints
-    must give the loss and gradients of the stacked batch."""
+    """The training step runs the tower once per distinct node of the batch;
+    pairs that share endpoints must give the loss and gradients of the
+    stacked batch that ``grad`` runs."""
 
     @staticmethod
     def shared_endpoint_ids(rng, n_rows=6, n_pairs=40):
@@ -616,8 +610,8 @@ class TestDistinctRows:
     @pytest.mark.parametrize("kind", ["mlp", "hnn"])
     def test_node_step_matches_grad(self, kind, bn):
         # repeated pairs, nodes in both endpoint sets, and nodes that no pair
-        # of the batch uses; grad deduplicates the gathered rows by their
-        # bytes instead, in another row order
+        # of the batch uses; grad runs the stacked rows of both endpoint
+        # sets, with no deduplication
         rng = np.random.default_rng(18)
         _, i, j, dt = self.shared_endpoint_ids(rng)
         used = np.array([1, 2, 4, 5, 7, 8])
@@ -796,16 +790,22 @@ class TestTrainEmbedding:
 
     @pytest.mark.parametrize("kind", ["mlp", "hnn"])
     def test_training_batches_by_node_id(self, monkeypatch, kind):
-        # the loop takes each batch's distinct nodes from their ids; only
-        # grad, the row-input adapter, deduplicates rows by their bytes
-        def no_row_dedup(x1, x2):
-            raise AssertionError("training deduplicated rows by their bytes")
+        # every step runs the tower once per distinct node of its batch,
+        # never once per pair endpoint
+        rows = []
+        step = tr._step
 
-        monkeypatch.setattr(tr, "_distinct_rows", no_row_dedup)
+        def spy(params, X, i1, i2, d_true, counts, batch_norm):
+            rows.append((X.shape[0], np.unique(np.concatenate([i1, i2])).size, i1.size))
+            assert counts.sum() == 2 * i1.size
+            return step(params, X, i1, i2, d_true, counts, batch_norm)
+
+        monkeypatch.setattr(tr, "_step", spy)
         t = gen_binary(3)
         spring_layout(t, dim=2, seed=0)
         _, history, _ = train_embedding(t, TrainConfig(model_kind=kind, **{**SMALL, "epochs": 1}))
-        assert len(history) == 1
+        assert len(history) == 1 and rows
+        assert all(n_rows == n_used <= t.n_nodes < 2 * n_pairs for n_rows, n_used, n_pairs in rows)
 
     def test_missing_layout_rejected(self):
         with pytest.raises(TrainError, match="layout"):
