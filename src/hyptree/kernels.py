@@ -8,9 +8,14 @@ The n x n kernels (``fr_step``, ``pairwise_euclidean``,
 ``pairwise_hyperboloid``, ``pairwise_intrinsic`` and ``ratio_bounds``) walk
 their rows in blocks of about ``_BLOCK`` entries, so a block's arrays stay
 in cache and no kernel allocates an n x n scratch array. ``_row_blocks``
-reads the coordinates as contiguous columns and gives each block its
-coordinate differences and their squared sum. Every entry still goes
-through the float operations of the full-matrix form, in the same order, so
+gives each block of the first three its coordinate differences and their
+squared sum. It forms the differences x_i - x_j of a block with one matmul
+of the rows [x_i, 1] by the columns [1; -x_j]: a broadcast subtraction pays
+numpy's per-row overhead on every row of the block, which made it about
+40% of a spring-layout step at n = 1000, and the matmul does not. Both
+products are exact, so each difference is the subtraction rounded once (up
+to the sign of a zero, which no output carries), and every entry goes
+through the float operations of the full-matrix form, in the same order:
 the outputs are bitwise equal to it. ``pairwise_intrinsic``, the H^k
 distance between the images Exp_0 u of tangent rows, forms each unordered
 pair once through ``_apex_distance``, the one implementation of that
@@ -37,21 +42,22 @@ def fr_step(pos, eu, ev, k, t):
     d^2/k attraction along edges, displacement capped at the temperature t.
 
     The repulsion runs over blocks of rows. In each block the squared
-    distances turn in place into the coefficients k^2/d^2 (0 on the
-    diagonal), and each coordinate of the block's displacement is the row
-    contraction of the coefficients with that coordinate's differences, so
-    the step holds no n x n array. Each row's contraction is the same
-    einsum over the same n entries as in the full-matrix form, so the step
-    is bitwise equal to it. The contraction keeps the difference form
-    sum_j c_ij (x_i - x_j): the expanded x_i sum_j c_ij - sum_j c_ij x_j
-    cancels on near-coincident points (with two of 40 points 1e-9 apart,
+    distances turn in place into the coefficients k^2/max(d^2, eps^2), and
+    each coordinate of the block's displacement is the row contraction of
+    the coefficients with that coordinate's differences, so the step holds
+    no n x n array. The diagonal needs no zeroing: for finite coordinates
+    its differences are exactly +0, so its coefficient k^2/eps^2, finite
+    for k < 1e142, adds +0, as a zeroed one would. Each row's contraction
+    is the same einsum over the same n entries as in the full-matrix form,
+    so the step is bitwise equal to it. The contraction keeps the
+    difference form sum_j c_ij (x_i - x_j): the expanded
+    x_i sum_j c_ij - sum_j c_ij x_j cancels on near-coincident points (with two of 40 points 1e-9 apart,
     the step's relative error is 2e-7 in that form and 5e-15 in this one).
     """
     disp = np.empty_like(pos)
     for r0, r1, diff, coef in _row_blocks(pos, pos.shape[1]):
         np.maximum(coef, _EPS * _EPS, out=coef)
         np.divide(k * k, coef, out=coef)
-        coef[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0
         for c in range(pos.shape[1]):
             disp[r0:r1, c] = np.einsum("ij,ij->i", coef, diff[c])
 
@@ -116,20 +122,32 @@ def _row_blocks(pts, summed):
     """Walk the rows of pts in blocks; yield (r0, r1, diff, sq) for each.
 
     diff[c] holds x_ic - x_jc for the rows i in [r0, r1) and every column j,
-    read from contiguous column copies of pts. sq holds the sum of diff[c]^2
-    over the first ``summed`` coordinates, accumulated as square(diff[0]),
-    then += square(diff[c]) in coordinate order. Both are views of one
-    buffer that the next block overwrites.
+    formed as the product of left[c], the rows [x_ic, 1], and right[c], the
+    rows [1; -x_jc], both built once per call: one matmul fills a block for
+    every coordinate, where a broadcast subtraction pays numpy's overhead
+    once per row of the block. With K = 2 both products are exact, so in
+    any summation order, with or without FMA, the only rounding is that of
+    x_ic - x_jc: the same double as the subtraction, except that a zero may
+    come out +0 where x_ic = -0 and x_jc = +0 would give -0. A block's
+    product is about 2^17 multiply-adds, too small for the BLAS to split it
+    across threads, so it runs on the calling thread.
+
+    sq holds the sum of diff[c]^2 over the first ``summed`` coordinates,
+    accumulated as square(diff[0]), then += square(diff[c]) in coordinate
+    order. Both are views of one buffer that the next block overwrites.
     """
-    cols = np.ascontiguousarray(pts.T)
-    dim, n = cols.shape
+    n, dim = pts.shape
+    left = np.ones((dim, n, 2))
+    left[:, :, 0] = pts.T
+    right = np.ones((dim, 2, n))
+    np.negative(pts.T, out=right[:, 1])
     rows = _block_rows(n)
     buf = np.empty((dim + 2, rows, n))
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         block = buf[:, : r1 - r0]
         diff, sq, tmp = block[:dim], block[dim], block[dim + 1]
-        np.subtract(cols[:, r0:r1, None], cols[:, None, :], out=diff)
+        np.matmul(left[:, r0:r1], right, out=diff)
         np.square(diff[0], out=sq)
         for c in range(1, summed):
             sq += np.square(diff[c], out=tmp)

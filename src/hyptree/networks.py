@@ -227,15 +227,22 @@ def par_count(p) -> ParamCount:
 def memorize_relu(points, targets, seed: int = 0) -> MlpParams:
     """Depth-2 ReLU network that interpolates targets at the given points exactly.
 
-    Projects the points onto a random line (redrawn until the projections
-    are pairwise separated), then realizes each output coordinate as the
-    piecewise-linear interpolant of the projected values using one ReLU
+    Projects the points onto a line, then realizes each output coordinate as
+    the piecewise-linear interpolant of the projected values using one ReLU
     unit per interior knot:
 
         g(s) = y_1 + sum_j (m_j - m_{j-1}) relu(s - t_j),   m_0 = 0
 
     which telescopes to y_i at every knot t_i. Hidden width N - 1,
     parameters O(N (n + d)).
+
+    The line is the best of 64 seeded random directions whose projections
+    are pairwise separated. Close knots make steep slopes, and the
+    interpolation error grows with the slope jumps m_j - m_{j-1}, so the
+    draw whose output layer has the smallest max |weight| wins, the earliest
+    on ties. Only draws that keep the most nonzero entries compete: a knot
+    at 0, or a zero jump between targets that coincide in float64, would
+    otherwise make ``par_count`` depend on the draw.
     """
     pts = np.asarray(points, dtype=np.float64)
     tgt = np.asarray(targets, dtype=np.float64)
@@ -256,6 +263,7 @@ def memorize_relu(points, targets, seed: int = 0) -> MlpParams:
         return MlpParams(((np.zeros((d, n)), tgt[0].copy()),))
 
     rng = seed_stream(seed, "memorize-direction")
+    best = None
     for _ in range(64):
         theta = rng.normal(size=n)
         nrm = np.linalg.norm(theta)
@@ -267,14 +275,19 @@ def memorize_relu(points, targets, seed: int = 0) -> MlpParams:
         ts = t[order]
         gaps = np.diff(ts)
         # distinct projections, with enough gap that the slopes stay finite
-        if np.all(gaps > 1e-12 * (1.0 + ts[-1] - ts[0])):
-            break
-    else:
+        if not np.all(gaps > 1e-12 * (1.0 + ts[-1] - ts[0])):
+            continue
+        ys = tgt[order]
+        slopes = (ys[1:] - ys[:-1]) / gaps[:, None]
+        jumps = np.vstack([slopes[:1], np.diff(slopes, axis=0)])
+        nnz = (n_pts - 1) * _nnz(theta) + _nnz(ts[:-1]) + _nnz(jumps) + _nnz(ys[0])
+        key = (-nnz, np.max(np.abs(jumps)))
+        if best is None or key < best[0]:
+            best = (key, theta, ts, ys, jumps)
+    if best is None:
         raise NetworkError("no direction separated the projections after 64 tries")
 
-    ys = tgt[order]
-    slopes = (ys[1:] - ys[:-1]) / gaps[:, None]
-    jumps = np.vstack([slopes[:1], np.diff(slopes, axis=0)])
+    _, theta, ts, ys, jumps = best
     hidden = np.tile(theta, (n_pts - 1, 1))
     return MlpParams(((hidden, -ts[:-1]), (jumps.T.copy(), ys[0].copy())))
 

@@ -236,6 +236,11 @@ def _step(params, X, i1, i2, d_true, counts, batch_norm):
     pairs (X[i1[p]], X[i2[p]]) of input rows X, where counts[k] is how often
     X[k] occurs among the 2B endpoints (once each when None). The tower runs
     once over X. Raises FloatingPointError when the loss is not finite.
+
+    With ``batch_norm``, the bias of every layer but the last feeds batch
+    norm, which subtracts its column mean, so its gradient is exactly 0 and
+    is returned as zeros: the optimizers then leave those biases where they
+    are, instead of stepping on the roundoff of the tape's sum.
     """
     tape = Tape()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -243,7 +248,11 @@ def _step(params, X, i1, i2, d_true, counts, batch_norm):
         d = tape.pair_rows(Y, i1, i2, lambda U, j1, j2: _head(params)(U, j1, j2, True))
         loss = tape.mse(d, d_true)
         tape.backward(loss)
-    return float(loss.value), [leaf.grad for layer in nodes for leaf in layer]
+    grads = []
+    for i, (A, b) in enumerate(nodes):
+        feeds_bn = batch_norm and i < len(nodes) - 1
+        grads += [A.grad, np.zeros_like(b.grad) if feeds_bn else b.grad]
+    return float(loss.value), grads
 
 
 def _node_batch(X, i1, i2, d_true):

@@ -35,6 +35,7 @@ from hyptree.embed import (
 from hyptree.hypgeom import OverflowGuardError
 from hyptree.hypgeom import distance as ambient_distance
 from hyptree.networks import hnn_forward, par_count
+from hyptree.seeding import child_seeds
 from hyptree.trees import (
     WeightedTree,
     centroid,
@@ -609,6 +610,17 @@ class TestRealize:
         pc_a = par_count(hnn_realize(e_a, t))
         pc_b = par_count(hnn_realize(e_b, t))
         assert (pc_a.depth, pc_a.width, pc_a.par) == (pc_b.depth, pc_b.width, pc_b.par)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_output_layer_well_conditioned(self, seed):
+        # `gen binary 7 --seed s` then `embed --lambda 1.1 --realize-hnn --seed s`;
+        # the first separating direction of the 64 draws has max |A2| of
+        # 4.4e6 / 4.9e6 / 4.1e5 here
+        t = gen_binary(7)
+        spring_layout(t, dim=2, seed=child_seeds(seed, "layout", 1)[0])
+        e, _, _ = choose_curvature(t, 1.1)
+        p = hnn_realize(e, t, seed=seed)
+        assert np.max(np.abs(p.layers[-1][0])) < 1e6
 
     def test_missing_coords_rejected(self):
         t = gen_binary(2)

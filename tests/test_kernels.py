@@ -4,9 +4,13 @@ The scalar references live in ``scalarref``; the hyperboloid distances are
 checked against mpmath. The tree metric's oracle is scipy's Dijkstra, in
 ``test_trees.py``. ``TestRowBlocks`` checks the row-blocked n x n kernels bit
 for bit against their full-matrix forms, at sizes on both sides of a block
-boundary, and ``TestPairwiseIntrinsic`` the intrinsic kernel against the
-training head on every pair. ``TestTemporaries`` bounds the memory the n x n
-kernels allocate, so none of them builds an n x n scratch array.
+boundary, on random and on adversarial coordinates (subnormals, magnitudes of
+1e+-300, repeated rows, signed zeros, and for the distance kernels inf and nan
+rows). ``TestFormedDifferences`` checks the blocks' differences against the
+subtraction on arbitrary finite inputs, and ``TestPairwiseIntrinsic`` the
+intrinsic kernel against the training head on every pair.
+``TestTemporaries`` bounds the memory the n x n kernels allocate, so none of
+them builds an n x n scratch array.
 """
 
 import math
@@ -14,6 +18,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import scalarref
@@ -115,6 +122,36 @@ def _hyperboloid_points(rng, n, spatial_dim):
     return np.column_stack([spatial, np.sqrt(1.0 + np.sum(spatial**2, axis=1))])
 
 
+def _adversarial_rows(rng, n, dim, nonfinite=False):
+    """Coordinates that stress the formed differences x_i - x_j: multiples of
+    the smallest subnormal, subnormals with full mantissas, magnitudes of
+    1e-300 and 1e300 with mixed signs, exactly repeated rows, and signed
+    zeros among normal values. With ``nonfinite``, one more input holds a
+    mixed-sign inf row and a nan row."""
+    shape = (n, dim)
+    sign = rng.choice([-1.0, 1.0], size=shape)
+    inputs = [
+        sign * rng.integers(0, 4, size=shape) * 5e-324,
+        sign * rng.uniform(1e-310, 2e-308, size=shape),
+        sign * rng.uniform(1.0, 1.7, size=shape) * rng.choice([1e-300, 1e300], size=shape),
+        rng.normal(size=shape)[rng.integers(0, max(1, n // 4), size=n)],
+        np.where(rng.random(size=shape) < 0.6, sign * 0.0, rng.normal(size=shape)),
+    ]
+    if nonfinite:
+        bad = rng.normal(size=shape)
+        bad[n // 2] = sign[n // 2] * np.inf
+        bad[n // 3] = np.nan
+        inputs.append(bad)
+    return inputs
+
+
+def _assert_bitwise(got, want):
+    """Equal bit for bit, signed zeros included; NaN matches NaN."""
+    nan = np.isnan(want)
+    assert_array_equal(np.isnan(got), nan)
+    assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
 @pytest.mark.filterwarnings("error")
 class TestRowBlocks:
     """The row-blocked kernels equal their full-matrix forms bit for bit."""
@@ -126,21 +163,36 @@ class TestRowBlocks:
         for dim in (1, 2, 3, 4):
             pos = rng.uniform(size=(n, dim))
             want = scalarref.fr_step_full(pos, eu, ev, 0.05, 0.01)
-            assert_array_equal(kernels.fr_step(pos, eu, ev, 0.05, 0.01), want)
+            _assert_bitwise(kernels.fr_step(pos, eu, ev, 0.05, 0.01), want)
+            for pos in _adversarial_rows(rng, n, dim):
+                with np.errstate(all="ignore"):
+                    want = scalarref.fr_step_full(pos, eu, ev, 0.05, 0.01)
+                    got = kernels.fr_step(pos, eu, ev, 0.05, 0.01)
+                _assert_bitwise(got, want)
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_pairwise_euclidean(self, n):
         rng = np.random.default_rng(n)
         for dim in (1, 2, 3, 4):
             pts = rng.normal(size=(n, dim))
-            assert_array_equal(kernels.pairwise_euclidean(pts), scalarref.pairwise_euclidean_full(pts))
+            _assert_bitwise(kernels.pairwise_euclidean(pts), scalarref.pairwise_euclidean_full(pts))
+            for pts in _adversarial_rows(rng, n, dim, nonfinite=True):
+                with np.errstate(all="ignore"):
+                    want = scalarref.pairwise_euclidean_full(pts)
+                    got = kernels.pairwise_euclidean(pts)
+                _assert_bitwise(got, want)
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_pairwise_hyperboloid(self, n):
         rng = np.random.default_rng(n)
         for spatial_dim in (1, 2, 3, 4):
             pts = _hyperboloid_points(rng, n, spatial_dim)
-            assert_array_equal(kernels.pairwise_hyperboloid(pts), scalarref.pairwise_hyperboloid_full(pts))
+            _assert_bitwise(kernels.pairwise_hyperboloid(pts), scalarref.pairwise_hyperboloid_full(pts))
+            for pts in _adversarial_rows(rng, n, spatial_dim + 1, nonfinite=True):
+                with np.errstate(all="ignore"):
+                    want = scalarref.pairwise_hyperboloid_full(pts)
+                    got = kernels.pairwise_hyperboloid(pts)
+                _assert_bitwise(got, want)
 
     def test_spring_layout_random_1000(self, monkeypatch):
         got = trees.spring_layout(trees.gen_random(1000, 3), iterations=50)
@@ -187,6 +239,21 @@ class TestRowBlocks:
         d = kernels.pairwise_hyperboloid(pts)
         dt = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert kernels.ratio_bounds(d, dt) == (d[0, 1], d[0, 1], True)
+
+
+class TestFormedDifferences:
+    """``_row_blocks`` forms x_i - x_j as the product of the rows [x_i, 1] and
+    [1; -x_j]. Both products are exact, so in any summation order the only
+    rounding is that of the subtraction."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 3)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_equals_subtraction_for_finite_pairs(self, pts):
+        with np.errstate(over="ignore"):  # |x_i - x_j| may round past the largest double
+            _, _, diff, _ = next(kernels._row_blocks(pts, pts.shape[1]))
+            for c in range(pts.shape[1]):
+                assert np.array_equal(diff[c], np.subtract.outer(pts[:, c], pts[:, c]))
 
 
 def _tangent_rows(rng, n, dim, scale):

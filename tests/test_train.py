@@ -8,7 +8,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from hyptree import kernels
 from hyptree import train as tr
@@ -38,7 +38,14 @@ from hyptree.train import (
     init_params,
     train_embedding,
 )
-from hyptree.trees import WeightedTree, gen_binary, gen_random, spring_layout, tree_metric
+from hyptree.trees import (
+    WeightedTree,
+    gen_binary,
+    gen_random,
+    gen_ternary,
+    spring_layout,
+    tree_metric,
+)
 from mputil import mp_apex_distance
 from scalarref import d_pred_hnn, d_pred_mlp, loss_mse, stacked_pair_loss
 
@@ -833,6 +840,25 @@ class TestTrainEmbedding:
         _, h2, _ = train_embedding(t, cfg)
         assert h1 == h2
         assert all(math.isfinite(r.train_mse) for r in h1)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("kind", ["mlp", "hnn"])
+    def test_batch_norm_fed_biases_stay_at_init(self, kind, optimizer):
+        # batch norm subtracts the column mean, so a bias that feeds it has an
+        # exact gradient of 0; the optimizers would step on the roundoff of
+        # that gradient (to max |b| of 1.5e-7 here with Adam, 1.4e-15 with
+        # SGD). The last layer's bias feeds no batch norm and trains.
+        t = gen_ternary(4)
+        spring_layout(t, dim=2, seed=0)
+        cfg = TrainConfig(model_kind=kind, batch_norm=True, optimizer=optimizer, seed=1,
+                          hidden_layers=3, hidden_width=16, batch_size=64, epochs=3)
+        params, _, _ = train_embedding(t, cfg)
+        *hidden, last = params.layers
+        assert len(hidden) == 3
+        for layer in hidden:
+            assert_array_equal(layer[1], 0.0)
+        if kind == "hnn":
+            assert np.any(last[1] != 0.0)
 
     def test_report_uses_model_geometry(self):
         t = gen_binary(3)
