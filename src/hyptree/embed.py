@@ -21,6 +21,12 @@ evaluated entirely in log space (``kernels.triangle_step``, which also
 places the nodes level by level). Ambient coordinates are materialized from
 the polar data for interop and small-scale work; the evaluator never reads
 them.
+
+The curvature scan walks every source only for a scale it may accept. It
+first walks a few probe rows, and one entry of theirs that the full check
+would hold, out of bounds on the same float quotient, rejects the scale. A
+scale whose probes find no such entry gets the full check, so every
+decision is the full check's. Only the accepted scale gets ambient points.
 """
 
 from __future__ import annotations
@@ -85,7 +91,8 @@ class HyperbolicEmbedding:
     curvature under which tree units are recovered (d_kappa = d_{-1}/tau).
     ``frames``/``parent``/``edge_len`` describe the construction
     intrinsically and power the exact distance evaluator; they are None on
-    embeddings loaded from JSON, which carry points only.
+    embeddings loaded from JSON, which carry points only. The curvature
+    scan's records carry the construction and no points.
     """
 
     points: dict
@@ -97,7 +104,7 @@ class HyperbolicEmbedding:
     frames: dict | None = field(default=None, repr=False)
 
     def node_ids(self) -> list:
-        return sorted(self.points)
+        return sorted(self.points if self.parent is None else self.parent)
 
 
 def _neighbor_frames(t: WeightedTree, root: int) -> tuple[dict, dict, dict]:
@@ -133,15 +140,13 @@ def _neighbor_frames(t: WeightedTree, root: int) -> tuple[dict, dict, dict]:
     return frames, parent, w_up
 
 
-def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
-    """Place the tree in H^2 at unit curvature, edge lengths tau * w.
+def _construction(t: WeightedTree, tau: float):
+    """The construction record at scale tau, and each node's polar position.
 
-    The root sits at the apex. Every child goes at exact geodesic
-    distance tau * w from its parent, rotated from the parent's incoming
-    direction by an exact multiple of 2*pi/deg. Positions are tracked as
-    (distance from root, bearing at root), one tree level per
-    ``kernels.triangle_step`` call; ambient coordinates come from that polar
-    data at the end.
+    Returns (record, order, r, bearing): ``record`` is the embedding with no
+    ambient points yet, which is all ``embedding_distance`` reads; r and
+    bearing give each node's distance from the root and bearing at the
+    root, in the BFS order ``order``.
     """
     if tau <= 0.0:
         raise EmbedError("tau must be positive")
@@ -177,20 +182,38 @@ def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
         r[lo:hi], beta[lo:hi], turn = kernels.triangle_step(r[p], ell[lo:hi], theta)
         bearing[lo:hi] = kernels.wrap_angle(bearing[p] + turn)
 
-    points = {}
-    for v, rv, b in zip(order, r.tolist(), bearing.tolist()):
-        sr = math.sinh(rv)
-        points[v] = HPoint(np.array([sr * math.cos(b), sr * math.sin(b), math.cosh(rv)]))
-    edge_len = {v: tau * w for v, w in w_up.items()}
-    return HyperbolicEmbedding(
-        points=points,
+    record = HyperbolicEmbedding(
+        points={},
         kappa=Curvature.from_scale(tau),
         tau=tau,
         root=root,
         parent=parent,
-        edge_len=edge_len,
+        edge_len={v: tau * w for v, w in w_up.items()},
         frames=frames,
     )
+    return record, order, r, bearing
+
+
+def _with_points(record: HyperbolicEmbedding, order, r, bearing) -> HyperbolicEmbedding:
+    """The record with its ambient points, formed from the polar positions."""
+    points = {}
+    for v, rv, b in zip(order, r.tolist(), bearing.tolist()):
+        sr = math.sinh(rv)
+        points[v] = HPoint(np.array([sr * math.cos(b), sr * math.sin(b), math.cosh(rv)]))
+    return replace(record, points=points)
+
+
+def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
+    """Place the tree in H^2 at unit curvature, edge lengths tau * w.
+
+    The root sits at the apex. Every child goes at exact geodesic
+    distance tau * w from its parent, rotated from the parent's incoming
+    direction by an exact multiple of 2*pi/deg. Positions are tracked as
+    (distance from root, bearing at root), one tree level per
+    ``kernels.triangle_step`` call; ambient coordinates come from that polar
+    data at the end.
+    """
+    return _with_points(*_construction(t, tau))
 
 
 def _ranges(first, count):
@@ -286,6 +309,40 @@ def embedding_distance_matrix(e: HyperbolicEmbedding, ids=None) -> np.ndarray:
 DEFAULT_TAU_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
+def _probe_witness(record: HyperbolicEmbedding, metric, lam: float, sources):
+    """A pair (i, j), i < j, of rows of ``metric`` whose ratio fails the bound.
+
+    Walks only the given source rows. Entry (i, j) of the full check is the
+    walk of ids[i] at column j, divided by tau * d_T as ``ratio_bounds``
+    divides it, so a source's row counts as it is at columns j > i. At
+    j < i the entry comes from the walk of ids[j]: each source's worst such
+    column is walked next, and its row counts the same way. Returns None
+    when no walked entry fails.
+    """
+    ids = metric.ids
+    node_col = {v: k for k, v in enumerate(record.node_ids())}
+    cols = np.arange(len(ids))
+    perm = [node_col[v] for v in ids]
+    src = sorted(sources)
+    for _ in range(2):  # the probe rows, then the rows that confirm their hits at j < i
+        src = np.array(src, np.intp)
+        rows = embedding_distance(record, [ids[i] for i in src])[:, perm]
+        off = cols != src[:, None]
+        ratio = np.divide(rows, record.tau * metric.matrix[src], out=np.ones(rows.shape),
+                          where=off)
+        bad = ~((ratio >= 1.0 / lam) & (ratio <= lam))
+        hits = np.flatnonzero(bad & (cols > src[:, None]))
+        if hits.size:
+            k, j = np.unravel_index(hits[np.argmin(ratio.flat[hits])], bad.shape)
+            return int(src[k]), int(j)
+        below = bad & (cols < src[:, None])
+        worst_below = np.argmin(np.where(below, ratio, np.inf), axis=1)
+        src = sorted(set(worst_below[below.any(axis=1)].tolist()))
+        if not src:
+            break
+    return None
+
+
 def choose_curvature(t: WeightedTree, lam: float, tau_grid=None):
     """Smallest grid scale whose embedding meets the two-sided bound.
 
@@ -293,6 +350,16 @@ def choose_curvature(t: WeightedTree, lam: float, tau_grid=None):
     judged under kappa = -tau^2, i.e. distances d_{-1}/tau against tree
     units: accepted iff (1/lam) d_T <= d_kappa <= lam * d_T on every
     pair. Tighter lam forces larger tau, hence more negative curvature.
+
+    A tau is rejected on a few probe rows first: the centroid and the node
+    farthest from it (the ends of a longest path from the centroid), and
+    the pair that rejected the previous tau. One out-of-bounds entry that
+    the full check would hold, on the same float quotient, rejects it, so
+    NaN and 0 reject as they do there. Only a tau with no such witness
+    walks every source, so each decision is exactly the full check's.
+    Ambient points are formed for the accepted tau only. When no tau is
+    accepted, the best distortion comes from full walks of the rejected
+    ones.
 
     Returns (embedding, curvature, report). Raises EmbedError if no scale
     meets the bound: with the best achieved distortion whenever some scale
@@ -308,20 +375,31 @@ def choose_curvature(t: WeightedTree, lam: float, tau_grid=None):
     ids = list(metric.ids)
     if len(ids) < 2:
         raise EmbedError("need at least two nodes")
-    best = capped = None
+    center = ids.index(centroid(t))
+    end = int(np.argmax(metric.matrix[center]))
+    ends = {center, end}
+    rejected, witness, capped = [], (), None
     for tau in grid:
         try:
-            emb = sarkar_embed(t, tau)
+            record, *polar = _construction(t, tau)
         except OverflowGuardError:
-            ecc = float(metric.matrix[ids.index(centroid(t))].max())
+            ecc = float(metric.matrix[center].max())
             capped = f"tau={tau:g} hit the overflow cap: radius {tau * ecc:.1f} > {OVERFLOW_CAP:g}"
             break
-        report = distortion_from_matrices(embedding_distance_matrix(emb, ids), tau * metric.matrix)
-        if report.alpha >= 1.0 / lam and report.beta <= lam:
-            return emb, Curvature.from_scale(tau), report
-        if best is None or report.dist < best[0]:
-            best = (report.dist, tau)
+        witness = _probe_witness(record, metric, lam, ends.union(witness)) or ()
+        if not witness:
+            mat = embedding_distance_matrix(record, ids)
+            report = distortion_from_matrices(mat, tau * metric.matrix)
+            if report.alpha >= 1.0 / lam and report.beta <= lam:
+                return _with_points(record, *polar), Curvature.from_scale(tau), report
+        rejected.append(record)
     reasons = [f"no grid scale met lambda={lam:g}"]
+    best = None
+    for record in rejected:
+        mat = embedding_distance_matrix(record, ids)
+        report = distortion_from_matrices(mat, record.tau * metric.matrix)
+        if best is None or report.dist < best[0]:
+            best = (report.dist, record.tau)
     if best is not None:
         reasons.append(f"best distortion {best[0]:.6g} at tau={best[1]:g}")
     if capped:

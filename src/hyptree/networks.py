@@ -256,7 +256,9 @@ def memorize_relu(points, targets, seed: int = 0) -> MlpParams:
     d = tgt.shape[1]
     if n_pts == 0:
         raise NetworkError("need at least one point")
-    if np.unique(pts, axis=0).shape[0] != n_pts:
+    # sorting puts equal rows side by side; == counts -0.0 and 0.0 as equal
+    rows = pts[np.lexsort(pts.T)] if n else pts
+    if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
         raise NetworkError("points must be pairwise distinct")
 
     if n_pts == 1:

@@ -12,14 +12,20 @@ intrinsic kernel. ``stacked_pair_loss`` restates the
 batched training loss without deduplicating the pair endpoints.
 ``embedding_distance_pair`` unrolls the tree path of one pair with the
 scalar log-space triangle helpers below, and ``curvature_scan_pairwise``
-runs the curvature scan pair by pair on it.
+runs the curvature scan pair by pair on it. ``curvature_scan_full`` judges
+every scale on its full distance matrix, the oracle of every decision and
+exit message of the library's probing scan.
 """
 
 import math
 
 import numpy as np
 
-from hyptree.embed import sarkar_embed
+from hyptree.embed import (
+    distortion_from_matrices,
+    embedding_distance_matrix,
+    sarkar_embed,
+)
 from hyptree.hypgeom import (
     OverflowGuardError,
     basepoint,
@@ -32,6 +38,7 @@ from hyptree.hypgeom import (
 )
 from hyptree.networks import HnnParams, NetworkError, hnn_forward, mlp_forward
 from hyptree.train import _hyperbolic_head, _predict_rows
+from hyptree.trees import centroid
 
 _EPS = 1e-12
 _LN2 = math.log(2.0)
@@ -327,3 +334,38 @@ def curvature_scan_pairwise(t, metric, lam, tau_grid):
         if alpha >= 1.0 / lam and beta <= lam:
             return tau, alpha, beta
     return None
+
+
+def curvature_scan_full(t, metric, lam, tau_grid, reports):
+    """(tau, report) of the first grid scale meeting lam, or the scan's error text.
+
+    Each scale is judged on its full ``embedding_distance_matrix``. The dict
+    ``reports`` keeps each scale's report, or the overflow message of the
+    scale that hit the cap, across calls on the same tree.
+    """
+    ids = list(metric.ids)
+    best = capped = None
+    for tau in sorted(tau_grid):
+        if tau not in reports:
+            try:
+                emb = sarkar_embed(t, tau)
+            except OverflowGuardError:
+                ecc = float(metric.matrix[ids.index(centroid(t))].max())
+                reports[tau] = f"tau={tau:g} hit the overflow cap: radius {tau * ecc:.1f} > 350"
+            else:
+                mat = embedding_distance_matrix(emb, ids)
+                reports[tau] = distortion_from_matrices(mat, tau * metric.matrix)
+        report = reports[tau]
+        if isinstance(report, str):
+            capped = report
+            break
+        if report.alpha >= 1.0 / lam and report.beta <= lam:
+            return tau, report
+        if best is None or report.dist < best[0]:
+            best = (report.dist, tau)
+    reasons = [f"no grid scale met lambda={lam:g}"]
+    if best is not None:
+        reasons.append(f"best distortion {best[0]:.6g} at tau={best[1]:g}")
+    if capped:
+        reasons.append(capped)
+    return "; ".join(reasons)

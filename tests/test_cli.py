@@ -4,6 +4,9 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +151,24 @@ class TestEmbed:
             pairwise_hyperboloid(np.ascontiguousarray(pts)), metric.matrix
         )
         assert rep.dist == pytest.approx(reported, abs=1e-5)
+
+    def test_realize_hnn_leaves_numpy_ma_unimported(self, tmp_path):
+        # importing numpy.ma costs 11-16 ms per run; np.unique(..., axis=0)
+        # pulls it in, so the memorizer's duplicate check must not use it
+        t = gen_binary(4)
+        spring_layout(t, dim=2, seed=0)
+        save_tree(t, tmp_path / "t.json")
+        script = ("import sys\nfrom hyptree import cli\n"
+                  "code = cli.main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "embed", str(tmp_path / "t.json"), "--lambda", "1.1",
+             "--realize-hnn", "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["0", "False"]
 
     @pytest.mark.parametrize("emptied,listed", [(None, "[0, 1, 2]"), (3, "[3]")])
     def test_realize_hnn_without_layout_exits_2(self, tmp_path, capsys, emptied, listed):

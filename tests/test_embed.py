@@ -577,6 +577,75 @@ class TestChooseCurvature:
             choose_curvature(WeightedTree([0], []), 1.5)
 
 
+SCAN_TREES = SMALL_TREES + [gen_binary(4), gen_binary(5)] + [
+    gen_random(60, seed=s) for s in range(6)
+] + [gen_spider(64)]
+
+
+@pytest.fixture(scope="module")
+def full_reports():
+    """Per scan tree, each grid scale's full-matrix report, shared across lambdas."""
+    return {}
+
+
+def assert_scan_matches_full(t, lam, reports):
+    want = ref.curvature_scan_full(t, tree_metric(t), lam, em.DEFAULT_TAU_GRID, reports)
+    if isinstance(want, str):
+        with pytest.raises(EmbedError) as err:
+            choose_curvature(t, lam)
+        assert str(err.value) == want
+        return
+    e, kappa, rep = choose_curvature(t, lam)
+    assert e.tau == kappa.scale == want[0]
+    assert rep == want[1]  # alpha, beta, dist and injective, exactly
+    assert e.points == sarkar_embed(t, e.tau).points
+
+
+class TestProbeScan:
+    """The scan rejects a scale on a few probe rows and walks every source
+    only when they hold no witness; each decision must be the full check's."""
+
+    @pytest.mark.parametrize("idx", range(len(SCAN_TREES)))
+    @pytest.mark.parametrize("lam", [1.5, 1.1, 1.01, 1.001])
+    def test_decides_like_full_matrix_scan(self, full_reports, idx, lam):
+        assert_scan_matches_full(SCAN_TREES[idx], lam, full_reports.setdefault(idx, {}))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_probe_miss_falls_back_to_full_walk(self, monkeypatch, seed):
+        # at lam=1.5 the probe rows of random(255) hold no witness at tau=2,
+        # which the full walk then rejects
+        missed = []
+        probe = em._probe_witness
+
+        def logged(record, *args):
+            found = probe(record, *args)
+            if found is None:
+                missed.append(record.tau)
+            return found
+
+        monkeypatch.setattr(em, "_probe_witness", logged)
+        assert_scan_matches_full(gen_random(255, seed=seed), 1.5, {})
+        assert 2.0 in missed
+
+    def test_rejected_scales_walk_few_rows(self, monkeypatch):
+        # binary(7) at lam=1.1 rejects tau = 1 and 2: only the accepted
+        # scale walks all n sources, each scale's probes walk at most 8
+        rows = []
+        walk = em.embedding_distance
+
+        def counted(e, sources):
+            rows.append((e.tau, len(sources)))
+            return walk(e, sources)
+
+        monkeypatch.setattr(em, "embedding_distance", counted)
+        t = gen_binary(7)
+        e, _, _ = choose_curvature(t, 1.1)
+        assert e.tau == 4.0
+        tried = {tau for tau, _ in rows}
+        assert tried == {1.0, 2.0, 4.0}
+        assert sum(k for _, k in rows) <= t.n_nodes + 8 * len(tried)
+
+
 # ----------------------------------------------------------------------
 # Network realization and padding
 # ----------------------------------------------------------------------

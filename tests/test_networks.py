@@ -247,6 +247,25 @@ class TestMemorizeRelu:
         with pytest.raises(NetworkError):
             memorize_relu(pts, np.zeros((2, 1)))
 
+    def test_signed_zero_duplicates_rejected(self):
+        # -0.0 == 0.0, so these rows are one point
+        pts = np.array([[3.0, 1.0], [0.0, -0.0], [2.0, 5.0], [-0.0, 0.0]])
+        with pytest.raises(NetworkError, match="pairwise distinct"):
+            memorize_relu(pts, np.zeros((4, 1)))
+
+    def test_duplicates_apart_in_input_rejected(self):
+        rng = np.random.default_rng(16)
+        pts = rng.normal(size=(30, 3))
+        pts[25] = pts[4]
+        with pytest.raises(NetworkError, match="pairwise distinct"):
+            memorize_relu(pts, np.zeros((30, 1)))
+
+    def test_rows_sharing_coordinates_accepted(self):
+        # equal in every column but one is still distinct
+        pts = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [1.0, 0.0, 3.0], [0.0, 2.0, 3.0]])
+        p = memorize_relu(pts, np.arange(4.0)[:, None])
+        assert p.dims == (3, 3, 1)
+
     def test_count_mismatch_rejected(self):
         with pytest.raises(NetworkError):
             memorize_relu(np.zeros((3, 2)), np.zeros((2, 1)))
