@@ -9,11 +9,20 @@ Subcommands
 * ``grid``       sweep (tree x dim x model x seed), emit a long-format CSV
 * ``lowerbound`` trained-MLP distortion growth vs the constructive column
 
-Every invocation writes ``<command>_manifest.json`` into the output directory
-before any result file; the manifest lists the resolved configuration and every
-output path. Manifest content is a pure function of config, seed, and library
+Once its input checks pass, every invocation writes ``<command>_manifest.json``
+into the output directory after its result files, also when it stops with exit
+3 or 4; the manifest lists the resolved configuration and the output files the
+run wrote. Manifest content is a pure function of config, seed, and library
 version, so identical invocations produce byte-identical files (wall-clock time
 lives in filesystem metadata only).
+
+The training knobs are declared once, in ``TRAIN_FLAGS``. ``train`` and
+``lowerbound`` take each as a flag whose default is TrainConfig's, except
+``--epochs`` (10 here, 20 in TrainConfig and so in a grid). The ``train``
+manifest records each, the ``lowerbound`` manifest each but ``embed_dim``,
+which ``--dims`` sets per row. A grid config takes each but ``embed_dim`` under
+``"train"``.
+``--threads`` belongs to ``grid``, the one command that starts workers.
 
 Exit codes: 0 success, 2 usage error, 3 distortion target unreachable on the
 scale grid, 4 training diverged.
@@ -27,12 +36,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
-from .embed import EmbedError, choose_curvature, hnn_realize, mlp_distortion_study, save_embedding
+from .embed import EmbedError, choose_curvature, hnn_realize, save_embedding
 from .networks import par_count, save_params
 from .seeding import child_seeds
 from .train import TrainConfig, TrainDivergenceError, TrainError, train_embedding
@@ -78,19 +88,24 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _write_manifest(out_dir: str, command: str, config: dict, seed: int, outputs) -> str:
-    path = _out_path(out_dir, f"{command}_manifest.json")
-    doc = {
-        "command": command,
-        "config": config,
-        "library_version": __version__,
-        "seed": seed,
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
+@contextmanager
+def _manifest(out_dir: str, command: str, config: dict, seed: int):
+    """Yield a list for the command to add each output path to once written.
+
+    ``<command>_manifest.json`` is written when the block ends, on every
+    exit path, so it lists exactly the outputs that exist.
+    """
+    outputs = []
+    try:
+        yield outputs
+    finally:
+        _write_json(_out_path(out_dir, f"{command}_manifest.json"), {
+            "command": command,
+            "config": config,
+            "library_version": __version__,
+            "seed": seed,
+            "outputs": sorted(os.path.basename(p) for p in outputs),
+        })
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -130,23 +145,34 @@ def _report_doc(report) -> dict:
     }
 
 
-def _train_config_from_args(args, seed: int) -> TrainConfig:
+# (flag, TrainConfig field, argparse keywords) for every training knob that
+# train and lowerbound take as a flag; a grid config takes each but embed_dim,
+# which its dims set, under "train"
+TRAIN_FLAGS = (
+    ("--epochs", "epochs", {"type": int}),
+    ("--batch-size", "batch_size", {"type": int}),
+    ("--lr", "learning_rate", {"type": float}),
+    ("--hidden-layers", "hidden_layers", {"type": int}),
+    ("--width", "hidden_width", {"type": int}),
+    ("--embed-dim", "embed_dim", {"type": int}),
+    ("--optimizer", "optimizer", {"choices": ["adam", "sgd"]}),
+    ("--batch-norm", "batch_norm", {"action": "store_true"}),
+    ("--max-pairs", "max_pairs", {"type": int}),
+)
+
+
+def _train_config_from_args(args, model: str) -> TrainConfig:
     try:
-        return TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.lr,
-            seed=seed,
-            model_kind=args.model,
-            hidden_layers=args.hidden_layers,
-            hidden_width=args.width,
-            embed_dim=args.embed_dim,
-            optimizer=args.optimizer,
-            batch_norm=args.batch_norm,
-            max_pairs=args.max_pairs,
-        )
+        return TrainConfig(seed=args.seed, model_kind=model,
+                           **{field: getattr(args, field) for _, field, _ in TRAIN_FLAGS})
     except TrainError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _train_knobs(cfg: TrainConfig) -> dict:
+    """The manifest's record of a run's TrainConfig: every field but the two
+    that the manifest holds elsewhere, seed and model kind."""
+    return {k: v for k, v in asdict(cfg).items() if k not in ("seed", "model_kind")}
 
 
 # ----------------------------------------------------------------------
@@ -183,12 +209,11 @@ def cmd_gen(args) -> int:
         raise UsageError(f"--layout-dim must be >= 1, got {args.layout_dim}")
     out = _out_path(args.out_dir, args.output or f"tree_{args.kind}.json")
     t = _build_tree(args.kind, size, args.seed, layout_dim=args.layout_dim)
-    _write_manifest(
-        args.out_dir, "gen",
-        {"kind": args.kind, "depth": args.depth, "n": args.n, "layout_dim": args.layout_dim},
-        args.seed, [out],
-    )
-    save_tree(t, out)
+    with _manifest(args.out_dir, "gen",
+                   {"kind": args.kind, "depth": args.depth, "n": args.n,
+                    "layout_dim": args.layout_dim}, args.seed) as written:
+        save_tree(t, out)
+        written.append(out)
     print(f"nodes={t.n_nodes} edges={len(t.edges)} leaves={len(leaves(t))}")
     print(f"wrote {out}")
     return EXIT_OK
@@ -213,36 +238,32 @@ def cmd_embed(args) -> int:
 
     out_emb = _out_path(args.out_dir, args.output or "embedding.json")
     out_report = _out_path(args.out_dir, "embed_report.json")
-    outputs = [out_emb, out_report]
     out_params = _out_path(args.out_dir, "hnn_params.json")
-    if args.realize_hnn:
-        outputs.append(out_params)
-    _write_manifest(
-        args.out_dir, "embed",
-        {"tree": os.path.basename(args.tree), "lambda": args.lam, "realize_hnn": args.realize_hnn},
-        args.seed, outputs,
-    )
-
-    try:
-        emb, kappa, report = choose_curvature(t, args.lam)
-    except EmbedError as exc:
-        print(f"target unreachable: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
-
-    save_embedding(out_emb, emb)
-    _write_json(out_report, {"kappa": kappa.kappa, "tau": emb.tau, **_report_doc(report)})
-    print(
-        f"kappa={kappa.kappa:g} alpha={report.alpha:.6g} "
-        f"beta={report.beta:.6g} dist={report.dist:.6g}"
-    )
-    if args.realize_hnn:
+    with _manifest(args.out_dir, "embed",
+                   {"tree": os.path.basename(args.tree), "lambda": args.lam,
+                    "realize_hnn": args.realize_hnn}, args.seed) as written:
         try:
-            params = hnn_realize(emb, t, seed=args.seed)
+            emb, kappa, report = choose_curvature(t, args.lam)
         except EmbedError as exc:
-            raise UsageError(str(exc)) from exc
-        save_params(out_params, params)
-        pc = par_count(params)
-        print(f"realized depth={pc.depth} width={pc.width} par={pc.par}")
+            print(f"target unreachable: {exc}", file=sys.stderr)
+            return EXIT_UNREACHABLE
+
+        save_embedding(out_emb, emb)
+        _write_json(out_report, {"kappa": kappa.kappa, "tau": emb.tau, **_report_doc(report)})
+        written += [out_emb, out_report]
+        print(
+            f"kappa={kappa.kappa:g} alpha={report.alpha:.6g} "
+            f"beta={report.beta:.6g} dist={report.dist:.6g}"
+        )
+        if args.realize_hnn:
+            try:
+                params = hnn_realize(emb, t, seed=args.seed)
+            except EmbedError as exc:
+                raise UsageError(str(exc)) from exc
+            save_params(out_params, params)
+            written.append(out_params)
+            pc = par_count(params)
+            print(f"realized depth={pc.depth} width={pc.width} par={pc.par}")
     print(f"wrote {out_emb}")
     return EXIT_OK
 
@@ -254,41 +275,34 @@ def cmd_embed(args) -> int:
 def cmd_train(args) -> int:
     t = _load_tree_arg(args.tree)
     _check_layout(t)
-    cfg = _train_config_from_args(args, args.seed)
+    cfg = _train_config_from_args(args, args.model)
 
     out_csv = _out_path(args.out_dir, "train_loss.csv")
     out_report = _out_path(args.out_dir, "train_report.json")
     out_params = _out_path(args.out_dir, "model_params.json")
-    _write_manifest(
-        args.out_dir, "train",
-        {"tree": os.path.basename(args.tree), "model": args.model,
-         "epochs": cfg.epochs, "batch_size": cfg.batch_size,
-         "learning_rate": cfg.learning_rate, "hidden_layers": cfg.hidden_layers,
-         "hidden_width": cfg.hidden_width, "embed_dim": cfg.embed_dim,
-         "optimizer": cfg.optimizer, "batch_norm": cfg.batch_norm,
-         "max_pairs": cfg.max_pairs},
-        args.seed, [out_csv, out_report, out_params],
-    )
+    with _manifest(args.out_dir, "train",
+                   {"tree": os.path.basename(args.tree), "model": args.model, **_train_knobs(cfg)},
+                   args.seed) as written:
+        try:
+            params, history, report = train_embedding(t, cfg)
+        except TrainDivergenceError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_DIVERGENCE
+        except TrainError as exc:
+            raise UsageError(str(exc)) from exc
 
-    try:
-        params, history, report = train_embedding(t, cfg)
-    except TrainDivergenceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except TrainError as exc:
-        raise UsageError(str(exc)) from exc
-
-    _write_csv(
-        out_csv, ["epoch", "train_mse", "test_mse"],
-        [[row.epoch, _fmt(row.train_mse), _fmt(row.test_mse)] for row in history],
-    )
-    doc = _report_doc(report)
-    doc["epochs"] = [
-        {"epoch": row.epoch, "grad_norm": row.grad_norm, "max_radius": row.max_radius}
-        for row in history
-    ]
-    _write_json(out_report, doc)
-    save_params(out_params, params)
+        _write_csv(
+            out_csv, ["epoch", "train_mse", "test_mse"],
+            [[row.epoch, _fmt(row.train_mse), _fmt(row.test_mse)] for row in history],
+        )
+        doc = _report_doc(report)
+        doc["epochs"] = [
+            {"epoch": row.epoch, "grad_norm": row.grad_norm, "max_radius": row.max_radius}
+            for row in history
+        ]
+        _write_json(out_report, doc)
+        save_params(out_params, params)
+        written += [out_csv, out_report, out_params]
     last = history[-1]
     print(
         f"model={args.model} final train_mse={last.train_mse:.6g} "
@@ -337,9 +351,7 @@ def _parse_grid_config(doc: dict) -> tuple[dict, list, dict]:
     train = doc.get("train", {})
     if not isinstance(train, dict):
         raise UsageError('grid config: "train" must be a JSON object')
-    allowed = {"epochs", "batch_size", "learning_rate", "hidden_layers",
-               "hidden_width", "optimizer", "batch_norm", "max_pairs"}
-    unknown = set(train) - allowed
+    unknown = set(train) - {field for _, field, _ in TRAIN_FLAGS if field != "embed_dim"}
     if unknown:
         raise UsageError(
             f"train overrides {sorted(unknown)} not allowed; "
@@ -413,20 +425,13 @@ def _pool_rows(payloads: list, workers: int) -> list:
     return [rows[i] for i in range(len(payloads))]
 
 
-def resolve_threads(flag: int, env: str | None, rows: int) -> int:
+def resolve_threads(requested: int, rows: int) -> int:
     """Worker processes for a grid of ``rows`` rows.
 
-    ``env`` (HYPTREE_THREADS) overrides ``flag`` (--threads). A request
-    below 1, or a non-integer ``env``, is a usage error; otherwise the
-    count is clamped to min(rows, CPU count), so no input can start more
-    workers than there are rows or cores.
+    A request (--threads) below 1 is a usage error; otherwise the count is
+    clamped to min(rows, CPU count), so no input can start more workers than
+    there are rows or cores.
     """
-    requested = flag
-    if env is not None:
-        try:
-            requested = int(env)
-        except ValueError:
-            raise UsageError(f"HYPTREE_THREADS={env!r} is not an integer") from None
     if requested < 1:
         raise UsageError(f"thread count must be >= 1, got {requested}")
     return min(requested, rows, os.cpu_count() or 1)
@@ -445,21 +450,11 @@ def cmd_grid(args) -> int:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     cfg, sizes, bases = _parse_grid_config(doc)
     n_rows = len(cfg["trees"]) * len(cfg["dims"]) * len(cfg["models"]) * len(cfg["seeds"])
-    workers = resolve_threads(args.threads, os.environ.get("HYPTREE_THREADS"), n_rows)
+    workers = resolve_threads(args.threads, n_rows)
     out_dir = cfg["output_dir"] or args.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
     out_csv = _out_path(out_dir, "grid_results.csv")
-    outputs = [out_csv]
-    if args.svg:
-        outputs += [_out_path(out_dir, f"grid_{m}.svg") for m in cfg["models"]]
-    _write_manifest(
-        out_dir, "grid",
-        {"config": cfg, "pair_policy": "min(all pairs, 50*N) unless train.max_pairs set",
-         "svg": args.svg},
-        args.seed, outputs,
-    )
-
     payloads = []
     for ti, (spec, size) in enumerate(zip(cfg["trees"], sizes)):
         t = _build_tree(spec["kind"], size, args.seed, f"-{ti}")
@@ -474,17 +469,20 @@ def cmd_grid(args) -> int:
                         "config": replace(bases[dim, model], seed=seed, **pairs),
                     })
 
-    rows = _pool_rows(payloads, workers) if workers > 1 else [_grid_worker(p) for p in payloads]
-
-    _write_csv(
-        out_csv, GRID_HEADER,
-        [[r["kind"], r["n_nodes"], r["dim"], r["model"], r["seed"],
-          _fmt(r["train_mse"]), _fmt(r["test_mse"]), _fmt(r["dist"]), r["status"]]
-         for r in rows],
-    )
-    if args.svg:
-        for model in cfg["models"]:
-            _svg_for_model(out_dir, model, rows)
+    with _manifest(out_dir, "grid",
+                   {"config": cfg, "pair_policy": "min(all pairs, 50*N) unless train.max_pairs set",
+                    "svg": args.svg}, args.seed) as written:
+        rows = _pool_rows(payloads, workers) if workers > 1 else [_grid_worker(p) for p in payloads]
+        _write_csv(
+            out_csv, GRID_HEADER,
+            [[r["kind"], r["n_nodes"], r["dim"], r["model"], r["seed"],
+              _fmt(r["train_mse"]), _fmt(r["test_mse"]), _fmt(r["dist"]), r["status"]]
+             for r in rows],
+        )
+        written.append(out_csv)
+        if args.svg:
+            for model in cfg["models"]:
+                written.append(_svg_for_model(out_dir, model, rows))
 
     n_ok = sum(r["status"] == "ok" for r in rows)
     print(f"grid: {n_ok}/{len(rows)} rows ok, wrote {out_csv}")
@@ -555,8 +553,9 @@ def _svg_heatmap(path: str, col_labels, row_labels, values: np.ndarray, title: s
         fh.write("\n")
 
 
-def _svg_for_model(out_dir: str, model: str, rows) -> None:
-    """Mean test MSE per (tree, dim) cell for one model kind."""
+def _svg_for_model(out_dir: str, model: str, rows) -> str:
+    """Write the heatmap of mean test MSE per (tree, dim) cell for one model
+    kind; return its path."""
     mine = [r for r in rows if r["model"] == model]
     tree_keys = sorted({(r["kind"], r["n_nodes"]) for r in mine})
     dims = sorted({r["dim"] for r in mine})
@@ -570,13 +569,15 @@ def _svg_for_model(out_dir: str, model: str, rows) -> None:
             ]
             if vals:
                 grid[i, j] = float(np.mean(vals))
+    path = _out_path(out_dir, f"grid_{model}.svg")
     _svg_heatmap(
-        _out_path(out_dir, f"grid_{model}.svg"),
+        path,
         [f"dim {d}" for d in dims],
         [f"{k} n={n}" for k, n in tree_keys],
         grid,
         f"{model}: mean test MSE over seeds",
     )
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -596,62 +597,71 @@ def _int_list(text: str, flag: str, low: int) -> list[int]:
 
 
 def cmd_lowerbound(args) -> int:
+    """Trained-MLP distortion of spiders against the constructive column.
+
+    A spider is a hub with L legs of two unit edges, so it has exactly L
+    leaves. Each (L, dim) row trains an MLP into R^dim on the pair distances
+    once per study seed and keeps the smallest distortion; the constructive
+    column is the distortion of the embedding that choose_curvature picks
+    for ``--lambda``. The exponent fitted per dim is the least-squares slope
+    of log dist against log L over the rows that trained to a finite value.
+    """
     leaf_counts = _int_list(args.leaves, "--leaves", 1)
     dims = _int_list(args.dims, "--dims", 1)
     study_seeds = _int_list(args.study_seeds, "--study-seeds", 0)
     _check_lambda(args.lam)
-    args.model = "mlp"
-    base_cfg = _train_config_from_args(args, args.seed)
+    cfg = _train_config_from_args(args, "mlp")
 
     out_csv = _out_path(args.out_dir, "lowerbound.csv")
     out_summary = _out_path(args.out_dir, "lowerbound_summary.json")
-    _write_manifest(
-        args.out_dir, "lowerbound",
-        {"leaves": leaf_counts, "dims": dims, "lambda": args.lam,
-         "epochs": base_cfg.epochs, "batch_size": base_cfg.batch_size,
-         "learning_rate": base_cfg.learning_rate,
-         "hidden_layers": base_cfg.hidden_layers,
-         "hidden_width": base_cfg.hidden_width,
-         "study_seeds": study_seeds},
-        args.seed, [out_csv, out_summary],
-    )
+    knobs = _train_knobs(cfg)
+    del knobs["embed_dim"]  # each row's comes from --dims
+    with _manifest(args.out_dir, "lowerbound",
+                   {"leaves": leaf_counts, "dims": dims, "lambda": args.lam,
+                    "study_seeds": study_seeds, **knobs}, args.seed) as written:
+        spiders = []
+        for L in leaf_counts:
+            t = gen_spider(L, leg_length=2)
+            spring_layout(t, dim=2, seed=args.seed)
+            try:
+                spiders.append((L, t, choose_curvature(t, args.lam)[2].dist, "ok"))
+            except EmbedError as exc:
+                spiders.append((L, t, math.nan, f"error:{exc}"))
 
-    # constructive column: same spider topologies, layout-independent
-    hnn_col = {}
-    for L in leaf_counts:
-        t = gen_spider(L, leg_length=2)
-        try:
-            _, _, report = choose_curvature(t, args.lam)
-            hnn_col[L] = (report.dist, "ok")
-        except EmbedError as exc:
-            hnn_col[L] = (math.nan, f"error:{exc}")
+        csv_rows, exponents = [], {}
+        for dim in dims:
+            fit = []
+            for L, t, hnn_dist, hnn_status in spiders:
+                dists = []
+                for seed in study_seeds:
+                    try:
+                        _, _, report = train_embedding(t, replace(cfg, embed_dim=dim, seed=seed))
+                    except TrainDivergenceError:
+                        continue
+                    dists.append(report.dist)
+                mlp_dist = min(dists) if dists else math.nan
+                if math.isfinite(mlp_dist):
+                    fit.append((L, mlp_dist))
+                csv_rows.append([L, dim, _fmt(mlp_dist), "ok" if dists else "diverged",
+                                 _fmt(hnn_dist), hnn_status])
+            exponents[str(dim)] = (
+                float(np.polyfit(np.log([L for L, _ in fit]), np.log([d for _, d in fit]), 1)[0])
+                if len(fit) >= 2 else math.nan
+            )
 
-    csv_rows = []
-    exponents = {}
-    for dim in dims:
-        rows, exponent = mlp_distortion_study(
-            leaf_counts, dim, base_cfg, seeds=tuple(study_seeds)
+        _write_csv(
+            out_csv,
+            ["L", "dim", "mlp_dist", "mlp_status", "hnn_dist", "hnn_status"],
+            csv_rows,
         )
-        exponents[str(dim)] = exponent
-        for row in rows:
-            hnn_dist, hnn_status = hnn_col[row["L"]]
-            csv_rows.append([
-                row["L"], dim, _fmt(row["dist"]), row["status"],
-                _fmt(hnn_dist), hnn_status,
-            ])
-
-    _write_csv(
-        out_csv,
-        ["L", "dim", "mlp_dist", "mlp_status", "hnn_dist", "hnn_status"],
-        csv_rows,
-    )
-    hnn_finite = [d for d, _ in hnn_col.values() if math.isfinite(d)]
-    summary = {
-        "lambda": args.lam,
-        "fitted_exponent_per_dim": exponents,
-        "hnn_max_dist": max(hnn_finite) if hnn_finite else math.nan,
-    }
-    _write_json(out_summary, summary)
+        hnn_finite = [d for _, _, d, _ in spiders if math.isfinite(d)]
+        summary = {
+            "lambda": args.lam,
+            "fitted_exponent_per_dim": exponents,
+            "hnn_max_dist": max(hnn_finite) if hnn_finite else math.nan,
+        }
+        _write_json(out_summary, summary)
+        written += [out_csv, out_summary]
     for dim in dims:
         print(f"dim={dim} fitted_exponent={exponents[str(dim)]:.4g}")
     print(f"hnn_max_dist={summary['hnn_max_dist']:.6g} (lambda={args.lam:g})")
@@ -673,20 +683,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_seed, default=0, help="top-level seed for all streams")
     common.add_argument("--out-dir", default=".", help="directory for outputs")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for grid rows, at most min(rows, CPUs) "
-                             "(HYPTREE_THREADS overrides)")
 
     train_common = argparse.ArgumentParser(add_help=False)
-    train_common.add_argument("--epochs", type=int, default=10)
-    train_common.add_argument("--batch-size", type=int, default=4096)
-    train_common.add_argument("--lr", type=float, default=1e-2)
-    train_common.add_argument("--hidden-layers", type=int, default=4)
-    train_common.add_argument("--width", type=int, default=64)
-    train_common.add_argument("--embed-dim", type=int, default=2)
-    train_common.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
-    train_common.add_argument("--batch-norm", action="store_true")
-    train_common.add_argument("--max-pairs", type=int, default=None)
+    for flag, field, kwargs in TRAIN_FLAGS:
+        # the CLI trains for 10 epochs unless told otherwise; TrainConfig, so a grid, for 20
+        default = 10 if field == "epochs" else getattr(TrainConfig, field)
+        train_common.add_argument(flag, dest=field, default=default, **kwargs)
 
     p = argparse.ArgumentParser(
         prog="hyptree",
@@ -720,6 +722,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gr = sub.add_parser("grid", parents=[common], help="run an experiment grid")
     gr.add_argument("config", help="experiment config JSON")
     gr.add_argument("--svg", action="store_true", help="emit per-model heatmaps")
+    gr.add_argument("--threads", type=int, default=1,
+                    help="worker processes for grid rows, at most min(rows, CPUs)")
     gr.set_defaults(func=cmd_grid)
 
     lb = sub.add_parser("lowerbound", parents=[common, train_common],

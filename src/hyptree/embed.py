@@ -343,7 +343,7 @@ def _probe_witness(record: HyperbolicEmbedding, metric, lam: float, sources):
     return None
 
 
-def choose_curvature(t: WeightedTree, lam: float, tau_grid=None):
+def choose_curvature(t: WeightedTree, lam: float):
     """Smallest grid scale whose embedding meets the two-sided bound.
 
     For each tau (ascending) the tree is embedded at unit curvature and
@@ -368,9 +368,6 @@ def choose_curvature(t: WeightedTree, lam: float, tau_grid=None):
     """
     if lam <= 1.0:
         raise EmbedError("lambda must exceed 1")
-    grid = sorted(tau_grid) if tau_grid is not None else list(DEFAULT_TAU_GRID)
-    if not grid:
-        raise EmbedError("tau grid is empty")
     metric = tree_metric(t)
     ids = list(metric.ids)
     if len(ids) < 2:
@@ -379,7 +376,7 @@ def choose_curvature(t: WeightedTree, lam: float, tau_grid=None):
     end = int(np.argmax(metric.matrix[center]))
     ends = {center, end}
     rejected, witness, capped = [], (), None
-    for tau in grid:
+    for tau in DEFAULT_TAU_GRID:
         try:
             record, *polar = _construction(t, tau)
         except OverflowGuardError:
@@ -429,58 +426,6 @@ def hnn_realize(e: HyperbolicEmbedding, t: WeightedTree, seed: int = 0) -> HnnPa
     pts = np.stack([np.asarray(t.coords[v], np.float64) for v in ids])
     targets = [e.points[v] for v in ids]
     return memorize_hnn(pts, targets, seed=seed)
-
-
-# ----------------------------------------------------------------------
-# MLP lower-bound sweep
-# ----------------------------------------------------------------------
-
-def mlp_distortion_study(leaf_counts, dim: int, cfg, seeds=(0, 1, 2)):
-    """Distortion of trained MLP embeddings of spiders, per leaf count.
-
-    Each row embeds a hub-with-L-legs tree (legs two unit edges long, so
-    the leaf count is exactly L) into R^dim with an MLP trained on pair
-    distances, keeping the best (smallest) distortion across seeds.
-    Returns (rows, fitted_exponent): rows are dicts with L, dist, alpha,
-    beta, status; the exponent is the least-squares slope of log dist
-    against log L over the rows that trained successfully.
-    """
-    from . import train as train_mod
-    from .trees import gen_spider, spring_layout
-
-    rows = []
-    for n_leaves in leaf_counts:
-        t = gen_spider(int(n_leaves), leg_length=2)
-        spring_layout(t, dim=2, seed=cfg.seed)
-        best = None
-        status = "ok"
-        for s in seeds:
-            run_cfg = replace(cfg, model_kind="mlp", embed_dim=dim, seed=int(s))
-            try:
-                _, _, report = train_mod.train_embedding(t, run_cfg)
-            except train_mod.TrainDivergenceError:
-                continue
-            if best is None or report.dist < best.dist:
-                best = report
-        if best is None:
-            status = "diverged"
-            rows.append(
-                {"L": int(n_leaves), "dim": dim, "dist": math.nan,
-                 "alpha": math.nan, "beta": math.nan, "status": status}
-            )
-            continue
-        rows.append(
-            {"L": int(n_leaves), "dim": dim, "dist": best.dist,
-             "alpha": best.alpha, "beta": best.beta, "status": status}
-        )
-    good = [r for r in rows if r["status"] == "ok" and math.isfinite(r["dist"])]
-    if len(good) >= 2:
-        lx = np.log([r["L"] for r in good])
-        ly = np.log([r["dist"] for r in good])
-        exponent = float(np.polyfit(lx, ly, 1)[0])
-    else:
-        exponent = math.nan
-    return rows, exponent
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ import numpy as np
 
 from .hypgeom import (
     HPoint,
+    _freeze,
     basepoint,
     drop,
     exp_map,
@@ -42,12 +43,6 @@ from .seeding import seed_stream
 
 class NetworkError(ValueError):
     """Malformed parameters, dimension mismatch, or a failed construction."""
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def _check_affine(A, b, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +75,7 @@ class MlpParams:
                     f"layer {i}: expects dim {A.shape[1]}, previous layer emits {prev}"
                 )
             prev = A.shape[0]
-            checked.append((_frozen(A), _frozen(b)))
+            checked.append((_freeze(A), _freeze(b)))
         object.__setattr__(self, "layers", tuple(checked))
 
     @property
@@ -129,7 +124,7 @@ class HnnParams:
                     f"layer {i}: bias lives on H^{c.dim} but A emits dim {A.shape[0]}"
                 )
             prev = A.shape[0]
-            checked.append((_frozen(A), _frozen(b), c))
+            checked.append((_freeze(A), _freeze(b), c))
         object.__setattr__(self, "layers", tuple(checked))
 
     @property

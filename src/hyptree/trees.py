@@ -267,14 +267,14 @@ def gen_random(n: int, seed: int) -> WeightedTree:
 # Spring layout (Fruchterman-Reingold)
 # ----------------------------------------------------------------------
 
-def spring_layout(t: WeightedTree, dim: int = 2, iterations: int = 50, seed: int = 0) -> dict[int, np.ndarray]:
+def spring_layout(t: WeightedTree, dim: int = 2, seed: int = 0) -> dict[int, np.ndarray]:
     """Force-directed node coordinates in R^dim; deterministic given the seed.
 
     k = sqrt(area/n) with unit area, repulsion k^2/d between all pairs,
-    attraction d^2/k along edges, displacement capped by the temperature
-    t_i = t_0 (1 - i/iterations) with t_0 = 0.1 k, positions seeded uniformly
-    in the unit square. Coordinates are written back onto the tree's nodes
-    and also returned.
+    attraction d^2/k along edges, 50 iterations with the displacement capped
+    by the temperature t_i = t_0 (1 - i/50), t_0 = 0.1 k, positions seeded
+    uniformly in the unit square. Coordinates are written back onto the
+    tree's nodes and also returned.
     """
     n = t.n_nodes
     rng = np.random.default_rng(seed)
@@ -283,8 +283,8 @@ def spring_layout(t: WeightedTree, dim: int = 2, iterations: int = 50, seed: int
         eu, ev, _ = _edge_arrays(t)
         k = float(np.sqrt(1.0 / n))
         t0 = 0.1 * k
-        for i in range(iterations):
-            temp = t0 * (1.0 - i / iterations)
+        for i in range(50):
+            temp = t0 * (1.0 - i / 50)
             pos = kernels.fr_step(pos, eu, ev, k, temp)
     out = {}
     for row, i in enumerate(t.node_ids):

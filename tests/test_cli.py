@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hyptree import cli
 from hyptree.embed import distortion_from_matrices, load_embedding
 from hyptree.kernels import pairwise_hyperboloid
 from hyptree.networks import HnnParams, MlpParams, hnn_forward, load_params
-from hyptree.train import _predict_rows
+from hyptree.train import TrainConfig, _predict_rows
 from hyptree.trees import WeightedTree, gen_binary, load_tree, save_tree, spring_layout, tree_metric
 
 
@@ -365,12 +366,11 @@ class TestGrid:
             assert body.startswith("<svg")
             assert "dim 2" in body and "binary n=15" in body
 
-    def test_deterministic_and_parallel_merge(self, tmp_path, monkeypatch):
+    def test_deterministic_and_parallel_merge(self, tmp_path):
         cfgf = tiny_grid_config(tmp_path / "cfg.json", seeds=[0, 1])
         assert run(["grid", cfgf, "--out-dir", tmp_path / "serial"]) == 0
         assert run(["grid", cfgf, "--out-dir", tmp_path / "serial2"]) == 0
-        monkeypatch.setenv("HYPTREE_THREADS", "2")
-        assert run(["grid", cfgf, "--out-dir", tmp_path / "par"]) == 0
+        assert run(["grid", cfgf, "--threads", 2, "--out-dir", tmp_path / "par"]) == 0
         a = read_bytes(tmp_path / "serial" / "grid_results.csv")
         assert a == read_bytes(tmp_path / "serial2" / "grid_results.csv")
         assert a == read_bytes(tmp_path / "par" / "grid_results.csv")
@@ -459,7 +459,6 @@ class TestGrid:
     def test_dead_worker_costs_only_its_row(self, tmp_path, monkeypatch):
         cfgf = tiny_grid_config(tmp_path / "cfg.json")
         assert run(["grid", cfgf, "--out-dir", tmp_path / "serial"]) == 0
-        monkeypatch.delenv("HYPTREE_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(cli, "_grid_worker", _worker_exits_on_hnn)
         assert run(["grid", cfgf, "--threads", 2, "--out-dir", tmp_path / "pool"]) == 0
@@ -496,25 +495,23 @@ def _worker_exits_on_hnn(payload):
 class TestResolveThreads:
     """The worker count is checked and clamped before any pool starts."""
 
-    def test_flag_and_env_override(self, monkeypatch):
+    def test_request_within_bounds_is_kept(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert cli.resolve_threads(1, None, 10) == 1
-        assert cli.resolve_threads(3, None, 10) == 3
-        assert cli.resolve_threads(1, "4", 10) == 4
+        assert cli.resolve_threads(1, 10) == 1
+        assert cli.resolve_threads(3, 10) == 3
 
     def test_clamped_to_rows_and_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert cli.resolve_threads(10**6, None, 100) == 2
-        assert cli.resolve_threads(1, str(10**9), 100) == 2
+        assert cli.resolve_threads(10**6, 100) == 2
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert cli.resolve_threads(10**6, None, 3) == 3
+        assert cli.resolve_threads(10**6, 3) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert cli.resolve_threads(4, None, 3) == 1
+        assert cli.resolve_threads(4, 3) == 1
 
-    @pytest.mark.parametrize("flag,env", [(0, None), (-3, None), (2, "0"), (2, "-1"), (2, "many")])
-    def test_below_one_or_non_integer_is_usage_error(self, flag, env):
+    @pytest.mark.parametrize("requested", [0, -3])
+    def test_below_one_is_usage_error(self, requested):
         with pytest.raises(cli.UsageError):
-            cli.resolve_threads(flag, env, 10)
+            cli.resolve_threads(requested, 10)
 
 
 # ----------------------------------------------------------------------
@@ -561,21 +558,123 @@ class TestLowerbound:
 
 
 # ----------------------------------------------------------------------
+# the training flags and --threads across commands
+# ----------------------------------------------------------------------
+
+# every TrainConfig field but seed and model_kind, by the flag that sets it,
+# with a value other than its default
+TRAIN_FLAG_VALUES = {
+    "--epochs": ("epochs", 3),
+    "--batch-size": ("batch_size", 7),
+    "--lr": ("learning_rate", 0.5),
+    "--hidden-layers": ("hidden_layers", 2),
+    "--width": ("hidden_width", 5),
+    "--embed-dim": ("embed_dim", 3),
+    "--optimizer": ("optimizer", "sgd"),
+    "--batch-norm": ("batch_norm", True),
+    "--max-pairs": ("max_pairs", 9),
+}
+TRAINING_COMMANDS = [["train", "t.json"], ["lowerbound"]]
+
+
+def parsed_config(argv):
+    args = cli._build_parser().parse_args([str(a) for a in argv])
+    return cli._train_config_from_args(args, "mlp")
+
+
+class TestTrainFlags:
+    def test_every_field_but_seed_and_model_kind_has_a_flag(self):
+        knobs = {f.name for f in fields(TrainConfig)} - {"seed", "model_kind"}
+        assert {field for field, _ in TRAIN_FLAG_VALUES.values()} == knobs
+
+    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
+    def test_each_flag_sets_its_field(self, command):
+        argv = list(command)
+        for flag, (_, value) in TRAIN_FLAG_VALUES.items():
+            argv += [flag] if value is True else [flag, value]
+        got = asdict(parsed_config(argv))
+        assert {field: got[field] for field, _ in TRAIN_FLAG_VALUES.values()} == dict(
+            TRAIN_FLAG_VALUES.values())
+
+    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
+    def test_defaults_are_train_configs_but_epochs(self, command):
+        # the CLI trains for 10 epochs unless told otherwise, TrainConfig and a grid for 20
+        assert TrainConfig().epochs == 20
+        assert parsed_config(command) == replace(TrainConfig(), epochs=10)
+
+    def test_manifests_record_every_knob(self, tmp_path):
+        t = gen_binary(3)
+        spring_layout(t, dim=2, seed=0)
+        save_tree(t, tmp_path / "t.json")
+        knobs = ["--epochs", 2, "--batch-size", 8, "--lr", 0.02, "--hidden-layers", 1,
+                 "--width", 4, "--optimizer", "sgd", "--max-pairs", 8]
+        want = {"epochs": 2, "batch_size": 8, "learning_rate": 0.02, "hidden_layers": 1,
+                "hidden_width": 4, "optimizer": "sgd", "batch_norm": False, "max_pairs": 8}
+        assert run(["train", tmp_path / "t.json", "--embed-dim", 3,
+                    "--out-dir", tmp_path] + knobs) == 0
+        assert manifest(tmp_path, "train")["config"] == {
+            "tree": "t.json", "model": "mlp", "embed_dim": 3, **want}
+        assert run(["lowerbound", "--leaves", 2, "--dims", 2, "--study-seeds", 0,
+                    "--out-dir", tmp_path] + knobs) == 0
+        # --dims sets each row's embed_dim
+        assert manifest(tmp_path, "lowerbound")["config"] == {
+            "leaves": [2], "dims": [2], "lambda": 1.1, "study_seeds": [0], **want}
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("argv", [["gen", "--kind", "binary", "--depth", 2],
+                                      ["embed", "t.json", "--lambda", 1.5]] + TRAINING_COMMANDS)
+    def test_only_grid_takes_threads(self, tmp_path, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--threads", 2, "--out-dir", out])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_grid_below_one_exits_2_before_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["grid", tiny_grid_config(tmp_path / "cfg.json"), "--threads", 0,
+                    "--out-dir", out]) == 2
+        assert "thread count must be >= 1" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_library_reads_no_environment_variable(self):
+        src = Path(cli.__file__).resolve().parent
+        hits = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if "os.environ" in line or "os.getenv" in line]
+        assert hits == []
+
+
+# ----------------------------------------------------------------------
 # manifests and schemas across commands
 # ----------------------------------------------------------------------
 
+def listed_outputs(out_dir, command):
+    """The outputs a manifest lists, each checked to exist."""
+    listed = manifest(out_dir, command)["outputs"]
+    assert [name for name in listed if not os.path.isfile(os.path.join(out_dir, name))] == []
+    return listed
+
+
 class TestArtifacts:
     def test_manifest_written_even_when_training_diverges(self, tmp_path):
+        # the manifest is written last, also on exit 3 and 4, and names only
+        # outputs that exist: here none
         t = gen_binary(3)
         spring_layout(t, dim=2, seed=0)
         save_tree(t, tmp_path / "t.json")
         code = run(["train", tmp_path / "t.json", "--optimizer", "sgd",
-                    "--lr", 1e6, "--seed", 1, "--out-dir", tmp_path,
+                    "--lr", 1e6, "--seed", 1, "--out-dir", tmp_path / "train",
                     "--epochs", 5, "--batch-size", 64,
                     "--width", 8, "--hidden-layers", 2])
         assert code == 4
-        doc = manifest(tmp_path, "train")
-        assert "train_loss.csv" in doc["outputs"]
+        assert listed_outputs(tmp_path / "train", "train") == []
+        code = run(["embed", tmp_path / "t.json", "--lambda", 1.0001,
+                    "--out-dir", tmp_path / "embed"])
+        assert code == 3
+        assert listed_outputs(tmp_path / "embed", "embed") == []
+        assert os.listdir(tmp_path / "embed") == ["embed_manifest.json"]
 
     def test_every_emitted_file_parses(self, tmp_path):
         tree = two_node_file(tmp_path / "t.json")
@@ -598,3 +697,7 @@ class TestArtifacts:
                 assert read_bytes(path).decode().startswith("<svg")
                 seen += 1
         assert seen >= 7
+        assert listed_outputs(tmp_path, "train") == [
+            "model_params.json", "train_loss.csv", "train_report.json"]
+        assert listed_outputs(tmp_path, "grid") == [
+            "grid_hnn.svg", "grid_mlp.svg", "grid_results.csv"]

@@ -540,10 +540,13 @@ class TestChooseCurvature:
         assert k_tight.scale >= k_loose.scale
         assert -k_tight.kappa >= -k_loose.kappa
 
-    def test_exhausted_grid_reports_best(self):
-        t = gen_binary(4)
-        with pytest.raises(EmbedError, match="best distortion"):
-            choose_curvature(t, 1.0001, tau_grid=(1.0, 2.0))
+    def test_exhausted_grid_reports_best(self, monkeypatch):
+        # a grid that ends before the overflow cap: the message names the best
+        # scale tried and no cap
+        monkeypatch.setattr(em, "DEFAULT_TAU_GRID", (1.0, 2.0))
+        with pytest.raises(EmbedError, match="best distortion") as err:
+            choose_curvature(gen_binary(4), 1.0001)
+        assert "overflow cap" not in str(err.value)
 
     def test_cap_before_any_scale_names_the_cap(self):
         # a 400-unit edge puts the first grid scale past the overflow cap, so

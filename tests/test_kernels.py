@@ -195,9 +195,9 @@ class TestRowBlocks:
                 _assert_bitwise(got, want)
 
     def test_spring_layout_random_1000(self, monkeypatch):
-        got = trees.spring_layout(trees.gen_random(1000, 3), iterations=50)
+        got = trees.spring_layout(trees.gen_random(1000, 3))
         monkeypatch.setattr(kernels, "fr_step", scalarref.fr_step_full)
-        want = trees.spring_layout(trees.gen_random(1000, 3), iterations=50)
+        want = trees.spring_layout(trees.gen_random(1000, 3))
         assert want.keys() == got.keys()
         for i in want:
             assert_array_equal(got[i], want[i])
