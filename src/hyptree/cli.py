@@ -16,12 +16,11 @@ run wrote. Manifest content is a pure function of config, seed, and library
 version, so identical invocations produce byte-identical files (wall-clock time
 lives in filesystem metadata only).
 
-The training knobs are declared once, in ``TRAIN_FLAGS``. ``train`` and
-``lowerbound`` take each as a flag whose default is TrainConfig's, except
-``--epochs`` (10 here, 20 in TrainConfig and so in a grid). The ``train``
-manifest records each, the ``lowerbound`` manifest each but ``embed_dim``,
-which ``--dims`` sets per row. A grid config takes each but ``embed_dim`` under
-``"train"``.
+The training knobs are declared once, in ``TRAIN_FLAGS``. ``train`` takes
+each as a flag whose default is TrainConfig's, except ``--epochs`` (10 here, 20
+in TrainConfig and so in a grid), and its manifest records each. ``lowerbound``
+and a grid config (under ``"train"``) take each but ``embed_dim``, which
+``--dims`` and the grid's dims set per row.
 ``--threads`` belongs to ``grid``, the one command that starts workers.
 
 Exit codes: 0 success, 2 usage error, 3 distortion target unreachable on the
@@ -43,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .embed import EmbedError, choose_curvature, hnn_realize, save_embedding
-from .networks import par_count, save_params
+from .networks import NetworkError, par_count, save_params
 from .seeding import child_seeds
 from .train import TrainConfig, TrainDivergenceError, TrainError, train_embedding
 from .trees import (
@@ -146,8 +145,8 @@ def _report_doc(report) -> dict:
 
 
 # (flag, TrainConfig field, argparse keywords) for every training knob that
-# train and lowerbound take as a flag; a grid config takes each but embed_dim,
-# which its dims set, under "train"
+# train takes as a flag; lowerbound and a grid config take each but embed_dim,
+# which their dims set
 TRAIN_FLAGS = (
     ("--epochs", "epochs", {"type": int}),
     ("--batch-size", "batch_size", {"type": int}),
@@ -164,7 +163,8 @@ TRAIN_FLAGS = (
 def _train_config_from_args(args, model: str) -> TrainConfig:
     try:
         return TrainConfig(seed=args.seed, model_kind=model,
-                           **{field: getattr(args, field) for _, field, _ in TRAIN_FLAGS})
+                           **{field: getattr(args, field) for _, field, _ in TRAIN_FLAGS
+                              if hasattr(args, field)})
     except TrainError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -258,8 +258,8 @@ def cmd_embed(args) -> int:
         if args.realize_hnn:
             try:
                 params = hnn_realize(emb, t, seed=args.seed)
-            except EmbedError as exc:
-                raise UsageError(str(exc)) from exc
+            except (EmbedError, NetworkError) as exc:
+                raise UsageError(f"cannot realize the embedding on this layout: {exc}") from exc
             save_params(out_params, params)
             written.append(out_params)
             pc = par_count(params)
@@ -684,11 +684,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_seed, default=0, help="top-level seed for all streams")
     common.add_argument("--out-dir", default=".", help="directory for outputs")
 
-    train_common = argparse.ArgumentParser(add_help=False)
-    for flag, field, kwargs in TRAIN_FLAGS:
-        # the CLI trains for 10 epochs unless told otherwise; TrainConfig, so a grid, for 20
-        default = 10 if field == "epochs" else getattr(TrainConfig, field)
-        train_common.add_argument(flag, dest=field, default=default, **kwargs)
+    def train_flags(*skip):
+        parent = argparse.ArgumentParser(add_help=False)
+        for flag, field, kwargs in TRAIN_FLAGS:
+            if field not in skip:
+                # the CLI trains for 10 epochs unless told otherwise; TrainConfig, so a grid, for 20
+                default = 10 if field == "epochs" else getattr(TrainConfig, field)
+                parent.add_argument(flag, dest=field, default=default, **kwargs)
+        return parent
 
     p = argparse.ArgumentParser(
         prog="hyptree",
@@ -713,7 +716,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("-o", "--output", help="embedding JSON filename")
     e.set_defaults(func=cmd_embed)
 
-    t = sub.add_parser("train", parents=[common, train_common],
+    t = sub.add_parser("train", parents=[common, train_flags()],
                        help="fit a model to tree pair distances")
     t.add_argument("tree", help="tree JSON file with layout")
     t.add_argument("--model", choices=["mlp", "hnn"], default="mlp")
@@ -726,7 +729,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="worker processes for grid rows, at most min(rows, CPUs)")
     gr.set_defaults(func=cmd_grid)
 
-    lb = sub.add_parser("lowerbound", parents=[common, train_common],
+    lb = sub.add_parser("lowerbound", parents=[common, train_flags("embed_dim")],
                         help="trained-MLP distortion growth vs constructive embeddings")
     lb.add_argument("--leaves", default="8,16,32,64",
                     help="comma-separated spider leaf counts")

@@ -8,32 +8,36 @@ grows, geodesics between the images of far-apart nodes hug the tree paths
 more and more tightly, so the metric distortion under the rescaled
 distance d_{-1}/tau falls toward 1.
 
+Only the edge lengths depend on tau. The frames, the BFS from the root and
+the directed-edge table with each edge's successors and turns are built once
+per tree, with no scale, and placing them at tau tracks each node
+intrinsically: its distance from the root and its bearing at the root.
+
 Numerics are the whole game at large scale. Ambient hyperboloid
 coordinates grow like cosh(tau * depth), and beyond radius ~35 float64
 spacing exceeds the angular separation of nearby images, so coordinates
-alone cannot support distance evaluation. The construction therefore
-tracks each node intrinsically (distance from the root, bearing at the root,
-and exact frame angles at every node) and evaluates distances on that
-record: every source walks outward over the tree at once, one hop per step,
-and each (source, node) pair gets its distance and back-bearing to the
+alone cannot support distance evaluation. Distances are therefore evaluated
+on the frame: every source walks outward over the tree at once, one hop per
+step, and each (source, node) pair gets its distance and back-bearing to the
 source from its predecessor's in one hyperbolic law-of-cosines step
 evaluated entirely in log space (``kernels.triangle_step``, which also
-places the nodes level by level). Ambient coordinates are materialized from
-the polar data for interop and small-scale work; the evaluator never reads
-them.
+places the nodes level by level). Ambient coordinates are formed from the
+polar data on first use, for output and small-scale work; the evaluator
+never reads them. Embeddings are written as JSON and not read back.
 
-The curvature scan walks every source only for a scale it may accept. It
-first walks a few probe rows, and one entry of theirs that the full check
-would hold, out of bounds on the same float quotient, rejects the scale. A
-scale whose probes find no such entry gets the full check, so every
-decision is the full check's. Only the accepted scale gets ambient points.
+The curvature scan builds the frame once and walks every source only for a
+scale it may accept. It first walks a few probe rows, and one entry of
+theirs that the full check would hold, out of bounds on the same float
+quotient, rejects the scale. A scale whose probes find no such entry gets
+the full check, so every decision is the full check's.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,127 +84,164 @@ def distortion_from_matrices(d_space: np.ndarray, d_tree: np.ndarray) -> Distort
 
 
 # ----------------------------------------------------------------------
-# The embedding object
+# The construction
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HyperbolicEmbedding:
-    """Node images on H^2 plus the intrinsic construction record.
+def _ranges(first, count):
+    """Concatenated ranges first[i] .. first[i] + count[i] - 1, with the i of each entry."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) + (first - np.cumsum(count) + count)[owner]
 
-    ``points`` are unit-curvature ambient coordinates; ``kappa`` is the
-    curvature under which tree units are recovered (d_kappa = d_{-1}/tau).
-    ``frames``/``parent``/``edge_len`` describe the construction
-    intrinsically and power the exact distance evaluator; they are None on
-    embeddings loaded from JSON, which carry points only. The curvature
-    scan's records carry the construction and no points.
+
+@dataclass(frozen=True)
+class _Frame:
+    """The construction of one tree at no particular scale.
+
+    Nodes are numbered by their place in ``ids``, the tree's node order. Each
+    node's frame puts its neighbors at exact multiples of 2*pi/deg: at the
+    root (the centroid) the sorted neighbors from 0, elsewhere the parent at 0
+    and the sorted children after it. A BFS from the root visits node
+    order[k] k-th; it hangs from BFS place parent[k] by an edge of weight
+    weight[k] that leaves the parent at angle slot[k] of its frame (the
+    root's entries are 0). The BFS places of the nodes i hops from the root,
+    i >= 2, are level[i - 2] .. level[i - 1] - 1, and no node lies deeper
+    than weight ``ecc``.
+
+    The directed edges are grouped by tail: node k's out-edges are
+    start[k] .. start[k + 1] - 1, and edge j ends at node head[j] over weight
+    edge_w[j]. The successors of edge a->b are the edges b->c with c != a, at
+    succ_ptr[j] .. succ_ptr[j + 1] - 1 of succ_edge, each with its turn at b:
+    the signed angle from the ray toward a to the ray toward c.
     """
 
-    points: dict
-    kappa: Curvature
+    ids: tuple
+    index: dict
+    order: np.ndarray
+    parent: np.ndarray
+    weight: np.ndarray
+    slot: np.ndarray
+    level: np.ndarray
+    ecc: float
+    start: np.ndarray
+    head: np.ndarray
+    edge_w: np.ndarray
+    succ_ptr: np.ndarray
+    succ_edge: np.ndarray
+    succ_turn: np.ndarray
+
+
+def _frame(t: WeightedTree) -> _Frame:
+    """The tree's frames, BFS and directed-edge table, from one BFS from its centroid."""
+    ids = tuple(t.node_ids)
+    index = {v: k for k, v in enumerate(ids)}
+    adj = t.adjacency()
+    root = centroid(t)
+    ring, up, bfs = {}, {root: None}, [root]  # ring[v]: v's (neighbor, weight) in frame order
+    for v in bfs:
+        nbrs = sorted(adj[v])
+        ring[v] = [nb for nb in nbrs if nb[0] == up[v]] + [nb for nb in nbrs if nb[0] != up[v]]
+        for nb, _ in nbrs:
+            if nb not in up:
+                up[nb] = v
+                bfs.append(nb)
+    angle = {(a, b): _TWO_PI * j / len(ring[a]) for a in ids for j, (b, _) in enumerate(ring[a])}
+
+    # bfs lists the nodes by hops from the root, so each tree level is one contiguous run
+    place = {v: k for k, v in enumerate(bfs)}
+    parent = [0] + [place[up[v]] for v in bfs[1:]]
+    weight = [0.0] + [ring[v][0][1] for v in bfs[1:]]
+    hops, depth = [0], [0.0]
+    for k in range(1, len(bfs)):
+        hops.append(hops[parent[k]] + 1)
+        depth.append(depth[parent[k]] + weight[k])
+
+    edge_id = {ab: j for j, ab in enumerate(angle)}
+    head = np.array([index[b] for _, b in angle], np.intp)
+    edge_angle = np.array(list(angle.values()))
+    rev = np.array([edge_id[b, a] for a, b in angle], np.intp)
+    start = np.cumsum([0] + [len(ring[a]) for a in ids])
+    # every out-edge of b is a candidate successor of a->b, except b->a
+    count = start[head + 1] - start[head]
+    j, cand = _ranges(start[head], count)
+    keep = cand != rev[j]
+    return _Frame(
+        ids=ids,
+        index=index,
+        order=np.array([index[v] for v in bfs], np.intp),
+        parent=np.array(parent, np.intp),
+        weight=np.array(weight),
+        slot=np.array([0.0] + [angle[up[v], v] for v in bfs[1:]]),
+        level=np.searchsorted(hops, np.arange(2, hops[-1] + 2)),
+        ecc=max(depth),
+        start=start,
+        head=head,
+        edge_w=np.array([w for a in ids for _, w in ring[a]]),
+        succ_ptr=np.concatenate([[0], np.cumsum(count - 1)]),
+        succ_edge=cand[keep],
+        succ_turn=kernels.wrap_angle(edge_angle[cand[keep]] - edge_angle[rev[j[keep]]]),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class HyperbolicEmbedding:
+    """A tree's frame placed on H^2 at scale tau.
+
+    r and bearing give each node's distance from the root and bearing at the
+    root, in the tree's node order (``node_ids()``); edges are tau times the
+    tree's weights. ``kappa`` = -tau^2 is the curvature under which tree units
+    are recovered (d_kappa = d_{-1}/tau). ``points``, the unit-curvature
+    ambient coordinates, are formed from (r, bearing) on first use; the
+    distance evaluator never reads them.
+    """
+
+    frame: _Frame = field(repr=False)
     tau: float
-    root: int | None = None
-    parent: dict | None = field(default=None, repr=False)
-    edge_len: dict | None = field(default=None, repr=False)
-    frames: dict | None = field(default=None, repr=False)
+    r: np.ndarray = field(repr=False)
+    bearing: np.ndarray = field(repr=False)
+
+    @property
+    def kappa(self) -> Curvature:
+        return Curvature.from_scale(self.tau)
+
+    @property
+    def root(self) -> int:
+        return self.frame.ids[self.frame.order[0]]
 
     def node_ids(self) -> list:
-        return sorted(self.points if self.parent is None else self.parent)
+        return list(self.frame.ids)
+
+    @cached_property
+    def points(self) -> dict:
+        points = {}
+        for v, rv, b in zip(self.frame.ids, self.r.tolist(), self.bearing.tolist()):
+            sr = math.sinh(rv)
+            points[v] = HPoint(np.array([sr * math.cos(b), sr * math.sin(b), math.cosh(rv)]))
+        return points
 
 
-def _neighbor_frames(t: WeightedTree, root: int) -> tuple[dict, dict, dict]:
-    """Per-node direction angles: parent at 0, the rest evenly spaced.
-
-    Returns (frames, parent, edge weight to parent). Frame angles are
-    exact multiples of 2*pi/deg, so turn angles carry no construction
-    round-off beyond the division itself.
-    """
-    adj = t.adjacency()
-    frames: dict = {}
-    parent: dict = {root: None}
-    w_up: dict = {}
-    order = [root]
-    seen = {root}
-    for v in order:
-        nbrs = sorted(nb for nb, _ in adj[v])
-        g = len(nbrs)
-        if v == root:
-            slots = {nb: _TWO_PI * j / g for j, nb in enumerate(nbrs)} if g else {}
-        else:
-            kids = [nb for nb in nbrs if nb != parent[v]]
-            slots = {parent[v]: 0.0}
-            for k, nb in enumerate(kids):
-                slots[nb] = _TWO_PI * (k + 1) / g
-        frames[v] = slots
-        for nb, w in sorted(adj[v]):
-            if nb not in seen:
-                seen.add(nb)
-                parent[nb] = v
-                w_up[nb] = w
-                order.append(nb)
-    return frames, parent, w_up
-
-
-def _construction(t: WeightedTree, tau: float):
-    """The construction record at scale tau, and each node's polar position.
-
-    Returns (record, order, r, bearing): ``record`` is the embedding with no
-    ambient points yet, which is all ``embedding_distance`` reads; r and
-    bearing give each node's distance from the root and bearing at the
-    root, in the BFS order ``order``.
-    """
+def _place(f: _Frame, tau: float) -> HyperbolicEmbedding:
+    """The frame at scale tau: edge lengths tau * w, one tree level per
+    ``kernels.triangle_step`` call."""
     if tau <= 0.0:
         raise EmbedError("tau must be positive")
-    root = centroid(t)
-    frames, parent, w_up = _neighbor_frames(t, root)
-    # parent lists the nodes in BFS order, so each tree level is one contiguous run
-    order = list(parent)
-    index = {v: k for k, v in enumerate(order)}
-    par = [0] + [index[parent[v]] for v in order[1:]]
-    w = [0.0] + [w_up[v] for v in order[1:]]
-    hops, depth = [0], [0.0]
-    for k in range(1, len(order)):
-        hops.append(hops[par[k]] + 1)
-        depth.append(depth[par[k]] + w[k])
-    ecc = max(depth)
-    if tau * ecc > OVERFLOW_CAP:
+    if tau * f.ecc > OVERFLOW_CAP:
         raise OverflowGuardError(
-            f"tau {tau:g} puts nodes at radius {tau * ecc:.1f} > {OVERFLOW_CAP:g}; "
+            f"tau {tau:g} puts nodes at radius {tau * f.ecc:.1f} > {OVERFLOW_CAP:g}; "
             "reduce tau"
         )
-
     # r = distance from the root, bearing = angle at the root, beta = signed
     # angle at the node from the ray back to its parent to the ray toward the
     # root; the root's neighbors sit at r = ell on their slot, with beta = 0
-    par, ell = np.array(par), tau * np.array(w)
-    slot = np.array([0.0] + [frames[parent[v]][v] for v in order[1:]])
-    r, bearing, beta = ell.copy(), slot.copy(), np.zeros(len(order))
-    level = np.searchsorted(hops, np.arange(2, hops[-1] + 2))
-    for lo, hi in zip(level[:-1], level[1:]):
-        p = par[lo:hi]
+    ell = tau * f.weight
+    r, bearing, beta = ell.copy(), f.slot.copy(), np.zeros(len(ell))
+    for lo, hi in zip(f.level[:-1], f.level[1:]):
+        p = f.parent[lo:hi]
         # signed angle at the parent from the ray toward the node to the ray toward the root
-        theta = kernels.wrap_angle(beta[p] - slot[lo:hi])
+        theta = kernels.wrap_angle(beta[p] - f.slot[lo:hi])
         r[lo:hi], beta[lo:hi], turn = kernels.triangle_step(r[p], ell[lo:hi], theta)
         bearing[lo:hi] = kernels.wrap_angle(bearing[p] + turn)
-
-    record = HyperbolicEmbedding(
-        points={},
-        kappa=Curvature.from_scale(tau),
-        tau=tau,
-        root=root,
-        parent=parent,
-        edge_len={v: tau * w for v, w in w_up.items()},
-        frames=frames,
-    )
-    return record, order, r, bearing
-
-
-def _with_points(record: HyperbolicEmbedding, order, r, bearing) -> HyperbolicEmbedding:
-    """The record with its ambient points, formed from the polar positions."""
-    points = {}
-    for v, rv, b in zip(order, r.tolist(), bearing.tolist()):
-        sr = math.sinh(rv)
-        points[v] = HPoint(np.array([sr * math.cos(b), sr * math.sin(b), math.cosh(rv)]))
-    return replace(record, points=points)
+    at = np.argsort(f.order)  # each node's BFS place
+    return HyperbolicEmbedding(f, tau, r[at], bearing[at])
 
 
 def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
@@ -210,79 +251,40 @@ def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
     distance tau * w from its parent, rotated from the parent's incoming
     direction by an exact multiple of 2*pi/deg. Positions are tracked as
     (distance from root, bearing at root), one tree level per
-    ``kernels.triangle_step`` call; ambient coordinates come from that polar
-    data at the end.
+    ``kernels.triangle_step`` call.
     """
-    return _with_points(*_construction(t, tau))
-
-
-def _ranges(first, count):
-    """Concatenated ranges first[i] .. first[i] + count[i] - 1, with the i of each entry."""
-    owner = np.repeat(np.arange(len(count)), count)
-    return owner, np.arange(len(owner)) + (first - np.cumsum(count) + count)[owner]
-
-
-def _edge_table(e: HyperbolicEmbedding, index: dict):
-    """Directed edges of the construction record, grouped by tail node.
-
-    Node v is numbered index[v]; its out-edges are start[k] .. start[k + 1] - 1
-    for k = index[v]. Edge j ends at node head[j] after length[j]. The
-    successors of edge a->b are the edges b->c with c != a, at
-    succ_ptr[j] .. succ_ptr[j + 1] - 1 of succ_edge, each with its turn at b:
-    the signed angle from the ray toward a to the ray toward c.
-    """
-    frames, parent, edge_len = e.frames, e.parent, e.edge_len
-    edge_id, head, length, angle = {}, [], [], []
-    for a in index:
-        for b, ang in frames[a].items():
-            edge_id[a, b] = len(head)
-            head.append(index[b])
-            length.append(edge_len[b] if parent[b] == a else edge_len[a])
-            angle.append(ang)
-    head, angle = np.array(head, np.intp), np.array(angle)
-    rev = np.array([edge_id[b, a] for a, b in edge_id], np.intp)
-    start = np.cumsum([0] + [len(frames[a]) for a in index])
-    # every out-edge of b is a candidate successor of a->b, except b->a
-    count = start[head + 1] - start[head]
-    j, cand = _ranges(start[head], count)
-    keep = cand != rev[j]
-    succ_edge = cand[keep]
-    succ_turn = kernels.wrap_angle(angle[succ_edge] - angle[rev[j[keep]]])
-    succ_ptr = np.concatenate([[0], np.cumsum(count - 1)])
-    return start, head, np.array(length), succ_ptr, succ_edge, succ_turn
+    return _place(_frame(t), tau)
 
 
 def embedding_distance(e: HyperbolicEmbedding, sources) -> np.ndarray:
     """d_{-1} from the image of each source to the image of every node.
 
     Row i holds the distances from sources[i], one column per node in
-    ``e.node_ids()`` order. The sources walk the construction record together,
-    one hop per step. The state of (source, directed edge a->b) is the
-    distance from the source to b and the signed angle at b from the ray back
-    to a to the ray toward the source; one ``kernels.triangle_step`` call
+    ``e.node_ids()`` order. The sources walk the frame's directed edges
+    together, one hop per step. The state of (source, directed edge a->b) is
+    the distance from the source to b and the signed angle at b from the ray
+    back to a to the ray toward the source; one ``kernels.triangle_step`` call
     gives every next hop's state, so accuracy does not degrade with scale the
     way ambient coordinates do. Raises EmbedError on a non-finite distance.
     """
-    if e.frames is None:
-        raise EmbedError("embedding carries no construction record")
-    index = {v: k for k, v in enumerate(e.node_ids())}
-    start, head, length, succ_ptr, succ_edge, succ_turn = _edge_table(e, index)
-    src = np.array([index[u] for u in sources], np.intp)
-    out = np.zeros((len(src), len(index)))
+    f = e.frame
+    src = np.array([f.index[u] for u in sources], np.intp)
+    length = e.tau * f.edge_w
+    out = np.zeros((len(src), len(f.ids)))
     # A block of b sources holds at most b * n states in one hop (on a star,
     # one hop holds almost every ordered pair), so blocks of n / 4 sources
     # keep each hop's temporaries to a few n^2 / 4 floats.
-    step = -(-len(index) // 4)
+    step = -(-len(f.ids) // 4)
     for lo in range(0, len(src), step):
         block = src[lo : lo + step]
-        row, edge = _ranges(start[block], start[block + 1] - start[block])
+        row, edge = _ranges(f.start[block], f.start[block + 1] - f.start[block])
         dist, back = length[edge], np.zeros(len(edge))
         while edge.size:
-            out[lo + row, head[edge]] = dist
-            prev, pos = _ranges(succ_ptr[edge], succ_ptr[edge + 1] - succ_ptr[edge])
+            out[lo + row, f.head[edge]] = dist
+            prev, pos = _ranges(f.succ_ptr[edge], f.succ_ptr[edge + 1] - f.succ_ptr[edge])
             # signed angle at the edge's head from the ray ahead to the ray toward the source
-            psi = kernels.wrap_angle(back[prev] - succ_turn[pos])
-            row, edge, dist = row[prev], succ_edge[pos], dist[prev]
+            psi = kernels.wrap_angle(back[prev] - f.succ_turn[pos])
+            row, edge, dist = row[prev], f.succ_edge[pos], dist[prev]
             del prev, pos, back
             dist, back, _ = kernels.triangle_step(dist, length[edge], psi)
     if not np.isfinite(out).all():
@@ -291,14 +293,13 @@ def embedding_distance(e: HyperbolicEmbedding, sources) -> np.ndarray:
 
 
 def embedding_distance_matrix(e: HyperbolicEmbedding, ids=None) -> np.ndarray:
-    """Symmetric matrix of d_{-1} over ``ids`` (default: all nodes, sorted).
+    """Symmetric matrix of d_{-1} over ``ids`` (default: all nodes, in ``e.node_ids()`` order).
 
     Row i comes from the walk of ids[i] and fills the entries j > i; the
     rest is its mirror image, so the matrix is exactly symmetric.
     """
     ids = list(ids) if ids is not None else e.node_ids()
-    col = {v: k for k, v in enumerate(e.node_ids())}
-    upper = np.triu(embedding_distance(e, ids)[:, [col[v] for v in ids]], 1)
+    upper = np.triu(embedding_distance(e, ids)[:, [e.frame.index[v] for v in ids]], 1)
     return upper + upper.T
 
 
@@ -312,21 +313,20 @@ DEFAULT_TAU_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 def _probe_witness(record: HyperbolicEmbedding, metric, lam: float, sources):
     """A pair (i, j), i < j, of rows of ``metric`` whose ratio fails the bound.
 
-    Walks only the given source rows. Entry (i, j) of the full check is the
-    walk of ids[i] at column j, divided by tau * d_T as ``ratio_bounds``
-    divides it, so a source's row counts as it is at columns j > i. At
-    j < i the entry comes from the walk of ids[j]: each source's worst such
-    column is walked next, and its row counts the same way. Returns None
-    when no walked entry fails.
+    Walks only the given source rows; the walk's columns are the tree's node
+    order, as are the metric's. Entry (i, j) of the full check is the walk
+    of ids[i] at column j, divided by tau * d_T as ``ratio_bounds`` divides
+    it, so a source's row counts as it is at columns j > i. At j < i the
+    entry comes from the walk of ids[j]: each source's worst such column is
+    walked next, and its row counts the same way. Returns None when no
+    walked entry fails.
     """
     ids = metric.ids
-    node_col = {v: k for k, v in enumerate(record.node_ids())}
     cols = np.arange(len(ids))
-    perm = [node_col[v] for v in ids]
     src = sorted(sources)
     for _ in range(2):  # the probe rows, then the rows that confirm their hits at j < i
         src = np.array(src, np.intp)
-        rows = embedding_distance(record, [ids[i] for i in src])[:, perm]
+        rows = embedding_distance(record, [ids[i] for i in src])
         off = cols != src[:, None]
         ratio = np.divide(rows, record.tau * metric.matrix[src], out=np.ones(rows.shape),
                           where=off)
@@ -357,8 +357,9 @@ def choose_curvature(t: WeightedTree, lam: float):
     the full check would hold, on the same float quotient, rejects it, so
     NaN and 0 reject as they do there. Only a tau with no such witness
     walks every source, so each decision is exactly the full check's.
-    Ambient points are formed for the accepted tau only. When no tau is
-    accepted, the best distortion comes from full walks of the rejected
+    The tree's frame is built once and placed at each tau, and no ambient
+    point is formed until the caller reads the returned embedding's. When no
+    tau is accepted, the best distortion comes from full walks of the rejected
     ones.
 
     Returns (embedding, curvature, report). Raises EmbedError if no scale
@@ -372,13 +373,14 @@ def choose_curvature(t: WeightedTree, lam: float):
     ids = list(metric.ids)
     if len(ids) < 2:
         raise EmbedError("need at least two nodes")
-    center = ids.index(centroid(t))
+    frame = _frame(t)
+    center = int(frame.order[0])
     end = int(np.argmax(metric.matrix[center]))
     ends = {center, end}
     rejected, witness, capped = [], (), None
     for tau in DEFAULT_TAU_GRID:
         try:
-            record, *polar = _construction(t, tau)
+            record = _place(frame, tau)
         except OverflowGuardError:
             ecc = float(metric.matrix[center].max())
             capped = f"tau={tau:g} hit the overflow cap: radius {tau * ecc:.1f} > {OVERFLOW_CAP:g}"
@@ -388,7 +390,7 @@ def choose_curvature(t: WeightedTree, lam: float):
             mat = embedding_distance_matrix(record, ids)
             report = distortion_from_matrices(mat, tau * metric.matrix)
             if report.alpha >= 1.0 / lam and report.beta <= lam:
-                return _with_points(record, *polar), Curvature.from_scale(tau), report
+                return record, record.kappa, report
         rejected.append(record)
     reasons = [f"no grid scale met lambda={lam:g}"]
     best = None
@@ -429,7 +431,7 @@ def hnn_realize(e: HyperbolicEmbedding, t: WeightedTree, seed: int = 0) -> HnnPa
 
 
 # ----------------------------------------------------------------------
-# JSON interchange
+# JSON output
 # ----------------------------------------------------------------------
 
 def embedding_to_dict(e: HyperbolicEmbedding) -> dict:
@@ -439,22 +441,7 @@ def embedding_to_dict(e: HyperbolicEmbedding) -> dict:
     }
 
 
-def embedding_from_dict(data: dict) -> HyperbolicEmbedding:
-    kappa = Curvature(float(data["kappa"]))
-    points = {}
-    for key, coords in data["points"].items():
-        points[int(key)] = HPoint(np.asarray(coords, np.float64))
-    if not points:
-        raise EmbedError("embedding holds no points")
-    return HyperbolicEmbedding(points=points, kappa=kappa, tau=kappa.scale)
-
-
 def save_embedding(path, e: HyperbolicEmbedding) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(embedding_to_dict(e), fh, indent=1)
         fh.write("\n")
-
-
-def load_embedding(path) -> HyperbolicEmbedding:
-    with open(path, "r", encoding="utf-8") as fh:
-        return embedding_from_dict(json.load(fh))

@@ -11,7 +11,8 @@ HNN training head on every ordered pair, the oracle of the symmetric
 intrinsic kernel. ``stacked_pair_loss`` restates the
 batched training loss without deduplicating the pair endpoints.
 ``embedding_distance_pair`` unrolls the tree path of one pair with the
-scalar log-space triangle helpers below, and ``curvature_scan_pairwise``
+scalar log-space triangle helpers below, on frames and lengths rebuilt from
+the tree by ``ambientutil.frame_slots``, and ``curvature_scan_pairwise``
 runs the curvature scan pair by pair on it. ``curvature_scan_full`` judges
 every scale on its full distance matrix, the oracle of every decision and
 exit message of the library's probing scan.
@@ -21,6 +22,7 @@ import math
 
 import numpy as np
 
+from ambientutil import frame_slots
 from hyptree.embed import (
     distortion_from_matrices,
     embedding_distance_matrix,
@@ -274,41 +276,59 @@ def _angle_opposite(side_far: float, side_near: float, side_op: float, theta: fl
     return math.atan2(sin_a, num / den)
 
 
-def _tree_path(e, u, v):
+def reference_frame(t):
+    """The tree's frames, parents and weights to the parent, rebuilt by
+    ``ambientutil.frame_slots`` from the tree alone: the oracle's own record
+    of the construction, shared with nothing under test."""
+    return frame_slots(t, centroid(t))
+
+
+def _tree_path(parent, u, v):
     """Nodes on the tree path from u to v, both included."""
     up_u = [u]
-    while e.parent[up_u[-1]] is not None:
-        up_u.append(e.parent[up_u[-1]])
+    while parent[up_u[-1]] is not None:
+        up_u.append(parent[up_u[-1]])
     on_u = set(up_u)
     up_v = [v]
     while up_v[-1] not in on_u:
-        up_v.append(e.parent[up_v[-1]])
+        up_v.append(parent[up_v[-1]])
     lca = up_v[-1]
     head = up_u[: up_u.index(lca) + 1]
     return head + up_v[-2::-1]
 
 
-def embedding_distance_pair(e, u, v):
-    """d_{-1} between the images of u and v: one law-of-cosines step per
-    hop along the tree path from u to v."""
+def embedding_distance_pair(frame, tau, u, v):
+    """d_{-1} between the images of u and v at scale tau: one law-of-cosines
+    step per hop along the tree path from u to v. ``frame`` is the tree's
+    ``reference_frame``; each slot angle is 2 pi times its exact fraction of
+    a full turn, and each edge is tau times its tree weight."""
+    slots, parent, w_up = frame
     if u == v:
         return 0.0
-    path = _tree_path(e, u, v)
-    d = e.edge_len[path[1]] if e.parent[path[1]] == path[0] else e.edge_len[path[0]]
+    path = _tree_path(parent, u, v)
+
+    def length(a, b):
+        return tau * (w_up[b] if parent[b] == a else w_up[a])
+
+    def angle(a, b):
+        frac = slots[a][b]
+        return _TWO_PI * frac.numerator / frac.denominator
+
+    d = length(path[0], path[1])
     if len(path) == 2:
         return d
     # state: d = dist(u, p_i); psi = signed angle at p_i from the ray
     # toward p_{i+1} to the ray toward u
-    psi = _wrap(e.frames[path[1]][path[0]] - e.frames[path[1]][path[2]])
+    psi = _wrap(angle(path[1], path[0]) - angle(path[1], path[2]))
     for i in range(1, len(path) - 1):
         mid, nxt = path[i], path[i + 1]
-        ell = e.edge_len[nxt] if e.parent.get(nxt) == mid else e.edge_len[mid]
+        ell = length(mid, nxt)
         d_new = _side_from_angle(d, ell, psi)
         delta = _angle_opposite(d_new, ell, d, psi)
         sign = 1.0 if psi >= 0.0 else -1.0
         back_to_u = _wrap(-sign * delta)
         if i + 2 < len(path):
-            turn = _wrap(e.frames[nxt][path[i + 2]] - e.frames[nxt][mid])
+            turn = _wrap(angle(nxt, path[i + 2]) - angle(nxt, mid))
             psi = _wrap(back_to_u - turn)
         d = d_new
     return d
@@ -320,15 +340,16 @@ def curvature_scan_pairwise(t, metric, lam, tau_grid):
     Every pair's ratio d_{-1} / (tau d_T) is formed one at a time.
     """
     ids = list(metric.ids)
+    frame = reference_frame(t)
     for tau in sorted(tau_grid):
         try:
-            emb = sarkar_embed(t, tau)
+            sarkar_embed(t, tau)
         except OverflowGuardError:
             return None
         alpha, beta = math.inf, 0.0
         for i, u in enumerate(ids):
             for v in ids[i + 1 :]:
-                ratio = embedding_distance_pair(emb, u, v) / (tau * metric.dist(u, v))
+                ratio = embedding_distance_pair(frame, tau, u, v) / (tau * metric.dist(u, v))
                 alpha = min(alpha, ratio)
                 beta = max(beta, ratio)
         if alpha >= 1.0 / lam and beta <= lam:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hyptree import cli
-from hyptree.embed import distortion_from_matrices, load_embedding
+from hyptree.embed import distortion_from_matrices
 from hyptree.kernels import pairwise_hyperboloid
 from hyptree.networks import HnnParams, MlpParams, hnn_forward, load_params
 from hyptree.train import TrainConfig, _predict_rows
@@ -123,8 +123,8 @@ class TestEmbed:
         out = capsys.readouterr().out
         dist = float(out.split("dist=")[1].split()[0])
         assert dist <= 1.5
-        emb = load_embedding(tmp_path / "embedding.json")
-        assert len(emb.node_ids()) == 2
+        emb = json.load(open(tmp_path / "embedding.json"))
+        assert sorted(emb["points"]) == ["0", "1"]
 
     def test_binary6_meets_target(self, tmp_path, capsys):
         t = gen_binary(6)
@@ -186,6 +186,22 @@ class TestEmbed:
         assert f"tree nodes lack layout coordinates: {listed}" in err
         assert "Traceback" not in err
         assert os.listdir(tmp_path / "out") == []
+
+    def test_realize_hnn_on_coincident_layout_exits_2(self, tmp_path, capsys):
+        # nodes 1 and 2 share their layout coordinates, so no network maps
+        # them to two images; the embedding itself is written first
+        t = WeightedTree([0, 1, 2], [(0, 1, 1.0), (0, 2, 1.0)],
+                         coords={0: [0.0, 0.0], 1: [1.0, 0.0], 2: [1.0, 0.0]})
+        save_tree(t, tmp_path / "t.json")
+        out = tmp_path / "out"
+        code = run(["embed", tmp_path / "t.json", "--lambda", 1.5, "--realize-hnn",
+                    "--out-dir", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot realize the embedding on this layout: points must be pairwise distinct" in err
+        assert "Traceback" not in err
+        assert listed_outputs(out, "embed") == ["embed_report.json", "embedding.json"]
+        assert not (out / "hnn_params.json").exists()
 
     def test_unreachable_target_exits_3(self, tmp_path, capsys):
         t = gen_binary(6)
@@ -582,19 +598,33 @@ def parsed_config(argv):
     return cli._train_config_from_args(args, "mlp")
 
 
+def flag_values(command):
+    """The TRAIN_FLAG_VALUES a command takes: lowerbound's --dims sets embed_dim."""
+    return {flag: fv for flag, fv in TRAIN_FLAG_VALUES.items()
+            if command[0] == "train" or flag != "--embed-dim"}
+
+
 class TestTrainFlags:
     def test_every_field_but_seed_and_model_kind_has_a_flag(self):
         knobs = {f.name for f in fields(TrainConfig)} - {"seed", "model_kind"}
         assert {field for field, _ in TRAIN_FLAG_VALUES.values()} == knobs
+        assert {flag for flag, _, _ in cli.TRAIN_FLAGS} == set(TRAIN_FLAG_VALUES)
 
     @pytest.mark.parametrize("command", TRAINING_COMMANDS)
     def test_each_flag_sets_its_field(self, command):
         argv = list(command)
-        for flag, (_, value) in TRAIN_FLAG_VALUES.items():
+        values = flag_values(command)
+        for flag, (_, value) in values.items():
             argv += [flag] if value is True else [flag, value]
         got = asdict(parsed_config(argv))
-        assert {field: got[field] for field, _ in TRAIN_FLAG_VALUES.values()} == dict(
-            TRAIN_FLAG_VALUES.values())
+        assert {field: got[field] for field, _ in values.values()} == dict(values.values())
+
+    def test_lowerbound_rejects_embed_dim(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["lowerbound", "--embed-dim", 3, "--out-dir", out])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", TRAINING_COMMANDS)
     def test_defaults_are_train_configs_but_epochs(self, command):

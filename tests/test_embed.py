@@ -28,7 +28,6 @@ from hyptree.embed import (
     embedding_distance,
     embedding_distance_matrix,
     hnn_realize,
-    load_embedding,
     sarkar_embed,
     save_embedding,
 )
@@ -261,17 +260,33 @@ class TestConstructionOracle:
                 assert rows[i, j] == pytest.approx(want, abs=1e-9)
 
     def test_frame_assignment_matches_oracle(self):
-        for t in SMALL_TREES:
-            root = centroid(t)
-            frames, parent, w_up = em._neighbor_frames(t, root)
-            slots, oparent, ow_up = amb.frame_slots(t, root)
-            assert parent == oparent
-            assert w_up == ow_up
-            for v in frames:
-                assert set(frames[v]) == set(slots[v])
-                for nb, ang in frames[v].items():
-                    want = 2.0 * math.pi * float(slots[v][nb])
-                    assert ang == pytest.approx(want, abs=1e-12)
+        # the BFS arrays and the directed-edge table against the oracle's
+        # slots, parents and weights
+        for t in SMALL_TREES + [UNSORTED]:
+            f = em._frame(t)
+            slots, oparent, ow_up = amb.frame_slots(t, centroid(t))
+            ids = f.ids
+            assert ids == tuple(t.node_ids)
+            bfs = [ids[k] for k in f.order]
+            assert bfs[0] == centroid(t) and sorted(bfs) == sorted(ids)
+            assert {v: bfs[p] for v, p in zip(bfs[1:], f.parent[1:])} == \
+                {v: p for v, p in oparent.items() if p is not None}
+            assert dict(zip(bfs[1:], f.weight[1:].tolist())) == ow_up
+            for v, slot in zip(bfs[1:], f.slot[1:]):
+                assert slot == pytest.approx(2.0 * math.pi * float(slots[oparent[v]][v]), abs=1e-12)
+            assert len(f.head) == 2 * len(t.edges)
+            for k, a in enumerate(ids):
+                out = f.head[f.start[k] : f.start[k + 1]]
+                assert sorted(ids[b] for b in out) == sorted(slots[a])
+            for j in range(len(f.head)):
+                a = ids[np.searchsorted(f.start, j, side="right") - 1]
+                b = ids[f.head[j]]
+                assert f.edge_w[j] == (ow_up[b] if oparent[b] == a else ow_up[a])
+                succ = f.succ_edge[f.succ_ptr[j] : f.succ_ptr[j + 1]]
+                assert sorted(ids[f.head[c]] for c in succ) == sorted(set(slots[b]) - {a})
+                for c, turn in zip(succ, f.succ_turn[f.succ_ptr[j] : f.succ_ptr[j + 1]]):
+                    want = ref._wrap(2.0 * math.pi * float(slots[b][ids[f.head[c]]] - slots[b][a]))
+                    assert turn == pytest.approx(want, abs=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +298,16 @@ def _reweighted(t, seed):
     return WeightedTree(t.node_ids, [(u, v, float(rng.uniform(0.2, 3.0))) for u, v, _ in t.edges])
 
 
+def _relabeled(t, seed):
+    """t with its node ids permuted and listed out of sorted order."""
+    rng = np.random.default_rng(seed)
+    new = dict(zip(t.node_ids, (10 * rng.permutation(t.n_nodes) + 3).tolist()))
+    return WeightedTree(list(rng.permutation([new[v] for v in t.node_ids])),
+                        [(new[u], new[v], w) for u, v, w in t.edges])
+
+
 PARITY_TREES = SMALL_TREES + [_reweighted(gen_random(30, seed=9), seed=1)]
+UNSORTED = _relabeled(_reweighted(gen_random(40, seed=5), seed=2), seed=3)
 
 ULPS_PER_HOP = 4
 
@@ -328,12 +352,26 @@ class TestPairwiseReference:
     def test_matrix_bitwise_equal(self, idx, tau):
         t = PARITY_TREES[idx]
         e = sarkar_embed(t, tau)
+        frame = ref.reference_frame(t)
         ids = list(np.random.default_rng(idx).permutation(t.node_ids))
         want = np.zeros((len(ids), len(ids)))
         for i, u in enumerate(ids):
             for j in range(i + 1, len(ids)):
-                want[i, j] = want[j, i] = ref.embedding_distance_pair(e, u, ids[j])
+                want[i, j] = want[j, i] = ref.embedding_distance_pair(frame, tau, u, ids[j])
         assert_within_hop_ulps(embedding_distance_matrix(e, ids), want, _hop_counts(t, ids))
+
+    @pytest.mark.parametrize("tau", [1.0, 8.0])
+    def test_unsorted_node_ids(self, tau):
+        # the walk's columns follow the tree's node order, which is not sorted here
+        t = UNSORTED
+        assert t.node_ids != sorted(t.node_ids)
+        e = sarkar_embed(t, tau)
+        assert e.node_ids() == t.node_ids == list(tree_metric(t).ids)
+        frame = ref.reference_frame(t)
+        src = t.node_ids[::7]
+        want = [[ref.embedding_distance_pair(frame, tau, u, v) for v in t.node_ids] for u in src]
+        hops = _hop_counts(t, t.node_ids)[[t.node_ids.index(u) for u in src]]
+        assert_within_hop_ulps(embedding_distance(e, src), want, hops)
 
     @pytest.mark.parametrize("idx", range(len(PARITY_TREES)))
     @pytest.mark.parametrize("lam", [1.5, 1.1, 1.02])
@@ -356,8 +394,9 @@ class TestPairwiseReference:
         t = make()
         e = sarkar_embed(t, 1.0)
         ids = e.node_ids()
+        frame = ref.reference_frame(t)
         src = [ids[k] for k in np.random.default_rng(0).choice(len(ids), 3, replace=False)]
-        want = [[ref.embedding_distance_pair(e, u, v) for v in ids] for u in src]
+        want = [[ref.embedding_distance_pair(frame, 1.0, u, v) for v in ids] for u in src]
         hops = _hop_counts(t, ids)[[ids.index(u) for u in src]]
         assert_within_hop_ulps(embedding_distance(e, src), want, hops)
 
@@ -467,11 +506,11 @@ class TestEmbeddingInvariants:
         # the kernel silences only log(0); the NaN shows as numpy's invalid
         # warning, then as the error
         e = sarkar_embed(gen_binary(3), 1.0)
-        edge_len = dict(e.edge_len)
-        edge_len[max(edge_len)] = math.nan
+        edge_w = e.frame.edge_w.copy()
+        edge_w[-1] = math.nan
         with pytest.warns(RuntimeWarning, match="invalid"), \
                 pytest.raises(EmbedError, match="not finite"):
-            embedding_distance(replace(e, edge_len=edge_len), e.node_ids())
+            embedding_distance(replace(e, frame=replace(e.frame, edge_w=edge_w)), e.node_ids())
 
     def test_bad_tau_rejected(self):
         with pytest.raises(EmbedError):
@@ -578,6 +617,21 @@ class TestChooseCurvature:
     def test_single_node_rejected(self):
         with pytest.raises(EmbedError):
             choose_curvature(WeightedTree([0], []), 1.5)
+
+    def test_frame_built_once_per_scan(self, monkeypatch):
+        # binary(7) at lam=1.1 places three scales on one frame: the
+        # centroid is found once, not once per scale or per walk
+        calls = []
+        find = em.centroid
+
+        def counted(t):
+            calls.append(t.n_nodes)
+            return find(t)
+
+        monkeypatch.setattr(em, "centroid", counted)
+        e, _, _ = choose_curvature(gen_binary(7), 1.1)
+        assert e.tau == 4.0
+        assert calls == [255]
 
 
 SCAN_TREES = SMALL_TREES + [gen_binary(4), gen_binary(5)] + [
@@ -722,15 +776,16 @@ class TestRealize:
 
 class TestEmbeddingJson:
     def test_round_trip_bit_exact(self, tmp_path):
+        # the JSON floats read back to the very coordinates that were written
         t = gen_random(10, seed=6)
         e = sarkar_embed(t, 4.0)
         path = tmp_path / "emb.json"
         save_embedding(path, e)
-        loaded = load_embedding(path)
-        assert loaded.kappa.kappa == e.kappa.kappa
-        assert sorted(loaded.points) == sorted(e.points)
-        for v in e.points:
-            np.testing.assert_array_equal(loaded.points[v].coords, e.points[v].coords)
+        data = json.loads(path.read_text())
+        assert data["kappa"] == e.kappa.kappa
+        assert sorted(int(v) for v in data["points"]) == sorted(e.points)
+        for v, coords in data["points"].items():
+            np.testing.assert_array_equal(coords, e.points[int(v)].coords)
 
     def test_schema_shape(self, tmp_path):
         e = sarkar_embed(gen_binary(1), 2.0)
@@ -741,15 +796,3 @@ class TestEmbeddingJson:
         assert data["kappa"] == -4.0
         assert set(data["points"]) == {"0", "1", "2"}
         assert all(len(v) == 3 for v in data["points"].values())
-
-    def test_loaded_embedding_has_no_evaluator(self, tmp_path):
-        e = sarkar_embed(gen_binary(1), 2.0)
-        path = tmp_path / "emb.json"
-        save_embedding(path, e)
-        loaded = load_embedding(path)
-        with pytest.raises(EmbedError, match="construction record"):
-            embedding_distance(loaded, [0])
-
-    def test_empty_points_rejected(self):
-        with pytest.raises(EmbedError):
-            em.embedding_from_dict({"kappa": -1.0, "points": {}})
