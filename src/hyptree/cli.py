@@ -55,8 +55,6 @@ from .trees import (
     load_tree,
     save_tree,
     spring_layout,
-    tree_from_dict,
-    tree_to_dict,
 )
 
 EXIT_OK = 0
@@ -133,6 +131,17 @@ def _check_layout(t: WeightedTree) -> None:
     missing = [i for i in t.node_ids if i not in t.coords]
     if missing:
         raise UsageError(f"tree nodes lack layout coordinates: {missing[:3]}")
+
+
+def _check_distinct_layout(t: WeightedTree) -> None:
+    """No network maps two nodes that share coordinates to two images."""
+    X = np.stack([t.coords[i] for i in t.node_ids])
+    order = np.lexsort(X.T)  # puts equal rows side by side; == counts -0.0 and 0.0 as equal
+    same = np.flatnonzero(np.all(X[order[1:]] == X[order[:-1]], axis=1))
+    if same.size:
+        a, b = sorted(t.node_ids[k] for k in order[same[0]:same[0] + 2])
+        raise UsageError(f"cannot realize the embedding on this layout: nodes {a} and {b} "
+                         f"share coordinates {X[order[same[0]]].tolist()}")
 
 
 def _report_doc(report) -> dict:
@@ -235,6 +244,7 @@ def cmd_embed(args) -> int:
         raise UsageError("tree must have at least 2 nodes")
     if args.realize_hnn:
         _check_layout(t)
+        _check_distinct_layout(t)
 
     out_emb = _out_path(args.out_dir, args.output or "embedding.json")
     out_report = _out_path(args.out_dir, "embed_report.json")
@@ -377,7 +387,7 @@ def _grid_row(payload: dict, n_nodes: int, status: str) -> dict:
 
 
 def _grid_worker(payload: dict) -> dict:
-    t = tree_from_dict(payload["tree"])
+    t = payload["tree"]
     row = _grid_row(payload, t.n_nodes, "ok")
     try:
         _, history, report = train_embedding(t, payload["config"])
@@ -420,8 +430,7 @@ def _pool_rows(payloads: list, workers: int) -> list:
     for i in [i for i, row in rows.items() if row is None]:
         rows[i] = collect([i], 1)[i]
         if rows[i] is None:
-            rows[i] = _grid_row(payloads[i], len(payloads[i]["tree"]["nodes"]),
-                                "error:BrokenProcessPool")
+            rows[i] = _grid_row(payloads[i], payloads[i]["tree"].n_nodes, "error:BrokenProcessPool")
     return [rows[i] for i in range(len(payloads))]
 
 
@@ -460,12 +469,11 @@ def cmd_grid(args) -> int:
         t = _build_tree(spec["kind"], size, args.seed, f"-{ti}")
         n = t.n_nodes
         pairs = {} if "max_pairs" in cfg["train"] else {"max_pairs": min(n * (n - 1) // 2, 50 * n)}
-        tdict = tree_to_dict(t)
         for dim in cfg["dims"]:
             for model in cfg["models"]:
                 for seed in cfg["seeds"]:
                     payloads.append({
-                        "tree": tdict, "kind": spec["kind"],
+                        "tree": t, "kind": spec["kind"],
                         "config": replace(bases[dim, model], seed=seed, **pairs),
                     })
 

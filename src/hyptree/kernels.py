@@ -4,22 +4,35 @@ Scalar references for the kernels live with the tests, which check every
 kernel against an independent oracle. All kernels are pure: no RNG, no
 global state, deterministic outputs.
 
-The n x n kernels (``fr_step``, ``pairwise_euclidean``,
-``pairwise_hyperboloid``, ``pairwise_intrinsic`` and ``ratio_bounds``) walk
-their rows in blocks of about ``_BLOCK`` entries, so a block's arrays stay
-in cache and no kernel allocates an n x n scratch array. ``_row_blocks``
-gives each block of the first three its coordinate differences and their
-squared sum. It forms the differences x_i - x_j of a block with one matmul
-of the rows [x_i, 1] by the columns [1; -x_j]: a broadcast subtraction pays
-numpy's per-row overhead on every row of the block, which made it about
-40% of a spring-layout step at n = 1000, and the matmul does not. Both
-products are exact, so each difference is the subtraction rounded once (up
-to the sign of a zero, which no output carries), and every entry goes
-through the float operations of the full-matrix form, in the same order:
-the outputs are bitwise equal to it. ``pairwise_intrinsic``, the H^k
-distance between the images Exp_0 u of tangent rows, forms each unordered
-pair once through ``_apex_distance``, the one implementation of that
-distance, which the HNN training head evaluates on pair lists.
+The n x n kernels walk their rows in blocks, so a block's arrays stay in
+cache and no kernel allocates an n x n scratch array. Two walks share the
+block forms:
+
+- ``pairwise_euclidean``, ``pairwise_hyperboloid`` and ``ratio_bounds`` walk
+  full rows, about ``_BLOCK`` entries per block array. Every entry goes
+  through the float operations of the full-matrix form in the same order,
+  so their outputs are bitwise equal to it.
+- ``fr_step`` and ``pairwise_intrinsic`` walk the upper triangle
+  (``_triangle_blocks``): rows [r0, r1) against the columns [r0, n), the
+  rows growing as the columns shrink, so each unordered pair is formed once.
+  A block's whole buffer is about ``_TRIANGLE_BYTES``, 1 MB: at dim 2,
+  fr_step's four block arrays hold 2^15 entries each. Spring layouts of
+  random(1000) took about the same time with 512 KB to 2 MB buffers, and a
+  third longer or more at 256 KB and at 4 MB.
+
+``_row_blocks`` gives each block of the two full-row distance kernels and
+of ``fr_step`` its coordinate differences and their squared sum. It forms the
+differences x_i - x_j of a block with one matmul of the rows [x_i, 1] by
+the columns [1; -x_j]: a broadcast subtraction pays numpy's per-row overhead
+on every row of the block, which made it about 40% of a spring-layout step
+at n = 1000, and the matmul does not. Both products are exact, so each
+difference is the subtraction rounded once (up to the sign of a zero, which
+no output carries). ``fr_step`` sums each pair's repulsion into both of its
+rows, so its sums run in another order than the full-matrix form's and
+agree with it to rounding. ``pairwise_intrinsic``, the H^k distance between
+the images Exp_0 u of tangent rows, goes through ``_apex_distance``, the one
+implementation of that distance, which the HNN training head evaluates on
+pair lists.
 """
 
 from __future__ import annotations
@@ -31,7 +44,8 @@ import numpy as np
 _EPS = 1e-12
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
-_BLOCK = 1 << 16  # float64 entries per block array (512 KB), so a block stays in L2
+_BLOCK = 1 << 16  # float64 entries per full-row block array (512 KB)
+_TRIANGLE_BYTES = 1 << 20  # a triangle block's whole buffer, over all its arrays
 
 # The benchmark's traced run records this name; numpy is the only backend.
 ACTIVE_BACKEND = "numpy"
@@ -41,25 +55,34 @@ def fr_step(pos, eu, ev, k, t):
     """One Fruchterman-Reingold iteration: k^2/d repulsion between all pairs,
     d^2/k attraction along edges, displacement capped at the temperature t.
 
-    The repulsion runs over blocks of rows. In each block the squared
-    distances turn in place into the coefficients k^2/max(d^2, eps^2), and
-    each coordinate of the block's displacement is the row contraction of
-    the coefficients with that coordinate's differences, so the step holds
-    no n x n array. The diagonal needs no zeroing: for finite coordinates
-    its differences are exactly +0, so its coefficient k^2/eps^2, finite
-    for k < 1e142, adds +0, as a zeroed one would. Each row's contraction
-    is the same einsum over the same n entries as in the full-matrix form,
-    so the step is bitwise equal to it. The contraction keeps the
-    difference form sum_j c_ij (x_i - x_j): the expanded
-    x_i sum_j c_ij - sum_j c_ij x_j cancels on near-coincident points (with two of 40 points 1e-9 apart,
-    the step's relative error is 2e-7 in that form and 5e-15 in this one).
+    The repulsion walks the upper triangle in blocks (``_triangle_blocks``):
+    rows [r0, r1) against columns [r0, n), a block's dim + 2 arrays about
+    _TRIANGLE_BYTES in all. In each block the squared distances turn in
+    place into the coefficients c_ij = k^2/max(d^2, eps^2), so each
+    unordered pair's coefficient and differences are formed once, and the
+    step holds no n x n array. For each coordinate the block adds its row
+    contraction sum_j c_ij (x_i - x_j) to the displacement of its rows, and
+    subtracts its column contraction sum_i c_ij (x_i - x_j) over the columns
+    j >= r1 from theirs (the pairs among the block's own rows appear in both
+    orders and reach their rows through the row contraction). The diagonal
+    needs no zeroing: for finite coordinates its differences are exactly +0,
+    so its coefficient k^2/eps^2, finite for k < 1e142, adds +0. Both
+    contractions keep the difference form, since the expanded
+    x_i sum_j c_ij - sum_j c_ij x_j cancels on near-coincident points (with
+    two of 40 points 1e-9 apart, the step's relative error is 2e-7 in that
+    form and 5e-15 in this one), and a pair split across two blocks reaches
+    its second point through the column contraction. The sums run in another order than a
+    full-matrix step's, so the two agree to rounding, not bit for bit.
     """
-    disp = np.empty_like(pos)
-    for r0, r1, diff, coef in _row_blocks(pos, pos.shape[1]):
+    disp = np.zeros_like(pos)
+    for r0, r1, diff, coef in _row_blocks(pos, pos.shape[1], upper=True):
         np.maximum(coef, _EPS * _EPS, out=coef)
         np.divide(k * k, coef, out=coef)
+        h = r1 - r0
         for c in range(pos.shape[1]):
-            disp[r0:r1, c] = np.einsum("ij,ij->i", coef, diff[c])
+            disp[r0:r1, c] += np.einsum("ij,ij->i", coef, diff[c])
+            if r1 < len(pos):  # the last block has no columns past its rows
+                disp[r1:, c] -= np.einsum("ij,ij->j", coef[:, h:], diff[c][:, h:])
 
     edge_diff = pos[eu] - pos[ev]
     edge_dist = np.maximum(np.sqrt(np.sum(edge_diff**2, axis=-1)), _EPS)
@@ -118,19 +141,34 @@ def _block_rows(n):
     return max(1, min(n, _BLOCK // max(n, 1)))
 
 
-def _row_blocks(pts, summed):
+def _triangle_blocks(n, arrays):
+    """Row blocks [r0, r1) of an upper-triangle walk, each against the
+    columns [r0, n). A block's ``arrays`` float64 arrays fill about
+    _TRIANGLE_BYTES, with at least one row, so its rows grow as its
+    columns shrink."""
+    entries = _TRIANGLE_BYTES // (8 * arrays)
+    r0 = 0
+    while r0 < n:
+        r1 = min(n, r0 + max(1, entries // (n - r0)))
+        yield r0, r1
+        r0 = r1
+
+
+def _row_blocks(pts, summed, upper=False):
     """Walk the rows of pts in blocks; yield (r0, r1, diff, sq) for each.
 
     diff[c] holds x_ic - x_jc for the rows i in [r0, r1) and every column j,
-    formed as the product of left[c], the rows [x_ic, 1], and right[c], the
-    rows [1; -x_jc], both built once per call: one matmul fills a block for
-    every coordinate, where a broadcast subtraction pays numpy's overhead
-    once per row of the block. With K = 2 both products are exact, so in
-    any summation order, with or without FMA, the only rounding is that of
-    x_ic - x_jc: the same double as the subtraction, except that a zero may
-    come out +0 where x_ic = -0 and x_jc = +0 would give -0. A block's
-    product is about 2^17 multiply-adds, too small for the BLAS to split it
-    across threads, so it runs on the calling thread.
+    or with ``upper`` every column j >= r0 (``_triangle_blocks``, with the
+    whole buffer about _TRIANGLE_BYTES). It is formed as the product of
+    left[c], the rows [x_ic, 1], and right[c], the rows [1; -x_jc], both
+    built once per call: one matmul fills a block for every coordinate,
+    where a broadcast subtraction pays numpy's overhead once per row of the
+    block. With K = 2 both products are exact, so in any summation order,
+    with or without FMA, the only rounding is that of x_ic - x_jc: the same
+    double as the subtraction, except that a zero may come out +0 where
+    x_ic = -0 and x_jc = +0 would give -0. A block's product is about 2^17
+    multiply-adds, too small for the BLAS to split it across threads, so it
+    runs on the calling thread.
 
     sq holds the sum of diff[c]^2 over the first ``summed`` coordinates,
     accumulated as square(diff[0]), then += square(diff[c]) in coordinate
@@ -141,13 +179,16 @@ def _row_blocks(pts, summed):
     left[:, :, 0] = pts.T
     right = np.ones((dim, 2, n))
     np.negative(pts.T, out=right[:, 1])
-    rows = _block_rows(n)
-    buf = np.empty((dim + 2, rows, n))
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
-        block = buf[:, : r1 - r0]
+    if upper:
+        spans = [(r0, r1, r0) for r0, r1 in _triangle_blocks(n, dim + 2)]
+    else:
+        rows = _block_rows(n)
+        spans = [(r0, min(r0 + rows, n), 0) for r0 in range(0, n, rows)]
+    buf = np.empty((dim + 2) * max(((r1 - r0) * (n - c0) for r0, r1, c0 in spans), default=0))
+    for r0, r1, c0 in spans:
+        block = buf[: (dim + 2) * (r1 - r0) * (n - c0)].reshape(dim + 2, r1 - r0, n - c0)
         diff, sq, tmp = block[:dim], block[dim], block[dim + 1]
-        np.matmul(left[:, r0:r1], right, out=diff)
+        np.matmul(left[:, r0:r1], right[:, :, c0:], out=diff)
         np.square(diff[0], out=sq)
         for c in range(1, summed):
             sq += np.square(diff[c], out=tmp)
@@ -232,22 +273,18 @@ def pairwise_intrinsic(U):
 
     The value is exactly symmetric, so each block of rows [r0, r1) forms its
     columns j >= r0 once and mirrors them. The formula keeps about 16 arrays
-    of a block alive, so a block holds about _BLOCK/8 entries: its rows grow
-    as its columns shrink.
+    of a block alive, so ``_triangle_blocks`` sizes the blocks for 16.
     """
     n = U.shape[0]
     a, r, ls = _apex_radii(U)
     cols = np.ascontiguousarray(U.T)
     out = np.empty((n, n))
-    r0 = 0
-    while r0 < n:
-        r1 = min(n, r0 + max(1, _BLOCK // (8 * (n - r0))))
+    for r0, r1 in _triangle_blocks(n, 16):
         i, j = slice(r0, r1), slice(r0, n)
         d = _apex_distance(a[i, None], a[None, j], r[i, None], r[None, j], ls[i, None], ls[None, j],
                            cols[:, i, None] - cols[:, None, j], cols[:, i, None] + cols[:, None, j])[0]
         out[i, j] = d
         out[j, i] = d.T
-        r0 = r1
     return out
 
 

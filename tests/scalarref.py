@@ -48,9 +48,10 @@ _TWO_PI = 2.0 * math.pi
 
 
 def fr_step(pos, eu, ev, k, t):
-    """One Fruchterman-Reingold iteration as scalar loops."""
+    """One Fruchterman-Reingold iteration as scalar loops over Python floats."""
     n, dim = pos.shape
-    disp = np.zeros((n, dim))
+    x = pos.tolist()
+    disp = [[0.0] * dim for _ in range(n)]
     # repulsion between every pair: k^2 / d along the separation
     for i in range(n):
         for j in range(n):
@@ -58,32 +59,32 @@ def fr_step(pos, eu, ev, k, t):
                 continue
             d2 = 0.0
             for c in range(dim):
-                diff = pos[i, c] - pos[j, c]
+                diff = x[i][c] - x[j][c]
                 d2 += diff * diff
-            d = max(np.sqrt(d2), _EPS)
+            d = max(math.sqrt(d2), _EPS)
             coef = k * k / (d * d)
             for c in range(dim):
-                disp[i, c] += (pos[i, c] - pos[j, c]) * coef
+                disp[i][c] += (x[i][c] - x[j][c]) * coef
     # attraction along edges: d^2 / k
-    for u, v in zip(eu, ev):
+    for u, v in zip(eu.tolist(), ev.tolist()):
         d2 = 0.0
         for c in range(dim):
-            diff = pos[u, c] - pos[v, c]
+            diff = x[u][c] - x[v][c]
             d2 += diff * diff
-        coef = max(np.sqrt(d2), _EPS) / k
+        coef = max(math.sqrt(d2), _EPS) / k
         for c in range(dim):
-            step = (pos[u, c] - pos[v, c]) * coef
-            disp[u, c] -= step
-            disp[v, c] += step
+            step = (x[u][c] - x[v][c]) * coef
+            disp[u][c] -= step
+            disp[v][c] += step
     # displacement capped at the temperature
-    out = pos.copy()
+    out = [row[:] for row in x]
     for i in range(n):
-        d = np.sqrt(sum(disp[i, c] * disp[i, c] for c in range(dim)))
+        d = math.sqrt(sum(disp[i][c] * disp[i][c] for c in range(dim)))
         if d > _EPS:
             scale = min(d, t) / d
             for c in range(dim):
-                out[i, c] += disp[i, c] * scale
-    return out
+                out[i][c] += disp[i][c] * scale
+    return np.array(out)
 
 
 def ratio_bounds(dspace, dtree):

@@ -188,20 +188,21 @@ class TestEmbed:
         assert os.listdir(tmp_path / "out") == []
 
     def test_realize_hnn_on_coincident_layout_exits_2(self, tmp_path, capsys):
-        # nodes 1 and 2 share their layout coordinates, so no network maps
-        # them to two images; the embedding itself is written first
-        t = WeightedTree([0, 1, 2], [(0, 1, 1.0), (0, 2, 1.0)],
-                         coords={0: [0.0, 0.0], 1: [1.0, 0.0], 2: [1.0, 0.0]})
+        # nodes 2 and 3 share their layout coordinates (a signed zero
+        # counts as equal), so no network maps them to two images; the
+        # layout is rejected before the scan, and nothing is written
+        t = WeightedTree([0, 1, 2, 3], [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)],
+                         coords={0: [0.0, 0.0], 1: [1.0, 0.0], 2: [0.0, 1.0], 3: [-0.0, 1.0]})
         save_tree(t, tmp_path / "t.json")
         out = tmp_path / "out"
         code = run(["embed", tmp_path / "t.json", "--lambda", 1.5, "--realize-hnn",
                     "--out-dir", out])
         assert code == 2
         err = capsys.readouterr().err
-        assert "cannot realize the embedding on this layout: points must be pairwise distinct" in err
+        assert ("cannot realize the embedding on this layout: nodes 2 and 3 share coordinates"
+                in err)
         assert "Traceback" not in err
-        assert listed_outputs(out, "embed") == ["embed_report.json", "embedding.json"]
-        assert not (out / "hnn_params.json").exists()
+        assert os.listdir(out) == []
 
     def test_unreachable_target_exits_3(self, tmp_path, capsys):
         t = gen_binary(6)
@@ -550,6 +551,21 @@ class TestLowerbound:
         assert "2" in summary["fitted_exponent_per_dim"]
         assert summary["hnn_max_dist"] <= 1.1
         assert "fitted_exponent" in capsys.readouterr().out
+
+    def test_mlp_dist_meets_packing_bound(self, tmp_path):
+        # A spider's L leaves lie pairwise 4 apart and within 2 of the hub.
+        # Scaled so that no distance shrinks, a map of distortion D puts
+        # disjoint balls of radius 2 around the leaves' images inside one
+        # ball of radius 2D + 2, so L <= (D + 1)^d: D >= L^(1/d) - 1 for any
+        # map into R^d, trained or not.
+        assert run(["lowerbound", "--leaves", "8,16,32", "--dims", "2,3",
+                    "--study-seeds", "0", "--epochs", 3, "--batch-size", 256,
+                    "--width", 8, "--hidden-layers", 2, "--out-dir", tmp_path]) == 0
+        rows = read_csv(tmp_path / "lowerbound.csv")[1:]
+        assert [(r[0], r[1], r[3]) for r in rows] == [
+            (L, d, "ok") for d in ("2", "3") for L in ("8", "16", "32")]
+        for L, d, mlp_dist, *_ in rows:
+            assert float(mlp_dist) >= int(L) ** (1.0 / int(d)) - 1.0
 
     def test_empty_leaves_exits_2(self, tmp_path):
         assert run(["lowerbound", "--leaves", ",", "--out-dir", tmp_path]) == 2

@@ -145,6 +145,13 @@ def _adversarial_rows(rng, n, dim, nonfinite=False):
     return inputs
 
 
+def _assert_step_close(got, want):
+    """Within TestBackendsAgree's tolerance of want, and NaN where want is NaN."""
+    nan = np.isnan(want)
+    assert_array_equal(np.isnan(got), nan)
+    assert_allclose(got[~nan], want[~nan], rtol=1e-9, atol=1e-12)
+
+
 def _assert_bitwise(got, want):
     """Equal bit for bit, signed zeros included; NaN matches NaN."""
     nan = np.isnan(want)
@@ -158,17 +165,18 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_fr_step(self, n):
+        # the triangle walk sums in another order than the full-matrix form
         rng = np.random.default_rng(n)
         eu, ev = np.arange(n - 1), np.arange(1, n)
         for dim in (1, 2, 3, 4):
             pos = rng.uniform(size=(n, dim))
-            want = scalarref.fr_step_full(pos, eu, ev, 0.05, 0.01)
-            _assert_bitwise(kernels.fr_step(pos, eu, ev, 0.05, 0.01), want)
+            _assert_step_close(kernels.fr_step(pos, eu, ev, 0.05, 0.01),
+                               scalarref.fr_step_full(pos, eu, ev, 0.05, 0.01))
             for pos in _adversarial_rows(rng, n, dim):
                 with np.errstate(all="ignore"):
                     want = scalarref.fr_step_full(pos, eu, ev, 0.05, 0.01)
                     got = kernels.fr_step(pos, eu, ev, 0.05, 0.01)
-                _assert_bitwise(got, want)
+                _assert_step_close(got, want)
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_pairwise_euclidean(self, n):
@@ -195,12 +203,13 @@ class TestRowBlocks:
                 _assert_bitwise(got, want)
 
     def test_spring_layout_random_1000(self, monkeypatch):
+        # 50 steps at n = 1000 move the layout by rounding only
         got = trees.spring_layout(trees.gen_random(1000, 3))
         monkeypatch.setattr(kernels, "fr_step", scalarref.fr_step_full)
         want = trees.spring_layout(trees.gen_random(1000, 3))
         assert want.keys() == got.keys()
         for i in want:
-            assert_array_equal(got[i], want[i])
+            assert_allclose(got[i], want[i], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_ratio_bounds(self, n):
@@ -241,19 +250,87 @@ class TestRowBlocks:
         assert kernels.ratio_bounds(d, dt) == (d[0, 1], d[0, 1], True)
 
 
+def _triangle_sizes():
+    """Sizes from the schedule of ``fr_step``'s triangle walk, whose blocks
+    hold dim + 2 arrays: n = 2, the largest n that one block takes at every
+    dim 1-4, the smallest n whose last block is one row at some dim, and the
+    smallest n that every dim splits into two blocks or more."""
+    dims = (1, 2, 3, 4)
+
+    def blocks(n, dim):
+        return list(kernels._triangle_blocks(n, dim + 2))
+
+    within = max(n for n in range(2, 1024) if all(len(blocks(n, d)) == 1 for d in dims))
+    one_row = next(n for n in range(2, 1024) if any(blocks(n, d)[-1] == (n - 1, n) for d in dims))
+    split = next(n for n in range(2, 1024) if all(len(blocks(n, d)) > 1 for d in dims))
+    return (2, within, one_row, split)
+
+
+TRIANGLE_SIZES = _triangle_sizes()
+
+
+@pytest.mark.filterwarnings("error")
+class TestTriangleWalk:
+    """``fr_step`` walks the upper triangle of its pairs, so it sums in
+    another order than a full-matrix step. It is checked against the scalar
+    step at TestBackendsAgree's tolerance, at sizes on the edges of its
+    schedule, on random and on adversarial finite coordinates."""
+
+    @pytest.mark.parametrize("n", TRIANGLE_SIZES)
+    def test_fr_step(self, n):
+        rng = np.random.default_rng(n)
+        eu, ev = np.arange(n - 1), np.arange(1, n)
+        for dim in (1, 2, 3, 4):
+            pos = rng.uniform(size=(n, dim))
+            assert_allclose(kernels.fr_step(pos, eu, ev, 0.05, 0.01),
+                            scalarref.fr_step(pos, eu, ev, 0.05, 0.01), rtol=1e-9, atol=1e-12)
+            for pos in _adversarial_rows(rng, n, dim):
+                with np.errstate(all="ignore"):
+                    got = kernels.fr_step(pos, eu, ev, 0.05, 0.01)
+                    want = scalarref.fr_step(pos, eu, ev, 0.05, 0.01)
+                    full = scalarref.fr_step_full(pos, eu, ev, 0.05, 0.01)
+                # Rows of 1e+-300 overflow the edge pull to inf. Where a
+                # displacement's length is inf or NaN, the vectorized forms
+                # both write NaN and the scalar step keeps the position, so
+                # the NaN pattern is the full-matrix step's.
+                _assert_step_close(got, np.where(np.isnan(full), np.nan, want))
+
+    def test_near_coincident_pair_across_blocks(self):
+        # As test_fr_step_near_coincident_points, with one pair astride the
+        # first block boundary and one far apart, so each pair's repulsion
+        # reaches its second point through the column contraction.
+        n = TRIANGLE_SIZES[-1]
+        (_, r1), *_ = kernels._triangle_blocks(n, 4)
+        rng = np.random.default_rng(7)
+        eu, ev = _random_tree_arrays(n, 1)
+        pos = rng.uniform(size=(n, 2))
+        for i, j in ((r1 - 1, r1), (3, n - 2)):
+            direction = rng.normal(size=2)
+            pos[j] = pos[i] + 1e-9 * direction / np.linalg.norm(direction)
+        k, t = 0.05, 0.01
+        for _ in range(2):
+            want = scalarref.fr_step(pos, eu, ev, k, t)
+            got = kernels.fr_step(pos, eu, ev, k, t)
+            assert_allclose(got - pos, want - pos, rtol=1e-9, atol=1e-12)
+            pos = want
+
+
 class TestFormedDifferences:
     """``_row_blocks`` forms x_i - x_j as the product of the rows [x_i, 1] and
     [1; -x_j]. Both products are exact, so in any summation order the only
-    rounding is that of the subtraction."""
+    rounding is that of the subtraction. Every block of both walks, full
+    rows and the upper triangle, is checked."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 3)),
                   elements=st.floats(allow_nan=False, allow_infinity=False)))
     def test_equals_subtraction_for_finite_pairs(self, pts):
         with np.errstate(over="ignore"):  # |x_i - x_j| may round past the largest double
-            _, _, diff, _ = next(kernels._row_blocks(pts, pts.shape[1]))
-            for c in range(pts.shape[1]):
-                assert np.array_equal(diff[c], np.subtract.outer(pts[:, c], pts[:, c]))
+            for upper in (False, True):
+                for r0, r1, diff, _ in kernels._row_blocks(pts, pts.shape[1], upper):
+                    c0 = r0 if upper else 0
+                    for c in range(pts.shape[1]):
+                        assert np.array_equal(diff[c], np.subtract.outer(pts[r0:r1, c], pts[c0:, c]))
 
 
 def _tangent_rows(rng, n, dim, scale):
