@@ -22,6 +22,8 @@ in TrainConfig and so in a grid), and its manifest records each. ``lowerbound``
 and a grid config (under ``"train"``) take each but ``embed_dim``, which
 ``--dims`` and the grid's dims set per row.
 ``--threads`` belongs to ``grid``, the one command that starts workers.
+The CLI sets OpenBLAS's spin timeout (``OPENBLAS_THREAD_TIMEOUT``) so idle BLAS
+threads sleep at once, and leaves the BLAS thread count alone.
 
 Exit codes: 0 success, 2 usage error, 3 distortion target unreachable on the
 scale grid, 4 training diverged.
@@ -37,6 +39,14 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
+
+# OpenBLAS reads this once, when numpy loads it, so it is set before the first
+# numpy import of a CLI process (``hyptree/__init__.py`` imports nothing), and
+# pool workers fork with it. An idle BLAS thread then spins 2^4 cycles before
+# it sleeps, not 2^28 (about 0.13 s of CPU) after start-up and after every
+# threaded call; a spin long enough to span a training step competes with the
+# other grid worker. The thread count, and so every output bit, is unchanged.
+os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
 
 import numpy as np
 
@@ -55,6 +65,7 @@ from .trees import (
     load_tree,
     save_tree,
     spring_layout,
+    tree_metric,
 )
 
 EXIT_OK = 0
@@ -390,7 +401,7 @@ def _grid_worker(payload: dict) -> dict:
     t = payload["tree"]
     row = _grid_row(payload, t.n_nodes, "ok")
     try:
-        _, history, report = train_embedding(t, payload["config"])
+        _, history, report = train_embedding(t, payload["config"], payload["metric"])
     except TrainDivergenceError as exc:
         row["status"] = f"diverged@{exc.epoch}"
         return row
@@ -467,13 +478,14 @@ def cmd_grid(args) -> int:
     payloads = []
     for ti, (spec, size) in enumerate(zip(cfg["trees"], sizes)):
         t = _build_tree(spec["kind"], size, args.seed, f"-{ti}")
+        metric = tree_metric(t)  # one per tree, shared by its rows
         n = t.n_nodes
         pairs = {} if "max_pairs" in cfg["train"] else {"max_pairs": min(n * (n - 1) // 2, 50 * n)}
         for dim in cfg["dims"]:
             for model in cfg["models"]:
                 for seed in cfg["seeds"]:
                     payloads.append({
-                        "tree": t, "kind": spec["kind"],
+                        "tree": t, "metric": metric, "kind": spec["kind"],
                         "config": replace(bases[dim, model], seed=seed, **pairs),
                     })
 
@@ -631,19 +643,20 @@ def cmd_lowerbound(args) -> int:
         for L in leaf_counts:
             t = gen_spider(L, leg_length=2)
             spring_layout(t, dim=2, seed=args.seed)
+            metric = tree_metric(t)
             try:
-                spiders.append((L, t, choose_curvature(t, args.lam)[2].dist, "ok"))
+                spiders.append((L, t, metric, choose_curvature(t, args.lam, metric)[2].dist, "ok"))
             except EmbedError as exc:
-                spiders.append((L, t, math.nan, f"error:{exc}"))
+                spiders.append((L, t, metric, math.nan, f"error:{exc}"))
 
         csv_rows, exponents = [], {}
         for dim in dims:
             fit = []
-            for L, t, hnn_dist, hnn_status in spiders:
+            for L, t, metric, hnn_dist, hnn_status in spiders:
                 dists = []
                 for seed in study_seeds:
                     try:
-                        _, _, report = train_embedding(t, replace(cfg, embed_dim=dim, seed=seed))
+                        _, _, report = train_embedding(t, replace(cfg, embed_dim=dim, seed=seed), metric)
                     except TrainDivergenceError:
                         continue
                     dists.append(report.dist)
@@ -662,7 +675,7 @@ def cmd_lowerbound(args) -> int:
             ["L", "dim", "mlp_dist", "mlp_status", "hnn_dist", "hnn_status"],
             csv_rows,
         )
-        hnn_finite = [d for _, _, d, _ in spiders if math.isfinite(d)]
+        hnn_finite = [d for _, _, _, d, _ in spiders if math.isfinite(d)]
         summary = {
             "lambda": args.lam,
             "fitted_exponent_per_dim": exponents,

@@ -44,7 +44,7 @@ import numpy as np
 from . import kernels
 from .hypgeom import Curvature, HPoint, OVERFLOW_CAP, OverflowGuardError
 from .networks import HnnParams, memorize_hnn
-from .trees import WeightedTree, centroid, tree_metric
+from .trees import TreeMetric, WeightedTree, centroid, tree_metric
 
 _TWO_PI = 2.0 * math.pi
 
@@ -343,7 +343,7 @@ def _probe_witness(record: HyperbolicEmbedding, metric, lam: float, sources):
     return None
 
 
-def choose_curvature(t: WeightedTree, lam: float):
+def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = None):
     """Smallest grid scale whose embedding meets the two-sided bound.
 
     For each tau (ascending) the tree is embedded at unit curvature and
@@ -360,7 +360,7 @@ def choose_curvature(t: WeightedTree, lam: float):
     The tree's frame is built once and placed at each tau, and no ambient
     point is formed until the caller reads the returned embedding's. When no
     tau is accepted, the best distortion comes from full walks of the rejected
-    ones.
+    ones. ``metric`` is ``tree_metric(t)`` when the caller has it already.
 
     Returns (embedding, curvature, report). Raises EmbedError if no scale
     meets the bound: with the best achieved distortion whenever some scale
@@ -369,7 +369,8 @@ def choose_curvature(t: WeightedTree, lam: float):
     """
     if lam <= 1.0:
         raise EmbedError("lambda must exceed 1")
-    metric = tree_metric(t)
+    if metric is None:
+        metric = tree_metric(t)
     ids = list(metric.ids)
     if len(ids) < 2:
         raise EmbedError("need at least two nodes")

@@ -48,7 +48,7 @@ from .autodiff import Tape
 from .embed import distortion_from_matrices
 from .networks import HnnParams, MlpParams, NetworkError
 from .seeding import seed_stream
-from .trees import WeightedTree, tree_metric
+from .trees import TreeMetric, WeightedTree, tree_metric
 
 _LN2 = math.log(2.0)
 
@@ -376,8 +376,11 @@ def _all_pairs(metric):
     return iu, ju, metric.matrix[iu, ju]
 
 
-def train_embedding(t: WeightedTree, cfg: TrainConfig):
+def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None = None):
     """Fit a model to the tree's metric from its layout coordinates.
+
+    ``metric`` is ``tree_metric(t)`` when a caller that trains several rows
+    on one tree has it already; by default it is computed here.
 
     Returns (params, history, report): the final parameters, per-epoch
     EpochStats (train and held-out MSE), and the distortion of the node
@@ -391,7 +394,8 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig):
         raise TrainError(f"tree nodes lack layout coordinates: {missing[:3]}")
     if t.n_nodes < 2:
         raise TrainError("training needs at least two nodes")
-    metric = tree_metric(t)
+    if metric is None:
+        metric = tree_metric(t)
     ids = list(metric.ids)
     X = np.stack([np.asarray(t.coords[i], np.float64) for i in ids])
     in_dim = X.shape[1]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyptree import cli
+from hyptree import cli, embed, train
 from hyptree.embed import distortion_from_matrices
 from hyptree.kernels import pairwise_hyperboloid
 from hyptree.networks import HnnParams, MlpParams, hnn_forward, load_params
@@ -486,17 +486,37 @@ class TestGrid:
         assert pool[2][:5] == serial[2][:5] and pool[2][8] == "error:BrokenProcessPool"
 
     def test_memory_error_costs_only_its_row(self, tmp_path, monkeypatch):
-        train = cli.train_embedding
+        train_embedding = cli.train_embedding
 
-        def train_or_fail(t, cfg):
+        def train_or_fail(t, cfg, metric):
             if cfg.model_kind == "hnn":
                 raise MemoryError
-            return train(t, cfg)
+            return train_embedding(t, cfg, metric)
 
         monkeypatch.setattr(cli, "train_embedding", train_or_fail)
         assert run(["grid", tiny_grid_config(tmp_path / "cfg.json"), "--out-dir", tmp_path]) == 0
         rows = read_csv(tmp_path / "grid_results.csv")
         assert [r[8] for r in rows[1:]] == ["ok", "error:MemoryError"]
+
+    def test_one_metric_per_tree(self, tmp_path, monkeypatch):
+        calls = count_tree_metric(monkeypatch)
+        cfgf = tiny_grid_config(tmp_path / "cfg.json", seeds=[0, 1])
+        assert run(["grid", cfgf, "--out-dir", tmp_path]) == 0
+        assert len(read_csv(tmp_path / "grid_results.csv")) == 5
+        assert calls == [15]
+
+
+def count_tree_metric(monkeypatch):
+    """Record the node count of every tree_metric call the CLI makes."""
+    calls = []
+
+    def counted(t):
+        calls.append(t.n_nodes)
+        return tree_metric(t)
+
+    for module in (cli, embed, train):
+        monkeypatch.setattr(module, "tree_metric", counted)
+    return calls
 
 
 _grid_worker = cli._grid_worker
@@ -551,6 +571,12 @@ class TestLowerbound:
         assert "2" in summary["fitted_exponent_per_dim"]
         assert summary["hnn_max_dist"] <= 1.1
         assert "fitted_exponent" in capsys.readouterr().out
+
+    def test_one_metric_per_spider(self, tmp_path, monkeypatch):
+        calls = count_tree_metric(monkeypatch)
+        assert run(["lowerbound", "--leaves", "2,4", "--dims", "2,3", "--study-seeds", "0,1",
+                    "--epochs", 1, "--out-dir", tmp_path]) == 0
+        assert calls == [5, 9]
 
     def test_mlp_dist_meets_packing_bound(self, tmp_path):
         # A spider's L leaves lie pairwise 4 apart and within 2 of the hub.
@@ -684,12 +710,27 @@ class TestThreadsFlag:
         assert "thread count must be >= 1" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    def test_blas_spin_timeout_set_before_numpy_loads(self):
+        # OpenBLAS reads its spin timeout once, when numpy loads it
+        script = ("import os, sys\nimport hyptree\nprint('numpy' in sys.modules)\n"
+                  "import hyptree.cli\nprint(os.environ['OPENBLAS_THREAD_TIMEOUT'])")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "4"]
+
     def test_library_reads_no_environment_variable(self):
+        # the one environment access is the CLI writing OpenBLAS's spin
+        # timeout, which no input can change
+        allowed = ("cli.py", 'os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"')
         src = Path(cli.__file__).resolve().parent
-        hits = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
-                for i, line in enumerate(path.read_text().splitlines(), 1)
-                if "os.environ" in line or "os.getenv" in line]
-        assert hits == []
+        hits = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
+                for line in path.read_text().splitlines()
+                if any(f"os.{name}" in line for name in ("environ", "getenv", "putenv", "unsetenv"))]
+        assert hits == [allowed]
 
 
 # ----------------------------------------------------------------------
