@@ -127,7 +127,6 @@ class Tape:
         for node in reversed(self.nodes):
             if node.grad is None or node.vjp is None:
                 continue
+            # a parent's first cotangent is its gradient; later ones add to it
             for parent, contrib in zip(node.parents, node.vjp(node.grad)):
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.value)
-                parent.grad = parent.grad + contrib
+                parent.grad = contrib if parent.grad is None else parent.grad + contrib

@@ -75,9 +75,13 @@ def distortion_from_matrices(d_space: np.ndarray, d_tree: np.ndarray) -> Distort
     """Worst-case ratio d_space/d_tree over the pairs i < j of two dense matrices."""
     if np.shape(d_space)[0] < 2:
         raise EmbedError("distortion needs at least two nodes")
-    alpha, beta, injective = kernels.ratio_bounds(
-        np.asarray(d_space, np.float64), np.asarray(d_tree, np.float64)
+    return distortion_from_bounds(
+        *kernels.ratio_bounds(np.asarray(d_space, np.float64), np.asarray(d_tree, np.float64))
     )
+
+
+def distortion_from_bounds(alpha: float, beta: float, injective: bool) -> DistortionReport:
+    """The report of the ratio bounds that ``kernels.block_ratio_bounds`` returns."""
     if not injective or alpha <= 0.0:
         return DistortionReport(alpha, beta, math.inf, False)
     return DistortionReport(alpha, beta, beta / alpha, True)
@@ -296,11 +300,17 @@ def embedding_distance_matrix(e: HyperbolicEmbedding, ids=None) -> np.ndarray:
     """Symmetric matrix of d_{-1} over ``ids`` (default: all nodes, in ``e.node_ids()`` order).
 
     Row i comes from the walk of ids[i] and fills the entries j > i; the
-    rest is its mirror image, so the matrix is exactly symmetric.
+    rest is its mirror image, so the matrix is exactly symmetric. The walk's
+    columns are in node order, so they are gathered only for other ``ids``,
+    and the mirror is made in place: the walk's output is the only n x n
+    array when ``ids`` is the node order.
     """
     ids = list(ids) if ids is not None else e.node_ids()
-    upper = np.triu(embedding_distance(e, ids)[:, [e.frame.index[v] for v in ids]], 1)
-    return upper + upper.T
+    mat = embedding_distance(e, ids)
+    if ids != e.node_ids():
+        mat = mat[:, [e.frame.index[v] for v in ids]]
+    kernels._mirror_lower(mat.T)
+    return mat
 
 
 # ----------------------------------------------------------------------
@@ -414,10 +424,11 @@ def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = No
 def hnn_realize(e: HyperbolicEmbedding, t: WeightedTree, seed: int = 0) -> HnnParams:
     """Network that maps each node's layout coordinates to its image.
 
-    Exact interpolation, so the network inherits the embedding's
-    distortion. Accuracy degrades with the embedding radius: beyond
-    r ~ 30 float64 ambient targets are too coarse for the 1e-6 check,
-    though the construction itself still goes through.
+    Exact interpolation of the embedding's ambient points, so in exact
+    arithmetic the network inherits the embedding's distortion. Nothing
+    evaluates the realized network: beyond r ~ 35 float64 ambient targets
+    cannot separate nearby images, and what the network then computes is
+    not checked (ROADMAP item 1).
     """
     ids = sorted(e.points)
     missing = [v for v in t.node_ids if v not in e.points]

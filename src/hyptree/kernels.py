@@ -4,32 +4,43 @@ Scalar references for the kernels live with the tests, which check every
 kernel against an independent oracle. All kernels are pure: no RNG, no
 global state, deterministic outputs.
 
-The n x n kernels walk their rows in blocks, so a block's arrays stay in
-cache and no kernel allocates an n x n scratch array. Two walks share the
-block forms:
+Memory rule: a ``train`` or ``grid`` row holds one n x n array, the tree
+metric, and nothing else of size n^2. ``tree_metric_all_pairs`` fills it in
+place, and ``_mirror_lower`` makes it symmetric, one block of rows at a
+time. Everything else over all pairs walks blocks of rows, so a block's
+arrays stay in cache and no kernel allocates an n x n scratch array. Two
+walks produce the blocks:
 
-- ``pairwise_euclidean``, ``pairwise_hyperboloid`` and ``ratio_bounds`` walk
-  full rows, about ``_BLOCK`` entries per block array. Every entry goes
-  through the float operations of the full-matrix form in the same order,
-  so their outputs are bitwise equal to it.
-- ``fr_step`` and ``pairwise_intrinsic`` walk the upper triangle
-  (``_triangle_blocks``): rows [r0, r1) against the columns [r0, n), the
-  rows growing as the columns shrink, so each unordered pair is formed once.
-  A block's whole buffer is about ``_TRIANGLE_BYTES``, 1 MB: at dim 2,
-  fr_step's four block arrays hold 2^15 entries each. Spring layouts of
-  random(1000) took about the same time with 512 KB to 2 MB buffers, and a
-  third longer or more at 256 KB and at 4 MB.
+- ``pairwise_hyperboloid`` and ``ratio_bounds`` walk full rows, about
+  ``_BLOCK`` entries per block array. Every entry goes through the float
+  operations of the full-matrix form in the same order, so their outputs
+  are bitwise equal to it.
+- ``fr_step``, ``euclidean_blocks`` and ``intrinsic_blocks`` walk the upper
+  triangle (``_triangle_blocks``): rows [r0, r1) against the columns
+  [r0, n), the rows growing as the columns shrink, so each unordered pair is
+  formed once. A block's whole buffer is about ``_TRIANGLE_BYTES``, 1 MB: at
+  dim 2, fr_step's four block arrays hold 2^15 entries each. Spring layouts
+  of random(1000) took about the same time with 512 KB to 2 MB buffers, and
+  a third longer or more at 256 KB and at 4 MB.
 
-``_row_blocks`` gives each block of the two full-row distance kernels and
-of ``fr_step`` its coordinate differences and their squared sum. It forms the
-differences x_i - x_j of a block with one matmul of the rows [x_i, 1] by
-the columns [1; -x_j]: a broadcast subtraction pays numpy's per-row overhead
-on every row of the block, which made it about 40% of a spring-layout step
-at n = 1000, and the matmul does not. Both products are exact, so each
-difference is the subtraction rounded once (up to the sign of a zero, which
-no output carries). ``fr_step`` sums each pair's repulsion into both of its
+``block_ratio_bounds``, the one distortion reduction, consumes such blocks:
+training reduces its model's distances straight from ``euclidean_blocks``
+(R^k) or ``intrinsic_blocks`` (H^k), and ``ratio_bounds`` feeds it the row
+blocks of a matrix. ``pairwise_euclidean`` and ``pairwise_intrinsic`` fill a
+matrix from the same generators; only the tests and the benchmark's tracer
+call them.
+
+``_row_blocks`` gives each block of ``pairwise_hyperboloid``,
+``euclidean_blocks`` and ``fr_step`` its coordinate differences and their
+squared sum. It forms the differences x_i - x_j of a block with one matmul
+of the rows [x_i, 1] by the columns [1; -x_j]: a broadcast subtraction pays
+numpy's per-row overhead on every row of the block, which made it about 40%
+of a spring-layout step at n = 1000, and the matmul does not. Both products
+are exact, so each difference is the subtraction rounded once (up to the
+sign of a zero, which no output carries), and a distance is the same double
+in either walk. ``fr_step`` sums each pair's repulsion into both of its
 rows, so its sums run in another order than the full-matrix form's and
-agree with it to rounding. ``pairwise_intrinsic``, the H^k distance between
+agree with it to rounding. ``intrinsic_blocks``, the H^k distance between
 the images Exp_0 u of tangent rows, goes through ``_apex_distance``, the one
 implementation of that distance, which the HNN training head evaluates on
 pair lists.
@@ -103,6 +114,12 @@ def tree_metric_all_pairs(eu, ev, w, n):
     from the child's row; a top-down sweep fills each child's row outside its
     subtree from the parent's row. Every entry is a sum of edge weights, never
     a difference, and the diagonal stays exactly 0.
+
+    Each preorder row is kept at its node's row, so only the columns are
+    in preorder when the sweeps end; they are put in node order one block of
+    rows at a time. The output is the only n x n array. The two sweeps sum
+    a path in opposite orders, so the result need not be exactly symmetric
+    (``_mirror_lower`` makes it so).
     """
     adj = [[] for _ in range(n)]
     for u, v, wt in zip(eu.tolist(), ev.tolist(), w.tolist()):
@@ -119,7 +136,8 @@ def tree_metric_all_pairs(eu, ev, w, n):
                 stack.append(nbr)
     pos = np.empty(n, np.int64)
     pos[order] = np.arange(n)
-    # from here on, nodes are named by their preorder position; the root is 0
+    # from here on, columns are named by their preorder position (the root is
+    # 0), and the row of preorder position i is the row of node order[i]
     par = [0] + [int(pos[parent[v]]) for v in order[1:]]
     edge = [up[v] for v in order]
     end = list(range(1, n + 1))  # subtree of i is the column range [i, end[i])
@@ -128,12 +146,30 @@ def tree_metric_all_pairs(eu, ev, w, n):
 
     out = np.zeros((n, n))
     for i in range(n - 1, 0, -1):
-        out[par[i], i:end[i]] = out[i, i:end[i]] + edge[i]
+        np.add(out[order[i], i : end[i]], edge[i], out=out[order[par[i]], i : end[i]])
     for i in range(1, n):
-        p, e = par[i], end[i]
-        out[i, :i] = out[p, :i] + edge[i]
-        out[i, e:] = out[p, e:] + edge[i]
-    return out[np.ix_(pos, pos)]
+        row, p, e = out[order[i]], out[order[par[i]]], end[i]
+        np.add(p[:i], edge[i], out=row[:i])
+        np.add(p[e:], edge[i], out=row[e:])
+    rows = _block_rows(n)
+    for r0 in range(0, n, rows):
+        out[r0 : r0 + rows] = out[r0 : r0 + rows, pos]
+    return out
+
+
+def _mirror_lower(mat):
+    """Copy the strict lower triangle of the square ``mat`` onto its strict
+    upper triangle in place, so mat[i, j] = mat[j, i] = the old mat[max, min].
+
+    Pure data movement, one block of rows at a time: each block's temporaries
+    are about _BLOCK entries. ``_mirror_lower(mat.T)`` mirrors the upper
+    triangle onto the lower one.
+    """
+    n = mat.shape[0]
+    col, rows = np.arange(n), _block_rows(n)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        np.copyto(mat[r0:r1, r0:], mat[r0:, r0:r1].T, where=col[None, r0:] > col[r0:r1, None])
 
 
 def _block_rows(n):
@@ -195,12 +231,28 @@ def _row_blocks(pts, summed, upper=False):
         yield r0, r1, diff, sq
 
 
-def pairwise_euclidean(pts):
-    n = pts.shape[0]
+def euclidean_blocks(pts):
+    """Walk the upper triangle of |x_i - x_j| in blocks (``_row_blocks``
+    with ``upper``); yield (r0, r1, d), the rows [r0, r1) at the columns
+    [r0, n). d is a view that the next block overwrites."""
+    for r0, r1, _, sq in _row_blocks(pts, pts.shape[1], upper=True):
+        yield r0, r1, np.sqrt(sq, out=sq)
+
+
+def _symmetric_matrix(n, blocks):
+    """The n x n matrix of upper-triangle ``blocks`` (r0, r1, d), each block
+    mirrored below the diagonal."""
     out = np.empty((n, n))
-    for r0, r1, _, sq in _row_blocks(pts, pts.shape[1]):
-        np.sqrt(sq, out=out[r0:r1])
+    for r0, r1, d in blocks:
+        out[r0:r1, r0:] = d
+        out[r0:, r0:r1] = d.T
     return out
+
+
+def pairwise_euclidean(pts):
+    """The matrix of ``euclidean_blocks``: |x_j - x_i| is |x_i - x_j| bit
+    for bit, so it is exactly symmetric."""
+    return _symmetric_matrix(pts.shape[0], euclidean_blocks(pts))
 
 
 def pairwise_hyperboloid(pts):
@@ -267,44 +319,56 @@ def _apex_distance(a1, a2, r1, r2, ls1, ls2, delta, total):
     return d, h, a_diff, ls_half, log_s4, s, delta
 
 
-def pairwise_intrinsic(U):
-    """d(Exp_0 u_i, Exp_0 u_j) on H^k between all tangent rows of U at the
-    apex, by ``_apex_distance``.
-
-    The value is exactly symmetric, so each block of rows [r0, r1) forms its
-    columns j >= r0 once and mirrors them. The formula keeps about 16 arrays
-    of a block alive, so ``_triangle_blocks`` sizes the blocks for 16.
+def intrinsic_blocks(U):
+    """Walk the upper triangle of d(Exp_0 u_i, Exp_0 u_j) on H^k between the
+    tangent rows of U at the apex, by ``_apex_distance``; yield (r0, r1, d),
+    the rows [r0, r1) at the columns [r0, n). The formula keeps about 16
+    arrays of a block alive, so ``_triangle_blocks`` sizes the blocks for 16.
     """
     n = U.shape[0]
     a, r, ls = _apex_radii(U)
     cols = np.ascontiguousarray(U.T)
-    out = np.empty((n, n))
     for r0, r1 in _triangle_blocks(n, 16):
         i, j = slice(r0, r1), slice(r0, n)
-        d = _apex_distance(a[i, None], a[None, j], r[i, None], r[None, j], ls[i, None], ls[None, j],
-                           cols[:, i, None] - cols[:, None, j], cols[:, i, None] + cols[:, None, j])[0]
-        out[i, j] = d
-        out[j, i] = d.T
-    return out
+        yield r0, r1, _apex_distance(
+            a[i, None], a[None, j], r[i, None], r[None, j], ls[i, None], ls[None, j],
+            cols[:, i, None] - cols[:, None, j], cols[:, i, None] + cols[:, None, j],
+        )[0]
+
+
+def pairwise_intrinsic(U):
+    """The matrix of ``intrinsic_blocks``; the distance is exactly symmetric."""
+    return _symmetric_matrix(U.shape[0], intrinsic_blocks(U))
 
 
 def ratio_bounds(dspace, dtree):
-    """(min, max) of dspace/dtree over pairs i < j, and whether every dspace > 0.
-
-    Each block of rows divides only its pairs j > i, so the diagonal's 0/0
-    is never formed; NaN ratios propagate to both bounds.
-    """
+    """(min, max) of dspace/dtree over pairs i < j, and whether every dspace > 0,
+    by ``block_ratio_bounds`` over the matrix's blocks of rows."""
     n = dspace.shape[0]
+    rows = _block_rows(n)
+    blocks = ((r0, min(r0 + rows, n), dspace[r0 : r0 + rows, r0:]) for r0 in range(0, n, rows))
+    return block_ratio_bounds(blocks, dtree)
+
+
+def block_ratio_bounds(blocks, dtree):
+    """(min, max) of ds/dtree over the pairs i < j of ``blocks``, and whether
+    every such ds > 0.
+
+    Each block (r0, r1, ds) holds the rows [r0, r1) of the distances at the
+    columns [r0, n); together the blocks cover every pair i < j. Each block
+    divides only its pairs j > i, so the diagonal's 0/0 is never formed; NaN
+    ratios propagate to both bounds. min and max are exact, so the bounds
+    do not depend on how the pairs are split into blocks.
+    """
     alpha, beta, injective = np.inf, -np.inf, True
-    col, rows = np.arange(n), _block_rows(n)
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
+    col = np.arange(dtree.shape[0])
+    for r0, r1, ds in blocks:
         upper = col[None, r0:] > col[r0:r1, None]
-        ds = dspace[r0:r1, r0:]
         ratios = np.divide(ds, dtree[r0:r1, r0:], where=upper, out=np.empty(ds.shape))
         alpha = np.minimum(alpha, np.min(ratios, where=upper, initial=np.inf))
         beta = np.maximum(beta, np.max(ratios, where=upper, initial=-np.inf))
         injective = injective and bool(np.all(ds > 0.0, where=upper))
+        del upper, ratios  # so that the next block's are not formed beside them
     return float(alpha), float(beta), injective
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import kernels
 from .autodiff import Tape
-from .embed import distortion_from_matrices
+from .embed import distortion_from_bounds
 from .networks import HnnParams, MlpParams, NetworkError
 from .seeding import seed_stream
 from .trees import TreeMetric, WeightedTree, tree_metric
@@ -370,10 +370,14 @@ def init_params(cfg: TrainConfig, in_dim: int):
 # The training loop
 # ----------------------------------------------------------------------
 
-def _all_pairs(metric):
-    n = metric.matrix.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    return iu, ju, metric.matrix[iu, ju]
+def _pair_index(n, flat):
+    """The pairs (i, j) of ``np.triu_indices(n, 1)`` at the flat indices
+    ``flat``, in exact integer arithmetic: row i's pairs start at
+    i n - i (i + 1) / 2."""
+    i = np.arange(n - 1)
+    start = i * n - i * (i + 1) // 2
+    row = np.searchsorted(start, flat, side="right") - 1
+    return row, flat - start[row] + row + 1
 
 
 def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None = None):
@@ -400,13 +404,17 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
     X = np.stack([np.asarray(t.coords[i], np.float64) for i in ids])
     in_dim = X.shape[1]
 
-    iu, ju, d_all = _all_pairs(metric)
-    if cfg.max_pairs is not None and cfg.max_pairs < iu.size:
-        sel = seed_stream(cfg.seed, "pair-subsample").choice(
-            iu.size, size=cfg.max_pairs, replace=False
-        )
+    n = len(ids)
+    n_all = n * (n - 1) // 2
+    if cfg.max_pairs is not None and cfg.max_pairs < n_all:
+        # a sorted sample of the flat indices of all pairs i < j, decoded
+        # without forming the pairs it is drawn from
+        sel = seed_stream(cfg.seed, "pair-subsample").choice(n_all, size=cfg.max_pairs, replace=False)
         sel.sort()
-        iu, ju, d_all = iu[sel], ju[sel], d_all[sel]
+        iu, ju = _pair_index(n, sel)
+    else:
+        iu, ju = np.triu_indices(n, k=1)
+    d_all = metric.matrix[iu, ju]
 
     perm = seed_stream(cfg.seed, "pair-split").permutation(iu.size)
     n_test = iu.size // 10
@@ -448,10 +456,10 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
             raise TrainDivergenceError(epoch, "non-finite epoch loss or output")
         history.append(EpochStats(epoch, float(train_mse), float(test_mse), grad_norm, max_radius))
 
+    # the model's distances reach the ratio reduction block by block, so no
+    # n x n array of them is formed
+    hyperbolic = isinstance(params, HnnParams)
+    blocks = kernels.intrinsic_blocks(pts) if hyperbolic else kernels.euclidean_blocks(pts)
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(params, HnnParams):
-            space = kernels.pairwise_intrinsic(pts)
-        else:
-            space = kernels.pairwise_euclidean(pts)
-    report = distortion_from_matrices(space, metric.matrix)
+        report = distortion_from_bounds(*kernels.block_ratio_bounds(blocks, metric.matrix))
     return params, history, report

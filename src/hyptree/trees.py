@@ -140,11 +140,12 @@ def _edge_arrays(t: WeightedTree):
 
 
 def tree_metric(t: WeightedTree) -> TreeMetric:
-    """O(n^2) all-pairs metric (two additive sweeps over a DFS preorder)."""
+    """O(n^2) all-pairs metric (two additive sweeps over a DFS preorder),
+    built in place: the matrix is the only n x n array."""
     eu, ev, w = _edge_arrays(t)
     mat = kernels.tree_metric_all_pairs(eu, ev, w, t.n_nodes)
-    lower = np.tril(mat)  # the sweeps sum a path in opposite orders; make d(u,v) == d(v,u) exact
-    mat = lower + lower.T
+    # the sweeps sum a path in opposite orders; make d(u,v) == d(v,u) exact
+    kernels._mirror_lower(mat)
     mat.setflags(write=False)
     return TreeMetric(tuple(t.node_ids), mat)
 

@@ -409,8 +409,9 @@ class TestTemporaries:
     """Each n x n kernel peaks below four n x n float64 arrays at dim 4: it
     accumulates one coordinate at a time, with no (n, n, dim) temporary. At
     n = 2000 the row blocks bound fr_step and ratio_bounds below a quarter of
-    one n x n array, so their peak no longer grows with n^2, and the pairwise
-    kernels below their output plus half of one more."""
+    one n x n array, so their peak no longer grows with n^2, the pairwise
+    kernels below their output plus half of one more, and the tree metric,
+    built and mirrored in place, below its output plus a quarter of one."""
 
     N, DIM = 500, 4
     BOUND = 4 * N * N * 8
@@ -458,6 +459,10 @@ class TestTemporaries:
     def test_pairwise_hyperboloid_big(self):
         pts = _hyperboloid_points(np.random.default_rng(15), self.BIG_N, self.DIM - 1)
         assert _peak_bytes(kernels.pairwise_hyperboloid, pts) < 1.5 * self.SQUARE
+
+    def test_tree_metric_big(self):
+        t = trees.gen_random(self.BIG_N, 2)
+        assert _peak_bytes(trees.tree_metric, t) < 1.25 * self.SQUARE
 
     def test_pairwise_intrinsic_big(self):
         U = np.random.default_rng(17).normal(size=(self.BIG_N, self.DIM)) * 3.0

@@ -3,6 +3,7 @@ and the behavior of the full loop (convergence, determinism, divergence).
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath as mp
@@ -11,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from hyptree import kernels
+from hyptree.embed import distortion_from_matrices
 from hyptree import train as tr
 from hyptree.autodiff import Tape
 from hyptree.hypgeom import (
@@ -677,6 +679,48 @@ class TestInitParams:
 SMALL = dict(hidden_layers=2, hidden_width=8, batch_size=64, epochs=5)
 
 
+class TestPairSample:
+    """A pair sample is drawn as flat indices into the pairs i < j of
+    ``np.triu_indices(n, 1)`` and decoded without forming those pairs."""
+
+    @pytest.mark.parametrize("n", [2, 3, 101, 102, 364, 1000])
+    def test_decoding_matches_triu_indices(self, n):
+        iu, ju = np.triu_indices(n, k=1)
+        everything = np.arange(iu.size)
+        assert_array_equal(np.stack(tr._pair_index(n, everything)), np.stack([iu, ju]))
+        # numpy's choice without replacement shuffles the tail of a full
+        # range, or above 10000 pairs, for samples of at most a fiftieth of
+        # them, runs Floyd's method; both kinds of sample decode alike
+        rng = np.random.default_rng(n)
+        for size in {1, iu.size // 50, iu.size // 50 + 1, iu.size // 2, iu.size} - {0}:
+            sel = np.sort(rng.choice(iu.size, size=size, replace=False))
+            i, j = tr._pair_index(n, sel)
+            assert_array_equal(i, iu[sel])
+            assert_array_equal(j, ju[sel])
+
+    @pytest.mark.parametrize("kind", ["mlp", "hnn"])
+    def test_sampled_run_holds_no_square_array(self, kind):
+        # with the metric passed in, a run on a sample of 2048 of the 499,500
+        # pairs of random(1000) holds no n x n array: the pairs are drawn by
+        # flat index, and the model's distances reach the distortion
+        # reduction block by block. The tower is narrow because each step's
+        # tape holds O(batch rows x width x layers) floats, which is not what
+        # this test bounds.
+        t = gen_random(1000, 0)
+        spring_layout(t, dim=2, seed=1)
+        metric = tree_metric(t)
+        cfg = TrainConfig(model_kind=kind, max_pairs=2048, epochs=1, hidden_layers=2,
+                          hidden_width=16)
+        tracemalloc.start()
+        try:
+            train_embedding(t, cfg, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * t.n_nodes**2 * 8
+
+
+
 class TestTrainEmbedding:
     @pytest.mark.parametrize("kind", ["mlp", "hnn"])
     def test_two_node_tree_converges(self, kind):
@@ -859,6 +903,18 @@ class TestTrainEmbedding:
             assert_array_equal(layer[1], 0.0)
         if kind == "hnn":
             assert np.any(last[1] != 0.0)
+
+    @pytest.mark.parametrize("kind", ["mlp", "hnn"])
+    def test_report_equals_the_matrix_reduction(self, kind):
+        # the blocks of the model's distances give the bounds of the full
+        # matrix bit for bit
+        t = gen_ternary(3)
+        spring_layout(t, dim=2, seed=0)
+        params, _, report = train_embedding(t, TrainConfig(model_kind=kind, seed=4, **SMALL))
+        metric = tree_metric(t)
+        pts = tr._predict_rows(params, np.stack([t.coords[i] for i in metric.ids]), False)
+        pairwise = kernels.pairwise_intrinsic if kind == "hnn" else kernels.pairwise_euclidean
+        assert report == distortion_from_matrices(pairwise(pts), metric.matrix)
 
     def test_report_uses_model_geometry(self):
         t = gen_binary(3)
