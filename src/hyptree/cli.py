@@ -52,7 +52,7 @@ import numpy as np
 
 from . import __version__
 from .embed import EmbedError, choose_curvature, hnn_realize, save_embedding
-from .networks import NetworkError, par_count, save_params
+from .networks import NetworkError, par_count, save_params, separating_directions
 from .seeding import child_seeds
 from .train import TrainConfig, TrainDivergenceError, TrainError, train_embedding
 from .trees import (
@@ -144,8 +144,9 @@ def _check_layout(t: WeightedTree) -> None:
         raise UsageError(f"tree nodes lack layout coordinates: {missing[:3]}")
 
 
-def _check_distinct_layout(t: WeightedTree) -> None:
-    """No network maps two nodes that share coordinates to two images."""
+def _check_distinct_layout(t: WeightedTree, seed: int) -> None:
+    """No network maps two nodes that share coordinates to two images, and
+    the memorizer needs a seeded direction that separates them all."""
     X = np.stack([t.coords[i] for i in t.node_ids])
     order = np.lexsort(X.T)  # puts equal rows side by side; == counts -0.0 and 0.0 as equal
     same = np.flatnonzero(np.all(X[order[1:]] == X[order[:-1]], axis=1))
@@ -153,6 +154,9 @@ def _check_distinct_layout(t: WeightedTree) -> None:
         a, b = sorted(t.node_ids[k] for k in order[same[0]:same[0] + 2])
         raise UsageError(f"cannot realize the embedding on this layout: nodes {a} and {b} "
                          f"share coordinates {X[order[same[0]]].tolist()}")
+    if next(separating_directions(X, seed), None) is None:
+        raise UsageError("cannot realize the embedding on this layout: no seeded direction "
+                         f"separates its nodes' projections (seed {seed})")
 
 
 def _report_doc(report) -> dict:
@@ -255,7 +259,7 @@ def cmd_embed(args) -> int:
         raise UsageError("tree must have at least 2 nodes")
     if args.realize_hnn:
         _check_layout(t)
-        _check_distinct_layout(t)
+        _check_distinct_layout(t, args.seed)
 
     out_emb = _out_path(args.out_dir, args.output or "embedding.json")
     out_report = _out_path(args.out_dir, "embed_report.json")

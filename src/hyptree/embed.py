@@ -20,8 +20,10 @@ alone cannot support distance evaluation. Distances are therefore evaluated
 on the frame: every source walks outward over the tree at once, one hop per
 step, and each (source, node) pair gets its distance and back-bearing to the
 source from its predecessor's in one hyperbolic law-of-cosines step
-evaluated entirely in log space (``kernels.triangle_step``, which also
-places the nodes level by level). Ambient coordinates are formed from the
+(``kernels.triangle_step``, which also places the nodes level by level). It
+takes the half-angle split of the HNN head, sinh^2(c/2) = sinh^2((d - l)/2)
++ sinh d sinh l sin^2(theta/2), in log space, so short sides keep their
+relative accuracy too. Ambient coordinates are formed from the
 polar data on first use, for output and small-scale work; the evaluator
 never reads them. Embeddings are written as JSON and not read back.
 

@@ -8,27 +8,22 @@ Memory rule: a ``train`` or ``grid`` row holds one n x n array, the tree
 metric, and nothing else of size n^2. ``tree_metric_all_pairs`` fills it in
 place, and ``_mirror_lower`` makes it symmetric, one block of rows at a
 time. Everything else over all pairs walks blocks of rows, so a block's
-arrays stay in cache and no kernel allocates an n x n scratch array. Two
-walks produce the blocks:
-
-- ``pairwise_hyperboloid`` and ``ratio_bounds`` walk full rows, about
-  ``_BLOCK`` entries per block array. Every entry goes through the float
-  operations of the full-matrix form in the same order, so their outputs
-  are bitwise equal to it.
-- ``fr_step``, ``euclidean_blocks`` and ``intrinsic_blocks`` walk the upper
-  triangle (``_triangle_blocks``): rows [r0, r1) against the columns
-  [r0, n), the rows growing as the columns shrink, so each unordered pair is
-  formed once. A block's whole buffer is about ``_TRIANGLE_BYTES``, 1 MB: at
-  dim 2, fr_step's four block arrays hold 2^15 entries each. Spring layouts
-  of random(1000) took about the same time with 512 KB to 2 MB buffers, and
-  a third longer or more at 256 KB and at 4 MB.
+arrays stay in cache and no kernel allocates an n x n scratch array. One
+walk forms the pairs: ``fr_step``, ``euclidean_blocks``,
+``intrinsic_blocks`` and ``pairwise_hyperboloid`` walk the upper triangle
+(``_triangle_blocks``): rows [r0, r1) against the columns [r0, n), the rows
+growing as the columns shrink, so each unordered pair is formed once. A
+block's whole buffer is about ``_TRIANGLE_BYTES``, 1 MB: at dim 2,
+fr_step's four block arrays hold 2^15 entries each. Spring layouts of
+random(1000) took about the same time with 512 KB to 2 MB buffers, and a
+third longer or more at 256 KB and at 4 MB.
 
 ``block_ratio_bounds``, the one distortion reduction, consumes such blocks:
 training reduces its model's distances straight from ``euclidean_blocks``
-(R^k) or ``intrinsic_blocks`` (H^k), and ``ratio_bounds`` feeds it the row
-blocks of a matrix. ``pairwise_euclidean`` and ``pairwise_intrinsic`` fill a
-matrix from the same generators; only the tests and the benchmark's tracer
-call them.
+(R^k) or ``intrinsic_blocks`` (H^k), and ``ratio_bounds`` feeds it the
+blocks of a matrix's upper triangle. ``pairwise_euclidean``,
+``pairwise_intrinsic`` and ``pairwise_hyperboloid`` fill a matrix from
+their blocks; only the tests and the benchmark's tracer call them.
 
 ``_row_blocks`` gives each block of ``pairwise_hyperboloid``,
 ``euclidean_blocks`` and ``fr_step`` its coordinate differences and their
@@ -37,13 +32,16 @@ of the rows [x_i, 1] by the columns [1; -x_j]: a broadcast subtraction pays
 numpy's per-row overhead on every row of the block, which made it about 40%
 of a spring-layout step at n = 1000, and the matmul does not. Both products
 are exact, so each difference is the subtraction rounded once (up to the
-sign of a zero, which no output carries), and a distance is the same double
-in either walk. ``fr_step`` sums each pair's repulsion into both of its
-rows, so its sums run in another order than the full-matrix form's and
-agree with it to rounding. ``intrinsic_blocks``, the H^k distance between
-the images Exp_0 u of tangent rows, goes through ``_apex_distance``, the one
-implementation of that distance, which the HNN training head evaluates on
-pair lists.
+sign of a zero, which no output carries), and x_j - x_i is x_i - x_j
+negated, so a distance is the same double as the full-matrix form's at
+(i, j) and at (j, i). ``fr_step`` sums each pair's repulsion into both of
+its rows, in another order than the full-matrix form, so the two agree to
+rounding.
+
+``_half_angle_side`` is the one hyperbolic triangle formula. It forms the
+H^k distance of ``_apex_distance`` (``intrinsic_blocks`` and the HNN
+training head) and the third side of ``triangle_step`` (the embedding's
+distance walk and its placement).
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ import numpy as np
 _EPS = 1e-12
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
-_BLOCK = 1 << 16  # float64 entries per full-row block array (512 KB)
+_BLOCK = 1 << 16  # float64 entries per block of a matrix's rows (512 KB)
 _TRIANGLE_BYTES = 1 << 20  # a triangle block's whole buffer, over all its arrays
 
 # The benchmark's traced run records this name; numpy is the only backend.
@@ -86,7 +84,7 @@ def fr_step(pos, eu, ev, k, t):
     full-matrix step's, so the two agree to rounding, not bit for bit.
     """
     disp = np.zeros_like(pos)
-    for r0, r1, diff, coef in _row_blocks(pos, pos.shape[1], upper=True):
+    for r0, r1, diff, coef in _row_blocks(pos, pos.shape[1]):
         np.maximum(coef, _EPS * _EPS, out=coef)
         np.divide(k * k, coef, out=coef)
         h = r1 - r0
@@ -190,21 +188,21 @@ def _triangle_blocks(n, arrays):
         r0 = r1
 
 
-def _row_blocks(pts, summed, upper=False):
-    """Walk the rows of pts in blocks; yield (r0, r1, diff, sq) for each.
+def _row_blocks(pts, summed):
+    """Walk the upper triangle of the pairs of rows of pts in blocks
+    (``_triangle_blocks``, the whole buffer about _TRIANGLE_BYTES); yield
+    (r0, r1, diff, sq) for each.
 
-    diff[c] holds x_ic - x_jc for the rows i in [r0, r1) and every column j,
-    or with ``upper`` every column j >= r0 (``_triangle_blocks``, with the
-    whole buffer about _TRIANGLE_BYTES). It is formed as the product of
-    left[c], the rows [x_ic, 1], and right[c], the rows [1; -x_jc], both
-    built once per call: one matmul fills a block for every coordinate,
-    where a broadcast subtraction pays numpy's overhead once per row of the
-    block. With K = 2 both products are exact, so in any summation order,
-    with or without FMA, the only rounding is that of x_ic - x_jc: the same
-    double as the subtraction, except that a zero may come out +0 where
-    x_ic = -0 and x_jc = +0 would give -0. A block's product is about 2^17
-    multiply-adds, too small for the BLAS to split it across threads, so it
-    runs on the calling thread.
+    diff[c] holds x_ic - x_jc for the rows i in [r0, r1) and the columns
+    j >= r0. It is formed as the product of left[c], the rows [x_ic, 1], and
+    right[c], the rows [1; -x_jc], both built once per call: one matmul
+    fills a block for every coordinate, where a broadcast subtraction pays
+    numpy's overhead once per row of the block. With K = 2 both products are
+    exact, so in any summation order, with or without FMA, the only rounding
+    is that of x_ic - x_jc: the same double as the subtraction, except that
+    a zero may come out +0 where x_ic = -0 and x_jc = +0 would give -0. A
+    block's product is about 2^17 multiply-adds, too small for the BLAS to
+    split it across threads, so it runs on the calling thread.
 
     sq holds the sum of diff[c]^2 over the first ``summed`` coordinates,
     accumulated as square(diff[0]), then += square(diff[c]) in coordinate
@@ -215,16 +213,12 @@ def _row_blocks(pts, summed, upper=False):
     left[:, :, 0] = pts.T
     right = np.ones((dim, 2, n))
     np.negative(pts.T, out=right[:, 1])
-    if upper:
-        spans = [(r0, r1, r0) for r0, r1 in _triangle_blocks(n, dim + 2)]
-    else:
-        rows = _block_rows(n)
-        spans = [(r0, min(r0 + rows, n), 0) for r0 in range(0, n, rows)]
-    buf = np.empty((dim + 2) * max(((r1 - r0) * (n - c0) for r0, r1, c0 in spans), default=0))
-    for r0, r1, c0 in spans:
-        block = buf[: (dim + 2) * (r1 - r0) * (n - c0)].reshape(dim + 2, r1 - r0, n - c0)
+    spans = list(_triangle_blocks(n, dim + 2))
+    buf = np.empty((dim + 2) * max(((r1 - r0) * (n - r0) for r0, r1 in spans), default=0))
+    for r0, r1 in spans:
+        block = buf[: (dim + 2) * (r1 - r0) * (n - r0)].reshape(dim + 2, r1 - r0, n - r0)
         diff, sq, tmp = block[:dim], block[dim], block[dim + 1]
-        np.matmul(left[:, r0:r1], right[:, :, c0:], out=diff)
+        np.matmul(left[:, r0:r1], right[:, :, r0:], out=diff)
         np.square(diff[0], out=sq)
         for c in range(1, summed):
             sq += np.square(diff[c], out=tmp)
@@ -232,10 +226,10 @@ def _row_blocks(pts, summed, upper=False):
 
 
 def euclidean_blocks(pts):
-    """Walk the upper triangle of |x_i - x_j| in blocks (``_row_blocks``
-    with ``upper``); yield (r0, r1, d), the rows [r0, r1) at the columns
-    [r0, n). d is a view that the next block overwrites."""
-    for r0, r1, _, sq in _row_blocks(pts, pts.shape[1], upper=True):
+    """Walk the upper triangle of |x_i - x_j| in blocks (``_row_blocks``);
+    yield (r0, r1, d), the rows [r0, r1) at the columns [r0, n). d is a view
+    that the next block overwrites."""
+    for r0, r1, _, sq in _row_blocks(pts, pts.shape[1]):
         yield r0, r1, np.sqrt(sq, out=sq)
 
 
@@ -256,17 +250,17 @@ def pairwise_euclidean(pts):
 
 
 def pairwise_hyperboloid(pts):
-    """Chordal-stable d = 2 asinh(sqrt(<x-y|x-y>_M)/2); time coordinate last."""
-    n = pts.shape[0]
-    out = np.empty((n, n))
-    for r0, r1, diff, q in _row_blocks(pts, pts.shape[1] - 1):
-        q -= np.square(diff[-1], out=diff[-1])
-        np.maximum(q, 0.0, out=q)
-        np.sqrt(q, out=q)
-        q *= 0.5
-        np.arcsinh(q, out=q)
-        np.multiply(q, 2.0, out=out[r0:r1])
-    return out
+    """Chordal-stable d = 2 asinh(sqrt(<x-y|x-y>_M)/2); time coordinate
+    last. The matrix of the upper-triangle blocks, mirrored, so it is
+    exactly symmetric."""
+
+    def blocks():
+        for r0, r1, diff, q in _row_blocks(pts, pts.shape[1] - 1):
+            q -= np.square(diff[-1], out=diff[-1])
+            np.sqrt(np.maximum(q, 0.0, out=q), out=q)
+            yield r0, r1, 2.0 * np.arcsinh(np.multiply(q, 0.5, out=q), out=q)
+
+    return _symmetric_matrix(pts.shape[0], blocks())
 
 
 @np.errstate(divide="ignore")  # ln sinh 0 = -inf is meant
@@ -284,12 +278,8 @@ def _apex_distance(a1, a2, r1, r2, ls1, ls2, delta, total):
 
     The arguments broadcast together: the ``_apex_radii`` of u1 and of u2,
     and delta = u1 - u2 and total = u1 + u2 with the coordinate on the first
-    axis. With s = |u1/a1 - u2/a2|^2, the squared chord between the two
-    directions, the half-angle split
-
-        sinh^2(d/2) = sinh^2((a1 - a2)/2) + sinh a1 sinh a2 s/4
-
-    is evaluated in log space, so no cosh of a radius is formed. Both
+    axis. d is ``_half_angle_side`` of the sides a1 and a2, whose angle has
+    s = |u1/a1 - u2/a2|^2, the squared chord between the two directions. Both
     a1 - a2 = <delta, total>/(a1 + a2) and the chord are formed from delta
     and total, never from two rounded norms or two rounded directions, so
     each term keeps its relative accuracy as a -> 0, as a1 -> a2 and as the
@@ -314,9 +304,24 @@ def _apex_distance(a1, a2, r1, r2, ls1, ls2, delta, total):
     s = np.einsum("i...,i...->...", delta, delta)
     ls_half = _log_sinh(0.5 * np.abs(a_diff))
     log_s4 = np.log(0.25 * s)
-    h = 0.5 * np.logaddexp(2.0 * ls_half, ls1 + ls2 + log_s4)
-    d = np.where(h < 20.0, 2.0 * np.arcsinh(np.exp(np.minimum(h, 20.0))), 2.0 * (h + _LN2))
+    d, h = _half_angle_side(ls_half, ls1 + ls2, log_s4)
     return d, h, a_diff, ls_half, log_s4, s, delta
+
+
+def _half_angle_side(ls_half, ls_prod, log_s4):
+    """(c, h = ln sinh(c/2)) for the third side c of a triangle on H^2 whose
+    sides a and b meet at an angle t, s/4 = sin^2(t/2), by the half-angle split
+
+        sinh^2(c/2) = sinh^2((a - b)/2) + sinh a sinh b s/4
+
+    from ls_half = ln sinh(|a - b|/2), ls_prod = ln sinh a + ln sinh b and
+    log_s4 = ln(s/4). Both terms are >= 0 and added in log space, so c keeps
+    its relative accuracy on short sides and no cosh of a side is formed.
+    Past h = 20, asinh(e^h) is h + ln 2 to double precision.
+    """
+    h = 0.5 * np.logaddexp(2.0 * ls_half, ls_prod + log_s4)
+    c = np.where(h < 20.0, 2.0 * np.arcsinh(np.exp(np.minimum(h, 20.0))), 2.0 * (h + _LN2))
+    return c, h
 
 
 def intrinsic_blocks(U):
@@ -390,46 +395,39 @@ def _log_sinh(x):
     return x + np.log(-np.expm1(-2.0 * x)) - _LN2
 
 
-def _inv_log_cosh(y):
-    """Solve ln cosh D = y for D >= 0 (D = 0 where y <= 0)."""
-    # beyond y = 30, e^{-2D} < 1e-26, so the log1p correction is below resolution
-    return np.where(y < 30.0, np.arccosh(np.exp(np.clip(y, 0.0, 30.0))), y + _LN2)
-
-
-def _interior_angle(lc_far, ls_far, lc_near, ls_near, lc_op, ls_op, sin_t):
-    """Angle between the sides far and near, opposite the side op, from the
-    sides' ln cosh and ln sinh: sin by the law of sines, cos by the law of
-    cosines, with shifted exponentials so huge cosh values never materialize."""
-    sin_a = sin_t * np.exp(ls_op - ls_far)
-    a = lc_far + lc_near
-    m = np.maximum(a, lc_op)
-    cos_num = np.exp(a - m) - np.exp(lc_op - m)
-    return np.arctan2(sin_a, cos_num / np.exp(ls_far + ls_near - m))
-
-
+@np.errstate(divide="ignore")  # ln 0 = -inf drops a term where a side or theta is 0
 def triangle_step(d, ell, theta):
-    """One log-space law-of-cosines step, on arrays.
+    """One hyperbolic triangle step (kappa = -1), on arrays.
 
     The sides d = PA and ell = PB meet at P, where theta is the signed angle
     from the ray PB to the ray PA. Returns (side, at_b, at_a): the third side
     AB, the signed angle at B from the ray BP to the ray BA, in (-pi, pi], and
-    the signed angle at A from the ray AP to the ray AB. Both angles are 0
-    where any side is 0. The side is the half-angle split
-    cosh AB = sin^2(t/2) cosh(d + ell) + cos^2(t/2) cosh(d - ell), in log space.
+    the signed angle at A from the ray AP to the ray AB; both angles are 0
+    where any side is 0. The side is ``_half_angle_side`` with
+    s/4 = sin^2(theta/2). The angle at B, opposite d, is the four-part formula
+    in the same half-angle split, atan2(sin|theta| sinh d,
+    sinh(d + ell) sin^2(theta/2) + sinh(ell - d) cos^2(theta/2)); the angle at
+    A swaps d and ell. Both atan2 arguments are scaled by 2 e^{-(d + ell)}, so
+    nothing overflows at large radius, and each term keeps its relative
+    accuracy on short sides.
     """
     half = 0.5 * np.abs(theta)
-    with np.errstate(divide="ignore"):  # log(0) where theta = 0 drops that term
-        y = np.logaddexp(np.log(np.sin(half) ** 2) + _log_cosh(d + ell),
-                         np.log(np.cos(half) ** 2) + _log_cosh(d - ell))
-    side = _inv_log_cosh(y)
-    sides = (side, d, ell)
+    side, _ = _half_angle_side(_log_sinh(0.5 * np.abs(d - ell)), _log_sinh(d) + _log_sinh(ell),
+                               2.0 * np.log(np.sin(half)))
+    s2, c2, sin_t = np.sin(half) ** 2, np.cos(half) ** 2, np.sin(np.abs(theta))
+    sinh_d = -np.expm1(-2.0 * d) * np.exp(-ell)  # 2 e^{-(d + ell)} sinh d, and so on
+    sinh_ell = -np.expm1(-2.0 * ell) * np.exp(-d)
+    sinh_sum = -np.expm1(-2.0 * (d + ell))
+    # e^{-2d} expm1(2(d - ell)) would overflow where ell << d
+    sinh_diff = -np.expm1(-2.0 * np.abs(ell - d)) * np.exp(-2.0 * np.minimum(d, ell))
+    sinh_diff *= np.sign(ell - d)
+    # at theta = 0 only the sinh(ell - d) term is left, and where both sides
+    # pass ~354 it underflows to 0; the sign of ell - d still tells 0 from pi
+    ray = s2 == 0.0
+    den_b = np.where(ray, ell - d, sinh_sum * s2 + sinh_diff * c2)
+    den_a = np.where(ray, d - ell, sinh_sum * s2 - sinh_diff * c2)
     ok = (side > 0.0) & (d > 0.0) & (ell > 0.0)
-    if not ok.all():
-        sides = tuple(np.where(ok, s, 1.0) for s in sides)
-    lc = [_log_cosh(s) for s in sides]
-    ls = [_log_sinh(s) for s in sides]
-    sin_t = np.sin(np.abs(theta))
-    at_b = np.where(ok, _interior_angle(lc[0], ls[0], lc[2], ls[2], lc[1], ls[1], sin_t), 0.0)
-    at_a = np.where(ok, _interior_angle(lc[0], ls[0], lc[1], ls[1], lc[2], ls[2], sin_t), 0.0)
+    at_b = np.where(ok, np.arctan2(sin_t * sinh_d, den_b), 0.0)
+    at_a = np.where(ok, np.arctan2(sin_t * sinh_ell, den_a), 0.0)
     sign = np.where(theta >= 0.0, 1.0, -1.0)
     return side, wrap_angle(-sign * at_b), sign * at_a

@@ -219,6 +219,27 @@ def par_count(p) -> ParamCount:
     return ParamCount(depth=len(p.layers), width=max(p.dims), par=par)
 
 
+def separating_directions(pts: np.ndarray, seed: int = 0):
+    """The seeded unit directions, of 64 draws, along which the rows of pts
+    project pairwise separated: with enough gap between neighbors that the
+    memorizer's slopes stay finite. Yields (theta, order, ts, gaps): the
+    projections' sorting order, the sorted projections and their gaps.
+    Whether any is found depends only on the set of rows and the seed."""
+    rng = seed_stream(seed, "memorize-direction")
+    for _ in range(64):
+        theta = rng.normal(size=pts.shape[1])
+        nrm = np.linalg.norm(theta)
+        if nrm == 0.0:
+            continue
+        theta /= nrm
+        t = pts @ theta
+        order = np.argsort(t, kind="stable")
+        ts = t[order]
+        gaps = np.diff(ts)
+        if np.all(gaps > 1e-12 * (1.0 + ts[-1] - ts[0])):
+            yield theta, order, ts, gaps
+
+
 def memorize_relu(points, targets, seed: int = 0) -> MlpParams:
     """Depth-2 ReLU network that interpolates targets at the given points exactly.
 
@@ -231,13 +252,13 @@ def memorize_relu(points, targets, seed: int = 0) -> MlpParams:
     which telescopes to y_i at every knot t_i. Hidden width N - 1,
     parameters O(N (n + d)).
 
-    The line is the best of 64 seeded random directions whose projections
-    are pairwise separated. Close knots make steep slopes, and the
-    interpolation error grows with the slope jumps m_j - m_{j-1}, so the
-    draw whose output layer has the smallest max |weight| wins, the earliest
-    on ties. Only draws that keep the most nonzero entries compete: a knot
-    at 0, or a zero jump between targets that coincide in float64, would
-    otherwise make ``par_count`` depend on the draw.
+    The line is the best of the ``separating_directions`` of the points.
+    Close knots make steep slopes, and the interpolation error grows with
+    the slope jumps m_j - m_{j-1}, so the draw whose output layer has the
+    smallest max |weight| wins, the earliest on ties. Only draws that keep
+    the most nonzero entries compete: a knot at 0, or a zero jump between
+    targets that coincide in float64, would otherwise make ``par_count``
+    depend on the draw.
     """
     pts = np.asarray(points, dtype=np.float64)
     tgt = np.asarray(targets, dtype=np.float64)
@@ -259,21 +280,8 @@ def memorize_relu(points, targets, seed: int = 0) -> MlpParams:
     if n_pts == 1:
         return MlpParams(((np.zeros((d, n)), tgt[0].copy()),))
 
-    rng = seed_stream(seed, "memorize-direction")
     best = None
-    for _ in range(64):
-        theta = rng.normal(size=n)
-        nrm = np.linalg.norm(theta)
-        if nrm == 0.0:
-            continue
-        theta /= nrm
-        t = pts @ theta
-        order = np.argsort(t, kind="stable")
-        ts = t[order]
-        gaps = np.diff(ts)
-        # distinct projections, with enough gap that the slopes stay finite
-        if not np.all(gaps > 1e-12 * (1.0 + ts[-1] - ts[0])):
-            continue
+    for theta, order, ts, gaps in separating_directions(pts, seed):
         ys = tgt[order]
         slopes = (ys[1:] - ys[:-1]) / gaps[:, None]
         jumps = np.vstack([slopes[:1], np.diff(slopes, axis=0)])

@@ -391,7 +391,8 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
     embedding induced by the trained model (Euclidean for MLPs,
     hyperbolic at kappa = -1 for HNNs). Deterministic given (tree, cfg).
     Raises TrainDivergenceError with the epoch index if the loss goes
-    non-finite, and TrainError when the tree carries no layout.
+    non-finite, and TrainError when the tree carries no layout or its
+    squared diameter, summed over the pairs, overflows.
     """
     missing = [i for i in t.node_ids if i not in t.coords]
     if missing:
@@ -415,6 +416,13 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
     else:
         iu, ju = np.triu_indices(n, k=1)
     d_all = metric.matrix[iu, ju]
+    # the epoch's loss sums squared tree distances over every training pair;
+    # where that overflows, no step can be finite, whatever the model does
+    diam = metric.matrix.max()
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.square(diam) * iu.size):
+            raise TrainError(f"tree diameter {diam:g} is too large to train on: its square "
+                             f"summed over {iu.size} pairs overflows float64")
 
     perm = seed_stream(cfg.seed, "pair-split").permutation(iu.size)
     n_test = iu.size // 10

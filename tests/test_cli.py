@@ -204,6 +204,24 @@ class TestEmbed:
         assert "Traceback" not in err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("x", [1e-300, 1e200])
+    def test_realize_hnn_on_inseparable_layout_exits_2(self, tmp_path, capsys, x):
+        # distinct rows, but no seeded direction gives the memorizer
+        # projections that far apart relative to their spread; the layout
+        # is rejected before the scan, and nothing is written
+        t = WeightedTree([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0)],
+                         coords={0: [0.0, 0.0], 1: [x, 0.0], 2: [2.0, 1.0]})
+        save_tree(t, tmp_path / "t.json")
+        out = tmp_path / "out"
+        code = run(["embed", tmp_path / "t.json", "--lambda", 1.5, "--realize-hnn",
+                    "--out-dir", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("cannot realize the embedding on this layout: no seeded direction separates"
+                in err)
+        assert "Traceback" not in err
+        assert os.listdir(out) == []
+
     def test_unreachable_target_exits_3(self, tmp_path, capsys):
         t = gen_binary(6)
         save_tree(t, tmp_path / "t.json")
@@ -257,6 +275,22 @@ class TestTrain:
         report = json.load(open(tmp_path / "train_report.json"))
         assert set(report) == {"alpha", "beta", "dist", "injective", "epochs"}
         assert isinstance(load_params(tmp_path / "model_params.json"), MlpParams)
+
+    @pytest.mark.parametrize("w, code", [(1e300, 2), (1e6, 0)])
+    def test_huge_diameter_exits_2_before_training(self, tmp_path, capsys, w, code):
+        # at w = 1e300 the squared distances overflow before any step is
+        # taken, which is no divergence of the model; 1e6 trains
+        t = WeightedTree([0, 1, 2, 3], [(0, 1, w), (1, 2, w), (2, 3, w)],
+                         coords={0: [0.0, 0.0], 1: [1.0, 0.0], 2: [2.0, 0.5], 3: [3.0, 0.0]})
+        save_tree(t, tmp_path / "t.json")
+        out = tmp_path / "out"
+        assert run(["train", tmp_path / "t.json", "--model", "mlp", "--epochs", 2,
+                    "--out-dir", out]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "diverged" not in err
+        if code:
+            assert "tree diameter 3e+300 is too large" in err
+            assert os.listdir(out) == ["train_manifest.json"]
 
     def test_same_seed_identical_outputs(self, tmp_path):
         tree = two_node_file(tmp_path / "t.json")

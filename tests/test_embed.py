@@ -16,6 +16,8 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ambientutil as amb
 import scalarref as ref
@@ -92,14 +94,23 @@ class TestScalarHelpers:
         assert kernels._log_cosh(np.array([-7.5])) == kernels._log_cosh(np.array([7.5]))
         assert kernels._log_cosh(np.array([0.0])) == 0.0
 
-    def test_inv_ln_cosh_roundtrip(self):
-        xs = np.array([0.5, 2.0, 29.0, 31.0, 100.0, 340.0])
-        assert kernels._inv_log_cosh(kernels._log_cosh(xs)) == pytest.approx(xs, rel=1e-12)
-        assert np.all(kernels._inv_log_cosh(np.array([0.0, -1e-17])) == 0.0)
+    @staticmethod
+    def _side_of_h(h):
+        # with no second term, _half_angle_side maps h = ln sinh(c/2) to c
+        return kernels._half_angle_side(h, -np.inf, 0.0)
 
-    def test_inv_ln_cosh_branch_seam(self):
-        lo, hi = kernels._inv_log_cosh(np.array([30.0 - 1e-9, 30.0 + 1e-9]))
-        assert hi - lo == pytest.approx(2e-9, rel=1e-4)
+    def test_half_angle_side_roundtrip(self):
+        xs = np.array([1e-12, 1e-6, 0.5, 2.0, 29.0, 31.0, 40.0, 42.0, 100.0, 340.0])
+        c, h = self._side_of_h(kernels._log_sinh(0.5 * xs))
+        assert c == pytest.approx(xs, rel=1e-12)
+        np.testing.assert_array_equal(h, kernels._log_sinh(0.5 * xs))
+        c, h = self._side_of_h(np.array([-np.inf]))
+        assert c[0] == 0.0 and h[0] == -np.inf
+
+    def test_half_angle_side_branch_seam(self):
+        # c = 2 asinh(e^h) below h = 20 and 2 (h + ln 2) above; dc/dh is 2 there
+        (lo, hi), _ = self._side_of_h(np.array([20.0 - 1e-9, 20.0 + 1e-9]))
+        assert hi - lo == pytest.approx(4e-9, rel=1e-4)
 
     def test_wrap_range_and_identities(self):
         w = kernels.wrap_angle(np.array([3 * math.pi, -3 * math.pi, math.pi, -math.pi, 0.25]))
@@ -182,6 +193,33 @@ class TestScalarHelpers:
         assert side[1] == pytest.approx(1.0, rel=1e-15)
         assert at_b[1] == pytest.approx(0.0, abs=1e-15)
         assert at_a[1] == 0.0
+
+    def test_side_and_angles_vs_mpmath_at_every_scale(self):
+        # the cosh form rebuilt in mpmath with enough digits to survive its
+        # cancellation (about (d + ell)/ln 10 of them); the angles by the law
+        # of sines over the law of cosines, through atan2
+        rng = np.random.default_rng(8)
+        sides = np.concatenate([[1e-12, 1e-7, 1e-3, 1.0, 30.0, 1e3], 10 ** rng.uniform(-12, 3, 3)])
+        thetas = [0.0, math.pi, 1e-9, -1e-9, *rng.uniform(-math.pi, math.pi, 4)]
+        d, ell, th = map(np.ravel, np.meshgrid(sides, sides, thetas, indexing="ij"))
+        side, at_b, at_a = kernels.triangle_step(d, ell, th)
+        for k in range(d.size):
+            with mp.workdps(100 + int((d[k] + ell[k]) / 2.3)):
+                p, q, t = mp.mpf(d[k]), mp.mpf(ell[k]), mp.mpf(th[k])
+                ch = mp.cosh(p) * mp.cosh(q) - mp.sinh(p) * mp.sinh(q) * mp.cos(t)
+                c = mp.acosh(max(ch, 1))
+                if c < 1e-40:  # theta = 0 and d = ell: the cancellation's residue
+                    assert side[k] == 0.0 and at_b[k] == 0.0 and at_a[k] == 0.0
+                    continue
+                want_b = mp.atan2(abs(mp.sin(t)) * mp.sinh(p) / mp.sinh(c),
+                                  (ch * mp.cosh(q) - mp.cosh(p)) / (mp.sinh(c) * mp.sinh(q)))
+                want_a = mp.atan2(abs(mp.sin(t)) * mp.sinh(q) / mp.sinh(c),
+                                  (ch * mp.cosh(p) - mp.cosh(q)) / (mp.sinh(c) * mp.sinh(p)))
+            assert side[k] == pytest.approx(float(c), rel=1e-13), (d[k], ell[k], th[k])
+            sign = 1.0 if th[k] >= 0.0 else -1.0
+            for got, want in ((-sign * at_b[k], want_b), (sign * at_a[k], want_a)):
+                assert math.remainder(got - float(want), 2 * math.pi) == pytest.approx(
+                    0.0, abs=1e-14), (d[k], ell[k], th[k])
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(6)
@@ -606,6 +644,31 @@ class TestChooseCurvature:
             "no grid scale met lambda=1.001; best distortion 1.00395 at tau=64; "
             "tau=128 hit the overflow cap: radius 640.0 > 350"
         )
+
+    @pytest.mark.parametrize("w", [1e-9, 1e-7, 1e-5])
+    def test_short_path_accepted_at_first_scale(self, w):
+        # a path embeds isometrically at any scale; the walk must not lose its
+        # multi-hop distances to cancellation on short sides
+        t = WeightedTree([0, 1, 2, 3], [(0, 1, w), (1, 2, w), (2, 3, w)])
+        e, kappa, rep = choose_curvature(t, 1.5)
+        assert e.tau == 1.0
+        assert 1.0 <= rep.dist <= 1.0 + 1e-12
+        assert rep.injective
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-12.0, math.log10(30.0))),
+                    min_size=2, max_size=12))
+    def test_small_weights_never_read_as_collisions(self, hops):
+        # node k + 1 hangs from a node drawn among 0..k by an edge of weight
+        # 10^x: whatever the scan decides, it measures every scale it tries
+        edges = [(k + 1, int(u * (k + 1)) % (k + 1), 10.0 ** x) for k, (u, x) in enumerate(hops)]
+        t = WeightedTree(list(range(len(hops) + 1)), edges)
+        try:
+            _, _, rep = choose_curvature(t, 1.5)
+        except EmbedError as exc:
+            assert "best distortion inf" not in str(exc)
+        else:
+            assert rep.injective
 
     def test_bad_lambda_rejected(self):
         t = WeightedTree([0, 1], [(0, 1, 1.0)])

@@ -21,6 +21,7 @@ from hyptree.networks import (
     params_from_dict,
     params_to_dict,
     save_params,
+    separating_directions,
 )
 from scalarref import hyperbolic_layer
 
@@ -269,6 +270,18 @@ class TestMemorizeRelu:
     def test_count_mismatch_rejected(self):
         with pytest.raises(NetworkError):
             memorize_relu(np.zeros((3, 2)), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("x", [1e-300, 1e200])
+    def test_inseparable_points_rejected_by_both(self, x):
+        # distinct rows whose projections no draw separates: the memorizer
+        # fails exactly when separating_directions finds nothing, in any
+        # row order
+        pts = np.array([[0.0, 0.0], [x, 0.0], [2.0, 1.0]])
+        for rows in (pts, pts[::-1]):
+            assert next(separating_directions(rows, 0), None) is None
+            with pytest.raises(NetworkError, match="no direction separated"):
+                memorize_relu(rows, np.zeros((3, 1)))
+        assert next(separating_directions(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]), 0))
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)
