@@ -53,7 +53,7 @@ import numpy as np
 from . import __version__
 from .embed import EmbedError, choose_curvature, hnn_realize, save_embedding
 from .networks import NetworkError, par_count, save_params, separating_directions
-from .seeding import child_seeds
+from .seeding import child_seed
 from .train import TrainConfig, TrainDivergenceError, TrainError, train_embedding
 from .trees import (
     WeightedTree,
@@ -91,9 +91,21 @@ def _fmt(x) -> str:
 
 
 def _out_path(out_dir: str, name: str) -> str:
-    if os.path.isabs(name):
-        return name
-    return os.path.join(out_dir, name)
+    """The path of output ``name``, checked to be writable before any work runs."""
+    path = name if os.path.isabs(name) else os.path.join(out_dir, name)
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"cannot write {path}: {folder} is not a directory")
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+    return path
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {path}: {exc.strerror}") from exc
 
 
 @contextmanager
@@ -220,10 +232,10 @@ def _tree_size(spec: dict, trainable: bool = False) -> int:
 def _build_tree(kind: str, size: int, seed: int, tag: str = "", layout_dim: int = 2) -> WeightedTree:
     """Generate a checked tree request and lay it out; ``tag`` names its seed streams."""
     if kind == "random":
-        t = gen_random(size, child_seeds(seed, f"tree{tag}", 1)[0])
+        t = gen_random(size, child_seed(seed, f"tree{tag}"))
     else:
         t = gen_binary(size) if kind == "binary" else gen_ternary(size)
-    spring_layout(t, dim=layout_dim, seed=child_seeds(seed, f"layout{tag}", 1)[0])
+    spring_layout(t, dim=layout_dim, seed=child_seed(seed, f"layout{tag}"))
     return t
 
 
@@ -341,41 +353,46 @@ def cmd_train(args) -> int:
 # ----------------------------------------------------------------------
 
 def _parse_grid_config(doc: dict) -> tuple[dict, list, dict]:
-    """Check a grid config before any work runs.
+    """Check a grid config before any work runs; a UsageError names the fault.
 
     Returns the resolved config as the manifest records it, the checked
     size of each tree, and a TrainConfig per (dim, model) whose seed and
     max_pairs each row fills in.
     """
     if not isinstance(doc, dict):
-        raise UsageError("grid config must be a JSON object")
+        raise UsageError("not a JSON object")
     trees = doc.get("trees")
     if trees is None:
         kind = doc.get("kind")
         if kind is None:
-            raise UsageError('grid config needs "trees" or "kind"')
+            raise UsageError('needs "trees" or "kind"')
         key = "n" if kind == "random" else "depth"
-        trees = [{"kind": kind, key: size} for size in doc.get(key + "s") or [doc.get(key)]]
+        many = doc.get(key + "s")
+        if many is not None and not isinstance(many, list):
+            raise UsageError(f"{key}s must be a list, got {many!r}")
+        trees = [{"kind": kind, key: size} for size in many or [doc.get(key)]]
     if not isinstance(trees, list) or not all(isinstance(spec, dict) for spec in trees):
-        raise UsageError("grid config: trees must be a list of JSON objects")
+        raise UsageError("trees must be a list of JSON objects")
     sizes = [_tree_size(spec, trainable=True) for spec in trees]
     dims = doc.get("dims", [2, 4, 6, 8])
     models = doc.get("models", ["mlp", "hnn"])
     seeds = doc.get("seeds", [0])
+    for key, value, kind, noun in (("dims", dims, int, "integers"), ("models", models, str, "strings"),
+                                   ("seeds", seeds, int, "integers")):
+        # bool is a Python int, and a string would iterate as its characters
+        if not isinstance(value, list) or not all(
+                isinstance(v, kind) and not isinstance(v, bool) for v in value):
+            raise UsageError(f"{key} must be a list of {noun}, got {value!r}")
     if not trees or not dims or not models or not seeds:
-        raise UsageError("grid config: trees, dims, models, seeds must be non-empty")
+        raise UsageError("trees, dims, models, seeds must be non-empty")
     bad = set(models) - {"mlp", "hnn"}
     if bad:
         raise UsageError(f"unknown model kinds {sorted(bad)}")
-    try:
-        dims, seeds = [int(d) for d in dims], [int(s) for s in seeds]
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"grid config: dims and seeds must be integers ({exc})") from exc
     if min(seeds) < 0:
-        raise UsageError(f"grid config: seeds must be >= 0, got {min(seeds)}")
+        raise UsageError(f"seeds must be >= 0, got {min(seeds)}")
     train = doc.get("train", {})
     if not isinstance(train, dict):
-        raise UsageError('grid config: "train" must be a JSON object')
+        raise UsageError('"train" must be a JSON object')
     unknown = set(train) - {field for _, field, _ in TRAIN_FLAGS if field != "embed_dim"}
     if unknown:
         raise UsageError(
@@ -385,9 +402,12 @@ def _parse_grid_config(doc: dict) -> tuple[dict, list, dict]:
     try:
         bases = {(d, m): TrainConfig(model_kind=m, embed_dim=d, **train) for d in dims for m in models}
     except (TrainError, TypeError) as exc:
-        raise UsageError(f"grid config: {exc}") from exc
-    cfg = {"trees": trees, "dims": dims, "models": list(models), "seeds": seeds,
-           "train": train, "output_dir": doc.get("output_dir")}
+        raise UsageError(str(exc)) from exc
+    output_dir = doc.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise UsageError(f"output_dir must be a string, got {output_dir!r}")
+    cfg = {"trees": trees, "dims": dims, "models": models, "seeds": seeds,
+           "train": train, "output_dir": output_dir}
     return cfg, sizes, bases
 
 
@@ -472,11 +492,14 @@ def cmd_grid(args) -> int:
         raise UsageError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
-    cfg, sizes, bases = _parse_grid_config(doc)
+    try:
+        cfg, sizes, bases = _parse_grid_config(doc)
+    except UsageError as exc:
+        raise UsageError(f"grid config: {exc}") from exc
     n_rows = len(cfg["trees"]) * len(cfg["dims"]) * len(cfg["models"]) * len(cfg["seeds"])
     workers = resolve_threads(args.threads, n_rows)
     out_dir = cfg["output_dir"] or args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
 
     out_csv = _out_path(out_dir, "grid_results.csv")
     payloads = []
@@ -769,8 +792,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    os.makedirs(args.out_dir, exist_ok=True)
     try:
+        _make_out_dir(args.out_dir)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

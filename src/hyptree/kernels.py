@@ -6,10 +6,11 @@ global state, deterministic outputs.
 
 Memory rule: a ``train`` or ``grid`` row holds one n x n array, the tree
 metric, and nothing else of size n^2. ``tree_metric_all_pairs`` fills it in
-place, and ``_mirror_lower`` makes it symmetric, one block of rows at a
-time. Everything else over all pairs walks blocks of rows, so a block's
-arrays stay in cache and no kernel allocates an n x n scratch array. One
-walk forms the pairs: ``fr_step``, ``euclidean_blocks``,
+place by two sweeps along a DFS preorder that it is given (the tree's one
+walk, ``trees._preorder``), and ``_mirror_lower`` makes it symmetric, one
+block of rows at a time. Everything else over all pairs walks blocks of
+rows, so a block's arrays stay in cache and no kernel allocates an n x n
+scratch array. One walk forms the pairs: ``fr_step``, ``euclidean_blocks``,
 ``intrinsic_blocks`` and ``pairwise_hyperboloid`` walk the upper triangle
 (``_triangle_blocks``): rows [r0, r1) against the columns [r0, n), the rows
 growing as the columns shrink, so each unordered pair is formed once. A
@@ -104,14 +105,16 @@ def fr_step(pos, eu, ev, k, t):
     return pos + disp * scale[:, None]
 
 
-def tree_metric_all_pairs(eu, ev, w, n):
-    """All-pairs path lengths of the tree with edges (eu[e], ev[e], w[e]) on nodes 0..n-1.
+def tree_metric_all_pairs(order, parent, weight):
+    """All-pairs path lengths of a tree on nodes 0..n-1, swept along a given
+    DFS preorder: ``order`` lists the n nodes in preorder, and the node
+    order[k + 1] hangs from node parent[k] by an edge of weight weight[k].
 
-    In a DFS preorder from node 0 every subtree is a contiguous range of
-    columns. A bottom-up sweep fills each parent's row on a child's subtree
-    from the child's row; a top-down sweep fills each child's row outside its
-    subtree from the parent's row. Every entry is a sum of edge weights, never
-    a difference, and the diagonal stays exactly 0.
+    In a DFS preorder every subtree is a contiguous range of columns. A
+    bottom-up sweep fills each parent's row on a child's subtree from the
+    child's row; a top-down sweep fills each child's row outside its subtree
+    from the parent's row. Every entry is a sum of edge weights, never a
+    difference, and the diagonal stays exactly 0.
 
     Each preorder row is kept at its node's row, so only the columns are
     in preorder when the sweeps end; they are put in node order one block of
@@ -119,25 +122,13 @@ def tree_metric_all_pairs(eu, ev, w, n):
     a path in opposite orders, so the result need not be exactly symmetric
     (``_mirror_lower`` makes it so).
     """
-    adj = [[] for _ in range(n)]
-    for u, v, wt in zip(eu.tolist(), ev.tolist(), w.tolist()):
-        adj[u].append((v, wt))
-        adj[v].append((u, wt))
-    order, parent, up = [], [-1] * n, [0.0] * n
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for nbr, wt in adj[v]:
-            if nbr != parent[v]:
-                parent[nbr], up[nbr] = v, wt
-                stack.append(nbr)
+    n = len(order)
     pos = np.empty(n, np.int64)
     pos[order] = np.arange(n)
     # from here on, columns are named by their preorder position (the root is
     # 0), and the row of preorder position i is the row of node order[i]
-    par = [0] + [int(pos[parent[v]]) for v in order[1:]]
-    edge = [up[v] for v in order]
+    par = [0] + pos[parent].tolist()
+    edge = [0.0] + list(weight)
     end = list(range(1, n + 1))  # subtree of i is the column range [i, end[i])
     for i in range(n - 1, 0, -1):
         end[par[i]] = max(end[par[i]], end[i])

@@ -25,7 +25,6 @@ def seed_stream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), stream_key(name)]))
 
 
-def child_seeds(seed: int, name: str, n: int) -> list[int]:
-    """``n`` reproducible integer sub-seeds for fan-out work (grid rows)."""
-    rng = seed_stream(seed, name)
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=n)]
+def child_seed(seed: int, name: str) -> int:
+    """A reproducible integer sub-seed for the (seed, name) pair."""
+    return int(seed_stream(seed, name).integers(0, 2**63 - 1))

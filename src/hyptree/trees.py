@@ -58,6 +58,25 @@ class WeightedTree:
         return adj
 
 
+def _preorder(adj: dict, root: int) -> tuple[list, dict]:
+    """Depth-first preorder of the nodes reachable from ``root`` in ``adj``,
+    and up[v] = (parent, edge weight) for each of them but the root.
+
+    Each subtree is one contiguous run of the order. Neighbors are pushed in
+    adjacency order and popped last-in, first-out. A node is marked when it
+    is pushed, so the walk ends on any graph, cycles included.
+    """
+    order, up, stack = [], {}, [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for nbr, w in adj[v]:
+            if nbr != root and nbr not in up:
+                up[nbr] = (v, w)
+                stack.append(nbr)
+    return order, up
+
+
 def validate_tree(t: WeightedTree) -> None:
     """Raise TreeError (with a distinct code) on any structural violation."""
     ids = t.node_ids
@@ -89,23 +108,11 @@ def validate_tree(t: WeightedTree) -> None:
         lengths.add(c.size)
     if len(lengths) > 1:
         raise TreeError("coord_length_mismatch", f"coords have lengths {sorted(lengths)}")
-    # connectivity by BFS, then the edge count separates cycle from forest
-    adj: dict[int, list[int]] = {i: [] for i in ids}
-    for u, v, _ in t.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen_nodes = {ids[0]}
-    frontier = [ids[0]]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nbr in adj[node]:
-                if nbr not in seen_nodes:
-                    seen_nodes.add(nbr)
-                    nxt.append(nbr)
-        frontier = nxt
-    if len(seen_nodes) != len(ids):
-        raise TreeError("disconnected", f"only {len(seen_nodes)} of {len(ids)} nodes reachable")
+    # connected iff the walk from the first node reaches every node; then the
+    # edge count separates cycle from forest
+    reached, _ = _preorder(t.adjacency(), ids[0])
+    if len(reached) != len(ids):
+        raise TreeError("disconnected", f"only {len(reached)} of {len(ids)} nodes reachable")
     if len(t.edges) != len(ids) - 1:
         raise TreeError("cycle", f"{len(t.edges)} edges on {len(ids)} connected nodes")
 
@@ -126,24 +133,14 @@ class TreeMetric:
         return float(self.matrix[idx[u], idx[v]])
 
 
-def _edge_arrays(t: WeightedTree):
-    index = {i: k for k, i in enumerate(t.node_ids)}
-    m = len(t.edges)
-    eu = np.empty(m, np.int64)
-    ev = np.empty(m, np.int64)
-    w = np.empty(m, np.float64)
-    for e, (u, v, wt) in enumerate(t.edges):
-        eu[e] = index[u]
-        ev[e] = index[v]
-        w[e] = wt
-    return eu, ev, w
-
-
 def tree_metric(t: WeightedTree) -> TreeMetric:
     """O(n^2) all-pairs metric (two additive sweeps over a DFS preorder),
     built in place: the matrix is the only n x n array."""
-    eu, ev, w = _edge_arrays(t)
-    mat = kernels.tree_metric_all_pairs(eu, ev, w, t.n_nodes)
+    index = {i: k for k, i in enumerate(t.node_ids)}
+    order, up = _preorder(t.adjacency(), t.node_ids[0])
+    mat = kernels.tree_metric_all_pairs([index[v] for v in order],
+                                        [index[up[v][0]] for v in order[1:]],
+                                        [up[v][1] for v in order[1:]])
     # the sweeps sum a path in opposite orders; make d(u,v) == d(v,u) exact
     kernels._mirror_lower(mat)
     mat.setflags(write=False)
@@ -152,43 +149,21 @@ def tree_metric(t: WeightedTree) -> TreeMetric:
 
 def leaves(t: WeightedTree) -> list[int]:
     """Nodes of degree <= 1 (a single isolated root counts as a leaf)."""
-    deg = {i: 0 for i in t.node_ids}
-    for u, v, _ in t.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return [i for i in t.node_ids if deg[i] <= 1]
+    return [i for i, nbrs in t.adjacency().items() if len(nbrs) <= 1]
 
 
 def centroid(t: WeightedTree) -> int:
     """Node minimizing the largest component left by its removal (ties: min id)."""
     n = t.n_nodes
-    if n == 1:
-        return t.node_ids[0]
-    adj = t.adjacency()
-    root = t.node_ids[0]
-    order = []
-    parent = {root: None}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for nbr, _ in adj[v]:
-            if nbr != parent[v]:
-                parent[nbr] = v
-                stack.append(nbr)
-    size = {i: 1 for i in t.node_ids}
-    for v in reversed(order):
-        if parent[v] is not None:
-            size[parent[v]] += size[v]
-    best, best_score = None, n + 1
-    for v in t.node_ids:
-        worst = n - size[v]
-        for nbr, _ in adj[v]:
-            if nbr != parent[v]:
-                worst = max(worst, size[nbr])
-        if worst < best_score or (worst == best_score and v < best):
-            best, best_score = v, worst
-    return best
+    order, up = _preorder(t.adjacency(), t.node_ids[0])
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[up[v][0]] += size[v]
+    # removing v leaves the n - size[v] nodes above it and each child's subtree
+    worst = {v: n - size[v] for v in order}
+    for v in order[1:]:
+        worst[up[v][0]] = max(worst[up[v][0]], size[v])
+    return min(order, key=lambda v: (worst[v], v))
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +256,8 @@ def spring_layout(t: WeightedTree, dim: int = 2, seed: int = 0) -> dict[int, np.
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, 1.0, size=(n, dim))
     if n > 1:
-        eu, ev, _ = _edge_arrays(t)
+        index = {i: k for k, i in enumerate(t.node_ids)}
+        eu, ev = np.array([(index[u], index[v]) for u, v, _ in t.edges]).T
         k = float(np.sqrt(1.0 / n))
         t0 = 0.1 * k
         for i in range(50):

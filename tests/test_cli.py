@@ -449,6 +449,15 @@ class TestGrid:
             {"trees": [{"kind": "random", "n": "x"}]},
             {"trees": [{"kind": "ternary", "depth": 0}]},
             {"seeds": [-1]},
+            # each of these ran with the wrong values or ended in a traceback
+            {"dims": "2"},
+            {"dims": [2.9]},
+            {"seeds": [True]},
+            {"seeds": "12"},
+            {"models": "hnn"},
+            {"output_dir": 5},
+            {"models": [["mlp"]]},
+            {"trees": None, "kind": "binary", "depths": 3},
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, patch):
@@ -456,7 +465,7 @@ class TestGrid:
         out = tmp_path / "out"
         assert run(["grid", cfgf, "--out-dir", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: grid config: ") and "Traceback" not in err
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize(
@@ -776,6 +785,53 @@ def listed_outputs(out_dir, command):
     listed = manifest(out_dir, command)["outputs"]
     assert [name for name in listed if not os.path.isfile(os.path.join(out_dir, name))] == []
     return listed
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work ran before the output paths were checked")
+
+
+class TestOutputPaths:
+    """An output that cannot be written exits 2 before any work runs."""
+
+    @pytest.mark.parametrize(
+        "name, message", [("nosuch/t.json", "nosuch is not a directory"), (".", "it is a directory")]
+    )
+    def test_gen_output_not_writable(self, tmp_path, capsys, monkeypatch, name, message):
+        monkeypatch.setattr(cli, "spring_layout", no_work)
+        assert run(["gen", "--kind", "binary", "--depth", 3, "--out-dir", tmp_path, "-o", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and message in err
+        assert os.listdir(tmp_path) == []
+
+    def test_embed_output_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        tree = two_node_file(tmp_path / "t.json")
+        monkeypatch.setattr(cli, "choose_curvature", no_work)
+        assert run(["embed", tree, "--lambda", 1.1, "--out-dir", tmp_path / "out",
+                    "-o", "nosuch/e.json"]) == 2
+        assert "nosuch is not a directory" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_out_dir_naming_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        tree = two_node_file(tmp_path / "t.json")
+        for argv in (["gen", "--kind", "binary", "--depth", 2], ["embed", tree, "--lambda", 1.1],
+                     ["train", tree], ["grid", tiny_grid_config(tmp_path / "cfg.json")],
+                     ["lowerbound", "--leaves", 8]):
+            assert run(argv + ["--out-dir", blocker]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot create output directory {blocker}: "), argv
+        assert blocker.read_text() == "kept\n"
+
+    def test_grid_output_dir_naming_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        cfgf = tiny_grid_config(tmp_path / "cfg.json", output_dir=str(blocker))
+        assert run(["grid", cfgf, "--out-dir", tmp_path / "out"]) == 2
+        assert f"error: cannot create output directory {blocker}: " in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+        assert blocker.read_text() == "kept\n"
 
 
 class TestArtifacts:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
-from hyptree import trees
+from hyptree import kernels, trees
 
 RNG = np.random.default_rng(7)
 
@@ -52,6 +52,9 @@ class TestValidation:
             ([0, 1], [(0, 1, -2.0)], "nonpositive_weight"),
             ([0, 1, 2, 3], [(0, 1, 1.0), (2, 3, 1.0)], "disconnected"),
             ([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], "cycle"),
+            # n - 1 edges: a cycle beside an isolated node; a walk that skips
+            # only the parent would go round the cycle forever
+            ([0, 1, 2, 3], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], "disconnected"),
         ],
     )
     def test_error_codes(self, ids, edges, code):
@@ -139,6 +142,30 @@ class TestMetric:
         assert m.dist(5, 12) == 5.0
         assert m.dist(12, 5) == 5.0
 
+    def test_kernel_sweeps_any_given_preorder(self):
+        """The kernel takes any DFS preorder: here one that visits neighbors
+        by descending index, rooted at nodes other than index 0."""
+        t = random_weighted_tree(200, 21)
+        index = {i: k for k, i in enumerate(t.node_ids)}
+        nbrs = [[] for _ in range(t.n_nodes)]
+        for u, v, w in t.edges:
+            nbrs[index[u]].append((index[v], w))
+            nbrs[index[v]].append((index[u], w))
+
+        def visit(v, p, order, parent, weight):
+            order.append(v)
+            for c, w in sorted(nbrs[v], reverse=True):
+                if c != p:
+                    parent.append(v)
+                    weight.append(w)
+                    visit(c, v, order, parent, weight)
+
+        for root in (17, 199):
+            order, parent, weight = [], [], []
+            visit(root, -1, order, parent, weight)
+            got = kernels.tree_metric_all_pairs(order, parent, weight)
+            assert_allclose(got, dijkstra_oracle(t), rtol=1e-12, atol=1e-12)
+
     def test_single_node(self):
         m = trees.tree_metric(trees.WeightedTree([3], []))
         assert m.matrix.shape == (1, 1)
@@ -161,6 +188,31 @@ class TestCentroidLeavesDegree:
 
     def test_complete_binary_centroid_is_root(self):
         assert trees.centroid(trees.gen_binary(4)) == 0
+
+    def test_centroid_against_brute_force(self):
+        """Removing the centroid leaves the smallest largest component (ties:
+        smallest id), on random trees with permuted, non-contiguous ids."""
+        for seed in range(30):
+            rng = np.random.default_rng(100 + seed)
+            n = int(rng.integers(1, 60))
+            base = trees.gen_random(n, seed)
+            ids = [int(i) for i in rng.permutation(n) * 7 + 3]
+            t = trees.WeightedTree([ids[k] for k in rng.permutation(n)],
+                                   [(ids[u], ids[v], w) for u, v, w in base.edges])
+
+            def largest_left(v):
+                keep = [i for i in t.node_ids if i != v]
+                if not keep:
+                    return 0
+                sub = {i: k for k, i in enumerate(keep)}
+                rows = [sub[a] for a, b, _ in t.edges if v not in (a, b)]
+                cols = [sub[b] for a, b, _ in t.edges if v not in (a, b)]
+                graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n - 1, n - 1))
+                _, label = connected_components(graph, directed=False)
+                return int(np.bincount(label).max())
+
+            want = min(t.node_ids, key=lambda v: (largest_left(v), v))
+            assert trees.centroid(t) == want, seed
 
     def test_star_leaves(self):
         star = trees.WeightedTree(list(range(5)), [(0, i, 1.0) for i in range(1, 5)])
