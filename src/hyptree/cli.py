@@ -9,10 +9,11 @@ Subcommands
 * ``grid``       sweep (tree x dim x model x seed), emit a long-format CSV
 * ``lowerbound`` trained-MLP distortion growth vs the constructive column
 
-Once its input checks pass, every invocation writes ``<command>_manifest.json``
-into the output directory after its result files, also when it stops with exit
-3 or 4; the manifest lists the resolved configuration and the output files the
-run wrote. Manifest content is a pure function of config, seed, and library
+Once its input checks pass, every invocation creates its output directory
+(``--out-dir``, or a grid config's ``output_dir`` in its place) and writes
+``<command>_manifest.json`` there after its result files, also when it stops
+with exit 3 or 4; the manifest lists the resolved configuration and the output
+files the run wrote. Manifest content is a pure function of config, seed, and library
 version, so identical invocations produce byte-identical files (wall-clock time
 lives in filesystem metadata only).
 
@@ -91,7 +92,13 @@ def _fmt(x) -> str:
 
 
 def _out_path(out_dir: str, name: str) -> str:
-    """The path of output ``name``, checked to be writable before any work runs."""
+    """The path of output ``name``, checked to be writable before any work
+    runs. Creates ``out_dir``, where the manifest goes, so a command asks for
+    its paths only once its input checks pass."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     path = name if os.path.isabs(name) else os.path.join(out_dir, name)
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
@@ -99,13 +106,6 @@ def _out_path(out_dir: str, name: str) -> str:
     if os.path.isdir(path):
         raise UsageError(f"cannot write {path}: it is a directory")
     return path
-
-
-def _make_out_dir(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"cannot create output directory {path}: {exc.strerror}") from exc
 
 
 @contextmanager
@@ -499,8 +499,6 @@ def cmd_grid(args) -> int:
     n_rows = len(cfg["trees"]) * len(cfg["dims"]) * len(cfg["models"]) * len(cfg["seeds"])
     workers = resolve_threads(args.threads, n_rows)
     out_dir = cfg["output_dir"] or args.out_dir
-    _make_out_dir(out_dir)
-
     out_csv = _out_path(out_dir, "grid_results.csv")
     payloads = []
     for ti, (spec, size) in enumerate(zip(cfg["trees"], sizes)):
@@ -793,7 +791,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _make_out_dir(args.out_dir)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,13 +25,17 @@ takes the half-angle split of the HNN head, sinh^2(c/2) = sinh^2((d - l)/2)
 + sinh d sinh l sin^2(theta/2), in log space, so short sides keep their
 relative accuracy too. Ambient coordinates are formed from the
 polar data on first use, for output and small-scale work; the evaluator
-never reads them. Embeddings are written as JSON and not read back.
+never reads them.
 
 The curvature scan builds the frame once and walks every source only for a
 scale it may accept. It first walks a few probe rows, and one entry of
 theirs that the full check would hold, out of bounds on the same float
 quotient, rejects the scale. A scale whose probes find no such entry gets
-the full check, so every decision is the full check's.
+the full check, so every decision is the full check's. That check reduces
+each block of walked rows against tau * d_T through the distortion
+reduction that training uses, ``kernels.block_ratio_bounds``, so it holds
+no n x n array besides the metric. Embeddings and realized networks are
+written as JSON and not read back.
 """
 
 from __future__ import annotations
@@ -71,15 +75,6 @@ class DistortionReport:
     beta: float
     dist: float
     injective: bool
-
-
-def distortion_from_matrices(d_space: np.ndarray, d_tree: np.ndarray) -> DistortionReport:
-    """Worst-case ratio d_space/d_tree over the pairs i < j of two dense matrices."""
-    if np.shape(d_space)[0] < 2:
-        raise EmbedError("distortion needs at least two nodes")
-    return distortion_from_bounds(
-        *kernels.ratio_bounds(np.asarray(d_space, np.float64), np.asarray(d_tree, np.float64))
-    )
 
 
 def distortion_from_bounds(alpha: float, beta: float, injective: bool) -> DistortionReport:
@@ -262,6 +257,13 @@ def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
     return _place(_frame(t), tau)
 
 
+def _sources_per_block(n: int) -> int:
+    """Sources that walk together over n nodes: a block of b sources holds at
+    most b * n states in one hop (on a star, almost every ordered pair), so
+    n / 4 sources keep each hop's temporaries to a few n^2 / 4 floats."""
+    return -(-n // 4)
+
+
 def embedding_distance(e: HyperbolicEmbedding, sources) -> np.ndarray:
     """d_{-1} from the image of each source to the image of every node.
 
@@ -277,10 +279,7 @@ def embedding_distance(e: HyperbolicEmbedding, sources) -> np.ndarray:
     src = np.array([f.index[u] for u in sources], np.intp)
     length = e.tau * f.edge_w
     out = np.zeros((len(src), len(f.ids)))
-    # A block of b sources holds at most b * n states in one hop (on a star,
-    # one hop holds almost every ordered pair), so blocks of n / 4 sources
-    # keep each hop's temporaries to a few n^2 / 4 floats.
-    step = -(-len(f.ids) // 4)
+    step = _sources_per_block(len(f.ids))
     for lo in range(0, len(src), step):
         block = src[lo : lo + step]
         row, edge = _ranges(f.start[block], f.start[block + 1] - f.start[block])
@@ -327,7 +326,7 @@ def _probe_witness(record: HyperbolicEmbedding, metric, lam: float, sources):
 
     Walks only the given source rows; the walk's columns are the tree's node
     order, as are the metric's. Entry (i, j) of the full check is the walk
-    of ids[i] at column j, divided by tau * d_T as ``ratio_bounds`` divides
+    of ids[i] at column j, divided by tau * d_T as ``_full_check`` divides
     it, so a source's row counts as it is at columns j > i. At j < i the
     entry comes from the walk of ids[j]: each source's worst such column is
     walked next, and its row counts the same way. Returns None when no
@@ -355,6 +354,18 @@ def _probe_witness(record: HyperbolicEmbedding, metric, lam: float, sources):
     return None
 
 
+def _full_check(record: HyperbolicEmbedding, metric: TreeMetric) -> DistortionReport:
+    """The report of d_{-1} / (tau d_T) over every pair i < j: each block of
+    sources in node order walks, and its rows [lo, hi) at the columns [lo, n)
+    go straight to ``kernels.block_ratio_bounds``, which divides them by
+    tau * d_T, so no n x n array of walked or scaled distances is formed."""
+    ids, n = metric.ids, len(metric.ids)
+    step = _sources_per_block(n)
+    blocks = ((lo, min(lo + step, n), embedding_distance(record, ids[lo : lo + step])[:, lo:])
+              for lo in range(0, n, step))
+    return distortion_from_bounds(*kernels.block_ratio_bounds(blocks, metric.matrix, record.tau))
+
+
 def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = None):
     """Smallest grid scale whose embedding meets the two-sided bound.
 
@@ -369,10 +380,12 @@ def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = No
     the full check would hold, on the same float quotient, rejects it, so
     NaN and 0 reject as they do there. Only a tau with no such witness
     walks every source, so each decision is exactly the full check's.
-    The tree's frame is built once and placed at each tau, and no ambient
-    point is formed until the caller reads the returned embedding's. When no
-    tau is accepted, the best distortion comes from full walks of the rejected
-    ones. ``metric`` is ``tree_metric(t)`` when the caller has it already.
+    The full check (``_full_check``) reduces each block of walked rows as
+    it comes; when no tau is accepted, the best distortion comes from full
+    checks of the rejected ones. The tree's frame is built once and placed
+    at each tau, and no ambient point is formed until the caller reads the
+    returned embedding's. ``metric`` is ``tree_metric(t)`` when the caller
+    has it already.
 
     Returns (embedding, curvature, report). Raises EmbedError if no scale
     meets the bound: with the best achieved distortion whenever some scale
@@ -383,8 +396,7 @@ def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = No
         raise EmbedError("lambda must exceed 1")
     if metric is None:
         metric = tree_metric(t)
-    ids = list(metric.ids)
-    if len(ids) < 2:
+    if len(metric.ids) < 2:
         raise EmbedError("need at least two nodes")
     frame = _frame(t)
     center = int(frame.order[0])
@@ -400,16 +412,14 @@ def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = No
             break
         witness = _probe_witness(record, metric, lam, ends.union(witness)) or ()
         if not witness:
-            mat = embedding_distance_matrix(record, ids)
-            report = distortion_from_matrices(mat, tau * metric.matrix)
+            report = _full_check(record, metric)
             if report.alpha >= 1.0 / lam and report.beta <= lam:
                 return record, record.kappa, report
         rejected.append(record)
     reasons = [f"no grid scale met lambda={lam:g}"]
     best = None
     for record in rejected:
-        mat = embedding_distance_matrix(record, ids)
-        report = distortion_from_matrices(mat, record.tau * metric.matrix)
+        report = _full_check(record, metric)
         if best is None or report.dist < best[0]:
             best = (report.dist, record.tau)
     if best is not None:

@@ -21,10 +21,10 @@ third longer or more at 256 KB and at 4 MB.
 
 ``block_ratio_bounds``, the one distortion reduction, consumes such blocks:
 training reduces its model's distances straight from ``euclidean_blocks``
-(R^k) or ``intrinsic_blocks`` (H^k), and ``ratio_bounds`` feeds it the
-blocks of a matrix's upper triangle. ``pairwise_euclidean``,
-``pairwise_intrinsic`` and ``pairwise_hyperboloid`` fill a matrix from
-their blocks; only the tests and the benchmark's tracer call them.
+(R^k) or ``intrinsic_blocks`` (H^k), the curvature scan each block of its
+walk against tau * d_T. ``ratio_bounds`` feeds it a matrix's blocks, and
+``pairwise_euclidean`` and ``pairwise_hyperboloid`` fill a matrix from
+theirs; only the gates, the benchmark's tracer and the tests call these.
 
 ``_row_blocks`` gives each block of ``pairwise_hyperboloid``,
 ``euclidean_blocks`` and ``fr_step`` its coordinate differences and their
@@ -332,11 +332,6 @@ def intrinsic_blocks(U):
         )[0]
 
 
-def pairwise_intrinsic(U):
-    """The matrix of ``intrinsic_blocks``; the distance is exactly symmetric."""
-    return _symmetric_matrix(U.shape[0], intrinsic_blocks(U))
-
-
 def ratio_bounds(dspace, dtree):
     """(min, max) of dspace/dtree over pairs i < j, and whether every dspace > 0,
     by ``block_ratio_bounds`` over the matrix's blocks of rows."""
@@ -346,25 +341,30 @@ def ratio_bounds(dspace, dtree):
     return block_ratio_bounds(blocks, dtree)
 
 
-def block_ratio_bounds(blocks, dtree):
-    """(min, max) of ds/dtree over the pairs i < j of ``blocks``, and whether
-    every such ds > 0.
+def block_ratio_bounds(blocks, dtree, scale=None):
+    """(min, max) of ds/dtree, or of ds/(scale * dtree), over the pairs i < j
+    of ``blocks``, and whether every such ds > 0.
 
     Each block (r0, r1, ds) holds the rows [r0, r1) of the distances at the
     columns [r0, n); together the blocks cover every pair i < j. Each block
     divides only its pairs j > i, so the diagonal's 0/0 is never formed; NaN
-    ratios propagate to both bounds. min and max are exact, so the bounds
-    do not depend on how the pairs are split into blocks.
+    ratios propagate to both bounds. A ``scale`` is multiplied into each
+    block's dtree in the ratio buffer, so no scaled copy is formed. min and
+    max are exact, so the bounds do not depend on how the pairs are split.
     """
     alpha, beta, injective = np.inf, -np.inf, True
     col = np.arange(dtree.shape[0])
     for r0, r1, ds in blocks:
         upper = col[None, r0:] > col[r0:r1, None]
-        ratios = np.divide(ds, dtree[r0:r1, r0:], where=upper, out=np.empty(ds.shape))
+        ratios = np.empty(ds.shape)
+        den = dtree[r0:r1, r0:]
+        if scale is not None:
+            den = np.multiply(scale, den, out=ratios)
+        np.divide(ds, den, where=upper, out=ratios)
         alpha = np.minimum(alpha, np.min(ratios, where=upper, initial=np.inf))
         beta = np.maximum(beta, np.max(ratios, where=upper, initial=-np.inf))
         injective = injective and bool(np.all(ds > 0.0, where=upper))
-        del upper, ratios  # so that the next block's are not formed beside them
+        del upper, ratios, den, ds  # so that the next block's are not formed beside them
     return float(alpha), float(beta), injective
 
 

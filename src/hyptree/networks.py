@@ -87,10 +87,6 @@ class MlpParams:
     def input_dim(self) -> int:
         return self.layers[0][0].shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1][0].shape[0]
-
 
 @dataclass(frozen=True)
 class HnnParams:
@@ -135,10 +131,6 @@ class HnnParams:
     def input_dim(self) -> int:
         return self.entry_bias.dim
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1][2].dim
-
 
 @dataclass(frozen=True)
 class ParamCount:
@@ -148,19 +140,6 @@ class ParamCount:
     depth: int
     width: int
     par: int
-
-
-def mlp_forward(p: MlpParams, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != p.input_dim:
-        raise NetworkError(f"input must be a vector of dim {p.input_dim}")
-    h = x
-    last = len(p.layers) - 1
-    for i, (A, b) in enumerate(p.layers):
-        h = A @ h + b
-        if i != last:
-            h = np.maximum(h, 0.0)
-    return h
 
 
 def _read_tangent(a: HPoint, x: HPoint) -> np.ndarray:
@@ -337,36 +316,7 @@ def params_to_dict(p) -> dict:
     raise NetworkError("expected MlpParams or HnnParams")
 
 
-def params_from_dict(data: dict):
-    kind = data.get("kind")
-    if kind == "mlp":
-        return MlpParams(
-            tuple(
-                (np.asarray(l["A"], np.float64), np.asarray(l["b"], np.float64))
-                for l in data["layers"]
-            )
-        )
-    if kind == "hnn":
-        return HnnParams(
-            HPoint(np.asarray(data["entry_bias"], np.float64)),
-            tuple(
-                (
-                    np.asarray(l["A"], np.float64),
-                    np.asarray(l["b"], np.float64),
-                    HPoint(np.asarray(l["c"], np.float64)),
-                )
-                for l in data["layers"]
-            ),
-        )
-    raise NetworkError(f"unknown params kind {kind!r}")
-
-
 def save_params(path, p) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(params_to_dict(p), fh, indent=1)
         fh.write("\n")
-
-
-def load_params(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return params_from_dict(json.load(fh))

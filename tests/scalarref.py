@@ -14,21 +14,32 @@ batched training loss without deduplicating the pair endpoints.
 scalar log-space triangle helpers below, on frames and lengths rebuilt from
 the tree by ``ambientutil.frame_slots``, and ``curvature_scan_pairwise``
 runs the curvature scan pair by pair on it. ``curvature_scan_full`` judges
-every scale on its full distance matrix, the oracle of every decision and
-exit message of the library's probing scan.
+every scale on its full distance matrix with ``distortion_from_matrices``,
+the oracle of every decision and exit message of the library's probing
+scan, whose full check streams its blocks instead.
+
+The library has no caller for a few forms that the tests use as shorthand,
+so they live here: ``pairwise_intrinsic`` (the matrix of
+``kernels.intrinsic_blocks``), ``mlp_forward`` (one input through an MLP),
+and ``load_params`` (the reader of the params JSON that the program writes
+and never reads back).
 """
 
+import json
 import math
 
 import numpy as np
 
 from ambientutil import frame_slots
+from hyptree import kernels
 from hyptree.embed import (
-    distortion_from_matrices,
+    EmbedError,
+    distortion_from_bounds,
     embedding_distance_matrix,
     sarkar_embed,
 )
 from hyptree.hypgeom import (
+    HPoint,
     OverflowGuardError,
     basepoint,
     distance,
@@ -38,7 +49,7 @@ from hyptree.hypgeom import (
     log_map,
     parallel_transport,
 )
-from hyptree.networks import HnnParams, NetworkError, hnn_forward, mlp_forward
+from hyptree.networks import HnnParams, MlpParams, NetworkError, hnn_forward
 from hyptree.train import _hyperbolic_head, _predict_rows
 from hyptree.trees import centroid
 
@@ -100,6 +111,16 @@ def ratio_bounds(dspace, dtree):
             alpha = min(alpha, r)
             beta = max(beta, r)
     return alpha, beta, injective
+
+
+def distortion_from_matrices(d_space, d_tree):
+    """The report of d_space/d_tree over the pairs i < j of two dense
+    matrices, by ``kernels.ratio_bounds``."""
+    if np.shape(d_space)[0] < 2:
+        raise EmbedError("distortion needs at least two nodes")
+    return distortion_from_bounds(
+        *kernels.ratio_bounds(np.asarray(d_space, np.float64), np.asarray(d_tree, np.float64))
+    )
 
 
 def _squared_distances_full(pts, diff):
@@ -164,7 +185,7 @@ def pairwise_hyperboloid_full(pts):
 def hyperbolic_matrix(U):
     """H^k distances d(Exp_0 u_i, Exp_0 u_j) between all tangent rows of U:
     the training head on every ordered pair, ceil(n/16) source rows per
-    call (the oracle of ``kernels.pairwise_intrinsic``)."""
+    call (the oracle of ``pairwise_intrinsic``)."""
     n = U.shape[0]
     out = np.empty((n, n))
     step = -(-n // 16)
@@ -173,6 +194,12 @@ def hyperbolic_matrix(U):
         rows = np.arange(start, min(start + step, n))
         out[rows] = _hyperbolic_head(U, np.repeat(rows, n), np.tile(cols, rows.size)).reshape(rows.size, n)
     return out
+
+
+def pairwise_intrinsic(U):
+    """The matrix of ``kernels.intrinsic_blocks``, mirrored; the distance is
+    exactly symmetric."""
+    return kernels._symmetric_matrix(U.shape[0], kernels.intrinsic_blocks(U))
 
 
 def hyperbolic_layer(a, b, c, A, x):
@@ -186,6 +213,50 @@ def hyperbolic_layer(a, b, c, A, x):
     u = drop(parallel_transport(a, basepoint(a.dim), log_map(a, x)))
     v = lift(np.maximum(A @ u + b, 0.0))
     return exp_map(c, parallel_transport(basepoint(v.dim), c, v))
+
+
+def mlp_forward(p: MlpParams, x) -> np.ndarray:
+    """One input vector through the MLP: affine layers, ReLU between them."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size != p.input_dim:
+        raise NetworkError(f"input must be a vector of dim {p.input_dim}")
+    h = x
+    last = len(p.layers) - 1
+    for i, (A, b) in enumerate(p.layers):
+        h = A @ h + b
+        if i != last:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+def params_from_dict(data: dict):
+    """MlpParams or HnnParams from the dict that ``networks.params_to_dict`` writes."""
+    kind = data.get("kind")
+    if kind == "mlp":
+        return MlpParams(
+            tuple(
+                (np.asarray(l["A"], np.float64), np.asarray(l["b"], np.float64))
+                for l in data["layers"]
+            )
+        )
+    if kind == "hnn":
+        return HnnParams(
+            HPoint(np.asarray(data["entry_bias"], np.float64)),
+            tuple(
+                (
+                    np.asarray(l["A"], np.float64),
+                    np.asarray(l["b"], np.float64),
+                    HPoint(np.asarray(l["c"], np.float64)),
+                )
+                for l in data["layers"]
+            ),
+        )
+    raise NetworkError(f"unknown params kind {kind!r}")
+
+
+def load_params(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return params_from_dict(json.load(fh))
 
 
 def d_pred_mlp(p, x1, x2) -> float:

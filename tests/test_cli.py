@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from hyptree import cli, embed, train
-from hyptree.embed import distortion_from_matrices
 from hyptree.kernels import pairwise_hyperboloid
-from hyptree.networks import HnnParams, MlpParams, hnn_forward, load_params
+from hyptree.networks import HnnParams, MlpParams, hnn_forward
 from hyptree.train import TrainConfig, _predict_rows
 from hyptree.trees import WeightedTree, gen_binary, load_tree, save_tree, spring_layout, tree_metric
+from scalarref import distortion_from_matrices, load_params
 
 
 def run(argv):
@@ -185,7 +185,7 @@ class TestEmbed:
         err = capsys.readouterr().err
         assert f"tree nodes lack layout coordinates: {listed}" in err
         assert "Traceback" not in err
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
 
     def test_realize_hnn_on_coincident_layout_exits_2(self, tmp_path, capsys):
         # nodes 2 and 3 share their layout coordinates (a signed zero
@@ -202,7 +202,7 @@ class TestEmbed:
         assert ("cannot realize the embedding on this layout: nodes 2 and 3 share coordinates"
                 in err)
         assert "Traceback" not in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("x", [1e-300, 1e200])
     def test_realize_hnn_on_inseparable_layout_exits_2(self, tmp_path, capsys, x):
@@ -220,7 +220,7 @@ class TestEmbed:
         assert ("cannot realize the embedding on this layout: no seeded direction separates"
                 in err)
         assert "Traceback" not in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_unreachable_target_exits_3(self, tmp_path, capsys):
         t = gen_binary(6)
@@ -249,7 +249,7 @@ class TestEmbed:
         assert run(["embed", tree, "--lambda", lam, "--out-dir", out]) == 2
         err = capsys.readouterr().err
         assert "--lambda must be a finite number > 1" in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run(["embed", tmp_path / "nope.json", "--lambda", 1.5,
@@ -356,7 +356,7 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "tree nodes lack layout coordinates: [0, 1, 2]" in err
         assert "Traceback" not in err
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "node2_coords,code",
@@ -466,7 +466,7 @@ class TestGrid:
         assert run(["grid", cfgf, "--out-dir", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: grid config: ") and "Traceback" not in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "train, message",
@@ -486,7 +486,7 @@ class TestGrid:
         err = capsys.readouterr().err
         assert err.startswith("error: grid config: ") and message in err
         assert "Traceback" not in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run(["grid", tmp_path / "nope.json", "--out-dir", tmp_path]) == 2
@@ -751,7 +751,7 @@ class TestThreadsFlag:
         assert run(["grid", tiny_grid_config(tmp_path / "cfg.json"), "--threads", 0,
                     "--out-dir", out]) == 2
         assert "thread count must be >= 1" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_blas_spin_timeout_set_before_numpy_loads(self):
         # OpenBLAS reads its spin timeout once, when numpy loads it
@@ -830,8 +830,35 @@ class TestOutputPaths:
         cfgf = tiny_grid_config(tmp_path / "cfg.json", output_dir=str(blocker))
         assert run(["grid", cfgf, "--out-dir", tmp_path / "out"]) == 2
         assert f"error: cannot create output directory {blocker}: " in capsys.readouterr().err
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
         assert blocker.read_text() == "kept\n"
+
+    def test_grid_with_output_dir_leaves_out_dir_uncreated(self, tmp_path):
+        cfgf = tiny_grid_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "grid"))
+        assert run(["grid", cfgf, "--out-dir", tmp_path / "unused"]) == 0
+        assert not (tmp_path / "unused").exists()
+        assert listed_outputs(tmp_path / "grid", "grid") == ["grid_results.csv"]
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "binary", "--depth", -1],
+        ["embed", "nofile.json", "--lambda", 0.5],
+        ["train", "nofile.json"],
+        ["grid", "nofile.json"],
+        ["lowerbound", "--leaves", 0],
+    ], ids=["gen", "embed", "train", "grid", "lowerbound"])
+    def test_rejected_input_creates_no_out_dir(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ["--out-dir", "never"]) == 2
+        assert os.listdir(tmp_path) == []
+
+    def test_missing_out_dir_is_created(self, tmp_path):
+        tree = two_node_file(tmp_path / "t.json")
+        for argv in (["gen", "--kind", "binary", "--depth", 2], ["embed", tree, "--lambda", 1.1],
+                     ["train", tree, "--epochs", 1, "--width", 4, "--hidden-layers", 1],
+                     ["lowerbound", "--leaves", 4, "--study-seeds", 0, "--epochs", 1]):
+            out_dir = tmp_path / argv[0] / "nested"
+            assert run(argv + ["--out-dir", out_dir]) == 0, argv
+            assert listed_outputs(out_dir, argv[0]), argv
 
 
 class TestArtifacts:

@@ -26,7 +26,6 @@ from hyptree import kernels
 from hyptree.embed import (
     EmbedError,
     choose_curvature,
-    distortion_from_matrices,
     embedding_distance,
     embedding_distance_matrix,
     hnn_realize,
@@ -456,6 +455,22 @@ class TestTemporaries:
             tracemalloc.stop()
         assert peak < 8 * t.n_nodes**2 * 8
 
+    @pytest.mark.parametrize("make, lam, bound", [(lambda: gen_binary(7), 1.1, 2.5),
+                                                  (lambda: gen_random(1000, seed=3), 1.5, 1.0)],
+                             ids=["binary7", "random1000"])
+    def test_scan_peak_beyond_the_metric(self, make, lam, bound):
+        # the full check reduces each block of walked rows as it is walked:
+        # no n x n array of walked distances, no scaled copy of the metric
+        t = make()
+        metric = tree_metric(t)
+        tracemalloc.start()
+        try:
+            choose_curvature(t, lam, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * t.n_nodes**2
+
 
 # ----------------------------------------------------------------------
 # Metric invariants of the construction
@@ -509,7 +524,7 @@ class TestEmbeddingInvariants:
         metric = tree_metric(t)
         ids = list(metric.ids)
         mat = embedding_distance_matrix(e, ids) / tau
-        report = distortion_from_matrices(mat, metric.matrix)
+        report = ref.distortion_from_matrices(mat, metric.matrix)
         assert report.injective
         assert report.dist <= 1.05
 
@@ -521,7 +536,7 @@ class TestEmbeddingInvariants:
         for tau in [2.0, 5.0, 10.0]:
             e = sarkar_embed(t, tau)
             mat = embedding_distance_matrix(e, ids) / tau
-            dists.append(distortion_from_matrices(mat, metric.matrix).dist)
+            dists.append(ref.distortion_from_matrices(mat, metric.matrix).dist)
         assert dists[1] <= dists[0] + 1e-9
         assert dists[2] <= dists[1] + 1e-9
 
@@ -565,21 +580,21 @@ class TestDistortion:
     PATH3 = tree_metric(WeightedTree([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0)])).matrix
 
     def test_pure_scaling_has_unit_distortion(self):
-        rep = distortion_from_matrices(2.0 * self.PATH3, self.PATH3)
+        rep = ref.distortion_from_matrices(2.0 * self.PATH3, self.PATH3)
         assert rep.alpha == pytest.approx(2.0)
         assert rep.beta == pytest.approx(2.0)
         assert rep.dist == pytest.approx(1.0)
         assert rep.injective
 
     def test_collision_reported_non_injective(self):
-        rep = distortion_from_matrices(np.zeros((3, 3)), self.PATH3)
+        rep = ref.distortion_from_matrices(np.zeros((3, 3)), self.PATH3)
         assert not rep.injective
         assert rep.dist == math.inf
 
     def test_single_node_rejected(self):
         for n in (0, 1):
             with pytest.raises(EmbedError, match="at least two nodes"):
-                distortion_from_matrices(np.zeros((n, n)), np.zeros((n, n)))
+                ref.distortion_from_matrices(np.zeros((n, n)), np.zeros((n, n)))
 
 
 # ----------------------------------------------------------------------
@@ -607,7 +622,7 @@ class TestChooseCurvature:
                 break
             e_lo = sarkar_embed(t, tau)
             mat = embedding_distance_matrix(e_lo, ids) / tau
-            rep_lo = distortion_from_matrices(mat, metric.matrix)
+            rep_lo = ref.distortion_from_matrices(mat, metric.matrix)
             assert rep_lo.alpha < 1.0 / lam or rep_lo.beta > lam
 
     def test_tighter_bound_needs_stronger_curvature(self):

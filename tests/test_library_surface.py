@@ -1,0 +1,125 @@
+"""Every public name in ``src/hyptree`` has a caller in the library, or a
+reason to stay listed here: an acceptance gate (``tests/test_acceptance.py``)
+uses it, or the benchmark's tracer (``perfbench/traced.py``) reads it. A
+function that only the tests call belongs under ``tests/``, so this test
+fails when one comes back.
+
+Uses are read from the source: a name imported from a hyptree module and
+then used, an attribute of an imported hyptree module, or, inside the
+library, a module's own top-level name used outside its definition.
+"""
+
+import ast
+from pathlib import Path
+
+from test_traced_targets import TRACED, load_traced
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hyptree"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+
+# public names that no library code uses, kept for the gate that uses them
+GATE_NAMES = {
+    "embed.embedding_distance_matrix": "c2 checks the selected embedding on every pair",
+    "hypgeom.distance": "c1 checks the geometry's distance, c4 the memorized images",
+    "hypgeom.project_to_hyperboloid": "c5 moves hyperbolic biases along the sheet",
+    "kernels.pairwise_hyperboloid": "the gates' kernel warm-up",
+    "kernels.ratio_bounds": "the gates' kernel warm-up",
+    "networks.hnn_forward": "c4 evaluates the memorized network",
+    "train.grad": "c5 checks the training gradient by finite differences",
+}
+
+
+def _defined(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _imported(tree, package):
+    """(module aliases, name aliases) of the hyptree imports in ``tree``:
+    alias -> "module", and alias -> "module.name"."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1 or node.module == package:
+            source = node.module if node.level == 1 else None
+        elif (node.module or "").startswith(package + "."):
+            source = node.module[len(package) + 1 :]
+        else:
+            continue
+        for alias in node.names:
+            if source is None:
+                modules[alias.asname or alias.name] = alias.name
+            else:
+                names[alias.asname or alias.name] = f"{source}.{alias.name}"
+    return modules, names
+
+
+def references(tree, package="hyptree"):
+    """The hyptree names ("module.name") that the code of one file uses."""
+    modules, names = _imported(tree, package)
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            refs.add(f"{modules[node.value.id]}.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in names:
+            refs.add(names[node.id])
+    return refs
+
+
+def library_surface():
+    """(public top-level names of the library, the ones its own code uses)."""
+    public, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= references(tree)
+        own = {}
+        for node in tree.body:
+            for name in _defined(node):
+                if not name.startswith("_"):
+                    own[name] = node
+        public |= {f"{path.stem}.{name}" for name in own}
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id in own and own[sub.id] is not node:
+                    used.add(f"{path.stem}.{sub.id}")
+    return public, used
+
+
+def traced_names():
+    """The library names the tracer reads: its TARGETS (a "Class.method"
+    target names its class) and every hyptree attribute in its code."""
+    targets = {f"{module.__name__.rpartition('.')[2]}.{attr.partition('.')[0]}"
+               for module, attr in load_traced().TARGETS}
+    return targets | references(ast.parse(TRACED.read_text()))
+
+
+def test_only_listed_names_lack_a_library_caller():
+    public, used = library_surface()
+    traced = traced_names()
+    unused = public - used
+    unexplained = sorted(unused - traced - GATE_NAMES.keys())
+    assert unexplained == [], "public names that only the tests use; move them under tests/"
+    stale = sorted(GATE_NAMES.keys() - unused)
+    assert stale == [], "listed gate names that library code now uses"
+
+
+def test_gate_reasons_hold():
+    # each listed name is one the gates really use
+    assert GATE_NAMES.keys() <= references(ast.parse(ACCEPTANCE.read_text()))
+
+
+def test_reference_scan_sees_each_kind_of_use():
+    tree = ast.parse(
+        "from . import kernels\nfrom .embed import choose_curvature as cc\n"
+        "def f():\n    return kernels.fr_step, cc\n"
+    )
+    assert references(tree) == {"kernels.fr_step", "embed.choose_curvature"}
+    public, used = library_surface()
+    assert {"embed.embedding_distance", "kernels.block_ratio_bounds", "cli.main"} <= used
+    assert "embed.embedding_distance_matrix" in public - used

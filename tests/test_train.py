@@ -12,7 +12,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from hyptree import kernels
-from hyptree.embed import distortion_from_matrices
 from hyptree import train as tr
 from hyptree.autodiff import Tape
 from hyptree.hypgeom import (
@@ -29,7 +28,6 @@ from hyptree.networks import (
     MlpParams,
     hnn_forward,
     hnn_from_mlp,
-    mlp_forward,
 )
 from hyptree.train import (
     EpochStats,
@@ -49,7 +47,15 @@ from hyptree.trees import (
     tree_metric,
 )
 from mputil import mp_apex_distance
-from scalarref import d_pred_hnn, d_pred_mlp, loss_mse, stacked_pair_loss
+from scalarref import (
+    d_pred_hnn,
+    d_pred_mlp,
+    distortion_from_matrices,
+    loss_mse,
+    mlp_forward,
+    pairwise_intrinsic,
+    stacked_pair_loss,
+)
 
 
 def random_mlp(rng, dims):
@@ -328,7 +334,7 @@ class TestHyperbolicHead:
         rng = np.random.default_rng(16)
         n = 500
         U = rng.normal(size=(n, 2)) * 3.0
-        M = kernels.pairwise_intrinsic(U)
+        M = pairwise_intrinsic(U)
         iu, ju = np.triu_indices(n, k=1)
         assert np.array_equal(M[iu, ju], tr._hyperbolic_head(U, iu, ju))
 
@@ -913,7 +919,7 @@ class TestTrainEmbedding:
         params, _, report = train_embedding(t, TrainConfig(model_kind=kind, seed=4, **SMALL))
         metric = tree_metric(t)
         pts = tr._predict_rows(params, np.stack([t.coords[i] for i in metric.ids]), False)
-        pairwise = kernels.pairwise_intrinsic if kind == "hnn" else kernels.pairwise_euclidean
+        pairwise = pairwise_intrinsic if kind == "hnn" else kernels.pairwise_euclidean
         assert report == distortion_from_matrices(pairwise(pts), metric.matrix)
 
     def test_report_uses_model_geometry(self):
