@@ -53,10 +53,11 @@ import numpy as np
 
 from . import __version__
 from .embed import EmbedError, choose_curvature, hnn_realize, save_embedding
-from .networks import NetworkError, par_count, save_params, separating_directions
+from .networks import NetworkError, duplicate_rows, par_count, save_params, separating_directions
 from .seeding import child_seed
 from .train import TrainConfig, TrainDivergenceError, TrainError, train_embedding
 from .trees import (
+    TreeError,
     WeightedTree,
     gen_binary,
     gen_random,
@@ -146,29 +147,8 @@ def _load_tree_arg(path: str) -> WeightedTree:
         return load_tree(path)
     except OSError as exc:
         raise UsageError(f"cannot read tree file: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed tree file {path}: {exc}") from exc
-
-
-def _check_layout(t: WeightedTree) -> None:
-    missing = [i for i in t.node_ids if i not in t.coords]
-    if missing:
-        raise UsageError(f"tree nodes lack layout coordinates: {missing[:3]}")
-
-
-def _check_distinct_layout(t: WeightedTree, seed: int) -> None:
-    """No network maps two nodes that share coordinates to two images, and
-    the memorizer needs a seeded direction that separates them all."""
-    X = np.stack([t.coords[i] for i in t.node_ids])
-    order = np.lexsort(X.T)  # puts equal rows side by side; == counts -0.0 and 0.0 as equal
-    same = np.flatnonzero(np.all(X[order[1:]] == X[order[:-1]], axis=1))
-    if same.size:
-        a, b = sorted(t.node_ids[k] for k in order[same[0]:same[0] + 2])
-        raise UsageError(f"cannot realize the embedding on this layout: nodes {a} and {b} "
-                         f"share coordinates {X[order[same[0]]].tolist()}")
-    if next(separating_directions(X, seed), None) is None:
-        raise UsageError("cannot realize the embedding on this layout: no seeded direction "
-                         f"separates its nodes' projections (seed {seed})")
 
 
 def _report_doc(report) -> dict:
@@ -270,8 +250,17 @@ def cmd_embed(args) -> int:
     if t.n_nodes < 2:
         raise UsageError("tree must have at least 2 nodes")
     if args.realize_hnn:
-        _check_layout(t)
-        _check_distinct_layout(t, args.seed)
+        # no network maps two nodes that share coordinates to two images, and
+        # the memorizer needs a seeded direction that separates them all
+        X = t.layout()
+        pair = duplicate_rows(X)
+        if pair is not None:
+            a, b = sorted(t.node_ids[k] for k in pair)
+            raise UsageError(f"cannot realize the embedding on this layout: nodes {a} and {b} "
+                             f"share coordinates {X[pair[0]].tolist()}")
+        if next(separating_directions(X, args.seed), None) is None:
+            raise UsageError("cannot realize the embedding on this layout: no seeded direction "
+                             f"separates its nodes' projections (seed {args.seed})")
 
     out_emb = _out_path(args.out_dir, args.output or "embedding.json")
     out_report = _out_path(args.out_dir, "embed_report.json")
@@ -311,7 +300,7 @@ def cmd_embed(args) -> int:
 
 def cmd_train(args) -> int:
     t = _load_tree_arg(args.tree)
-    _check_layout(t)
+    t.layout()  # TreeError, exit 2, before any work when a node has no coordinates
     cfg = _train_config_from_args(args, args.model)
 
     out_csv = _out_path(args.out_dir, "train_loss.csv")
@@ -792,7 +781,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, TreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -204,10 +204,6 @@ class HyperbolicEmbedding:
     def kappa(self) -> Curvature:
         return Curvature.from_scale(self.tau)
 
-    @property
-    def root(self) -> int:
-        return self.frame.ids[self.frame.order[0]]
-
     def node_ids(self) -> list:
         return list(self.frame.ids)
 
@@ -436,22 +432,18 @@ def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = No
 def hnn_realize(e: HyperbolicEmbedding, t: WeightedTree, seed: int = 0) -> HnnParams:
     """Network that maps each node's layout coordinates to its image.
 
-    Exact interpolation of the embedding's ambient points, so in exact
-    arithmetic the network inherits the embedding's distortion. Nothing
-    evaluates the realized network: beyond r ~ 35 float64 ambient targets
-    cannot separate nearby images, and what the network then computes is
-    not checked (ROADMAP item 1).
+    Exact interpolation of the embedding's ambient points from the layout
+    rows, both in node order, so in exact arithmetic the network inherits
+    the embedding's distortion. Raises EmbedError when the embedding lacks a
+    node, TreeError ``missing_coords`` when the tree lacks a layout, and
+    NetworkError when two nodes share coordinates or no seeded direction
+    separates them. Nothing evaluates the realized network: beyond r ~ 35
+    float64 ambient targets cannot separate nearby images (ROADMAP item 1).
     """
-    ids = sorted(e.points)
     missing = [v for v in t.node_ids if v not in e.points]
     if missing:
         raise EmbedError(f"embedding is missing nodes {missing[:3]}")
-    unplaced = [v for v in ids if v not in t.coords]
-    if unplaced:
-        raise EmbedError(f"tree nodes lack layout coordinates: {unplaced[:3]}")
-    pts = np.stack([np.asarray(t.coords[v], np.float64) for v in ids])
-    targets = [e.points[v] for v in ids]
-    return memorize_hnn(pts, targets, seed=seed)
+    return memorize_hnn(t.layout(), [e.points[v] for v in t.node_ids], seed=seed)
 
 
 # ----------------------------------------------------------------------

@@ -144,10 +144,6 @@ class Curvature:
         """kappa = -tau^2, the curvature whose unit-speed metric is d_{-1}/tau."""
         return cls(-float(tau) ** 2)
 
-    @property
-    def scale(self) -> float:
-        return math.sqrt(-self.kappa)
-
 
 def basepoint(d: int) -> HPoint:
     """(0, ..., 0, 1): the apex of H^d."""

@@ -198,6 +198,15 @@ def par_count(p) -> ParamCount:
     return ParamCount(depth=len(p.layers), width=max(p.dims), par=par)
 
 
+def duplicate_rows(pts: np.ndarray):
+    """Row indices (i, j) of the first two equal rows of pts in lexicographic
+    order, or None when the rows are pairwise distinct. Sorting puts equal
+    rows side by side; == counts -0.0 and 0.0 as equal."""
+    order = np.lexsort(pts.T) if pts.shape[1] else np.arange(pts.shape[0])
+    same = np.flatnonzero(np.all(pts[order[1:]] == pts[order[:-1]], axis=1))
+    return (int(order[same[0]]), int(order[same[0] + 1])) if same.size else None
+
+
 def separating_directions(pts: np.ndarray, seed: int = 0):
     """The seeded unit directions, of 64 draws, along which the rows of pts
     project pairwise separated: with enough gap between neighbors that the
@@ -251,9 +260,7 @@ def memorize_relu(points, targets, seed: int = 0) -> MlpParams:
     d = tgt.shape[1]
     if n_pts == 0:
         raise NetworkError("need at least one point")
-    # sorting puts equal rows side by side; == counts -0.0 and 0.0 as equal
-    rows = pts[np.lexsort(pts.T)] if n else pts
-    if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+    if duplicate_rows(pts) is not None:
         raise NetworkError("points must be pairwise distinct")
 
     if n_pts == 1:

@@ -46,7 +46,7 @@ import numpy as np
 from . import kernels
 from .autodiff import Tape
 from .embed import distortion_from_bounds
-from .networks import HnnParams, MlpParams, NetworkError
+from .networks import HnnParams, MlpParams, NetworkError, hnn_from_mlp
 from .seeding import seed_stream
 from .trees import TreeMetric, WeightedTree, tree_metric
 
@@ -359,11 +359,7 @@ def init_params(cfg: TrainConfig, in_dim: int):
         A = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
         layers.append((A, np.zeros(fan_out)))
     mlp = MlpParams(tuple(layers))
-    if cfg.model_kind == "mlp":
-        return mlp
-    from .networks import hnn_from_mlp
-
-    return hnn_from_mlp(mlp)
+    return mlp if cfg.model_kind == "mlp" else hnn_from_mlp(mlp)
 
 
 # ----------------------------------------------------------------------
@@ -391,30 +387,27 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
     embedding induced by the trained model (Euclidean for MLPs,
     hyperbolic at kappa = -1 for HNNs). Deterministic given (tree, cfg).
     Raises TrainDivergenceError with the epoch index if the loss goes
-    non-finite, and TrainError when the tree carries no layout or its
-    squared diameter, summed over the pairs, overflows.
+    non-finite, TreeError (``missing_coords``) when the tree carries no
+    layout, and TrainError when it has one node or its squared diameter,
+    summed over the pairs, overflows.
     """
-    missing = [i for i in t.node_ids if i not in t.coords]
-    if missing:
-        raise TrainError(f"tree nodes lack layout coordinates: {missing[:3]}")
-    if t.n_nodes < 2:
+    X = t.layout()
+    n, in_dim = X.shape
+    if n < 2:
         raise TrainError("training needs at least two nodes")
     if metric is None:
         metric = tree_metric(t)
-    ids = list(metric.ids)
-    X = np.stack([np.asarray(t.coords[i], np.float64) for i in ids])
-    in_dim = X.shape[1]
 
-    n = len(ids)
     n_all = n * (n - 1) // 2
     if cfg.max_pairs is not None and cfg.max_pairs < n_all:
         # a sorted sample of the flat indices of all pairs i < j, decoded
         # without forming the pairs it is drawn from
         sel = seed_stream(cfg.seed, "pair-subsample").choice(n_all, size=cfg.max_pairs, replace=False)
         sel.sort()
-        iu, ju = _pair_index(n, sel)
     else:
-        iu, ju = np.triu_indices(n, k=1)
+        sel = np.arange(n_all)
+    iu, ju = _pair_index(n, sel)
+    del sel  # all pairs' flat indices would outlive their decoding
     d_all = metric.matrix[iu, ju]
     # the epoch's loss sums squared tree distances over every training pair;
     # where that overflows, no step can be finite, whatever the model does

@@ -3,7 +3,8 @@
 A tree is nodes with integer ids (plus optional Euclidean coordinates used
 as network inputs) and positively weighted undirected edges, with exactly
 |V| - 1 edges and one connected component. The all-pairs path metric is the
-n x n matrix of weighted path lengths.
+n x n matrix of weighted path lengths. ``WeightedTree.layout`` reads the
+coordinates as rows in node order. Tree files are type-checked field by field.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ class WeightedTree:
         if not self.coords:
             return 0
         return next(iter(self.coords.values())).size
+
+    def layout(self) -> np.ndarray:
+        """The layout coordinates, one row per node in node order. Raises
+        TreeError ``missing_coords`` naming up to three nodes that have none."""
+        missing = [i for i in self.node_ids if i not in self.coords]
+        if missing:
+            raise TreeError("missing_coords", f"tree nodes lack layout coordinates: {missing[:3]}")
+        return np.array([self.coords[i] for i in self.node_ids], dtype=np.float64)
 
     def adjacency(self) -> dict[int, list[tuple[int, float]]]:
         adj: dict[int, list[tuple[int, float]]] = {i: [] for i in self.node_ids}
@@ -286,10 +295,23 @@ def tree_to_dict(t: WeightedTree) -> dict:
     }
 
 
+def _typed(value, kinds, what: str):
+    """``value`` if it is of ``kinds`` and no bool (JSON's true/false); TreeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TreeError("bad_type", f"{what}, got {value!r}")
+    return value
+
+
 def tree_from_dict(d: dict) -> WeightedTree:
-    ids = [n["id"] for n in d["nodes"]]
-    coords = {n["id"]: np.asarray(n["coords"], dtype=np.float64) for n in d["nodes"] if n["coords"]}
-    edges = [(e["u"], e["v"], e["w"]) for e in d["edges"]]
+    ids = [_typed(n["id"], int, "node ids must be integers") for n in d["nodes"]]
+    coords = {}
+    for i, n in zip(ids, d["nodes"]):
+        c = _typed(n["coords"], list, f"coords of node {i} must be a list")
+        if c:
+            coords[i] = [_typed(x, (int, float), f"coords of node {i} must be numbers") for x in c]
+    edges = [(_typed(e["u"], int, "edge endpoints must be integers"),
+              _typed(e["v"], int, "edge endpoints must be integers"),
+              _typed(e["w"], (int, float), "edge weights must be numbers")) for e in d["edges"]]
     return WeightedTree(ids, edges, coords)
 
 

@@ -16,7 +16,15 @@ from hyptree import cli, embed, train
 from hyptree.kernels import pairwise_hyperboloid
 from hyptree.networks import HnnParams, MlpParams, hnn_forward
 from hyptree.train import TrainConfig, _predict_rows
-from hyptree.trees import WeightedTree, gen_binary, load_tree, save_tree, spring_layout, tree_metric
+from hyptree.trees import (
+    WeightedTree,
+    gen_binary,
+    load_tree,
+    save_tree,
+    spring_layout,
+    tree_metric,
+    tree_to_dict,
+)
 from scalarref import distortion_from_matrices, load_params
 
 
@@ -291,6 +299,41 @@ class TestTrain:
         if code:
             assert "tree diameter 3e+300 is too large" in err
             assert os.listdir(out) == ["train_manifest.json"]
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("nodes", "id", 1.7), ("edges", "u", 0.4), ("nodes", "id", "1"),
+        ("edges", "w", "1"), ("edges", "w", True),
+        ("nodes", "coords", ["0.5", "0.25"]), ("nodes", "coords", [True, 0.25]),
+    ], ids=["float-id", "float-endpoint", "string-id", "string-weight", "bool-weight",
+            "string-coords", "bool-coords"])
+    def test_mistyped_tree_file_exits_2(self, tmp_path, capsys, where, key, value):
+        # each value would convert to a valid one (1.7 -> 1, "1" -> 1.0,
+        # true -> 1.0), but a tree file holds JSON integers and numbers only
+        t = gen_binary(1)
+        spring_layout(t, dim=2, seed=0)
+        doc = tree_to_dict(t)
+        doc[where][1][key] = value
+        (tmp_path / "t.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["train", tmp_path / "t.json", "--epochs", 1, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed tree file {tmp_path / 't.json'}: bad_type:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["w", "coords"])
+    def test_tree_file_number_beyond_float_exits_2(self, tmp_path, capsys, key):
+        # a JSON integer of 401 digits is a number, but no float64
+        doc = tree_to_dict(WeightedTree([0, 1], [(0, 1, 1.0)], coords={0: [0.0], 1: [1.0]}))
+        if key == "w":
+            doc["edges"][0]["w"] = 10**400
+        else:
+            doc["nodes"][1]["coords"] = [10**400]
+        (tmp_path / "t.json").write_text(json.dumps(doc))
+        assert run(["embed", tmp_path / "t.json", "--lambda", 1.1, "--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "malformed tree file" in err and "too large to convert to float" in err
+        assert "Traceback" not in err
 
     def test_same_seed_identical_outputs(self, tmp_path):
         tree = two_node_file(tmp_path / "t.json")

@@ -34,9 +34,10 @@ from hyptree.embed import (
 )
 from hyptree.hypgeom import OverflowGuardError
 from hyptree.hypgeom import distance as ambient_distance
-from hyptree.networks import hnn_forward, par_count
+from hyptree.networks import hnn_forward, par_count, params_to_dict
 from hyptree.seeding import child_seed
 from hyptree.trees import (
+    TreeError,
     WeightedTree,
     centroid,
     gen_binary,
@@ -421,7 +422,7 @@ class TestPairwiseReference:
             return
         e, kappa, rep = choose_curvature(t, lam)
         assert e.tau == want[0]
-        assert kappa.scale == e.tau
+        assert math.sqrt(-kappa.kappa) == e.tau
         diameter = _hop_counts(t, t.node_ids).max()
         assert_within_hop_ulps([rep.alpha, rep.beta], want[1:], np.full(2, diameter))
 
@@ -543,8 +544,9 @@ class TestEmbeddingInvariants:
     def test_root_is_centroid_and_at_apex(self):
         t = gen_binary(3)
         e = sarkar_embed(t, 2.0)
-        assert e.root == centroid(t)
-        np.testing.assert_array_equal(e.points[e.root].coords, [0.0, 0.0, 1.0])
+        root = e.frame.ids[e.frame.order[0]]
+        assert root == centroid(t)
+        np.testing.assert_array_equal(e.points[root].coords, [0.0, 0.0, 1.0])
 
     def test_single_node_tree(self):
         e = sarkar_embed(WeightedTree([5], []), 2.0)
@@ -618,7 +620,7 @@ class TestChooseCurvature:
         metric = tree_metric(t)
         ids = list(metric.ids)
         for tau in em.DEFAULT_TAU_GRID:
-            if tau >= kappa.scale:
+            if tau >= math.sqrt(-kappa.kappa):
                 break
             e_lo = sarkar_embed(t, tau)
             mat = embedding_distance_matrix(e_lo, ids) / tau
@@ -629,7 +631,6 @@ class TestChooseCurvature:
         t = gen_binary(4)
         _, k_loose, _ = choose_curvature(t, 1.1)
         _, k_tight, _ = choose_curvature(t, 1.01)
-        assert k_tight.scale >= k_loose.scale
         assert -k_tight.kappa >= -k_loose.kappa
 
     def test_exhausted_grid_reports_best(self, monkeypatch):
@@ -731,7 +732,7 @@ def assert_scan_matches_full(t, lam, reports):
         assert str(err.value) == want
         return
     e, kappa, rep = choose_curvature(t, lam)
-    assert e.tau == kappa.scale == want[0]
+    assert e.tau == math.sqrt(-kappa.kappa) == want[0]
     assert rep == want[1]  # alpha, beta, dist and injective, exactly
     assert e.points == sarkar_embed(t, e.tau).points
 
@@ -826,10 +827,20 @@ class TestRealize:
         p = hnn_realize(e, t, seed=seed)
         assert np.max(np.abs(p.layers[-1][0])) < 1e6
 
+    def test_node_order_does_not_change_the_network(self):
+        # the same tree with its node list reversed: the memorizer sorts
+        # the projections, so the rows' order does not reach the network
+        t = gen_binary(3)
+        spring_layout(t, dim=2, seed=0)
+        s = WeightedTree(t.node_ids[::-1], t.edges, t.coords)
+        e, _, _ = choose_curvature(t, 1.1)
+        f, _, _ = choose_curvature(s, 1.1)
+        assert params_to_dict(hnn_realize(e, t)) == params_to_dict(hnn_realize(f, s))
+
     def test_missing_coords_rejected(self):
         t = gen_binary(2)
         e = sarkar_embed(t, 2.0)
-        with pytest.raises(EmbedError, match="layout"):
+        with pytest.raises(TreeError, match="missing_coords: tree nodes lack layout"):
             hnn_realize(e, t)
 
     def test_one_node_without_coords_rejected(self):
@@ -837,7 +848,7 @@ class TestRealize:
         spring_layout(t, dim=2, seed=0)
         del t.coords[3]
         e = sarkar_embed(t, 2.0)
-        with pytest.raises(EmbedError, match=r"lack layout coordinates: \[3\]"):
+        with pytest.raises(TreeError, match=r"lack layout coordinates: \[3\]"):
             hnn_realize(e, t)
 
     def test_missing_node_rejected(self):

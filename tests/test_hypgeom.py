@@ -105,7 +105,7 @@ class TestCurvature:
     def test_from_scale(self):
         k = hg.Curvature.from_scale(4.0)
         assert k.kappa == -16.0
-        assert k.scale == 4.0
+        assert math.sqrt(-k.kappa) == 4.0
 
 
 class TestDistance:

@@ -1,12 +1,16 @@
-"""Every public name in ``src/hyptree`` has a caller in the library, or a
-reason to stay listed here: an acceptance gate (``tests/test_acceptance.py``)
-uses it, or the benchmark's tracer (``perfbench/traced.py``) reads it. A
-function that only the tests call belongs under ``tests/``, so this test
-fails when one comes back.
+"""Every public name in ``src/hyptree``, and every public method and
+property of its classes, has a caller in the library, or a reason to stay
+listed here: an acceptance gate (``tests/test_acceptance.py``) uses it, or
+the benchmark's tracer (``perfbench/traced.py``) reads it. A function that
+only the tests call belongs under ``tests/``, so this test fails when one
+comes back.
 
 Uses are read from the source: a name imported from a hyptree module and
 then used, an attribute of an imported hyptree module, or, inside the
-library, a module's own top-level name used outside its definition.
+library, a module's own top-level name used outside its definition. The
+type of an object is not known from the source, so a class member counts as
+used wherever its name is read as an attribute (``x.norm``), except off
+another package's import (``np.linalg.norm``).
 """
 
 import ast
@@ -27,6 +31,7 @@ GATE_NAMES = {
     "kernels.ratio_bounds": "the gates' kernel warm-up",
     "networks.hnn_forward": "c4 evaluates the memorized network",
     "train.grad": "c5 checks the training gradient by finite differences",
+    "hypgeom.TangentVec.norm": "c1 checks that Exp_x moves v.norm() along the sheet",
 }
 
 
@@ -91,11 +96,54 @@ def library_surface():
     return public, used
 
 
+def _foreign(tree, package="hyptree"):
+    """The names that imports of other packages bind in ``tree`` (np, math, ...)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module != package and not node.module.startswith(package + "."):
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def attributes_read(tree):
+    """The attribute names read in ``tree``, but off another package's import."""
+    foreign = _foreign(tree)
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in foreign):
+                read.add(node.attr)
+    return read
+
+
+def library_members():
+    """(public methods and properties of library classes as "module.Class.name",
+    the attribute names that library code reads)."""
+    members, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= attributes_read(tree)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                members |= {f"{path.stem}.{cls.name}.{f.name}" for f in cls.body
+                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+    return members, read
+
+
 def traced_names():
     """The library names the tracer reads: its TARGETS (a "Class.method"
-    target names its class) and every hyptree attribute in its code."""
-    targets = {f"{module.__name__.rpartition('.')[2]}.{attr.partition('.')[0]}"
-               for module, attr in load_traced().TARGETS}
+    target names both its class and the method) and every hyptree attribute
+    in its code."""
+    targets = set()
+    for module, attr in load_traced().TARGETS:
+        name = module.__name__.rpartition(".")[2]
+        targets |= {f"{name}.{attr.partition('.')[0]}", f"{name}.{attr}"}
     return targets | references(ast.parse(TRACED.read_text()))
 
 
@@ -105,13 +153,26 @@ def test_only_listed_names_lack_a_library_caller():
     unused = public - used
     unexplained = sorted(unused - traced - GATE_NAMES.keys())
     assert unexplained == [], "public names that only the tests use; move them under tests/"
-    stale = sorted(GATE_NAMES.keys() - unused)
+    stale = sorted(k for k in GATE_NAMES if k.count(".") == 1 and k not in unused)
     assert stale == [], "listed gate names that library code now uses"
 
 
+def test_only_listed_members_lack_a_library_reader():
+    members, read = library_members()
+    read |= attributes_read(ast.parse(TRACED.read_text()))
+    unread = {m for m in members if m.rpartition(".")[2] not in read}
+    unexplained = sorted(unread - traced_names() - GATE_NAMES.keys())
+    assert unexplained == [], "public members that only the tests use; move them under tests/"
+    stale = sorted(k for k in GATE_NAMES if k.count(".") == 2 and k not in unread)
+    assert stale == [], "listed gate members that library code now reads"
+
+
 def test_gate_reasons_hold():
-    # each listed name is one the gates really use
-    assert GATE_NAMES.keys() <= references(ast.parse(ACCEPTANCE.read_text()))
+    # each listed name is one the gates really use; a member, by its name
+    acceptance = ast.parse(ACCEPTANCE.read_text())
+    names = {k for k in GATE_NAMES if k.count(".") == 1}
+    assert names <= references(acceptance)
+    assert {k.rpartition(".")[2] for k in GATE_NAMES.keys() - names} <= attributes_read(acceptance)
 
 
 def test_reference_scan_sees_each_kind_of_use():
@@ -123,3 +184,8 @@ def test_reference_scan_sees_each_kind_of_use():
     public, used = library_surface()
     assert {"embed.embedding_distance", "kernels.block_ratio_bounds", "cli.main"} <= used
     assert "embed.embedding_distance_matrix" in public - used
+    members, read = library_members()
+    assert {"hypgeom.TangentVec.norm", "trees.WeightedTree.layout"} <= members
+    assert "layout" in read and "norm" not in read
+    tree = ast.parse("import numpy as np\ndef f(v, x):\n    return np.linalg.norm(x), v.dim\n")
+    assert attributes_read(tree) == {"dim"}

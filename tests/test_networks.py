@@ -11,6 +11,7 @@ from hyptree.networks import (
     HnnParams,
     MlpParams,
     NetworkError,
+    duplicate_rows,
     hnn_forward,
     hnn_from_mlp,
     memorize_hnn,
@@ -248,6 +249,7 @@ class TestMemorizeRelu:
     def test_signed_zero_duplicates_rejected(self):
         # -0.0 == 0.0, so these rows are one point
         pts = np.array([[3.0, 1.0], [0.0, -0.0], [2.0, 5.0], [-0.0, 0.0]])
+        assert sorted(duplicate_rows(pts)) == [1, 3]
         with pytest.raises(NetworkError, match="pairwise distinct"):
             memorize_relu(pts, np.zeros((4, 1)))
 
@@ -255,12 +257,14 @@ class TestMemorizeRelu:
         rng = np.random.default_rng(16)
         pts = rng.normal(size=(30, 3))
         pts[25] = pts[4]
+        assert sorted(duplicate_rows(pts)) == [4, 25]
         with pytest.raises(NetworkError, match="pairwise distinct"):
             memorize_relu(pts, np.zeros((30, 1)))
 
     def test_rows_sharing_coordinates_accepted(self):
         # equal in every column but one is still distinct
         pts = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [1.0, 0.0, 3.0], [0.0, 2.0, 3.0]])
+        assert duplicate_rows(pts) is None
         p = memorize_relu(pts, np.arange(4.0)[:, None])
         assert p.dims == (3, 3, 1)
 

@@ -39,6 +39,7 @@ from hyptree.train import (
     train_embedding,
 )
 from hyptree.trees import (
+    TreeError,
     WeightedTree,
     gen_binary,
     gen_random,
@@ -725,6 +726,21 @@ class TestPairSample:
             tracemalloc.stop()
         assert peak < 0.25 * t.n_nodes**2 * 8
 
+    def test_all_pairs_run_drops_the_flat_indices(self):
+        # with nothing sampled, all 499,500 pairs of random(1000) decode from
+        # np.arange like a sample; the run peaks at 2.82 n^2 floats beyond the
+        # metric, and at 3.11 when the flat indices outlive their decoding
+        t = gen_random(1000, 3)
+        spring_layout(t, dim=2, seed=0)
+        metric = tree_metric(t)
+        tracemalloc.start()
+        try:
+            train_embedding(t, TrainConfig(epochs=1, hidden_layers=1, hidden_width=8), metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * t.n_nodes**2 * 8
+
 
 
 class TestTrainEmbedding:
@@ -865,7 +881,7 @@ class TestTrainEmbedding:
         assert all(n_rows == n_used <= t.n_nodes < 2 * n_pairs for n_rows, n_used, n_pairs in rows)
 
     def test_missing_layout_rejected(self):
-        with pytest.raises(TrainError, match="layout"):
+        with pytest.raises(TreeError, match="missing_coords: tree nodes lack layout"):
             train_embedding(gen_binary(2), TrainConfig(**SMALL))
 
     def test_single_node_rejected(self):
