@@ -6,6 +6,18 @@ value and a closure mapping the output cotangent to parent cotangents;
 ``backward`` walks nodes in reverse creation order, which is a valid
 topological order because operands always exist before their result.
 
+A training step keeps one row buffer per hidden layer (two with batch
+norm), plus the relu masks and the leaves' gradients. ``relu`` zeroes its
+input's buffer in place when another op made it and keeps only its bool
+mask; ``batch_norm`` centres its input in place and keeps that and its
+column scales, from which its vjp re-forms the output that a relu may
+then have overwritten. A leaf is copied first, since its array may be
+the caller's. The one vjp that reads an input's value is ``affine``'s,
+and in a tower that input is a leaf or a relu's output, which nothing
+overwrites; so an op output that feeds ``relu`` or ``batch_norm`` must
+feed no other op. ``backward`` drops each interior node's cotangent once
+its vjp has used it.
+
 The op set is the model's layers and nothing else: ``affine`` and
 ``relu`` for the tower, ``batch_norm`` for its optional batch statistics,
 ``pair_rows`` for the pair head and ``mse`` for the loss, each with a
@@ -31,6 +43,13 @@ def _scatter_rows(n, idx, rows):
     )
 
 
+def _buffer(node):
+    """The array an op may overwrite with its output: the node's own value
+    when another op made it, a copy when it is a leaf, whose array may be
+    the caller's."""
+    return node.value if node.vjp is not None else node.value.copy()
+
+
 class Node:
     __slots__ = ("value", "parents", "vjp", "grad")
 
@@ -42,7 +61,7 @@ class Node:
 
 
 class Tape:
-    """Records operations; ``backward`` fills ``grad`` on every node."""
+    """Records operations; ``backward`` fills ``grad`` on every leaf."""
 
     def __init__(self):
         self.nodes = []
@@ -65,12 +84,16 @@ class Tape:
         )
 
     def relu(self, M: Node) -> Node:
-        mask = M.value > 0.0
-        return self._record(np.where(mask, M.value, 0.0), (M,), lambda g: (g * mask,))
+        """max(M, 0), in M's own buffer unless M is a leaf."""
+        out = _buffer(M)
+        mask = out > 0.0
+        np.copyto(out, 0.0, where=~mask)
+        return self._record(out, (M,), lambda g: (g * mask,))
 
     def batch_norm(self, H: Node, weights=None) -> Node:
         """Whiten each column with the batch's own statistics, z = c rs with
-        c = h - mean and rs = (var + eps)^(-1/2).
+        c = h - mean (in H's own buffer unless H is a leaf) and
+        rs = (var + eps)^(-1/2).
 
         Row k counts ``weights[k]`` times in the mean and variance (any
         positive scale, divided by their sum; once each when None). Row k
@@ -80,12 +103,15 @@ class Tape:
         h = H.value
         w = np.ones(h.shape[0]) if weights is None else np.asarray(weights, np.float64)
         total = w.sum()
-        c = h - (np.sum(w[:, None] * h, axis=0) / total)[None, :]
+        mean = np.sum(w[:, None] * h, axis=0) / total
+        c = _buffer(H)
+        c -= mean[None, :]
         rs = 1.0 / np.sqrt(np.sum(w[:, None] * (c * c), axis=0) / total + _BN_EPS)
         z = c * rs[None, :]
         wbar = (w / total)[:, None]
 
         def vjp(g):
+            z = c * rs[None, :]  # the forward's z, which a relu may have overwritten
             return (rs * (g - wbar * (g.sum(axis=0) + z * (g * z).sum(axis=0))),)
 
         return self._record(z, (H,), vjp)
@@ -127,6 +153,7 @@ class Tape:
         for node in reversed(self.nodes):
             if node.grad is None or node.vjp is None:
                 continue
+            g, node.grad = node.grad, None  # spent once its vjp has run
             # a parent's first cotangent is its gradient; later ones add to it
-            for parent, contrib in zip(node.parents, node.vjp(node.grad)):
+            for parent, contrib in zip(node.parents, node.vjp(g)):
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib

@@ -142,6 +142,16 @@ def _write_json(path: str, doc) -> None:
         fh.write("\n")
 
 
+def _repeated(values):
+    """The first value that occurs twice in ``values``, or None."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            return v
+        seen.add(v)
+    return None
+
+
 def _load_tree_arg(path: str) -> WeightedTree:
     try:
         return load_tree(path)
@@ -152,10 +162,11 @@ def _load_tree_arg(path: str) -> WeightedTree:
 
 
 def _report_doc(report) -> dict:
+    # a map that is not injective has no finite distortion, and JSON has no inf
     return {
         "alpha": report.alpha,
         "beta": report.beta,
-        "dist": report.dist,
+        "dist": report.dist if math.isfinite(report.dist) else None,
         "injective": report.injective,
     }
 
@@ -374,6 +385,10 @@ def _parse_grid_config(doc: dict) -> tuple[dict, list, dict]:
             raise UsageError(f"{key} must be a list of {noun}, got {value!r}")
     if not trees or not dims or not models or not seeds:
         raise UsageError("trees, dims, models, seeds must be non-empty")
+    for key, value in (("dims", dims), ("models", models), ("seeds", seeds)):
+        # a repeated value would train the same rows twice
+        if (rep := _repeated(value)) is not None:
+            raise UsageError(f"{key} repeats {rep!r}")
     bad = set(models) - {"mlp", "hnn"}
     if bad:
         raise UsageError(f"unknown model kinds {sorted(bad)}")
@@ -627,6 +642,8 @@ def _int_list(text: str, flag: str, low: int) -> list[int]:
         raise UsageError(f"{flag} must be non-empty")
     if min(vals) < low:
         raise UsageError(f"{flag} values must be >= {low}, got {min(vals)}")
+    if (rep := _repeated(vals)) is not None:
+        raise UsageError(f"{flag} repeats {rep}")
     return vals
 
 
@@ -638,7 +655,9 @@ def cmd_lowerbound(args) -> int:
     once per study seed and keeps the smallest distortion; the constructive
     column is the distortion of the embedding that choose_curvature picks
     for ``--lambda``. The exponent fitted per dim is the least-squares slope
-    of log dist against log L over the rows that trained to a finite value.
+    of log dist against log L over the rows that trained to a finite value,
+    and null with fewer than two such rows; ``hnn_max_dist`` is null when no
+    spider met ``--lambda``.
     """
     leaf_counts = _int_list(args.leaves, "--leaves", 1)
     dims = _int_list(args.dims, "--dims", 1)
@@ -679,9 +698,10 @@ def cmd_lowerbound(args) -> int:
                     fit.append((L, mlp_dist))
                 csv_rows.append([L, dim, _fmt(mlp_dist), "ok" if dists else "diverged",
                                  _fmt(hnn_dist), hnn_status])
+            # the leaf counts are distinct, so two rows give a slope
             exponents[str(dim)] = (
                 float(np.polyfit(np.log([L for L, _ in fit]), np.log([d for _, d in fit]), 1)[0])
-                if len(fit) >= 2 else math.nan
+                if len(fit) >= 2 else None
             )
 
         _write_csv(
@@ -693,13 +713,17 @@ def cmd_lowerbound(args) -> int:
         summary = {
             "lambda": args.lam,
             "fitted_exponent_per_dim": exponents,
-            "hnn_max_dist": max(hnn_finite) if hnn_finite else math.nan,
+            "hnn_max_dist": max(hnn_finite) if hnn_finite else None,
         }
         _write_json(out_summary, summary)
         written += [out_csv, out_summary]
+
+    def show(x, spec):
+        return "undefined" if x is None else format(x, spec)
+
     for dim in dims:
-        print(f"dim={dim} fitted_exponent={exponents[str(dim)]:.4g}")
-    print(f"hnn_max_dist={summary['hnn_max_dist']:.6g} (lambda={args.lam:g})")
+        print(f"dim={dim} fitted_exponent={show(exponents[str(dim)], '.4g')}")
+    print(f"hnn_max_dist={show(summary['hnn_max_dist'], '.6g')} (lambda={args.lam:g})")
     return EXIT_OK
 
 

@@ -39,6 +39,7 @@ a trained model is evaluated on the full node set in one pass.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,9 +101,11 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "hidden_layers", "hidden_width", "embed_dim"):
             if not count(getattr(self, name)):
                 raise TrainError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        # a JSON number, so an int too; the upper bound rejects inf, and NaN fails both
         lr = self.learning_rate
-        if isinstance(lr, bool) or not (lr > 0.0 and math.isfinite(lr)):
-            raise TrainError("learning_rate must be a positive real")
+        if (isinstance(lr, bool) or not isinstance(lr, (int, float))
+                or not 0.0 < lr <= sys.float_info.max):
+            raise TrainError(f"learning_rate must be a positive real, got {lr!r}")
         if self.model_kind not in ("mlp", "hnn"):
             raise TrainError("model_kind must be 'mlp' or 'hnn'")
         if self.optimizer not in ("adam", "sgd"):

@@ -139,6 +139,78 @@ class TestBackwardContract:
         assert np.array_equal(n.grad, first)
 
 
+def bn_tower(t, ns, weights, target):
+    """affine -> weighted batch_norm -> relu -> affine -> mse on leaves
+    (X, A1, b1, A2, b2): the relu overwrites the batch norm's output, and
+    the batch norm centres the first affine's output, in place."""
+    x, a1, v1, a2, v2 = ns
+    H = t.relu(t.batch_norm(t.affine(x, a1, v1), weights))
+    return t.mse(t.affine(H, a2, v2), target)
+
+
+class TestBufferContract:
+    """What a step keeps: ops overwrite the buffers of the ops before them,
+    never a leaf's array, and backward drops interior cotangents."""
+
+    COUNTS = np.array([3.0, 1.0, 5.0, 2.0, 1.0, 4.0, 2.0])
+
+    TARGET = np.random.default_rng(12).normal(size=(7, 2))
+
+    def leaves(self):
+        rng = np.random.default_rng(11)
+        return [rng.normal(size=s) for s in ((7, 3), (5, 3), 5, (2, 5), 2)]
+
+    def tower(self, t, ns):
+        return bn_tower(t, ns, self.COUNTS, self.TARGET)
+
+    def test_relu_on_a_leaf_leaves_the_callers_array(self):
+        X = np.random.default_rng(3).normal(size=(6, 4))
+        X[0, 0] = -0.0
+        before = X.tobytes()
+        t = Tape()
+        out = t.relu(t.leaf(X))
+        assert X.tobytes() == before
+        assert np.array_equal(out.value, np.where(X > 0.0, X, 0.0))
+        t.backward(t.mse(out, np.zeros((6, 4))))
+        assert X.tobytes() == before
+
+    def test_batch_norm_on_a_leaf_leaves_the_callers_array(self):
+        X = np.random.default_rng(4).normal(size=(7, 3))
+        before = X.tobytes()
+        t = Tape()
+        t.batch_norm(t.leaf(X), self.COUNTS)
+        assert X.tobytes() == before
+
+    def test_relu_reuses_the_buffer_of_the_op_before_it(self):
+        X, A, b = self.leaves()[:3]
+        t = Tape()
+        H = t.affine(t.leaf(X), t.leaf(A), t.leaf(b))
+        assert t.relu(H).value is H.value
+        Z = t.batch_norm(H)
+        assert t.relu(Z).value is Z.value
+
+    def test_batch_norm_relu_tower_grads(self):
+        # the vjp re-forms the batch norm's output, which the relu overwrote
+        check_leaf_grads(self.tower, self.leaves())
+
+    def test_backward_twice_gives_bitwise_equal_leaf_grads(self):
+        t = Tape()
+        nodes = [t.leaf(v) for v in self.leaves()]
+        loss = self.tower(t, nodes)
+        t.backward(loss)
+        first = [n.grad.copy() for n in nodes]
+        t.backward(loss)
+        for n, g in zip(nodes, first):
+            assert n.grad.tobytes() == g.tobytes()
+
+    def test_backward_drops_interior_cotangents(self):
+        t = Tape()
+        nodes = [t.leaf(v) for v in self.leaves()]
+        t.backward(self.tower(t, nodes))
+        assert all(n.grad is not None for n in nodes)
+        assert all(n.grad is None for n in t.nodes if n.vjp is not None)
+
+
 class TestBatchingOps:
     """The batch-norm layer: (h - mean) / sqrt(var + eps) per column, with
     optional row weights."""

@@ -48,6 +48,16 @@ def two_node_file(path):
     return path
 
 
+def strict_json(path):
+    """The JSON document at ``path``; NaN and Infinity, which are not JSON,
+    raise ValueError."""
+    def reject(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
 def manifest(out_dir, command):
     with open(os.path.join(out_dir, f"{command}_manifest.json")) as fh:
         doc = json.load(fh)
@@ -520,6 +530,10 @@ class TestGrid:
             ({"max_pairs": True}, "max_pairs must be None or an integer >= 1, got True"),
             # a non-empty string is truthy, so "false" turned batch norm on
             ({"batch_norm": "false"}, "batch_norm must be true or false, got 'false'"),
+            # these ended in Python's own TypeError text, naming no field
+            ({"learning_rate": "0.1"}, "learning_rate must be a positive real, got '0.1'"),
+            ({"learning_rate": None}, "learning_rate must be a positive real, got None"),
+            ({"learning_rate": [1]}, "learning_rate must be a positive real, got [1]"),
         ],
     )
     def test_mistyped_train_field_exits_2(self, tmp_path, capsys, train, message):
@@ -529,6 +543,19 @@ class TestGrid:
         err = capsys.readouterr().err
         assert err.startswith("error: grid config: ") and message in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, values, message", [
+        ("dims", [2, 3, 2], "dims repeats 2"),
+        ("models", ["mlp", "mlp"], "models repeats 'mlp'"),
+        ("seeds", [0, 0], "seeds repeats 0"),
+    ])
+    def test_repeated_sweep_value_exits_2(self, tmp_path, capsys, key, values, message):
+        # a repeated value trained the same rows twice and wrote each twice
+        cfgf = tiny_grid_config(tmp_path / "cfg.json", **{key: values})
+        out = tmp_path / "out"
+        assert run(["grid", cfgf, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: grid config: {message}\n"
         assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
@@ -678,6 +705,37 @@ class TestLowerbound:
             (L, d, "ok") for d in ("2", "3") for L in ("8", "16", "32")]
         for L, d, mlp_dist, *_ in rows:
             assert float(mlp_dist) >= int(L) ** (1.0 / int(d)) - 1.0
+
+    def test_one_leaf_count_writes_a_null_exponent(self, tmp_path, capsys):
+        # a slope needs two leaf counts; it was written as a bare NaN
+        assert run(["lowerbound", "--leaves", 1, "--dims", 2, "--study-seeds", 0,
+                    "--epochs", 1, "--width", 4, "--hidden-layers", 1,
+                    "--out-dir", tmp_path]) == 0
+        summary = strict_json(tmp_path / "lowerbound_summary.json")
+        assert summary["fitted_exponent_per_dim"] == {"2": None}
+        assert summary["hnn_max_dist"] >= 1.0
+        assert "dim=2 fitted_exponent=undefined\n" in capsys.readouterr().out
+
+    def test_no_constructive_embedding_writes_a_null_max(self, tmp_path, capsys):
+        # no tau meets lambda = 1.0001 on this spider below the overflow cap
+        assert run(["lowerbound", "--leaves", 3, "--dims", 2, "--study-seeds", 0,
+                    "--lambda", 1.0001, "--epochs", 1, "--width", 4, "--hidden-layers", 1,
+                    "--out-dir", tmp_path]) == 0
+        assert read_csv(tmp_path / "lowerbound.csv")[1][4] == "nan"
+        assert strict_json(tmp_path / "lowerbound_summary.json")["hnn_max_dist"] is None
+        assert "hnn_max_dist=undefined (lambda=1.0001)\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value, repeated", [
+        # two rows at one L made a slope through repeated points (printed
+        # with a RankWarning); a repeated dim or seed trained every row twice
+        ("--leaves", "4,4", "4"),
+        ("--dims", "2,3,2", "2"),
+        ("--study-seeds", "0,1,0", "0"),
+    ])
+    def test_repeated_value_exits_2_before_work(self, tmp_path, capsys, flag, value, repeated):
+        assert run(["lowerbound", flag, value, "--out-dir", tmp_path]) == 2
+        assert capsys.readouterr().err == f"error: {flag} repeats {repeated}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_empty_leaves_exits_2(self, tmp_path):
         assert run(["lowerbound", "--leaves", ",", "--out-dir", tmp_path]) == 2
@@ -922,6 +980,31 @@ class TestArtifacts:
         assert code == 3
         assert listed_outputs(tmp_path / "embed", "embed") == []
         assert os.listdir(tmp_path / "embed") == ["embed_manifest.json"]
+
+    def test_every_json_output_is_strict_json(self, tmp_path):
+        # every command at a tiny size, and lowerbound at one leaf count,
+        # where its exponent has no slope to fit
+        t = gen_binary(3)
+        spring_layout(t, dim=2, seed=0)
+        tree = tmp_path / "t.json"
+        save_tree(t, tree)
+        small = ["--epochs", 1, "--batch-size", 64, "--width", 4, "--hidden-layers", 1]
+        lowerbound = ["lowerbound", "--dims", 2, "--study-seeds", 0] + small
+        for name, argv in [
+            ("gen", ["gen", "--kind", "binary", "--depth", 3]),
+            ("embed", ["embed", tree, "--lambda", 1.5]),
+            ("embed-hnn", ["embed", tree, "--lambda", 1.5, "--realize-hnn"]),
+            ("train-mlp", ["train", tree, "--model", "mlp"] + small),
+            ("train-hnn", ["train", tree, "--model", "hnn"] + small),
+            ("grid", ["grid", tiny_grid_config(tmp_path / "cfg.json")]),
+            ("lowerbound", lowerbound + ["--leaves", "2,4"]),
+            ("lowerbound-one", lowerbound + ["--leaves", 1]),
+        ]:
+            assert run(argv + ["--out-dir", tmp_path / name]) == 0, name
+        written = sorted((tmp_path).rglob("*.json"))
+        assert len(written) >= 20
+        for path in written:
+            strict_json(path)
 
     def test_every_emitted_file_parses(self, tmp_path):
         tree = two_node_file(tmp_path / "t.json")

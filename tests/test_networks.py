@@ -1,5 +1,6 @@
 """Network forward passes, parameter counting, and the exact memorizers."""
 
+import itertools
 import json
 
 import numpy as np
@@ -21,7 +22,15 @@ from hyptree.networks import (
     save_params,
     separating_directions,
 )
-from scalarref import hyperbolic_layer, load_params, mlp_forward, params_from_dict
+from hyptree.trees import gen_spider, leaves, spring_layout, tree_metric
+from scalarref import (
+    distortion_from_matrices,
+    hyperbolic_layer,
+    load_params,
+    mlp_forward,
+    pairwise_euclidean_full,
+    params_from_dict,
+)
 
 
 def random_mlp(rng, dims):
@@ -292,6 +301,46 @@ class TestMemorizeRelu:
         b = memorize_relu(pts, tgt, seed=3)
         for (A1, b1), (A2, b2) in zip(a.layers, b.layers):
             assert np.array_equal(A1, A2) and np.array_equal(b1, b2)
+
+
+def grid_leaf_points(L, d):
+    """The L integer points of R^d nearest the origin whose norm is at least
+    max(1, L^(1/d)/2); ties go by coordinates, in lexicographic order."""
+    r0 = max(1.0, L ** (1.0 / d) / 2.0)
+    k = int(np.ceil(2.0 * L ** (1.0 / d))) + 1
+    pts = np.array(list(itertools.product(range(-k, k + 1), repeat=d)), dtype=np.float64)
+    norm = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+    pts, norm = pts[norm >= r0], norm[norm >= r0]
+    return pts[np.lexsort(tuple(pts.T[::-1]) + (norm,))[:L]]
+
+
+class TestPackingBound:
+    """A spider's leaves lie pairwise 4 apart and within 2 of the hub, so
+    every map of it into R^d has distortion D >= L^(1/d) - 1 (the packing
+    bound that lowerbound's trained column meets). A constructed map comes
+    within a constant of it: leaves on integer points outside a ball of
+    radius L^(1/d)/2, each mid-leg node halfway to its leaf, the hub at 0.
+    The depth-2 memorizer realizes that map from the spider's layout, so
+    an MLP reaches distortion Theta(L^(1/d)) and the bound is tight up to
+    constants."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_memorized_grid_map_is_within_a_constant_of_the_bound(self, d):
+        for L in (8, 16, 32, 64, 128, 256):
+            t = gen_spider(L, leg_length=2)
+            spring_layout(t, dim=2, seed=0)
+            row = {v: k for k, v in enumerate(t.node_ids)}
+            adj = t.adjacency()
+            target = np.zeros((t.n_nodes, d))
+            for leaf, point in zip(sorted(leaves(t)), grid_leaf_points(L, d)):
+                target[row[leaf]] = point
+                target[row[adj[leaf][0][0]]] = point / 2.0
+            X = t.layout()
+            params = memorize_relu(X, target)
+            out = np.array([mlp_forward(params, x) for x in X])
+            assert_allclose(out, target, atol=1e-8)
+            dist = distortion_from_matrices(pairwise_euclidean_full(out), tree_metric(t).matrix).dist
+            assert L ** (1.0 / d) - 1.0 <= dist <= 2.0 * L ** (1.0 / d), (L, dist)
 
 
 class TestMemorizeHnn:

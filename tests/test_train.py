@@ -140,6 +140,16 @@ class TestTrainConfig:
         with pytest.raises(TrainError):
             TrainConfig(**kw)
 
+    @pytest.mark.parametrize("lr", ["0.1", None, [1], 10**400, math.nan],
+                             ids=["str", "null", "list", "int-beyond-float", "nan"])
+    def test_learning_rate_must_be_a_number(self, lr):
+        # a grid config's JSON can carry any of these where a number belongs
+        with pytest.raises(TrainError, match=r"learning_rate must be a positive real, got "):
+            TrainConfig(learning_rate=lr)
+
+    def test_integer_learning_rate_accepted(self):
+        assert TrainConfig(learning_rate=1).learning_rate == 1
+
 
 # ----------------------------------------------------------------------
 # Prediction heads
@@ -710,9 +720,9 @@ class TestPairSample:
         # with the metric passed in, a run on a sample of 2048 of the 499,500
         # pairs of random(1000) holds no n x n array: the pairs are drawn by
         # flat index, and the model's distances reach the distortion
-        # reduction block by block. The tower is narrow because each step's
-        # tape holds O(batch rows x width x layers) floats, which is not what
-        # this test bounds.
+        # reduction block by block. The tower is narrow because each step
+        # holds O(batch rows x width x layers) floats, which
+        # TestStepMemory bounds.
         t = gen_random(1000, 0)
         spring_layout(t, dim=2, seed=1)
         metric = tree_metric(t)
@@ -741,6 +751,48 @@ class TestPairSample:
             tracemalloc.stop()
         assert peak < 3.0 * t.n_nodes**2 * 8
 
+
+
+class TestStepMemory:
+    """What one training step holds: a row buffer per hidden layer, the relu
+    masks, the leaves' gradients and a few cotangents at a time."""
+
+    @pytest.fixture(scope="class")
+    def first_batch(self):
+        # the first batch of a grid-bigtree row: random(1000) with the metric
+        # passed in, 2048 sampled pairs and the grid's default 4 x 64 tower
+        t = gen_random(1000, 0)
+        spring_layout(t, dim=2, seed=1)
+        metric = tree_metric(t)
+        batches = {}
+        real_step = tr._step
+
+        def spy(*args):
+            batches.setdefault(args[0].__class__, args)
+            return real_step(*args)
+
+        tr._step = spy
+        try:
+            for kind in ("mlp", "hnn"):
+                train_embedding(t, TrainConfig(model_kind=kind, max_pairs=2048, epochs=1), metric)
+        finally:
+            tr._step = real_step
+        return {"mlp": batches[MlpParams], "hnn": batches[HnnParams]}
+
+    @pytest.mark.parametrize("kind, batch_norm, bound", [
+        # the parent of the lean tape held 17.2 such arrays, and 26.3 with batch norm
+        ("mlp", False, 9.0), ("hnn", False, 9.0), ("mlp", True, 15.0)])
+    def test_step_peak_in_row_arrays(self, first_batch, kind, batch_norm, bound):
+        params, rows, i1, i2, d, counts, _ = first_batch[kind]
+        width = TrainConfig().hidden_width
+        assert params.layers[0][0].shape[0] == width and 900 < rows.shape[0] < 1000
+        tracemalloc.start()
+        try:
+            tr._step(params, rows, i1, i2, d, counts, batch_norm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * rows.shape[0] * width * 8
 
 
 class TestTrainEmbedding:
