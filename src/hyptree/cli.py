@@ -85,7 +85,7 @@ class UsageError(ValueError):
 # ----------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    """Shortest round-trip decimal for a float; empty for missing values."""
+    """Shortest round-trip decimal for a float; ``nan`` for NaN."""
     x = float(x)
     if math.isnan(x):
         return "nan"
@@ -312,6 +312,8 @@ def cmd_embed(args) -> int:
 def cmd_train(args) -> int:
     t = _load_tree_arg(args.tree)
     t.layout()  # TreeError, exit 2, before any work when a node has no coordinates
+    if t.n_nodes < 2:
+        raise UsageError("training needs at least two nodes")
     cfg = _train_config_from_args(args, args.model)
 
     out_csv = _out_path(args.out_dir, "train_loss.csv")

@@ -3,10 +3,9 @@
 A model maps layout coordinates to an embedding space (R^k for MLPs,
 the hyperboloid H^k for the hyperbolic networks) and is fit by mean
 squared error between predicted pair distances and tree distances.
-Gradients come from the reverse-mode tape in ``autodiff``, which records
-one node per layer: ``affine`` for each layer, ``batch_norm`` (if enabled)
-and ``relu`` between layers, ``pair_rows`` for the pair head and ``mse``
-for the loss.
+Gradients come from ``autodiff.Tape``, which runs the tower of affine
+layers, with batch norm (if enabled) and ReLU between them, and walks it
+back layer by layer; the pair head and the loss are differentiated here.
 
 An HNN is trained as what it computes. Each of its layers reads its
 input at the bias point where the previous layer wrote it, so every
@@ -27,13 +26,14 @@ is computed once, and the head gathers the two endpoints of every pair
 from the output rows. ``grad``, which takes coordinate rows, runs the
 same step on the stacked batch of both endpoint sets. Both heads, R^k
 distance for an MLP and H^k distance for an HNN, have one contract:
-distances of row pairs plus their closed-form row gradients, which enter
-the tape through ``Tape.pair_rows``. With ``batch_norm`` enabled, the
-column statistics weight each distinct node by how often it occurs among
-the 2B endpoints of the batch, which is exactly normalizing the stacked
-batch. There is no stored running state: statistics always come from
-whatever batch is being pushed through, including at evaluation time, so
-a trained model is evaluated on the full node set in one pass.
+distances of row pairs plus their closed-form row gradients, which
+``_step`` scatter-adds onto the output rows for the tower's reverse pass.
+With ``batch_norm`` enabled, the column statistics weight each distinct
+node by how often it occurs among the 2B endpoints of the batch, which is
+exactly normalizing the stacked batch. There is no stored running state:
+statistics always come from whatever batch is being pushed through,
+including at evaluation time, so a trained model is evaluated on the full
+node set in one pass.
 """
 
 from __future__ import annotations
@@ -131,24 +131,8 @@ class EpochStats:
 
 
 # ----------------------------------------------------------------------
-# Tape towers
+# Pair heads
 # ----------------------------------------------------------------------
-
-def _tower(tape, params, X, batch_norm, weights):
-    """(affine parameter leaves, output rows) of the model's tower on input
-    rows X: affine layers with ReLU (after batch norm, if enabled) between
-    them. An HNN's tower is the MLP on its affine layers: its outputs are
-    tangent rows at the apex, which the hyperbolic head reads."""
-    if not isinstance(params, (MlpParams, HnnParams)):
-        raise TrainError("params must be MlpParams or HnnParams")
-    H = tape.leaf(X)
-    nodes = [(tape.leaf(layer[0]), tape.leaf(layer[1])) for layer in params.layers]
-    for i, (A, b) in enumerate(nodes):
-        if i:
-            H = tape.relu(tape.batch_norm(H, weights) if batch_norm else H)
-        H = tape.affine(H, A, b)
-    return nodes, H
-
 
 @np.errstate(divide="ignore", invalid="ignore")  # ln 0 = -inf is meant
 def _hyperbolic_head(U, i1, i2, with_grad=False):
@@ -217,6 +201,8 @@ def grad(params, x1, x2, d_true, batch_norm: bool = False):
     pair distances do not depend on the bias points.
     Raises FloatingPointError when the loss is not finite.
     """
+    if not isinstance(params, (MlpParams, HnnParams)):
+        raise TrainError("params must be MlpParams or HnnParams")
     x1 = np.atleast_2d(np.asarray(x1, np.float64))
     x2 = np.atleast_2d(np.asarray(x2, np.float64))
     d_true = np.atleast_1d(np.asarray(d_true, np.float64))
@@ -238,24 +224,43 @@ def _step(params, X, i1, i2, d_true, counts, batch_norm):
     """(loss, gradients of the arrays of ``_flatten``) of the pair MSE on the
     pairs (X[i1[p]], X[i2[p]]) of input rows X, where counts[k] is how often
     X[k] occurs among the 2B endpoints (once each when None). The tower runs
-    once over X. Raises FloatingPointError when the loss is not finite.
+    once over X, and the head's row gradients are scatter-added over
+    repeated indices. Raises FloatingPointError when the loss is not finite.
 
     With ``batch_norm``, the bias of every layer but the last feeds batch
     norm, which subtracts its column mean, so its gradient is exactly 0 and
     is returned as zeros: the optimizers then leave those biases where they
-    are, instead of stepping on the roundoff of the tape's sum.
+    are, instead of stepping on the roundoff of the reverse pass's sum.
     """
-    tape = Tape()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        nodes, Y = _tower(tape, params, X, batch_norm, counts)
-        d = tape.pair_rows(Y, i1, i2, lambda U, j1, j2: _head(params)(U, j1, j2, True))
-        loss = tape.mse(d, d_true)
-        tape.backward(loss)
+        tape = Tape(params.layers, X, batch_norm, counts)
+        loss, G = _pair_loss(params, tape.output, i1, i2, d_true)
+        layer_grads = tape.backward(G)
     grads = []
-    for i, (A, b) in enumerate(nodes):
-        feeds_bn = batch_norm and i < len(nodes) - 1
-        grads += [A.grad, np.zeros_like(b.grad) if feeds_bn else b.grad]
-    return float(loss.value), grads
+    for i, (dA, db) in enumerate(layer_grads):
+        feeds_bn = batch_norm and i < len(layer_grads) - 1
+        grads += [dA, np.zeros_like(db) if feeds_bn else db]
+    return float(loss), grads
+
+
+def _pair_loss(params, Y, i1, i2, d_true):
+    """The pair MSE on output rows Y and its cotangent on Y. Its pair-sized
+    arrays are gone once it returns, before the tower's reverse pass."""
+    d, G1, G2 = _head(params)(Y, i1, i2, True)
+    r = np.asarray(d_true, np.float64) - d
+    loss = np.mean(r * r)
+    if not math.isfinite(float(loss)):
+        raise FloatingPointError("loss is not finite")
+    g = (-2.0 * ((1.0 / r.size) * r))[:, None]
+    return loss, _scatter_rows(Y.shape[0], np.concatenate([i1, i2]), np.concatenate([g * G1, g * G2]))
+
+
+def _scatter_rows(n, idx, rows):
+    """out[i] = sum of rows[p] over idx[p] == i, for i < n, summed in the order
+    of p (the order np.add.at uses), one bincount per column."""
+    return np.stack(
+        [np.bincount(idx, weights=rows[:, c], minlength=n) for c in range(rows.shape[1])], axis=1
+    )
 
 
 def _node_batch(X, i1, i2, d_true):
@@ -273,14 +278,14 @@ def _node_batch(X, i1, i2, d_true):
 
 
 def _predict_rows(params, X, batch_norm, weights=None):
-    """Model outputs for input rows, via the same towers (values only).
+    """Model outputs for input rows, by the training tower's forward pass.
 
     With ``batch_norm``, row i counts ``weights[i]`` times in the batch
     statistics (once each when None).
     """
     X = np.atleast_2d(np.asarray(X, np.float64))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _tower(Tape(), params, X, batch_norm, weights)[1].value
+        return Tape(params.layers, X, batch_norm, weights).output
 
 
 def _pair_mse(params, X, i1, i2, d_true, counts, batch_norm):

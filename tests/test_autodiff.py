@@ -1,16 +1,17 @@
-"""Finite-difference checks for every tape operation and its derivative."""
+"""Finite-difference checks of the training tower's forward and reverse pass
+(``autodiff.Tape``) and of the training step built on it (``train._step``)."""
 
-import inspect
-import math
-import re
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hyptree import autodiff as ad
+from hyptree import train as tr
 from hyptree.autodiff import Tape
+from hyptree.networks import MlpParams, hnn_from_mlp
+
+COUNTS = np.array([3.0, 1.0, 5.0, 2.0, 1.0, 4.0, 2.0])
 
 
 def fd_grad(fn, x0, h=1e-6):
@@ -28,245 +29,270 @@ def fd_grad(fn, x0, h=1e-6):
     return g.reshape(x0.shape)
 
 
-def check_leaf_grads(build, leaves, rtol=1e-5, atol=1e-8):
-    """build(tape, nodes) -> scalar loss node, from public ops only (here the
-    op under test followed by ``mse`` against a fixed random target, so the
-    cotangent reaching the op differs entry by entry); FD each leaf against
-    tape.backward."""
-    tape = Tape()
-    nodes = [tape.leaf(v) for v in leaves]
-    loss = build(tape, nodes)
-    tape.backward(loss)
-    for k, leaf_val in enumerate(leaves):
+def random_layers(rng, dims):
+    return [(rng.normal(size=(fo, fi)), rng.normal(size=fo)) for fi, fo in zip(dims[:-1], dims[1:])]
 
-        def loss_at(x, k=k):
-            t2 = Tape()
-            ns = [t2.leaf(x if j == k else v) for j, v in enumerate(leaves)]
-            return float(build(t2, ns).value)
 
-        want = fd_grad(loss_at, leaf_val)
-        got = nodes[k].grad
-        assert got is not None, f"leaf {k} got no gradient"
-        assert_allclose(got, want, rtol=rtol, atol=atol)
+def tape_mse(layers, X, batch_norm, weights, T):
+    """Mean of (T - Y)^2 over the entries of the tower's output rows Y."""
+    return float(np.mean((T - Tape(layers, X, batch_norm, weights).output) ** 2))
+
+
+def check_tape_grads(layers, X, T, batch_norm=False, weights=None, rtol=1e-5, atol=1e-8):
+    """``backward``'s (dA, db) of ``tape_mse`` against central differences of
+    every A and b; the cotangent reaching the output differs entry by entry."""
+    tape = Tape(layers, X, batch_norm, weights)
+    grads = tape.backward(-2.0 * (T - tape.output) / T.size)
+    assert len(grads) == len(layers)
+    for k, (A, b) in enumerate(layers):
+        for j, arr in enumerate((A, b)):
+
+            def loss_at(x, k=k, j=j):
+                moved = list(layers)
+                moved[k] = (x, b) if j == 0 else (A, x)
+                return tape_mse(moved, X, batch_norm, weights, T)
+
+            assert_allclose(grads[k][j], fd_grad(loss_at, arr), rtol=rtol, atol=atol)
+
+
+def z_of(node):
+    """The batch norm's output that made a record's input rows, before the ReLU."""
+    return node.c * node.rs[None, :]
 
 
 class TestAffineOps:
     def test_affine_value_and_grads(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(4, 3))
-        A = rng.normal(size=(5, 3))
-        b = rng.normal(size=5)
-        T = rng.normal(size=(4, 5))
-        tape = Tape()
-        out = tape.affine(tape.leaf(X), tape.leaf(A), tape.leaf(b))
-        assert np.array_equal(out.value, X @ A.T + b)
-        check_leaf_grads(lambda t, ns: t.mse(t.affine(*ns), T), [X, A, b])
+        layers = random_layers(rng, (3, 5))
+        A, b = layers[0]
+        assert np.array_equal(Tape(layers, X).output, X @ A.T + b)
+        check_tape_grads(layers, X, rng.normal(size=(4, 5)))
 
     def test_two_layer_tower(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(4, 3))
-        A1 = rng.normal(size=(5, 3))
-        b1 = rng.normal(size=5)
-        A2 = rng.normal(size=(2, 5))
-        b2 = rng.normal(size=2)
-        T = rng.normal(size=(4, 2))
-
-        def build(t, ns):
-            x, a1, v1, a2, v2 = ns
-            return t.mse(t.affine(t.relu(t.affine(x, a1, v1)), a2, v2), T)
-
-        check_leaf_grads(build, [X, A1, b1, A2, b2])
+        layers = random_layers(rng, (3, 5, 2))
+        (A1, b1), (A2, b2) = layers
+        assert np.array_equal(Tape(layers, X).output, np.maximum(X @ A1.T + b1, 0.0) @ A2.T + b2)
+        check_tape_grads(layers, X, rng.normal(size=(4, 2)))
 
 
 class TestRowOps:
     def test_pair_rows_repeated_indices(self):
-        # d[p] = <M[i1[p]], M[i2[p]]> with its closed-form row gradients;
-        # rows recur across pairs and within one pair, and row 3 is unused
+        # the head's row gradients sum over repeated indices, in pair order
+        # as np.add.at sums them, and row 3, which no pair uses, gets 0
         rng = np.random.default_rng(6)
-        M = rng.normal(size=(5, 2))
         i1 = np.array([0, 2, 2, 1, 4, 0])
         i2 = np.array([1, 2, 4, 0, 2, 4])
-        T = rng.normal(size=i1.size)
-
-        def dot(U, j1, j2):
-            return np.sum(U[j1] * U[j2], axis=1), U[j2], U[j1]
-
-        tape = Tape()
-        n = tape.leaf(M)
-        assert np.array_equal(tape.pair_rows(n, i1, i2, dot).value, np.sum(M[i1] * M[i2], axis=1))
-        check_leaf_grads(lambda t, ns: t.mse(t.pair_rows(ns[0], i1, i2, dot), T), [M])
-        tape.backward(tape.mse(tape.pair_rows(n, i1, i2, dot), T))
-        assert np.all(n.grad[3] == 0.0)
+        idx = np.concatenate([i1, i2])
+        rows = rng.normal(size=(idx.size, 2))
+        want = np.zeros((5, 2))
+        np.add.at(want, idx, rows)
+        got = tr._scatter_rows(5, idx, rows)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[3] == 0.0)
+        # so the step's gradients do not see the row that no pair uses
+        p = MlpParams(tuple(random_layers(rng, (2, 4, 2))))
+        X = rng.normal(size=(5, 2))
+        d = rng.uniform(0.5, 2.0, i1.size)
+        first = tr._step(p, X, i1, i2, d, None, False)[1]
+        X[3] = [7.0, -9.0]
+        for g, h in zip(first, tr._step(p, X, i1, i2, d, None, False)[1]):
+            assert g.tobytes() == h.tobytes()
 
 
 class TestLossHeads:
     def test_mean_of_squared_residuals(self):
         rng = np.random.default_rng(8)
-        c = rng.normal(size=7)
-        d_true = rng.normal(size=7)
-        tape = Tape()
-        assert tape.mse(tape.leaf(c), d_true).value == np.mean((d_true - c) ** 2)
-        check_leaf_grads(lambda t, ns: t.mse(ns[0], d_true), [c])
+        for kind in ("mlp", "hnn"):
+            p = step_params(rng, kind)
+            X, i1, i2, d_true, counts = step_batch(rng)
+            loss, _ = tr._step(p, X, i1, i2, d_true, counts, True)
+            r = d_true - tr._head(p)(tr._predict_rows(p, X, True, counts), i1, i2)
+            assert loss == np.mean(r * r)
 
     def test_zero_residual_gives_zero_gradient(self):
-        c = np.array([1.0, 2.0, 3.0])
-        t = Tape()
-        n = t.leaf(c)
-        t.backward(t.mse(n, c.copy()))
-        assert np.all(n.grad == 0.0)
+        rng = np.random.default_rng(9)
+        for kind in ("mlp", "hnn"):
+            p = step_params(rng, kind)
+            X, i1, i2, _, counts = step_batch(rng)
+            d = tr._head(p)(tr._predict_rows(p, X, True, counts), i1, i2)
+            loss, flat = tr._step(p, X, i1, i2, d, counts, True)
+            assert loss == 0.0
+            assert all(np.all(g == 0.0) for g in flat)
 
 
 class TestBackwardContract:
-    def test_requires_scalar(self):
-        t = Tape()
-        n = t.leaf(np.ones(3))
-        with pytest.raises(ValueError):
-            t.backward(n)
-
     def test_non_finite_loss_raises(self):
-        t = Tape()
-        n = t.leaf(np.array(math.inf))
-        with pytest.raises(FloatingPointError):
-            t.backward(n)
+        rng = np.random.default_rng(10)
+        X, i1, i2, d_true, counts = step_batch(rng)
+        d_true[0] = np.inf
+        with pytest.raises(FloatingPointError, match="loss is not finite"):
+            tr._step(step_params(rng, "mlp"), X, i1, i2, d_true, counts, False)
 
     def test_grads_reset_between_backward_calls(self):
-        t = Tape()
-        n = t.leaf(np.ones(4))
-        loss = t.mse(n, np.zeros(4))
-        t.backward(loss)
-        first = n.grad.copy()
-        t.backward(loss)
-        assert np.array_equal(n.grad, first)
-
-
-def bn_tower(t, ns, weights, target):
-    """affine -> weighted batch_norm -> relu -> affine -> mse on leaves
-    (X, A1, b1, A2, b2): the relu overwrites the batch norm's output, and
-    the batch norm centres the first affine's output, in place."""
-    x, a1, v1, a2, v2 = ns
-    H = t.relu(t.batch_norm(t.affine(x, a1, v1), weights))
-    return t.mse(t.affine(H, a2, v2), target)
+        # a step keeps nothing from the one before it and writes none of its inputs
+        rng = np.random.default_rng(11)
+        p = step_params(rng, "hnn")
+        batch = step_batch(rng)
+        before = [a.tobytes() for a in batch]
+        first = tr._step(p, *batch, True)
+        second = tr._step(p, *batch, True)
+        assert [a.tobytes() for a in batch] == before
+        assert first[0] == second[0]
+        for g, h in zip(first[1], second[1]):
+            assert g.tobytes() == h.tobytes()
 
 
 class TestBufferContract:
-    """What a step keeps: ops overwrite the buffers of the ops before them,
-    never a leaf's array, and backward drops interior cotangents."""
-
-    COUNTS = np.array([3.0, 1.0, 5.0, 2.0, 1.0, 4.0, 2.0])
+    """What a tape keeps: the layers' input rows, one row buffer per hidden
+    layer (two with batch norm), the ReLU masks and nothing of X or of the
+    reverse pass."""
 
     TARGET = np.random.default_rng(12).normal(size=(7, 2))
 
-    def leaves(self):
-        rng = np.random.default_rng(11)
-        return [rng.normal(size=s) for s in ((7, 3), (5, 3), 5, (2, 5), 2)]
+    def layers(self):
+        return random_layers(np.random.default_rng(11), (3, 5, 4, 2))
 
-    def tower(self, t, ns):
-        return bn_tower(t, ns, self.COUNTS, self.TARGET)
+    def X(self):
+        return np.random.default_rng(13).normal(size=(7, 3))
 
     def test_relu_on_a_leaf_leaves_the_callers_array(self):
-        X = np.random.default_rng(3).normal(size=(6, 4))
+        # the first layer only reads X; the ReLUs write the later layers' rows
+        X = self.X()
         X[0, 0] = -0.0
         before = X.tobytes()
-        t = Tape()
-        out = t.relu(t.leaf(X))
-        assert X.tobytes() == before
-        assert np.array_equal(out.value, np.where(X > 0.0, X, 0.0))
-        t.backward(t.mse(out, np.zeros((6, 4))))
+        tape = Tape(self.layers(), X)
+        assert tape.nodes[0].value is X
+        tape.backward(self.TARGET - tape.output)
         assert X.tobytes() == before
 
     def test_batch_norm_on_a_leaf_leaves_the_callers_array(self):
-        X = np.random.default_rng(4).normal(size=(7, 3))
+        # batch norm centres the affine outputs in place, never X
+        X = self.X()
         before = X.tobytes()
-        t = Tape()
-        t.batch_norm(t.leaf(X), self.COUNTS)
+        tape = Tape(self.layers(), X, True, COUNTS)
+        assert tape.nodes[0].value is X
+        assert all(not np.shares_memory(X, node.c) for node in tape.nodes[1:])
+        tape.backward(self.TARGET - tape.output)
         assert X.tobytes() == before
 
     def test_relu_reuses_the_buffer_of_the_op_before_it(self):
-        X, A, b = self.leaves()[:3]
-        t = Tape()
-        H = t.affine(t.leaf(X), t.leaf(A), t.leaf(b))
-        assert t.relu(H).value is H.value
-        Z = t.batch_norm(H)
-        assert t.relu(Z).value is Z.value
+        # a tower of 3 hidden layers holds per hidden layer one row array,
+        # the ReLU output written over the affine output, and a mask of 1/8
+        # of a row array; with batch norm also the affine output, centred in
+        # place. A tape that kept the affine output beside the ReLU output
+        # would hold one more row array per layer (3.41 and 6.44 here)
+        rng = np.random.default_rng(14)
+        width, B = 64, 500
+        layers = random_layers(rng, (3, width, width, width, 2))
+        X = rng.normal(size=(B, 3))
+        for bn, bound in ((False, 4.0), (True, 7.0)):
+            tracemalloc.start()
+            try:
+                tape = Tape(layers, X, bn)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del tape
+            assert held <= bound * B * width * 8, bn
 
     def test_batch_norm_relu_tower_grads(self):
-        # the vjp re-forms the batch norm's output, which the relu overwrote
-        check_leaf_grads(self.tower, self.leaves())
+        # the reverse pass re-forms the batch norm's output, which the relu overwrote
+        check_tape_grads(self.layers(), self.X(), self.TARGET, True, COUNTS)
 
     def test_backward_twice_gives_bitwise_equal_leaf_grads(self):
-        t = Tape()
-        nodes = [t.leaf(v) for v in self.leaves()]
-        loss = self.tower(t, nodes)
-        t.backward(loss)
-        first = [n.grad.copy() for n in nodes]
-        t.backward(loss)
-        for n, g in zip(nodes, first):
-            assert n.grad.tobytes() == g.tobytes()
+        tape = Tape(self.layers(), self.X(), True, COUNTS)
+        G = self.TARGET - tape.output
+        first = tape.backward(G)
+        second = tape.backward(G)
+        for g, h in zip(first, second):
+            assert g[0].tobytes() == h[0].tobytes() and g[1].tobytes() == h[1].tobytes()
 
     def test_backward_drops_interior_cotangents(self):
-        t = Tape()
-        nodes = [t.leaf(v) for v in self.leaves()]
-        t.backward(self.tower(t, nodes))
-        assert all(n.grad is not None for n in nodes)
-        assert all(n.grad is None for n in t.nodes if n.vjp is not None)
+        # the reverse pass stores no cotangent on the tape and writes no buffer
+        tape = Tape(self.layers(), self.X(), True, COUNTS)
+        keys = set(vars(tape))
+        before = [(n.value.tobytes(), n.c.tobytes()) for n in tape.nodes[1:]]
+        tape.backward(self.TARGET - tape.output)
+        assert set(vars(tape)) == keys
+        assert [(n.value.tobytes(), n.c.tobytes()) for n in tape.nodes[1:]] == before
 
 
 class TestBatchingOps:
-    """The batch-norm layer: (h - mean) / sqrt(var + eps) per column, with
-    optional row weights."""
-
-    COUNTS = np.array([3.0, 1.0, 5.0, 2.0, 1.0, 4.0, 2.0])
+    """The batch norm between layers: (h - mean) / sqrt(var + eps) per
+    column, with optional row weights."""
 
     def test_batch_norm_tower_grads(self):
         rng = np.random.default_rng(6)
-        M = rng.normal(size=(7, 3)) * 2.0 + 1.0
-        T = rng.normal(size=(7, 3))
-        check_leaf_grads(lambda t, ns: t.mse(t.batch_norm(ns[0]), T), [M])
+        X = rng.normal(size=(7, 3)) * 2.0 + 1.0
+        check_tape_grads(random_layers(rng, (3, 5, 3)), X, rng.normal(size=(7, 3)), True)
 
     def test_batch_norm_weighted_grads(self):
         # non-uniform integer counts: a vjp that weights the column sums by
         # the row shares is right only for equal counts, and fails here
         rng = np.random.default_rng(5)
-        M = rng.normal(size=(7, 3)) * 2.0 + 1.0
-        T = rng.normal(size=(7, 3))
-        check_leaf_grads(lambda t, ns: t.mse(t.batch_norm(ns[0], self.COUNTS), T), [M])
+        X = rng.normal(size=(7, 3)) * 2.0 + 1.0
+        check_tape_grads(random_layers(rng, (3, 5, 3)), X, rng.normal(size=(7, 3)), True, COUNTS)
 
     def test_batch_norm_weighted_is_repeated_rows(self):
         # integer weights act like repeating rows: each row of the weighted
         # layer equals its copies in the layer over the row-repeated batch
         rng = np.random.default_rng(9)
         M = rng.normal(size=(7, 3))
-        t = Tape()
-        got = t.batch_norm(t.leaf(M), self.COUNTS).value
-        rep = t.batch_norm(t.leaf(np.repeat(M, self.COUNTS.astype(int), axis=0))).value
-        assert_allclose(np.repeat(got, self.COUNTS.astype(int), axis=0), rep, rtol=1e-13, atol=1e-14)
+        layers = [(np.eye(3), np.zeros(3))] * 2
+        reps = COUNTS.astype(int)
+        got = z_of(Tape(layers, M, True, COUNTS).nodes[1])
+        rep = z_of(Tape(layers, np.repeat(M, reps, axis=0), True).nodes[1])
+        assert_allclose(np.repeat(got, reps, axis=0), rep, rtol=1e-13, atol=1e-14)
 
     def test_batch_norm_whitens(self):
         rng = np.random.default_rng(7)
         M = rng.normal(size=(64, 4)) * 5.0 - 3.0
-        t = Tape()
-        h = t.batch_norm(t.leaf(M)).value
+        layers = [(np.eye(4), np.zeros(4))] * 2
+        h = z_of(Tape(layers, M, True).nodes[1])
         assert_allclose(h.mean(axis=0), 0.0, atol=1e-14)
         assert_allclose(h.std(axis=0), 1.0, atol=1e-3)
         w = rng.integers(1, 6, size=64).astype(float)
-        h = t.batch_norm(t.leaf(M), w).value
+        h = z_of(Tape(layers, M, True, w).nodes[1])
         assert_allclose(np.average(h, axis=0, weights=w), 0.0, atol=1e-14)
         assert_allclose(np.sqrt(np.average(h * h, axis=0, weights=w)), 1.0, atol=1e-3)
 
 
-class TestOpSet:
-    def test_every_public_op_has_a_library_caller(self):
-        # the tape's ops are the model's layers, and each has a caller
-        # outside autodiff.py; so does every public helper of the module
-        library = "".join(
-            p.read_text() for p in Path(ad.__file__).parent.glob("*.py") if p.name != "autodiff.py"
-        )
-        ops = [n for n, _ in inspect.getmembers(Tape, inspect.isfunction) if not n.startswith("_")]
-        helpers = [
-            n for n, f in inspect.getmembers(ad, inspect.isfunction)
-            if not n.startswith("_") and f.__module__ == ad.__name__
-        ]
-        assert set(ops) == {"leaf", "affine", "relu", "batch_norm", "pair_rows", "mse", "backward"}
-        unused = [n for n in ops if not re.search(rf"\.{n}\(", library)]
-        unused += [n for n in helpers if not re.search(rf"\b{n}\b", library)]
-        assert unused == []
+def step_params(rng, kind, dims=(2, 5, 4, 2)):
+    mlp = MlpParams(tuple((A / np.sqrt(A.shape[1]), 0.3 * b) for A, b in random_layers(rng, dims)))
+    return mlp if kind == "mlp" else hnn_from_mlp(mlp)
+
+
+def step_batch(rng, n_rows=7, n_pairs=24):
+    """``_step``'s (rows, i1, i2, d_true, counts) for pairs with repeats over
+    n_rows nodes, by ``_node_batch``: the counts are the nodes' endpoint
+    counts, which differ from node to node."""
+    X = rng.normal(size=(n_rows, 2))
+    i = rng.integers(0, n_rows, n_pairs)
+    j = (i + rng.integers(1, n_rows, n_pairs)) % n_rows
+    return tr._node_batch(X, i, j, rng.uniform(0.5, 2.5, n_pairs))
+
+
+class TestStep:
+    @pytest.mark.parametrize("bn", [False, True])
+    @pytest.mark.parametrize("kind", ["mlp", "hnn"])
+    def test_matches_central_differences(self, kind, bn):
+        # every trained array of _step, against central differences of its
+        # loss; with batch norm the counts weight the batch statistics
+        rng = np.random.default_rng(15)
+        p = step_params(rng, kind)
+        batch = step_batch(rng)
+        counts = batch[-1]
+        assert counts.min() < counts.max()
+        loss, flat = tr._step(p, *batch, bn)
+        arrays = tr._flatten(p)
+        for k, (arr, got) in enumerate(zip(arrays, flat)):
+
+            def loss_at(x, k=k):
+                moved = list(arrays)
+                moved[k] = x
+                return tr._step(tr._rebuild(p, moved), *batch, bn)[0]
+
+            assert_allclose(got, fd_grad(loss_at, arr), rtol=1e-5, atol=1e-7)

@@ -411,6 +411,16 @@ class TestTrain:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_one_node_tree_exits_2_before_out_dir(self, tmp_path, capsys):
+        assert run(["gen", "--kind", "random", "--n", 1, "--out-dir", tmp_path]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(["train", tmp_path / "tree_random.json", "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert "training needs at least two nodes" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "node2_coords,code",
         [([1.0, 0.5, 2.0], "coord_length_mismatch"), ([math.nan, 0.5], "nonfinite_coords")],

@@ -6,7 +6,11 @@ breaks the traced benchmark run, so every name it reads must still resolve.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from hyptree import kernels
+from hyptree.autodiff import Tape
 
 TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 
@@ -34,3 +38,17 @@ def test_every_traced_target_resolves():
 
 def test_recorded_backend_constant_resolves():
     assert isinstance(kernels.ACTIVE_BACKEND, str)
+
+
+@pytest.mark.parametrize("batch_norm", [False, True])
+def test_tape_records_are_what_the_tape_counter_reads(batch_norm):
+    # the tracer counts len(tape.nodes) and sums node.value.nbytes when
+    # backward is entered: one record per layer, each value an array of its
+    # own, so that no buffer is counted twice
+    rng = np.random.default_rng(0)
+    layers = [(rng.normal(size=(o, i)), rng.normal(size=o)) for i, o in ((2, 8), (8, 8), (8, 2))]
+    tape = Tape(layers, rng.normal(size=(6, 2)), batch_norm)
+    assert len(tape.nodes) == len(layers)
+    assert all(isinstance(node.value, np.ndarray) for node in tape.nodes)
+    values = [node.value for node in tape.nodes]
+    assert not any(np.shares_memory(a, b) for k, a in enumerate(values) for b in values[k + 1:])

@@ -227,13 +227,16 @@ class TestTowers:
 
     @pytest.mark.parametrize("bn", [False, True])
     def test_tape_records_one_node_per_layer(self, bn):
-        # a leaf for X and for each A and b, one affine node per layer, and
-        # between layers one relu node (after one batch_norm node with BN)
+        # one record per layer, holding the rows that go into it: X for the
+        # first layer, the ReLU output of the one before for the others
         rng = np.random.default_rng(6)
         p = random_mlp(rng, (3, 6, 4, 2))
-        tape = Tape()
-        tr._tower(tape, p, rng.normal(size=(5, 3)), bn, None)
-        assert len(tape.nodes) == 1 + 2 * 3 + 3 + 2 * (1 + bn)
+        X = rng.normal(size=(5, 3))
+        tape = Tape(p.layers, X, bn)
+        assert len(tape.nodes) == 3
+        assert tape.nodes[0].value is X
+        assert [n.value.shape for n in tape.nodes] == [(5, 3), (5, 6), (5, 4)]
+        assert all(np.all(n.value >= 0.0) for n in tape.nodes[1:])
 
     def test_hnn_rows_match_forward(self):
         # the HNN's training rows are tangent vectors at the apex: with every
