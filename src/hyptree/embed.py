@@ -8,10 +8,9 @@ grows, geodesics between the images of far-apart nodes hug the tree paths
 more and more tightly, so the metric distortion under the rescaled
 distance d_{-1}/tau falls toward 1.
 
-Only the edge lengths depend on tau. The frames, the BFS from the root and
-the directed-edge table with each edge's successors and turns are built once
-per tree, with no scale, and placing them at tau tracks each node
-intrinsically: its distance from the root and its bearing at the root.
+Only the edge lengths depend on tau. The frames and the directed-edge table
+with each edge's successors and turns are built once per tree, with no
+scale, and an embedding is that frame and tau.
 
 Numerics are the whole game at large scale. Ambient hyperboloid
 coordinates grow like cosh(tau * depth), and beyond radius ~35 float64
@@ -20,11 +19,11 @@ alone cannot support distance evaluation. Distances are therefore evaluated
 on the frame: every source walks outward over the tree at once, one hop per
 step, and each (source, node) pair gets its distance and back-bearing to the
 source from its predecessor's in one hyperbolic law-of-cosines step
-(``kernels.triangle_step``, which also places the nodes level by level). It
-takes the half-angle split of the HNN head, sinh^2(c/2) = sinh^2((d - l)/2)
-+ sinh d sinh l sin^2(theta/2), in log space, so short sides keep their
-relative accuracy too. Ambient coordinates are formed from the
-polar data on first use, for output and small-scale work; the evaluator
+(``kernels.triangle_step``). It takes the half-angle split of the HNN head,
+sinh^2(c/2) = sinh^2((d - l)/2) + sinh d sinh l sin^2(theta/2), in log
+space, so short sides keep their relative accuracy too. Ambient coordinates
+are formed on first use, for output and small-scale work, from the root's
+walk, which also carries each node's bearing at the root; the evaluator
 never reads them.
 
 The curvature scan builds the frame once and walks every source only for a
@@ -50,7 +49,7 @@ import numpy as np
 from . import kernels
 from .hypgeom import Curvature, HPoint, OVERFLOW_CAP, OverflowGuardError
 from .networks import HnnParams, memorize_hnn
-from .trees import TreeMetric, WeightedTree, centroid, tree_metric
+from .trees import TreeMetric, WeightedTree, _preorder, centroid, tree_metric
 
 _TWO_PI = 2.0 * math.pi
 
@@ -98,63 +97,46 @@ def _ranges(first, count):
 class _Frame:
     """The construction of one tree at no particular scale.
 
-    Nodes are numbered by their place in ``ids``, the tree's node order. Each
-    node's frame puts its neighbors at exact multiples of 2*pi/deg: at the
-    root (the centroid) the sorted neighbors from 0, elsewhere the parent at 0
-    and the sorted children after it. A BFS from the root visits node
-    order[k] k-th; it hangs from BFS place parent[k] by an edge of weight
-    weight[k] that leaves the parent at angle slot[k] of its frame (the
-    root's entries are 0). The BFS places of the nodes i hops from the root,
-    i >= 2, are level[i - 2] .. level[i - 1] - 1, and no node lies deeper
-    than weight ``ecc``.
+    Nodes are numbered by their place in ``ids``, the tree's node order. The
+    root is node ``root``, the centroid, and no node lies deeper than weight
+    ``ecc`` from it. Each node's frame puts its neighbors at exact multiples
+    of 2*pi/deg: at the root the sorted neighbors from 0, elsewhere the
+    parent at 0 and the sorted children after it.
 
     The directed edges are grouped by tail: node k's out-edges are
     start[k] .. start[k + 1] - 1, and edge j ends at node head[j] over weight
-    edge_w[j]. The successors of edge a->b are the edges b->c with c != a, at
+    edge_w[j], leaving its tail at angle edge_angle[j] of the tail's frame.
+    The successors of edge a->b are the edges b->c with c != a, at
     succ_ptr[j] .. succ_ptr[j + 1] - 1 of succ_edge, each with its turn at b:
     the signed angle from the ray toward a to the ray toward c.
     """
 
     ids: tuple
     index: dict
-    order: np.ndarray
-    parent: np.ndarray
-    weight: np.ndarray
-    slot: np.ndarray
-    level: np.ndarray
+    root: int
     ecc: float
     start: np.ndarray
     head: np.ndarray
     edge_w: np.ndarray
+    edge_angle: np.ndarray
     succ_ptr: np.ndarray
     succ_edge: np.ndarray
     succ_turn: np.ndarray
 
 
 def _frame(t: WeightedTree) -> _Frame:
-    """The tree's frames, BFS and directed-edge table, from one BFS from its centroid."""
+    """The tree's frames and directed-edge table, oriented by the preorder from its centroid."""
     ids = tuple(t.node_ids)
     index = {v: k for k, v in enumerate(ids)}
     adj = t.adjacency()
     root = centroid(t)
-    ring, up, bfs = {}, {root: None}, [root]  # ring[v]: v's (neighbor, weight) in frame order
-    for v in bfs:
-        nbrs = sorted(adj[v])
-        ring[v] = [nb for nb in nbrs if nb[0] == up[v]] + [nb for nb in nbrs if nb[0] != up[v]]
-        for nb, _ in nbrs:
-            if nb not in up:
-                up[nb] = v
-                bfs.append(nb)
+    order, up = _preorder(adj, root)
+    depth = {root: 0.0}
+    for v in order[1:]:
+        depth[v] = depth[up[v][0]] + up[v][1]
+    # ring[v]: v's (neighbor, weight) in frame order, the edge up to its parent first
+    ring = {v: sorted(adj[v], key=lambda nb, v=v: (nb != up.get(v), nb)) for v in ids}
     angle = {(a, b): _TWO_PI * j / len(ring[a]) for a in ids for j, (b, _) in enumerate(ring[a])}
-
-    # bfs lists the nodes by hops from the root, so each tree level is one contiguous run
-    place = {v: k for k, v in enumerate(bfs)}
-    parent = [0] + [place[up[v]] for v in bfs[1:]]
-    weight = [0.0] + [ring[v][0][1] for v in bfs[1:]]
-    hops, depth = [0], [0.0]
-    for k in range(1, len(bfs)):
-        hops.append(hops[parent[k]] + 1)
-        depth.append(depth[parent[k]] + weight[k])
 
     edge_id = {ab: j for j, ab in enumerate(angle)}
     head = np.array([index[b] for _, b in angle], np.intp)
@@ -168,37 +150,64 @@ def _frame(t: WeightedTree) -> _Frame:
     return _Frame(
         ids=ids,
         index=index,
-        order=np.array([index[v] for v in bfs], np.intp),
-        parent=np.array(parent, np.intp),
-        weight=np.array(weight),
-        slot=np.array([0.0] + [angle[up[v], v] for v in bfs[1:]]),
-        level=np.searchsorted(hops, np.arange(2, hops[-1] + 2)),
-        ecc=max(depth),
+        root=index[root],
+        ecc=max(depth.values()),
         start=start,
         head=head,
         edge_w=np.array([w for a in ids for _, w in ring[a]]),
+        edge_angle=edge_angle,
         succ_ptr=np.concatenate([[0], np.cumsum(count - 1)]),
         succ_edge=cand[keep],
         succ_turn=kernels.wrap_angle(edge_angle[cand[keep]] - edge_angle[rev[j[keep]]]),
     )
 
 
+def _walk(f: _Frame, length, src, out, bearing=None) -> None:
+    """Walk from the nodes src together over the frame's directed edges, one hop per step.
+
+    Edge j has length length[j]. Row i of ``out`` gets d_{-1} from the image
+    of node src[i] to that of every node, one column per node in ``f.ids``
+    order. The state of (source, directed edge a->b) is the distance from the
+    source to b and the signed angle at b from the ray back to a to the ray
+    toward the source; one ``kernels.triangle_step`` call gives every next
+    hop's state. Given ``bearing``, row i of it gets each node's bearing at
+    src[i]: the slot angle of the first edge, turned at each hop by the
+    triangle's angle at the source.
+    """
+    row, edge = _ranges(f.start[src], f.start[src + 1] - f.start[src])
+    dist, back = length[edge], np.zeros(len(edge))
+    at = None if bearing is None else f.edge_angle[edge]
+    while edge.size:
+        out[row, f.head[edge]] = dist
+        if at is not None:
+            bearing[row, f.head[edge]] = at
+        prev, pos = _ranges(f.succ_ptr[edge], f.succ_ptr[edge + 1] - f.succ_ptr[edge])
+        # signed angle at the edge's head from the ray ahead to the ray toward the source
+        psi = kernels.wrap_angle(back[prev] - f.succ_turn[pos])
+        row, edge, dist = row[prev], f.succ_edge[pos], dist[prev]
+        if at is not None:
+            at = at[prev]
+        del prev, pos, back
+        dist, back, turn = kernels.triangle_step(dist, length[edge], psi)
+        if at is not None:
+            at = kernels.wrap_angle(at + turn)
+
+
 @dataclass(frozen=True, eq=False)
 class HyperbolicEmbedding:
-    """A tree's frame placed on H^2 at scale tau.
+    """A tree's frame placed on H^2 at scale tau: edges are tau times the
+    tree's weights, and the root sits at the apex.
 
-    r and bearing give each node's distance from the root and bearing at the
-    root, in the tree's node order (``node_ids()``); edges are tau times the
-    tree's weights. ``kappa`` = -tau^2 is the curvature under which tree units
-    are recovered (d_kappa = d_{-1}/tau). ``points``, the unit-curvature
-    ambient coordinates, are formed from (r, bearing) on first use; the
-    distance evaluator never reads them.
+    ``kappa`` = -tau^2 is the curvature under which tree units are recovered
+    (d_kappa = d_{-1}/tau). ``points``, the unit-curvature ambient
+    coordinates in the tree's node order (``node_ids()``), are formed on
+    first use from the root's walk, which gives each node's distance from
+    the root and bearing at the root; the distance evaluator never reads
+    them.
     """
 
     frame: _Frame = field(repr=False)
     tau: float
-    r: np.ndarray = field(repr=False)
-    bearing: np.ndarray = field(repr=False)
 
     @property
     def kappa(self) -> Curvature:
@@ -209,36 +218,27 @@ class HyperbolicEmbedding:
 
     @cached_property
     def points(self) -> dict:
+        f = self.frame
+        r, bearing = np.zeros((2, 1, len(f.ids)))
+        _walk(f, self.tau * f.edge_w, np.array([f.root]), r, bearing)
         points = {}
-        for v, rv, b in zip(self.frame.ids, self.r.tolist(), self.bearing.tolist()):
+        for v, rv, b in zip(f.ids, r[0].tolist(), bearing[0].tolist()):
             sr = math.sinh(rv)
             points[v] = HPoint(np.array([sr * math.cos(b), sr * math.sin(b), math.cosh(rv)]))
         return points
 
 
 def _place(f: _Frame, tau: float) -> HyperbolicEmbedding:
-    """The frame at scale tau: edge lengths tau * w, one tree level per
-    ``kernels.triangle_step`` call."""
-    if tau <= 0.0:
+    """The frame at scale tau, for a positive tau that keeps every node
+    within the overflow cap of the root."""
+    if not tau > 0.0:
         raise EmbedError("tau must be positive")
     if tau * f.ecc > OVERFLOW_CAP:
         raise OverflowGuardError(
             f"tau {tau:g} puts nodes at radius {tau * f.ecc:.1f} > {OVERFLOW_CAP:g}; "
             "reduce tau"
         )
-    # r = distance from the root, bearing = angle at the root, beta = signed
-    # angle at the node from the ray back to its parent to the ray toward the
-    # root; the root's neighbors sit at r = ell on their slot, with beta = 0
-    ell = tau * f.weight
-    r, bearing, beta = ell.copy(), f.slot.copy(), np.zeros(len(ell))
-    for lo, hi in zip(f.level[:-1], f.level[1:]):
-        p = f.parent[lo:hi]
-        # signed angle at the parent from the ray toward the node to the ray toward the root
-        theta = kernels.wrap_angle(beta[p] - f.slot[lo:hi])
-        r[lo:hi], beta[lo:hi], turn = kernels.triangle_step(r[p], ell[lo:hi], theta)
-        bearing[lo:hi] = kernels.wrap_angle(bearing[p] + turn)
-    at = np.argsort(f.order)  # each node's BFS place
-    return HyperbolicEmbedding(f, tau, r[at], bearing[at])
+    return HyperbolicEmbedding(f, tau)
 
 
 def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
@@ -246,9 +246,8 @@ def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
 
     The root sits at the apex. Every child goes at exact geodesic
     distance tau * w from its parent, rotated from the parent's incoming
-    direction by an exact multiple of 2*pi/deg. Positions are tracked as
-    (distance from root, bearing at root), one tree level per
-    ``kernels.triangle_step`` call.
+    direction by an exact multiple of 2*pi/deg. The embedding holds the
+    frame and tau; its ambient points follow from the root's walk.
     """
     return _place(_frame(t), tau)
 
@@ -264,12 +263,9 @@ def embedding_distance(e: HyperbolicEmbedding, sources) -> np.ndarray:
     """d_{-1} from the image of each source to the image of every node.
 
     Row i holds the distances from sources[i], one column per node in
-    ``e.node_ids()`` order. The sources walk the frame's directed edges
-    together, one hop per step. The state of (source, directed edge a->b) is
-    the distance from the source to b and the signed angle at b from the ray
-    back to a to the ray toward the source; one ``kernels.triangle_step`` call
-    gives every next hop's state, so accuracy does not degrade with scale the
-    way ambient coordinates do. Raises EmbedError on a non-finite distance.
+    ``e.node_ids()`` order. Each block of sources walks the frame together
+    (``_walk``), so accuracy does not degrade with scale the way ambient
+    coordinates do. Raises EmbedError on a non-finite distance.
     """
     f = e.frame
     src = np.array([f.index[u] for u in sources], np.intp)
@@ -277,17 +273,7 @@ def embedding_distance(e: HyperbolicEmbedding, sources) -> np.ndarray:
     out = np.zeros((len(src), len(f.ids)))
     step = _sources_per_block(len(f.ids))
     for lo in range(0, len(src), step):
-        block = src[lo : lo + step]
-        row, edge = _ranges(f.start[block], f.start[block + 1] - f.start[block])
-        dist, back = length[edge], np.zeros(len(edge))
-        while edge.size:
-            out[lo + row, f.head[edge]] = dist
-            prev, pos = _ranges(f.succ_ptr[edge], f.succ_ptr[edge + 1] - f.succ_ptr[edge])
-            # signed angle at the edge's head from the ray ahead to the ray toward the source
-            psi = kernels.wrap_angle(back[prev] - f.succ_turn[pos])
-            row, edge, dist = row[prev], f.succ_edge[pos], dist[prev]
-            del prev, pos, back
-            dist, back, _ = kernels.triangle_step(dist, length[edge], psi)
+        _walk(f, length, src[lo : lo + step], out[lo : lo + step])
     if not np.isfinite(out).all():
         raise EmbedError("embedding distance is not finite; check the edge lengths")
     return out
@@ -378,9 +364,9 @@ def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = No
     walks every source, so each decision is exactly the full check's.
     The full check (``_full_check``) reduces each block of walked rows as
     it comes; when no tau is accepted, the best distortion comes from full
-    checks of the rejected ones. The tree's frame is built once and placed
-    at each tau, and no ambient point is formed until the caller reads the
-    returned embedding's. ``metric`` is ``tree_metric(t)`` when the caller
+    checks of the rejected ones. The tree's frame is built once and
+    walked at each tau, and no ambient point is formed until the caller
+    reads the returned embedding's. ``metric`` is ``tree_metric(t)`` when the caller
     has it already.
 
     Returns (embedding, curvature, report). Raises EmbedError if no scale
@@ -388,23 +374,22 @@ def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = No
     was evaluated, and with the scale and radius that stopped the scan when
     one passed the overflow cap.
     """
-    if lam <= 1.0:
+    if not lam > 1.0:
         raise EmbedError("lambda must exceed 1")
     if metric is None:
         metric = tree_metric(t)
     if len(metric.ids) < 2:
         raise EmbedError("need at least two nodes")
     frame = _frame(t)
-    center = int(frame.order[0])
-    end = int(np.argmax(metric.matrix[center]))
-    ends = {center, end}
+    end = int(np.argmax(metric.matrix[frame.root]))
+    ends = {frame.root, end}
     rejected, witness, capped = [], (), None
     for tau in DEFAULT_TAU_GRID:
         try:
             record = _place(frame, tau)
         except OverflowGuardError:
-            ecc = float(metric.matrix[center].max())
-            capped = f"tau={tau:g} hit the overflow cap: radius {tau * ecc:.1f} > {OVERFLOW_CAP:g}"
+            capped = (f"tau={tau:g} hit the overflow cap: "
+                      f"radius {tau * frame.ecc:.1f} > {OVERFLOW_CAP:g}")
             break
         witness = _probe_witness(record, metric, lam, ends.union(witness)) or ()
         if not witness:

@@ -251,6 +251,26 @@ SMALL_TREES = [
 ]
 
 
+def _reweighted(t, seed):
+    rng = np.random.default_rng(seed)
+    return WeightedTree(t.node_ids, [(u, v, float(rng.uniform(0.2, 3.0))) for u, v, _ in t.edges])
+
+
+def _relabeled(t, seed):
+    """t with its node ids permuted and listed out of sorted order."""
+    rng = np.random.default_rng(seed)
+    new = dict(zip(t.node_ids, (10 * rng.permutation(t.n_nodes) + 3).tolist()))
+    return WeightedTree(list(rng.permutation([new[v] for v in t.node_ids])),
+                        [(new[u], new[v], w) for u, v, w in t.edges])
+
+
+PARITY_TREES = SMALL_TREES + [_reweighted(gen_random(30, seed=9), seed=1)]
+UNSORTED = _relabeled(_reweighted(gen_random(40, seed=5), seed=2), seed=3)
+# weighted trees, one with its ids out of node order, for the mpmath oracle:
+# the float64 recursion itself is off by ~5e-6 on UNSORTED at tau=1.25
+WEIGHTED_TREES = [UNSORTED, PARITY_TREES[-1], _reweighted(gen_spider(9, leg_length=3), seed=4)]
+
+
 class TestConstructionOracle:
     @pytest.mark.parametrize("idx", range(len(SMALL_TREES)))
     @pytest.mark.parametrize("tau", [0.5, 1.25])
@@ -264,6 +284,13 @@ class TestConstructionOracle:
 
     def test_matches_mpmath_recursion_moderate_scale(self):
         t = gen_random(17, seed=3)
+        e = sarkar_embed(t, 2.0)
+        oracle = amb.ambient_points_mp(t, centroid(t), 2.0, dps=80)
+        assert_points_match(e.points, oracle, tol=1e-12)
+
+    @pytest.mark.parametrize("idx", range(len(WEIGHTED_TREES)))
+    def test_weighted_trees_match_mpmath_recursion(self, idx):
+        t = WEIGHTED_TREES[idx]
         e = sarkar_embed(t, 2.0)
         oracle = amb.ambient_points_mp(t, centroid(t), 2.0, dps=80)
         assert_points_match(e.points, oracle, tol=1e-12)
@@ -298,20 +325,20 @@ class TestConstructionOracle:
                 assert rows[i, j] == pytest.approx(want, abs=1e-9)
 
     def test_frame_assignment_matches_oracle(self):
-        # the BFS arrays and the directed-edge table against the oracle's
-        # slots, parents and weights
+        # the root, the depth bound and the directed-edge table against the
+        # oracle's slots, parents and weights
         for t in SMALL_TREES + [UNSORTED]:
             f = em._frame(t)
-            slots, oparent, ow_up = amb.frame_slots(t, centroid(t))
+            root = centroid(t)
+            slots, oparent, ow_up = amb.frame_slots(t, root)
             ids = f.ids
             assert ids == tuple(t.node_ids)
-            bfs = [ids[k] for k in f.order]
-            assert bfs[0] == centroid(t) and sorted(bfs) == sorted(ids)
-            assert {v: bfs[p] for v, p in zip(bfs[1:], f.parent[1:])} == \
-                {v: p for v, p in oparent.items() if p is not None}
-            assert dict(zip(bfs[1:], f.weight[1:].tolist())) == ow_up
-            for v, slot in zip(bfs[1:], f.slot[1:]):
-                assert slot == pytest.approx(2.0 * math.pi * float(slots[oparent[v]][v]), abs=1e-12)
+            assert ids[f.root] == root
+            depth = {root: 0.0}
+            for v in oparent:  # the oracle's BFS order: each parent comes first
+                if v != root:
+                    depth[v] = depth[oparent[v]] + ow_up[v]
+            assert f.ecc == max(depth.values())
             assert len(f.head) == 2 * len(t.edges)
             for k, a in enumerate(ids):
                 out = f.head[f.start[k] : f.start[k + 1]]
@@ -319,6 +346,8 @@ class TestConstructionOracle:
             for j in range(len(f.head)):
                 a = ids[np.searchsorted(f.start, j, side="right") - 1]
                 b = ids[f.head[j]]
+                assert f.edge_angle[j] == pytest.approx(2.0 * math.pi * float(slots[a][b]),
+                                                        abs=1e-12)
                 assert f.edge_w[j] == (ow_up[b] if oparent[b] == a else ow_up[a])
                 succ = f.succ_edge[f.succ_ptr[j] : f.succ_ptr[j + 1]]
                 assert sorted(ids[f.head[c]] for c in succ) == sorted(set(slots[b]) - {a})
@@ -330,22 +359,6 @@ class TestConstructionOracle:
 # ----------------------------------------------------------------------
 # The array walk against the per-pair path unroll
 # ----------------------------------------------------------------------
-
-def _reweighted(t, seed):
-    rng = np.random.default_rng(seed)
-    return WeightedTree(t.node_ids, [(u, v, float(rng.uniform(0.2, 3.0))) for u, v, _ in t.edges])
-
-
-def _relabeled(t, seed):
-    """t with its node ids permuted and listed out of sorted order."""
-    rng = np.random.default_rng(seed)
-    new = dict(zip(t.node_ids, (10 * rng.permutation(t.n_nodes) + 3).tolist()))
-    return WeightedTree(list(rng.permutation([new[v] for v in t.node_ids])),
-                        [(new[u], new[v], w) for u, v, w in t.edges])
-
-
-PARITY_TREES = SMALL_TREES + [_reweighted(gen_random(30, seed=9), seed=1)]
-UNSORTED = _relabeled(_reweighted(gen_random(40, seed=5), seed=2), seed=3)
 
 ULPS_PER_HOP = 4
 
@@ -544,7 +557,7 @@ class TestEmbeddingInvariants:
     def test_root_is_centroid_and_at_apex(self):
         t = gen_binary(3)
         e = sarkar_embed(t, 2.0)
-        root = e.frame.ids[e.frame.order[0]]
+        root = e.frame.ids[e.frame.root]
         assert root == centroid(t)
         np.testing.assert_array_equal(e.points[root].coords, [0.0, 0.0, 1.0])
 
@@ -572,6 +585,8 @@ class TestEmbeddingInvariants:
             sarkar_embed(gen_binary(2), 0.0)
         with pytest.raises(EmbedError):
             sarkar_embed(gen_binary(2), -1.0)
+        with pytest.raises(EmbedError, match="tau must be positive"):
+            sarkar_embed(gen_binary(2), math.nan)
 
 
 # ----------------------------------------------------------------------
@@ -692,6 +707,9 @@ class TestChooseCurvature:
             choose_curvature(t, 1.0)
         with pytest.raises(EmbedError):
             choose_curvature(t, 0.5)
+        # NaN passes a lam <= 1 check and would run the whole scan
+        with pytest.raises(EmbedError, match="lambda must exceed 1"):
+            choose_curvature(t, math.nan)
 
     def test_single_node_rejected(self):
         with pytest.raises(EmbedError):

@@ -11,6 +11,9 @@ library, a module's own top-level name used outside its definition. The
 type of an object is not known from the source, so a class member counts as
 used wherever its name is read as an attribute (``x.norm``), except off
 another package's import (``np.linalg.norm``).
+
+No linter runs on the library, so the same parse also fails on a name that a
+module imports and never reads.
 """
 
 import ast
@@ -145,6 +148,27 @@ def traced_names():
         name = module.__name__.rpartition(".")[2]
         targets |= {f"{name}.{attr.partition('.')[0]}", f"{name}.{attr}"}
     return targets | references(ast.parse(TRACED.read_text()))
+
+
+def unread_imports(tree):
+    """The names that imports in ``tree`` bind and its code never reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_library_import_is_read():
+    unread = {path.stem: sorted(unread_imports(ast.parse(path.read_text())))
+              for path in sorted(SRC.glob("*.py"))}
+    assert {stem: names for stem, names in unread.items() if names} == {}
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "from . import kernels as k\nfrom .trees import WeightedTree\n"
+                     "def f(t: WeightedTree):\n    return os.sep\n")
+    assert unread_imports(tree) == {"k"}
 
 
 def test_only_listed_names_lack_a_library_caller():
