@@ -55,7 +55,7 @@ from . import __version__
 from .embed import EmbedError, choose_curvature, hnn_realize, save_embedding
 from .networks import NetworkError, duplicate_rows, par_count, save_params, separating_directions
 from .seeding import child_seed
-from .train import TrainConfig, TrainDivergenceError, TrainError, train_embedding
+from .train import TrainConfig, TrainDivergenceError, TrainError, check_diameter, train_embedding
 from .trees import (
     TreeError,
     WeightedTree,
@@ -188,12 +188,9 @@ TRAIN_FLAGS = (
 
 
 def _train_config_from_args(args, model: str) -> TrainConfig:
-    try:
-        return TrainConfig(seed=args.seed, model_kind=model,
-                           **{field: getattr(args, field) for _, field, _ in TRAIN_FLAGS
-                              if hasattr(args, field)})
-    except TrainError as exc:
-        raise UsageError(str(exc)) from exc
+    return TrainConfig(seed=args.seed, model_kind=model,
+                       **{field: getattr(args, field) for _, field, _ in TRAIN_FLAGS
+                          if hasattr(args, field)})
 
 
 def _train_knobs(cfg: TrainConfig) -> dict:
@@ -315,6 +312,8 @@ def cmd_train(args) -> int:
     if t.n_nodes < 2:
         raise UsageError("training needs at least two nodes")
     cfg = _train_config_from_args(args, args.model)
+    metric = tree_metric(t)
+    check_diameter(metric, cfg)
 
     out_csv = _out_path(args.out_dir, "train_loss.csv")
     out_report = _out_path(args.out_dir, "train_report.json")
@@ -323,12 +322,10 @@ def cmd_train(args) -> int:
                    {"tree": os.path.basename(args.tree), "model": args.model, **_train_knobs(cfg)},
                    args.seed) as written:
         try:
-            params, history, report = train_embedding(t, cfg)
+            params, history, report = train_embedding(t, cfg, metric)
         except TrainDivergenceError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_DIVERGENCE
-        except TrainError as exc:
-            raise UsageError(str(exc)) from exc
 
         _write_csv(
             out_csv, ["epoch", "train_mse", "test_mse"],
@@ -336,7 +333,9 @@ def cmd_train(args) -> int:
         )
         doc = _report_doc(report)
         doc["epochs"] = [
-            {"epoch": row.epoch, "grad_norm": row.grad_norm, "max_radius": row.max_radius}
+            # finite gradient entries can have squares that overflow in the norm
+            {"epoch": row.epoch, "grad_norm": row.grad_norm if math.isfinite(row.grad_norm) else None,
+             "max_radius": row.max_radius}
             for row in history
         ]
         _write_json(out_report, doc)
@@ -807,7 +806,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, TreeError) as exc:
+    except (UsageError, TreeError, TrainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

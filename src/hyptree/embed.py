@@ -364,10 +364,10 @@ def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = No
     walks every source, so each decision is exactly the full check's.
     The full check (``_full_check``) reduces each block of walked rows as
     it comes; when no tau is accepted, the best distortion comes from full
-    checks of the rejected ones. The tree's frame is built once and
-    walked at each tau, and no ambient point is formed until the caller
-    reads the returned embedding's. ``metric`` is ``tree_metric(t)`` when the caller
-    has it already.
+    checks of the rejected ones, none twice. The tree's frame is built once
+    and walked at each tau, and no ambient point is formed until the caller
+    reads the returned embedding's. ``metric`` is ``tree_metric(t)`` when the
+    caller has it already.
 
     Returns (embedding, curvature, report). Raises EmbedError if no scale
     meets the bound: with the best achieved distortion whenever some scale
@@ -392,15 +392,14 @@ def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = No
                       f"radius {tau * frame.ecc:.1f} > {OVERFLOW_CAP:g}")
             break
         witness = _probe_witness(record, metric, lam, ends.union(witness)) or ()
-        if not witness:
-            report = _full_check(record, metric)
-            if report.alpha >= 1.0 / lam and report.beta <= lam:
-                return record, record.kappa, report
-        rejected.append(record)
+        report = None if witness else _full_check(record, metric)
+        if report and report.alpha >= 1.0 / lam and report.beta <= lam:
+            return record, record.kappa, report
+        rejected.append((record, report))
     reasons = [f"no grid scale met lambda={lam:g}"]
     best = None
-    for record in rejected:
-        report = _full_check(record, metric)
+    for record, report in rejected:
+        report = report or _full_check(record, metric)  # once for each tau the probes rejected
         if best is None or report.dist < best[0]:
             best = (report.dist, record.tau)
     if best is not None:

@@ -18,6 +18,10 @@ formed. The bias points get exactly zero gradient, so the optimizer
 trains only the affine arrays of either model kind, and an HNN keeps its
 bias points as they are.
 
+The loop keeps A and b of every layer as views of one float64 buffer,
+which Adam (two moment buffers of its size) or SGD steps in place, with one
+finiteness check per step; the parameter object is built after the last epoch.
+
 The pair structure lives only in the loss head. The loop holds every
 pair as two node ids, and each step runs the tower once over the
 distinct nodes of the batch, found from those ids by a bincount over the
@@ -47,11 +51,12 @@ import numpy as np
 from . import kernels
 from .autodiff import Tape
 from .embed import distortion_from_bounds
-from .networks import HnnParams, MlpParams, NetworkError, hnn_from_mlp
+from .networks import HnnParams, MlpParams, hnn_from_mlp
 from .seeding import seed_stream
 from .trees import TreeMetric, WeightedTree, tree_metric
 
 _LN2 = math.log(2.0)
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainError(ValueError):
@@ -210,7 +215,8 @@ def grad(params, x1, x2, d_true, batch_norm: bool = False):
         raise TrainError("pair inputs must align: x1, x2 (B,n); d_true (B,)")
     B = x1.shape[0]
     X = np.concatenate([x1, x2])
-    loss, flat = _step(params, X, np.arange(B), np.arange(B, 2 * B), d_true, None, batch_norm)
+    loss, flat = _step(params.layers, _head(params), X, np.arange(B), np.arange(B, 2 * B), d_true,
+                       None, batch_norm)
     affine = tuple(zip(flat[::2], flat[1::2]))
     if isinstance(params, MlpParams):
         return loss, affine
@@ -220,21 +226,22 @@ def grad(params, x1, x2, d_true, batch_norm: bool = False):
     return loss, (np.zeros_like(params.entry_bias.coords), layer_grads)
 
 
-def _step(params, X, i1, i2, d_true, counts, batch_norm):
-    """(loss, gradients of the arrays of ``_flatten``) of the pair MSE on the
-    pairs (X[i1[p]], X[i2[p]]) of input rows X, where counts[k] is how often
-    X[k] occurs among the 2B endpoints (once each when None). The tower runs
-    once over X, and the head's row gradients are scatter-added over
-    repeated indices. Raises FloatingPointError when the loss is not finite.
+def _step(layers, head, X, i1, i2, d_true, counts, batch_norm):
+    """(loss, gradients of A and b of every layer, in order) of the pair MSE
+    of ``head`` on the pairs (X[i1[p]], X[i2[p]]) of input rows X, where
+    counts[k] is how often X[k] occurs among the 2B endpoints (once each when
+    None). The tower of ``layers`` runs once over X, and the head's row
+    gradients are scatter-added over repeated indices. Raises
+    FloatingPointError when the loss is not finite.
 
     With ``batch_norm``, the bias of every layer but the last feeds batch
     norm, which subtracts its column mean, so its gradient is exactly 0 and
-    is returned as zeros: the optimizers then leave those biases where they
+    is returned as zeros: Adam and SGD then leave those biases where they
     are, instead of stepping on the roundoff of the reverse pass's sum.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        tape = Tape(params.layers, X, batch_norm, counts)
-        loss, G = _pair_loss(params, tape.output, i1, i2, d_true)
+        tape = Tape(layers, X, batch_norm, counts)
+        loss, G = _pair_loss(head, tape.output, i1, i2, d_true)
         layer_grads = tape.backward(G)
     grads = []
     for i, (dA, db) in enumerate(layer_grads):
@@ -243,10 +250,11 @@ def _step(params, X, i1, i2, d_true, counts, batch_norm):
     return float(loss), grads
 
 
-def _pair_loss(params, Y, i1, i2, d_true):
-    """The pair MSE on output rows Y and its cotangent on Y. Its pair-sized
-    arrays are gone once it returns, before the tower's reverse pass."""
-    d, G1, G2 = _head(params)(Y, i1, i2, True)
+def _pair_loss(head, Y, i1, i2, d_true):
+    """The pair MSE of ``head`` on output rows Y and its cotangent on Y. Its
+    pair-sized arrays are gone once it returns, before the tower's reverse
+    pass."""
+    d, G1, G2 = head(Y, i1, i2, True)
     r = np.asarray(d_true, np.float64) - d
     loss = np.mean(r * r)
     if not math.isfinite(float(loss)):
@@ -277,80 +285,24 @@ def _node_batch(X, i1, i2, d_true):
     return X[nodes], pos[i1], pos[i2], d_true, counts[nodes]
 
 
-def _predict_rows(params, X, batch_norm, weights=None):
-    """Model outputs for input rows, by the training tower's forward pass.
+def _predict_rows(layers, X, batch_norm, weights=None):
+    """Model outputs for input rows, by the forward pass of the tower of
+    ``layers``.
 
     With ``batch_norm``, row i counts ``weights[i]`` times in the batch
     statistics (once each when None).
     """
     X = np.atleast_2d(np.asarray(X, np.float64))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return Tape(params.layers, X, batch_norm, weights).output
+        return Tape(layers, X, batch_norm, weights).output
 
 
-def _pair_mse(params, X, i1, i2, d_true, counts, batch_norm):
+def _pair_mse(layers, head, X, i1, i2, d_true, counts, batch_norm):
     """Full-batch evaluation MSE (no gradient) on ``_step``'s arguments."""
-    Y = _predict_rows(params, X, batch_norm, counts)
+    Y = _predict_rows(layers, X, batch_norm, counts)
     with np.errstate(over="ignore", invalid="ignore"):
-        d = _head(params)(Y, i1, i2)
+        d = head(Y, i1, i2)
         return float(np.mean((d_true - d) ** 2))
-
-
-# ----------------------------------------------------------------------
-# Parameter flattening and optimizers
-# ----------------------------------------------------------------------
-
-def _flatten(params):
-    """The trained arrays, A and b of every layer in order. An HNN's bias
-    points are not among them: their gradient is exactly 0."""
-    return [arr for layer in params.layers for arr in layer[:2]]
-
-
-def _rebuild(params, arrays):
-    """``params`` with the arrays of ``_flatten`` replaced; an HNN keeps its
-    bias points."""
-    it = iter(arrays)
-    if isinstance(params, MlpParams):
-        return MlpParams(tuple((next(it), next(it)) for _ in params.layers))
-    return HnnParams(params.entry_bias, tuple((next(it), next(it), c) for _, _, c in params.layers))
-
-
-class _Sgd:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, arrays, grads):
-        return [a - self.lr * g for a, g in zip(arrays, grads)]
-
-
-class _Adam:
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.t = 0
-        self.m = None
-        self.v = None
-
-    def step(self, arrays, grads):
-        if self.m is None:
-            self.m = [np.zeros_like(a) for a in arrays]
-            self.v = [np.zeros_like(a) for a in arrays]
-        self.t += 1
-        out = []
-        c1 = 1.0 - self.b1**self.t
-        c2 = 1.0 - self.b2**self.t
-        for i, (a, g) in enumerate(zip(arrays, grads)):
-            self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * g * g
-            mhat = self.m[i] / c1
-            vhat = self.v[i] / c2
-            out.append(a - self.lr * mhat / (np.sqrt(vhat) + self.eps))
-        return out
-
-
-def _make_optimizer(cfg: TrainConfig):
-    if cfg.optimizer == "adam":
-        return _Adam(cfg.learning_rate)
-    return _Sgd(cfg.learning_rate)
 
 
 # ----------------------------------------------------------------------
@@ -384,20 +336,33 @@ def _pair_index(n, flat):
     return row, flat - start[row] + row + 1
 
 
+def check_diameter(metric: TreeMetric, cfg: TrainConfig) -> None:
+    """Raise TrainError when the tree's squared diameter, summed over the
+    pairs that ``cfg`` trains on, overflows: then every epoch's loss does,
+    whatever the model does."""
+    n = len(metric.ids)
+    pairs = min(n * (n - 1) // 2, cfg.max_pairs or math.inf)
+    diam = metric.matrix.max()
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.square(diam) * pairs):
+            raise TrainError(f"tree diameter {diam:g} is too large to train on: its square "
+                             f"summed over {pairs} pairs overflows float64")
+
+
 def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None = None):
     """Fit a model to the tree's metric from its layout coordinates.
 
-    ``metric`` is ``tree_metric(t)`` when a caller that trains several rows
-    on one tree has it already; by default it is computed here.
+    ``metric`` is ``tree_metric(t)`` when the caller has it already; by
+    default it is computed here.
 
     Returns (params, history, report): the final parameters, per-epoch
     EpochStats (train and held-out MSE), and the distortion of the node
     embedding induced by the trained model (Euclidean for MLPs,
     hyperbolic at kappa = -1 for HNNs). Deterministic given (tree, cfg).
-    Raises TrainDivergenceError with the epoch index if the loss goes
-    non-finite, TreeError (``missing_coords``) when the tree carries no
-    layout, and TrainError when it has one node or its squared diameter,
-    summed over the pairs, overflows.
+    Raises TrainDivergenceError with the epoch index if the loss or a
+    parameter goes non-finite, TreeError (``missing_coords``) when the tree
+    carries no layout, and TrainError when it has one node or fails
+    ``check_diameter``.
     """
     X = t.layout()
     n, in_dim = X.shape
@@ -405,6 +370,7 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
         raise TrainError("training needs at least two nodes")
     if metric is None:
         metric = tree_metric(t)
+    check_diameter(metric, cfg)
 
     n_all = n * (n - 1) // 2
     if cfg.max_pairs is not None and cfg.max_pairs < n_all:
@@ -417,13 +383,6 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
     iu, ju = _pair_index(n, sel)
     del sel  # all pairs' flat indices would outlive their decoding
     d_all = metric.matrix[iu, ju]
-    # the epoch's loss sums squared tree distances over every training pair;
-    # where that overflows, no step can be finite, whatever the model does
-    diam = metric.matrix.max()
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.square(diam) * iu.size):
-            raise TrainError(f"tree diameter {diam:g} is too large to train on: its square "
-                             f"summed over {iu.size} pairs overflows float64")
 
     perm = seed_stream(cfg.seed, "pair-split").permutation(iu.size)
     n_test = iu.size // 10
@@ -433,7 +392,17 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
         test_idx = train_idx  # too few pairs to hold out; report train twice
 
     params = init_params(cfg, in_dim)
-    opt = _make_optimizer(cfg)
+    head = _head(params)
+    # A and b of every layer are views of one buffer, which each step moves
+    # in place; an HNN's bias points are not in it, since their gradient is 0
+    arrays = [a for layer in params.layers for a in layer[:2]]
+    theta = np.concatenate([a.ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays])
+    views = [theta[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
+    layers = list(zip(views[::2], views[1::2]))
+    lr, adam = cfg.learning_rate, cfg.optimizer == "adam"
+    if adam:
+        m, v, t_adam = np.zeros_like(theta), np.zeros_like(theta), 0
     order_rng = seed_stream(cfg.seed, "batch-order")
 
     test = _node_batch(X, iu[test_idx], ju[test_idx], d_all[test_idx])
@@ -445,21 +414,33 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
             sel = train_idx[order[start : start + cfg.batch_size]]
             try:
                 batch = _node_batch(X, iu[sel], ju[sel], d_all[sel])
-                loss, flat = _step(params, *batch, cfg.batch_norm)
+                loss, flat = _step(layers, head, *batch, cfg.batch_norm)
             except FloatingPointError as exc:
                 raise TrainDivergenceError(epoch, str(exc)) from exc
             grad_norm = max(grad_norm, math.sqrt(sum(float(np.vdot(g, g)) for g in flat)))
+            g = np.concatenate([g.ravel() for g in flat])
             with np.errstate(over="ignore", invalid="ignore"):  # a step to inf is caught below
-                stepped = opt.step(_flatten(params), flat)
-            try:
-                params = _rebuild(params, stepped)
-            except NetworkError as exc:
-                raise TrainDivergenceError(epoch, f"parameters left the domain ({exc})") from exc
+                if adam:
+                    t_adam += 1
+                    m *= _BETA1
+                    m += (1.0 - _BETA1) * g
+                    v *= _BETA2
+                    v += (1.0 - _BETA2) * g * g
+                    g = lr * (m / (1.0 - _BETA1**t_adam)) / (
+                        np.sqrt(v / (1.0 - _BETA2**t_adam)) + _ADAM_EPS)
+                else:
+                    g *= lr
+                theta -= g
+            if not np.isfinite(theta).all():
+                i = next(i for i, (A, b) in enumerate(layers)
+                         if not (np.isfinite(A).all() and np.isfinite(b).all()))
+                raise TrainDivergenceError(
+                    epoch, f"parameters left the domain (layer {i}: parameters must be finite)")
             total += loss * sel.size
             steps += sel.size
         train_mse = total / steps
-        test_mse = _pair_mse(params, *test, cfg.batch_norm)
-        pts = _predict_rows(params, X, cfg.batch_norm)
+        test_mse = _pair_mse(layers, head, *test, cfg.batch_norm)
+        pts = _predict_rows(layers, X, cfg.batch_norm)
         max_radius = float(np.max(np.sqrt(np.einsum("ij,ij->i", pts, pts))))
         if not (math.isfinite(train_mse) and math.isfinite(test_mse) and math.isfinite(max_radius)):
             raise TrainDivergenceError(epoch, "non-finite epoch loss or output")
@@ -467,8 +448,13 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
 
     # the model's distances reach the ratio reduction block by block, so no
     # n x n array of them is formed
-    hyperbolic = isinstance(params, HnnParams)
-    blocks = kernels.intrinsic_blocks(pts) if hyperbolic else kernels.euclidean_blocks(pts)
+    if isinstance(params, HnnParams):
+        params = HnnParams(params.entry_bias,
+                           tuple((A, b, c) for (A, b), (_, _, c) in zip(layers, params.layers)))
+        blocks = kernels.intrinsic_blocks(pts)
+    else:
+        params = MlpParams(tuple(layers))
+        blocks = kernels.euclidean_blocks(pts)
     with np.errstate(over="ignore", invalid="ignore"):
         report = distortion_from_bounds(*kernels.block_ratio_bounds(blocks, metric.matrix))
     return params, history, report

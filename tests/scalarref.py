@@ -281,7 +281,7 @@ def stacked_pair_loss(params, x1, x2, d_true, batch_norm) -> float:
     An HNN's rows are tangent vectors at the apex; each pair's distance is
     taken between their ambient images Exp_0 u."""
     n = len(x1)
-    Y = _predict_rows(params, np.concatenate([x1, x2], axis=0), batch_norm)
+    Y = _predict_rows(params.layers, np.concatenate([x1, x2], axis=0), batch_norm)
     if isinstance(params, HnnParams):
         apex = basepoint(Y.shape[1])
         pts = [exp_map(apex, lift(u)) for u in Y]

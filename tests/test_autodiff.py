@@ -96,9 +96,9 @@ class TestRowOps:
         p = MlpParams(tuple(random_layers(rng, (2, 4, 2))))
         X = rng.normal(size=(5, 2))
         d = rng.uniform(0.5, 2.0, i1.size)
-        first = tr._step(p, X, i1, i2, d, None, False)[1]
+        first = tr._step(p.layers, tr._head(p), X, i1, i2, d, None, False)[1]
         X[3] = [7.0, -9.0]
-        for g, h in zip(first, tr._step(p, X, i1, i2, d, None, False)[1]):
+        for g, h in zip(first, tr._step(p.layers, tr._head(p), X, i1, i2, d, None, False)[1]):
             assert g.tobytes() == h.tobytes()
 
 
@@ -108,8 +108,8 @@ class TestLossHeads:
         for kind in ("mlp", "hnn"):
             p = step_params(rng, kind)
             X, i1, i2, d_true, counts = step_batch(rng)
-            loss, _ = tr._step(p, X, i1, i2, d_true, counts, True)
-            r = d_true - tr._head(p)(tr._predict_rows(p, X, True, counts), i1, i2)
+            loss, _ = tr._step(p.layers, tr._head(p), X, i1, i2, d_true, counts, True)
+            r = d_true - tr._head(p)(tr._predict_rows(p.layers, X, True, counts), i1, i2)
             assert loss == np.mean(r * r)
 
     def test_zero_residual_gives_zero_gradient(self):
@@ -117,8 +117,8 @@ class TestLossHeads:
         for kind in ("mlp", "hnn"):
             p = step_params(rng, kind)
             X, i1, i2, _, counts = step_batch(rng)
-            d = tr._head(p)(tr._predict_rows(p, X, True, counts), i1, i2)
-            loss, flat = tr._step(p, X, i1, i2, d, counts, True)
+            d = tr._head(p)(tr._predict_rows(p.layers, X, True, counts), i1, i2)
+            loss, flat = tr._step(p.layers, tr._head(p), X, i1, i2, d, counts, True)
             assert loss == 0.0
             assert all(np.all(g == 0.0) for g in flat)
 
@@ -129,7 +129,8 @@ class TestBackwardContract:
         X, i1, i2, d_true, counts = step_batch(rng)
         d_true[0] = np.inf
         with pytest.raises(FloatingPointError, match="loss is not finite"):
-            tr._step(step_params(rng, "mlp"), X, i1, i2, d_true, counts, False)
+            p = step_params(rng, "mlp")
+            tr._step(p.layers, tr._head(p), X, i1, i2, d_true, counts, False)
 
     def test_grads_reset_between_backward_calls(self):
         # a step keeps nothing from the one before it and writes none of its inputs
@@ -137,8 +138,8 @@ class TestBackwardContract:
         p = step_params(rng, "hnn")
         batch = step_batch(rng)
         before = [a.tobytes() for a in batch]
-        first = tr._step(p, *batch, True)
-        second = tr._step(p, *batch, True)
+        first = tr._step(p.layers, tr._head(p), *batch, True)
+        second = tr._step(p.layers, tr._head(p), *batch, True)
         assert [a.tobytes() for a in batch] == before
         assert first[0] == second[0]
         for g, h in zip(first[1], second[1]):
@@ -286,13 +287,13 @@ class TestStep:
         batch = step_batch(rng)
         counts = batch[-1]
         assert counts.min() < counts.max()
-        loss, flat = tr._step(p, *batch, bn)
-        arrays = tr._flatten(p)
+        loss, flat = tr._step(p.layers, tr._head(p), *batch, bn)
+        arrays = [a for layer in p.layers for a in layer[:2]]
         for k, (arr, got) in enumerate(zip(arrays, flat)):
 
             def loss_at(x, k=k):
                 moved = list(arrays)
                 moved[k] = x
-                return tr._step(tr._rebuild(p, moved), *batch, bn)[0]
+                return tr._step(list(zip(moved[::2], moved[1::2])), tr._head(p), *batch, bn)[0]
 
             assert_allclose(got, fd_grad(loss_at, arr), rtol=1e-5, atol=1e-7)

@@ -297,7 +297,8 @@ class TestTrain:
     @pytest.mark.parametrize("w, code", [(1e300, 2), (1e6, 0)])
     def test_huge_diameter_exits_2_before_training(self, tmp_path, capsys, w, code):
         # at w = 1e300 the squared distances overflow before any step is
-        # taken, which is no divergence of the model; 1e6 trains
+        # taken, which is no divergence of the model, and the input is
+        # rejected before the output directory is made; 1e6 trains
         t = WeightedTree([0, 1, 2, 3], [(0, 1, w), (1, 2, w), (2, 3, w)],
                          coords={0: [0.0, 0.0], 1: [1.0, 0.0], 2: [2.0, 0.5], 3: [3.0, 0.0]})
         save_tree(t, tmp_path / "t.json")
@@ -308,7 +309,24 @@ class TestTrain:
         assert "Traceback" not in err and "diverged" not in err
         if code:
             assert "tree diameter 3e+300 is too large" in err
-            assert os.listdir(out) == ["train_manifest.json"]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["mlp", "hnn"])
+    def test_overflowing_grad_norm_is_written_as_null(self, tmp_path, model):
+        # with one coordinate at 1e154 every gradient entry is finite, but
+        # the sum of their squares overflows; the run still ends at exit 0,
+        # and the report writes that norm as null, as it writes a
+        # non-finite dist
+        t = gen_binary(2)
+        spring_layout(t, dim=2, seed=0)
+        t.coords[t.node_ids[3]][1] = 1e154
+        save_tree(t, tmp_path / "t.json")
+        out = tmp_path / "out"
+        assert run(["train", tmp_path / "t.json", "--model", model, "--epochs", 1,
+                    "--width", 4, "--hidden-layers", 1, "--out-dir", out]) == 0
+        epochs = strict_json(out / "train_report.json")["epochs"]
+        assert [e["grad_norm"] for e in epochs] == [None]
+        assert all(math.isfinite(e["max_radius"]) for e in epochs)
 
     @pytest.mark.parametrize("where, key, value", [
         ("nodes", "id", 1.7), ("edges", "u", 0.4), ("nodes", "id", "1"),
@@ -373,7 +391,7 @@ class TestTrain:
         # the radius is the largest |u| over all nodes' outputs after the epoch
         params = load_params(tmp_path / "a" / "model_params.json")
         X = np.stack([t.coords[i] for i in tree_metric(t).ids])
-        rows = _predict_rows(params, X, batch_norm=False)
+        rows = _predict_rows(params.layers, X, batch_norm=False)
         assert epochs[-1]["max_radius"] == float(np.max(np.linalg.norm(rows, axis=1)))
 
     def test_hnn_beats_mlp_binary5(self, tmp_path):

@@ -799,6 +799,24 @@ class TestProbeScan:
         assert tried == {1.0, 2.0, 4.0}
         assert sum(k for _, k in rows) <= t.n_nodes + 8 * len(tried)
 
+    def test_no_scale_is_fully_checked_twice(self, monkeypatch):
+        # random(40), seed 34, meets lam=1.02 at no grid scale: the probes
+        # miss at tau=32, which the full walk rejects, and the cap stops the
+        # scan at tau=64. The best distortion then needs full checks of the
+        # probe-rejected scales only, and its message is the one from full
+        # checks of every scale tried
+        checked = []
+        full = em._full_check
+
+        def counted(record, metric):
+            checked.append(record.tau)
+            return full(record, metric)
+
+        monkeypatch.setattr(em, "_full_check", counted)
+        t = gen_random(40, seed=34)
+        assert_scan_matches_full(t, 1.02, {})
+        assert checked == [32.0, 1.0, 2.0, 4.0, 8.0, 16.0]
+
 
 # ----------------------------------------------------------------------
 # Network realization and padding

@@ -1,9 +1,9 @@
-"""Every public name in ``src/hyptree``, and every public method and
-property of its classes, has a caller in the library, or a reason to stay
-listed here: an acceptance gate (``tests/test_acceptance.py``) uses it, or
-the benchmark's tracer (``perfbench/traced.py``) reads it. A function that
-only the tests call belongs under ``tests/``, so this test fails when one
-comes back.
+"""Every top-level name in ``src/hyptree``, public or private, and every
+public method and property of its classes, has a caller in the library, or
+a reason to stay listed here: an acceptance gate (``tests/test_acceptance.py``)
+uses it, or the benchmark's tracer (``perfbench/traced.py``) reads it. A
+function that only the tests call belongs under ``tests/``, so this test
+fails when one comes back. Dunder names (``__version__``) are exempt.
 
 Uses are read from the source: a name imported from a hyptree module and
 then used, an attribute of an imported hyptree module, or, inside the
@@ -42,7 +42,8 @@ def _defined(node):
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         return [node.name]
     if isinstance(node, ast.Assign):
-        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+        targets = [e for t in node.targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
     return []
 
 
@@ -81,7 +82,7 @@ def references(tree, package="hyptree"):
 
 
 def library_surface():
-    """(public top-level names of the library, the ones its own code uses)."""
+    """(top-level names of the library but dunders, the ones its own code uses)."""
     public, used = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -89,7 +90,7 @@ def library_surface():
         own = {}
         for node in tree.body:
             for name in _defined(node):
-                if not name.startswith("_"):
+                if not name.startswith("__"):
                     own[name] = node
         public |= {f"{path.stem}.{name}" for name in own}
         for node in tree.body:
@@ -176,7 +177,7 @@ def test_only_listed_names_lack_a_library_caller():
     traced = traced_names()
     unused = public - used
     unexplained = sorted(unused - traced - GATE_NAMES.keys())
-    assert unexplained == [], "public names that only the tests use; move them under tests/"
+    assert unexplained == [], "names that only the tests use; move them under tests/"
     stale = sorted(k for k in GATE_NAMES if k.count(".") == 1 and k not in unused)
     assert stale == [], "listed gate names that library code now uses"
 
@@ -208,6 +209,10 @@ def test_reference_scan_sees_each_kind_of_use():
     public, used = library_surface()
     assert {"embed.embedding_distance", "kernels.block_ratio_bounds", "cli.main"} <= used
     assert "embed.embedding_distance_matrix" in public - used
+    # private names count too, used in their own module or off another's
+    assert {"train._step", "kernels._apex_radii", "autodiff._BN_EPS"} <= used
+    assert "train._step" in public and "__init__.__version__" not in public
+    assert _defined(ast.parse("_a, b = 1, 2").body[0]) == ["_a", "b"]
     members, read = library_members()
     assert {"hypgeom.TangentVec.norm", "trees.WeightedTree.layout"} <= members
     assert "layout" in read and "norm" not in read

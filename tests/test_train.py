@@ -29,6 +29,7 @@ from hyptree.networks import (
     hnn_forward,
     hnn_from_mlp,
 )
+from hyptree.seeding import seed_stream
 from hyptree.train import (
     EpochStats,
     TrainConfig,
@@ -84,7 +85,7 @@ def two_node_tree():
 
 
 def flatten_grads(params, grads):
-    """``grad``'s gradients of the arrays of ``tr._flatten``, in its order."""
+    """``grad``'s gradients of A and b of every layer, in order."""
     layer_grads = grads[1] if isinstance(params, HnnParams) else grads
     return [g for layer in layer_grads for g in layer[:2]]
 
@@ -221,7 +222,7 @@ class TestTowers:
         rng = np.random.default_rng(4)
         p = random_mlp(rng, (3, 6, 4, 2))
         X = rng.normal(size=(9, 3))
-        rows = tr._predict_rows(p, X, batch_norm=False)
+        rows = tr._predict_rows(p.layers, X, batch_norm=False)
         want = np.stack([mlp_forward(p, x) for x in X])
         assert_allclose(rows, want, rtol=1e-12, atol=1e-14)
 
@@ -246,8 +247,8 @@ class TestTowers:
         p = random_hnn(rng, (3, 5, 4, 2))
         p0 = hnn_from_mlp(MlpParams(tuple((A, b) for A, b, _ in p.layers)))
         X = rng.normal(size=(7, 3))
-        rows = tr._predict_rows(p0, X, batch_norm=False)
-        assert np.array_equal(rows, tr._predict_rows(p, X, batch_norm=False))
+        rows = tr._predict_rows(p0.layers, X, batch_norm=False)
+        assert np.array_equal(rows, tr._predict_rows(p.layers, X, batch_norm=False))
         got = np.stack([exp_map(basepoint(2), lift(u)).coords for u in rows])
         want = np.stack([hnn_forward(p0, x).coords for x in X])
         assert_allclose(got, want, rtol=1e-10, atol=1e-12)
@@ -258,7 +259,7 @@ class TestTowers:
         rng = np.random.default_rng(6)
         p = random_hnn(rng, (2, 8, 3))
         X = rng.normal(size=(11, 2)) * 2.0
-        rows = tr._predict_rows(p, X, batch_norm=False)
+        rows = tr._predict_rows(p.layers, X, batch_norm=False)
         pts = np.stack([exp_map(basepoint(3), lift(u)).coords for u in rows])
         resid = 1.0 + np.sum(pts[:, :-1] ** 2, axis=1) - pts[:, -1] ** 2
         assert np.max(np.abs(resid)) <= 1e-8 * np.max(pts[:, -1] ** 2) + 1e-8
@@ -276,7 +277,7 @@ class TestTowers:
         rng = np.random.default_rng(5)
         p = random_hnn(rng, dims)
         X = rng.normal(size=(7, dims[0]))
-        rows = tr._predict_rows(p, X, batch_norm=False)
+        rows = tr._predict_rows(p.layers, X, batch_norm=False)
         iu, ju = np.triu_indices(len(X), k=1)
         got = tr._hyperbolic_head(rows, iu, ju)
         want = [distance(hnn_forward(p, X[i]), hnn_forward(p, X[j])) for i, j in zip(iu, ju)]
@@ -573,14 +574,14 @@ class TestDistinctRows:
         """(move, analytic derivative, step) along every affine entry and, for
         an HNN, every chart direction at each bias point; move(s) returns the
         parameters moved by s along the probe."""
-        arrays = tr._flatten(p)
-        for k, (arr, g) in enumerate(zip(arrays, flatten_grads(p, grads))):
+        arrays = [(k, j, layer[j]) for k, layer in enumerate(p.layers) for j in (0, 1)]
+        for (k, j, arr), g in zip(arrays, flatten_grads(p, grads)):
             for i, e in enumerate(np.eye(arr.size)):
 
-                def move(s, k=k, e=e.reshape(arr.shape)):
-                    moved = list(arrays)
-                    moved[k] = arrays[k] + s * e
-                    return tr._rebuild(p, moved)
+                def move(s, k=k, j=j, e=e.reshape(arr.shape)):
+                    layers = list(p.layers)
+                    layers[k] = tuple(a + s * e if m == j else a for m, a in enumerate(layers[k]))
+                    return replace(p, layers=tuple(layers))
 
                 yield move, g.ravel()[i], h * max(1.0, abs(arr.ravel()[i]))
         if isinstance(p, HnnParams):
@@ -621,7 +622,7 @@ class TestDistinctRows:
         rng = np.random.default_rng(15)
         X, i, j, dt = self.shared_endpoint_ids(rng)
         p = random_hnn(rng, (2, 5, 2))
-        got = tr._pair_mse(p, *tr._node_batch(X, i, j, dt), batch_norm=True)
+        got = tr._pair_mse(p.layers, tr._head(p), *tr._node_batch(X, i, j, dt), batch_norm=True)
         assert got == pytest.approx(stacked_pair_loss(p, X[i], X[j], dt, True), rel=1e-12)
 
     def test_node_batch(self):
@@ -648,7 +649,7 @@ class TestDistinctRows:
         assert len(set(zip(i.tolist(), j.tolist()))) < i.size and set(i.tolist()) & set(j.tolist())
         X = rng.normal(size=(10, 2))
         p = random_mlp(rng, (2, 5, 4, 2)) if kind == "mlp" else random_hnn(rng, (2, 5, 4, 2))
-        loss, flat = tr._step(p, *tr._node_batch(X, i, j, dt), bn)
+        loss, flat = tr._step(p.layers, tr._head(p), *tr._node_batch(X, i, j, dt), bn)
         want_loss, grads = grad(p, X[i], X[j], dt, bn)
         assert loss == pytest.approx(want_loss, rel=1e-12)
         want = flatten_grads(p, grads)
@@ -770,9 +771,12 @@ class TestStepMemory:
         batches = {}
         real_step = tr._step
 
-        def spy(*args):
-            batches.setdefault(args[0].__class__, args)
-            return real_step(*args)
+        def spy(layers, head, *args):
+            # the layers are views of the parameter buffer that later steps
+            # move, so the first batch keeps a copy of them
+            kind = "hnn" if head is tr._hyperbolic_head else "mlp"
+            batches.setdefault(kind, ([tuple(a.copy() for a in layer) for layer in layers], head, *args))
+            return real_step(layers, head, *args)
 
         tr._step = spy
         try:
@@ -780,22 +784,105 @@ class TestStepMemory:
                 train_embedding(t, TrainConfig(model_kind=kind, max_pairs=2048, epochs=1), metric)
         finally:
             tr._step = real_step
-        return {"mlp": batches[MlpParams], "hnn": batches[HnnParams]}
+        return batches
 
     @pytest.mark.parametrize("kind, batch_norm, bound", [
         # the parent of the lean tape held 17.2 such arrays, and 26.3 with batch norm
         ("mlp", False, 9.0), ("hnn", False, 9.0), ("mlp", True, 15.0)])
     def test_step_peak_in_row_arrays(self, first_batch, kind, batch_norm, bound):
-        params, rows, i1, i2, d, counts, _ = first_batch[kind]
+        layers, head, rows, i1, i2, d, counts, _ = first_batch[kind]
         width = TrainConfig().hidden_width
-        assert params.layers[0][0].shape[0] == width and 900 < rows.shape[0] < 1000
+        assert layers[0][0].shape[0] == width and 900 < rows.shape[0] < 1000
         tracemalloc.start()
         try:
-            tr._step(params, rows, i1, i2, d, counts, batch_norm)
+            tr._step(layers, head, rows, i1, i2, d, counts, batch_norm)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= bound * rows.shape[0] * width * 8
+
+
+class ReferenceSgd:
+    """SGD on a list of arrays, one array at a time."""
+
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, arrays, grads):
+        return [a - self.lr * g for a, g in zip(arrays, grads)]
+
+
+class ReferenceAdam:
+    """Adam (Kingma & Ba, 2015) on a list of arrays, one array at a time,
+    with one moment pair per array."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = self.v = None
+
+    def step(self, arrays, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(a) for a in arrays]
+            self.v = [np.zeros_like(a) for a in arrays]
+        self.t += 1
+        c1 = 1.0 - self.b1**self.t
+        c2 = 1.0 - self.b2**self.t
+        out = []
+        for i, (a, g) in enumerate(zip(arrays, grads)):
+            self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
+            self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * g * g
+            mhat = self.m[i] / c1
+            vhat = self.v[i] / c2
+            out.append(a - self.lr * mhat / (np.sqrt(vhat) + self.eps))
+        return out
+
+
+def replay_training(t, cfg):
+    """A and b of every layer after ``train_embedding``'s loop on all pairs
+    of ``t``, with its pair split, batch order and ``_step``, but stepped by
+    the reference optimizers on separate arrays."""
+    X = t.layout()
+    n = X.shape[0]
+    iu, ju = tr._pair_index(n, np.arange(n * (n - 1) // 2))
+    d_all = tree_metric(t).matrix[iu, ju]
+    train_idx = seed_stream(cfg.seed, "pair-split").permutation(iu.size)[iu.size // 10:]
+    params = init_params(cfg, X.shape[1])
+    arrays = [np.array(a) for layer in params.layers for a in layer[:2]]
+    opt = (ReferenceAdam if cfg.optimizer == "adam" else ReferenceSgd)(cfg.learning_rate)
+    order_rng = seed_stream(cfg.seed, "batch-order")
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(train_idx.size)
+        for start in range(0, train_idx.size, cfg.batch_size):
+            sel = train_idx[order[start : start + cfg.batch_size]]
+            batch = tr._node_batch(X, iu[sel], ju[sel], d_all[sel])
+            _, grads = tr._step(list(zip(arrays[::2], arrays[1::2])), tr._head(params), *batch,
+                                cfg.batch_norm)
+            arrays = opt.step(arrays, grads)
+    return arrays
+
+
+class TestOptimizerStep:
+    """The loop steps one buffer in place; each entry must move exactly as
+    the reference optimizers move the separate arrays."""
+
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("kind", ["mlp", "hnn"])
+    def test_final_params_match_reference_optimizers(self, kind, optimizer, batch_norm):
+        t = gen_binary(3)
+        spring_layout(t, dim=2, seed=0)
+        cfg = TrainConfig(model_kind=kind, optimizer=optimizer, batch_norm=batch_norm, seed=2,
+                          **SMALL)
+        params, _, _ = train_embedding(t, cfg)
+        want = replay_training(t, cfg)
+        got = [a for layer in params.layers for a in layer[:2]]
+        assert len(got) == len(want) == 2 * (SMALL["hidden_layers"] + 1)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        # ten steps moved every A
+        init = init_params(cfg, 2)
+        assert all(not np.array_equal(A, A0) for (A, *_), (A0, *_) in zip(params.layers, init.layers))
 
 
 class TestTrainEmbedding:
@@ -896,7 +983,7 @@ class TestTrainEmbedding:
     @pytest.mark.parametrize("kind", ["mlp", "hnn"])
     def test_step_to_non_finite_params_is_divergence(self, kind):
         # the first loss is finite, but one SGD step of size 1e308 overflows
-        # the affine arrays, which the parameter containers reject
+        # the affine arrays, which the loop's finiteness check rejects
         t = gen_binary(3)
         spring_layout(t, dim=2, seed=0)
         cfg = TrainConfig(model_kind=kind, optimizer="sgd", learning_rate=1e308, seed=1, **SMALL)
@@ -907,10 +994,10 @@ class TestTrainEmbedding:
     def test_memory_error_in_a_step_propagates(self, monkeypatch):
         # only a rejected parameter set is divergence; running out of memory
         # is not, so the grid can record it as error:MemoryError
-        def out_of_memory(params, arrays):
+        def out_of_memory(*args):
             raise MemoryError
 
-        monkeypatch.setattr(tr, "_rebuild", out_of_memory)
+        monkeypatch.setattr(tr, "_step", out_of_memory)
         t = gen_binary(3)
         spring_layout(t, dim=2, seed=0)
         with pytest.raises(MemoryError):
@@ -923,10 +1010,10 @@ class TestTrainEmbedding:
         rows = []
         step = tr._step
 
-        def spy(params, X, i1, i2, d_true, counts, batch_norm):
+        def spy(layers, head, X, i1, i2, d_true, counts, batch_norm):
             rows.append((X.shape[0], np.unique(np.concatenate([i1, i2])).size, i1.size))
             assert counts.sum() == 2 * i1.size
-            return step(params, X, i1, i2, d_true, counts, batch_norm)
+            return step(layers, head, X, i1, i2, d_true, counts, batch_norm)
 
         monkeypatch.setattr(tr, "_step", spy)
         t = gen_binary(3)
@@ -989,7 +1076,7 @@ class TestTrainEmbedding:
         spring_layout(t, dim=2, seed=0)
         params, _, report = train_embedding(t, TrainConfig(model_kind=kind, seed=4, **SMALL))
         metric = tree_metric(t)
-        pts = tr._predict_rows(params, np.stack([t.coords[i] for i in metric.ids]), False)
+        pts = tr._predict_rows(params.layers, np.stack([t.coords[i] for i in metric.ids]), False)
         pairwise = pairwise_intrinsic if kind == "hnn" else kernels.pairwise_euclidean
         assert report == distortion_from_matrices(pairwise(pts), metric.matrix)
 
@@ -999,7 +1086,7 @@ class TestTrainEmbedding:
         cfg = TrainConfig(seed=0, **SMALL)
         params, _, report = train_embedding(t, cfg)
         X = np.stack([t.coords[i] for i in tree_metric(t).ids])
-        pts = tr._predict_rows(params, X, batch_norm=False)
+        pts = tr._predict_rows(params.layers, X, batch_norm=False)
         metric = tree_metric(t)
         iu, ju = np.triu_indices(t.n_nodes, k=1)
         ds = np.linalg.norm(pts[iu] - pts[ju], axis=1)
