@@ -85,11 +85,8 @@ class UsageError(ValueError):
 # ----------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    """Shortest round-trip decimal for a float; ``nan`` for NaN."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return repr(x)
+    """Shortest round-trip decimal for a float; ``nan`` for NaN of either sign."""
+    return repr(float(x))
 
 
 def _out_path(out_dir: str, name: str) -> str:

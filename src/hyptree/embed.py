@@ -24,7 +24,8 @@ sinh^2(c/2) = sinh^2((d - l)/2) + sinh d sinh l sin^2(theta/2), in log
 space, so short sides keep their relative accuracy too. Ambient coordinates
 are formed on first use, for output and small-scale work, from the root's
 walk, which also carries each node's bearing at the root; the evaluator
-never reads them.
+never reads them. So an embedding exists at any tau: the overflow cap is
+checked only where ambient coordinates are formed, in ``points``.
 
 The curvature scan builds the frame once and walks every source only for a
 scale it may accept. It first walks a few probe rows, and one entry of
@@ -59,31 +60,6 @@ class EmbedError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Distortion accounting
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DistortionReport:
-    """Worst-case shrink (alpha), stretch (beta), and their ratio.
-
-    dist = beta / alpha when the map is injective, +inf otherwise; a map
-    that merely rescales every distance has dist exactly 1.
-    """
-
-    alpha: float
-    beta: float
-    dist: float
-    injective: bool
-
-
-def distortion_from_bounds(alpha: float, beta: float, injective: bool) -> DistortionReport:
-    """The report of the ratio bounds that ``kernels.block_ratio_bounds`` returns."""
-    if not injective or alpha <= 0.0:
-        return DistortionReport(alpha, beta, math.inf, False)
-    return DistortionReport(alpha, beta, beta / alpha, True)
-
-
-# ----------------------------------------------------------------------
 # The construction
 # ----------------------------------------------------------------------
 
@@ -98,10 +74,9 @@ class _Frame:
     """The construction of one tree at no particular scale.
 
     Nodes are numbered by their place in ``ids``, the tree's node order. The
-    root is node ``root``, the centroid, and no node lies deeper than weight
-    ``ecc`` from it. Each node's frame puts its neighbors at exact multiples
-    of 2*pi/deg: at the root the sorted neighbors from 0, elsewhere the
-    parent at 0 and the sorted children after it.
+    root is node ``root``, the centroid. Each node's frame puts its neighbors
+    at exact multiples of 2*pi/deg: at the root the sorted neighbors from 0,
+    elsewhere the parent at 0 and the sorted children after it.
 
     The directed edges are grouped by tail: node k's out-edges are
     start[k] .. start[k + 1] - 1, and edge j ends at node head[j] over weight
@@ -114,7 +89,6 @@ class _Frame:
     ids: tuple
     index: dict
     root: int
-    ecc: float
     start: np.ndarray
     head: np.ndarray
     edge_w: np.ndarray
@@ -130,10 +104,7 @@ def _frame(t: WeightedTree) -> _Frame:
     index = {v: k for k, v in enumerate(ids)}
     adj = t.adjacency()
     root = centroid(t)
-    order, up = _preorder(adj, root)
-    depth = {root: 0.0}
-    for v in order[1:]:
-        depth[v] = depth[up[v][0]] + up[v][1]
+    _, up = _preorder(adj, root)
     # ring[v]: v's (neighbor, weight) in frame order, the edge up to its parent first
     ring = {v: sorted(adj[v], key=lambda nb, v=v: (nb != up.get(v), nb)) for v in ids}
     angle = {(a, b): _TWO_PI * j / len(ring[a]) for a in ids for j, (b, _) in enumerate(ring[a])}
@@ -151,7 +122,6 @@ def _frame(t: WeightedTree) -> _Frame:
         ids=ids,
         index=index,
         root=index[root],
-        ecc=max(depth.values()),
         start=start,
         head=head,
         edge_w=np.array([w for a in ids for _, w in ring[a]]),
@@ -203,7 +173,8 @@ class HyperbolicEmbedding:
     coordinates in the tree's node order (``node_ids()``), are formed on
     first use from the root's walk, which gives each node's distance from
     the root and bearing at the root; the distance evaluator never reads
-    them.
+    them. Past a walked radius of 350, beyond the walk's rounding, they raise
+    OverflowGuardError before any sinh or cosh is formed.
     """
 
     frame: _Frame = field(repr=False)
@@ -221,6 +192,12 @@ class HyperbolicEmbedding:
         f = self.frame
         r, bearing = np.zeros((2, 1, len(f.ids)))
         _walk(f, self.tau * f.edge_w, np.array([f.root]), r, bearing)
+        # the walk rounds each hop, so a radius can pass the scan's stop, tau * ecc, by a
+        # few ulps (350.00000000000006 on a path of 40 hops of 17.5); the cap allows that
+        radius = float(r.max())
+        if radius > OVERFLOW_CAP * (1.0 + 1e-9):
+            raise OverflowGuardError(f"tau {self.tau:g} puts nodes at radius {radius:.1f} > "
+                                     f"{OVERFLOW_CAP:g}; reduce tau")
         points = {}
         for v, rv, b in zip(f.ids, r[0].tolist(), bearing[0].tolist()):
             sr = math.sinh(rv)
@@ -228,28 +205,17 @@ class HyperbolicEmbedding:
         return points
 
 
-def _place(f: _Frame, tau: float) -> HyperbolicEmbedding:
-    """The frame at scale tau, for a positive tau that keeps every node
-    within the overflow cap of the root."""
-    if not tau > 0.0:
-        raise EmbedError("tau must be positive")
-    if tau * f.ecc > OVERFLOW_CAP:
-        raise OverflowGuardError(
-            f"tau {tau:g} puts nodes at radius {tau * f.ecc:.1f} > {OVERFLOW_CAP:g}; "
-            "reduce tau"
-        )
-    return HyperbolicEmbedding(f, tau)
-
-
 def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
-    """Place the tree in H^2 at unit curvature, edge lengths tau * w.
+    """Place the tree in H^2 at unit curvature, edge lengths tau * w, any tau > 0.
 
     The root sits at the apex. Every child goes at exact geodesic
     distance tau * w from its parent, rotated from the parent's incoming
-    direction by an exact multiple of 2*pi/deg. The embedding holds the
-    frame and tau; its ambient points follow from the root's walk.
+    direction by an exact multiple of 2*pi/deg. The embedding is the frame
+    and tau; its ``points`` raise OverflowGuardError past the overflow cap.
     """
-    return _place(_frame(t), tau)
+    if not tau > 0.0:
+        raise EmbedError("tau must be positive")
+    return HyperbolicEmbedding(_frame(t), tau)
 
 
 def _sources_per_block(n: int) -> int:
@@ -336,7 +302,7 @@ def _probe_witness(record: HyperbolicEmbedding, metric, lam: float, sources):
     return None
 
 
-def _full_check(record: HyperbolicEmbedding, metric: TreeMetric) -> DistortionReport:
+def _full_check(record: HyperbolicEmbedding, metric: TreeMetric) -> kernels.DistortionReport:
     """The report of d_{-1} / (tau d_T) over every pair i < j: each block of
     sources in node order walks, and its rows [lo, hi) at the columns [lo, n)
     go straight to ``kernels.block_ratio_bounds``, which divides them by
@@ -345,7 +311,7 @@ def _full_check(record: HyperbolicEmbedding, metric: TreeMetric) -> DistortionRe
     step = _sources_per_block(n)
     blocks = ((lo, min(lo + step, n), embedding_distance(record, ids[lo : lo + step])[:, lo:])
               for lo in range(0, n, step))
-    return distortion_from_bounds(*kernels.block_ratio_bounds(blocks, metric.matrix, record.tau))
+    return kernels.block_ratio_bounds(blocks, metric.matrix, record.tau)
 
 
 def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = None):
@@ -369,6 +335,9 @@ def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = No
     reads the returned embedding's. ``metric`` is ``tree_metric(t)`` when the
     caller has it already.
 
+    The scan stops at the first tau that puts the centroid's row of the
+    metric past the overflow cap; that bounds every walked radius.
+
     Returns (embedding, curvature, report). Raises EmbedError if no scale
     meets the bound: with the best achieved distortion whenever some scale
     was evaluated, and with the scale and radius that stopped the scan when
@@ -382,15 +351,15 @@ def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = No
         raise EmbedError("need at least two nodes")
     frame = _frame(t)
     end = int(np.argmax(metric.matrix[frame.root]))
+    ecc = metric.matrix[frame.root, end]
     ends = {frame.root, end}
     rejected, witness, capped = [], (), None
     for tau in DEFAULT_TAU_GRID:
-        try:
-            record = _place(frame, tau)
-        except OverflowGuardError:
+        if tau * ecc > OVERFLOW_CAP:
             capped = (f"tau={tau:g} hit the overflow cap: "
-                      f"radius {tau * frame.ecc:.1f} > {OVERFLOW_CAP:g}")
+                      f"radius {tau * ecc:.1f} > {OVERFLOW_CAP:g}")
             break
+        record = HyperbolicEmbedding(frame, tau)
         witness = _probe_witness(record, metric, lam, ends.union(witness)) or ()
         report = None if witness else _full_check(record, metric)
         if report and report.alpha >= 1.0 / lam and report.beta <= lam:
@@ -421,8 +390,10 @@ def hnn_realize(e: HyperbolicEmbedding, t: WeightedTree, seed: int = 0) -> HnnPa
     the embedding's distortion. Raises EmbedError when the embedding lacks a
     node, TreeError ``missing_coords`` when the tree lacks a layout, and
     NetworkError when two nodes share coordinates or no seeded direction
-    separates them. Nothing evaluates the realized network: beyond r ~ 35
-    float64 ambient targets cannot separate nearby images (ROADMAP item 1).
+    separates them. The targets are the embedding's ``points``, so a tau past
+    the overflow cap raises OverflowGuardError there. Nothing evaluates the
+    realized network: beyond r ~ 35 float64 ambient targets cannot separate
+    nearby images (ROADMAP item 1).
     """
     missing = [v for v in t.node_ids if v not in e.points]
     if missing:

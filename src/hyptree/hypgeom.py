@@ -85,9 +85,11 @@ class HPoint:
         t = c[-1]
         if t <= 0.0:
             raise GeometryError("HPoint must lie on the upper sheet (time coord > 0)")
-        # atol alone is unsatisfiable in float64 once t^2 rounds coarser than it.
-        resid = abs(1.0 + np.dot(c[:-1], c[:-1]) - t * t)
-        if resid > _CONSTRAINT_ATOL + _CONSTRAINT_RTOL * t * t:
+        # atol alone is unsatisfiable once t^2 rounds coarser than it; an overflow rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = abs(1.0 + np.dot(c[:-1], c[:-1]) - t * t)
+            on_sheet = resid <= _CONSTRAINT_ATOL + _CONSTRAINT_RTOL * t * t < math.inf
+        if not on_sheet:
             raise GeometryError(f"point is off the hyperboloid (residual {resid:.3e})")
         object.__setattr__(self, "coords", _freeze(c))
 
@@ -113,9 +115,10 @@ class TangentVec:
             raise GeometryError("tangent vector and base point dimensions differ")
         if not np.all(np.isfinite(v)):
             raise GeometryError("tangent vector must be finite")
-        tol = _CONSTRAINT_ATOL + _CONSTRAINT_RTOL * float(np.sum(np.abs(v * b)))
-        ip = float(minkowski_inner(v, b))
-        if abs(ip) > tol:
+        with np.errstate(over="ignore", invalid="ignore"):  # as in HPoint, an overflow rejects
+            tol = _CONSTRAINT_ATOL + _CONSTRAINT_RTOL * float(np.sum(np.abs(v * b)))
+            ip = float(minkowski_inner(v, b))
+        if not abs(ip) <= tol < math.inf:
             raise GeometryError(f"vector is not tangent at its base (<v|x>_M = {ip:.3e})")
         object.__setattr__(self, "vec", _freeze(v))
 

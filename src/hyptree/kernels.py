@@ -19,12 +19,13 @@ fr_step's four block arrays hold 2^15 entries each. Spring layouts of
 random(1000) took about the same time with 512 KB to 2 MB buffers, and a
 third longer or more at 256 KB and at 4 MB.
 
-``block_ratio_bounds``, the one distortion reduction, consumes such blocks:
-training reduces its model's distances straight from ``euclidean_blocks``
-(R^k) or ``intrinsic_blocks`` (H^k), the curvature scan each block of its
-walk against tau * d_T. ``ratio_bounds`` feeds it a matrix's blocks, and
-``pairwise_euclidean`` and ``pairwise_hyperboloid`` fill a matrix from
-theirs; only the gates, the benchmark's tracer and the tests call these.
+``block_ratio_bounds``, the one distortion reduction, consumes such blocks
+and returns their ``DistortionReport``: training reduces its model's
+distances straight from ``euclidean_blocks`` (R^k) or ``intrinsic_blocks``
+(H^k), the curvature scan each block of its walk against tau * d_T.
+``ratio_bounds`` feeds it a matrix's blocks, and ``pairwise_euclidean`` and
+``pairwise_hyperboloid`` fill a matrix from theirs; only the gates, the
+benchmark's tracer and the tests call these.
 
 ``_row_blocks`` gives each block of ``pairwise_hyperboloid``,
 ``euclidean_blocks`` and ``fr_step`` its coordinate differences and their
@@ -48,6 +49,7 @@ distance walk and its placement).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -332,9 +334,20 @@ def intrinsic_blocks(U):
         )[0]
 
 
+@dataclass(frozen=True)
+class DistortionReport:
+    """Worst-case shrink (alpha), stretch (beta), and their ratio dist = beta /
+    alpha, +inf for a map that is not injective; a rescaling has dist 1."""
+
+    alpha: float
+    beta: float
+    dist: float
+    injective: bool
+
+
 def ratio_bounds(dspace, dtree):
-    """(min, max) of dspace/dtree over pairs i < j, and whether every dspace > 0,
-    by ``block_ratio_bounds`` over the matrix's blocks of rows."""
+    """The report of dspace/dtree over pairs i < j, by ``block_ratio_bounds``
+    over the matrix's blocks of rows."""
     n = dspace.shape[0]
     rows = _block_rows(n)
     blocks = ((r0, min(r0 + rows, n), dspace[r0 : r0 + rows, r0:]) for r0 in range(0, n, rows))
@@ -342,8 +355,9 @@ def ratio_bounds(dspace, dtree):
 
 
 def block_ratio_bounds(blocks, dtree, scale=None):
-    """(min, max) of ds/dtree, or of ds/(scale * dtree), over the pairs i < j
-    of ``blocks``, and whether every such ds > 0.
+    """The report of ds/dtree, or of ds/(scale * dtree), over the pairs i < j
+    of ``blocks``: alpha and beta are the min and max ratio, and the map is
+    injective when every such ds > 0 and alpha > 0.
 
     Each block (r0, r1, ds) holds the rows [r0, r1) of the distances at the
     columns [r0, n); together the blocks cover every pair i < j. Each block
@@ -365,7 +379,9 @@ def block_ratio_bounds(blocks, dtree, scale=None):
         beta = np.maximum(beta, np.max(ratios, where=upper, initial=-np.inf))
         injective = injective and bool(np.all(ds > 0.0, where=upper))
         del upper, ratios, den, ds  # so that the next block's are not formed beside them
-    return float(alpha), float(beta), injective
+    alpha, beta = float(alpha), float(beta)
+    injective = injective and not alpha <= 0.0  # a NaN alpha leaves it, and dist is NaN
+    return DistortionReport(alpha, beta, beta / alpha if injective else math.inf, injective)
 
 
 def wrap_angle(a):

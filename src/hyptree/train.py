@@ -50,7 +50,6 @@ import numpy as np
 
 from . import kernels
 from .autodiff import Tape
-from .embed import distortion_from_bounds
 from .networks import HnnParams, MlpParams, hnn_from_mlp
 from .seeding import seed_stream
 from .trees import TreeMetric, WeightedTree, tree_metric
@@ -456,5 +455,5 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
         params = MlpParams(tuple(layers))
         blocks = kernels.euclidean_blocks(pts)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = distortion_from_bounds(*kernels.block_ratio_bounds(blocks, metric.matrix))
+        report = kernels.block_ratio_bounds(blocks, metric.matrix)
     return params, history, report

@@ -302,16 +302,29 @@ def _typed(value, kinds, what: str):
     return value
 
 
+def _field(obj, key: str, what: str):
+    """``obj[key]``; TreeError naming ``what`` when it is no JSON object or lacks ``key``."""
+    if not isinstance(obj, dict):
+        raise TreeError("bad_type", f"{what} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise TreeError("missing_key", f'{what} lacks "{key}"')
+    return obj[key]
+
+
 def tree_from_dict(d: dict) -> WeightedTree:
-    ids = [_typed(n["id"], int, "node ids must be integers") for n in d["nodes"]]
+    nodes = _typed(_field(d, "nodes", "tree file"), list, "nodes must be a list")
+    edges = _typed(_field(d, "edges", "tree file"), list, "edges must be a list")
+    ids = [_typed(_field(n, "id", f"node {k}"), int, "node ids must be integers")
+           for k, n in enumerate(nodes)]
     coords = {}
-    for i, n in zip(ids, d["nodes"]):
-        c = _typed(n["coords"], list, f"coords of node {i} must be a list")
+    for k, (i, n) in enumerate(zip(ids, nodes)):
+        c = _typed(_field(n, "coords", f"node {k}"), list, f"coords of node {i} must be a list")
         if c:
             coords[i] = [_typed(x, (int, float), f"coords of node {i} must be numbers") for x in c]
-    edges = [(_typed(e["u"], int, "edge endpoints must be integers"),
-              _typed(e["v"], int, "edge endpoints must be integers"),
-              _typed(e["w"], (int, float), "edge weights must be numbers")) for e in d["edges"]]
+    edges = [(_typed(_field(e, "u", f"edge {k}"), int, "edge endpoints must be integers"),
+              _typed(_field(e, "v", f"edge {k}"), int, "edge endpoints must be integers"),
+              _typed(_field(e, "w", f"edge {k}"), (int, float), "edge weights must be numbers"))
+             for k, e in enumerate(edges)]
     return WeightedTree(ids, edges, coords)
 
 

@@ -32,15 +32,9 @@ import numpy as np
 
 from ambientutil import frame_slots
 from hyptree import kernels
-from hyptree.embed import (
-    EmbedError,
-    distortion_from_bounds,
-    embedding_distance_matrix,
-    sarkar_embed,
-)
+from hyptree.embed import EmbedError, embedding_distance_matrix, sarkar_embed
 from hyptree.hypgeom import (
     HPoint,
-    OverflowGuardError,
     basepoint,
     distance,
     drop,
@@ -118,9 +112,7 @@ def distortion_from_matrices(d_space, d_tree):
     matrices, by ``kernels.ratio_bounds``."""
     if np.shape(d_space)[0] < 2:
         raise EmbedError("distortion needs at least two nodes")
-    return distortion_from_bounds(
-        *kernels.ratio_bounds(np.asarray(d_space, np.float64), np.asarray(d_tree, np.float64))
-    )
+    return kernels.ratio_bounds(np.asarray(d_space, np.float64), np.asarray(d_tree, np.float64))
 
 
 def _squared_distances_full(pts, diff):
@@ -409,14 +401,14 @@ def embedding_distance_pair(frame, tau, u, v):
 def curvature_scan_pairwise(t, metric, lam, tau_grid):
     """(tau, alpha, beta) of the first grid scale meeting lam, or None.
 
-    Every pair's ratio d_{-1} / (tau d_T) is formed one at a time.
+    Every pair's ratio d_{-1} / (tau d_T) is formed one at a time. The scan
+    stops at the first scale that puts the centroid's metric row past 350.
     """
     ids = list(metric.ids)
     frame = reference_frame(t)
+    ecc = float(metric.matrix[ids.index(centroid(t))].max())
     for tau in sorted(tau_grid):
-        try:
-            sarkar_embed(t, tau)
-        except OverflowGuardError:
+        if tau * ecc > 350:
             return None
         alpha, beta = math.inf, 0.0
         for i, u in enumerate(ids):
@@ -434,19 +426,18 @@ def curvature_scan_full(t, metric, lam, tau_grid, reports):
 
     Each scale is judged on its full ``embedding_distance_matrix``. The dict
     ``reports`` keeps each scale's report, or the overflow message of the
-    scale that hit the cap, across calls on the same tree.
+    scale that hit the cap, across calls on the same tree. A scale hits the
+    cap when it puts the centroid's metric row past 350.
     """
     ids = list(metric.ids)
+    ecc = float(metric.matrix[ids.index(centroid(t))].max())
     best = capped = None
     for tau in sorted(tau_grid):
         if tau not in reports:
-            try:
-                emb = sarkar_embed(t, tau)
-            except OverflowGuardError:
-                ecc = float(metric.matrix[ids.index(centroid(t))].max())
+            if tau * ecc > 350:
                 reports[tau] = f"tau={tau:g} hit the overflow cap: radius {tau * ecc:.1f} > 350"
             else:
-                mat = embedding_distance_matrix(emb, ids)
+                mat = embedding_distance_matrix(sarkar_embed(t, tau), ids)
                 reports[tau] = distortion_from_matrices(mat, tau * metric.matrix)
         report = reports[tau]
         if isinstance(report, str):

@@ -349,6 +349,39 @@ class TestTrain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("edges",), None, 'missing_key: tree file lacks "edges"'),
+        (("edges", 1, "u"), None, 'missing_key: edge 1 lacks "u"'),
+        (("nodes", 2, "coords"), None, 'missing_key: node 2 lacks "coords"'),
+        (("nodes", 0), 7, "bad_type: node 0 must be a JSON object, got int"),
+        (("edges",), {"u": 1}, "bad_type: edges must be a list, got {'u': 1}"),
+        ((), [], "bad_type: tree file must be a JSON object, got list"),
+    ], ids=["edges", "edge-u", "node-coords", "node-int", "edges-object", "top-level-list"])
+    def test_tree_file_without_a_key_or_object_exits_2(self, tmp_path, capsys, path, value,
+                                                       message):
+        # each named no key, or only the bare key ('u'), or gave Python's own
+        # TypeError text, such as "list indices must be integers" for a list
+        t = gen_binary(1)
+        spring_layout(t, dim=2, seed=0)
+        doc = tree_to_dict(t)
+        if path:
+            *parents, key = path
+            owner = doc
+            for p in parents:
+                owner = owner[p]
+            if value is None:
+                del owner[key]
+            else:
+                owner[key] = value
+        else:
+            doc = value
+        (tmp_path / "t.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["train", tmp_path / "t.json", "--epochs", 1, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed tree file {tmp_path / 't.json'}: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["w", "coords"])
     def test_tree_file_number_beyond_float_exits_2(self, tmp_path, capsys, key):
         # a JSON integer of 401 digits is a number, but no float64
@@ -539,6 +572,7 @@ class TestGrid:
             {"output_dir": 5},
             {"models": [["mlp"]]},
             {"trees": None, "kind": "binary", "depths": 3},
+            {"train": []},
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, patch):
@@ -589,6 +623,17 @@ class TestGrid:
     def test_missing_config_exits_2(self, tmp_path):
         assert run(["grid", tmp_path / "nope.json", "--out-dir", tmp_path]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "error: grid config: not a JSON object\n"),
+        ('{"trees": ', "error: config is not valid JSON: "),
+    ])
+    def test_config_not_a_json_object_exits_2(self, tmp_path, capsys, text, message):
+        (tmp_path / "cfg.json").write_text(text)
+        out = tmp_path / "out"
+        assert run(["grid", tmp_path / "cfg.json", "--out-dir", out]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     def test_divergent_rows_recorded(self, tmp_path):
         cfgf = tiny_grid_config(
             tmp_path / "cfg.json",
@@ -600,6 +645,18 @@ class TestGrid:
         rows = read_csv(tmp_path / "grid_results.csv")
         assert rows[1][8].startswith("diverged@")
         assert code == 4
+
+    def test_svg_cell_without_an_ok_row_reads_n_a(self, tmp_path):
+        # every row diverges, so the heatmap's one cell has no mean
+        cfgf = tiny_grid_config(
+            tmp_path / "cfg.json",
+            models=["mlp"], seeds=[1],
+            train={"epochs": 3, "batch_size": 64, "hidden_layers": 2,
+                   "hidden_width": 8, "optimizer": "sgd", "learning_rate": 1e6},
+        )
+        assert run(["grid", cfgf, "--svg", "--out-dir", tmp_path]) == 4
+        body = read_bytes(tmp_path / "grid_mlp.svg").decode()
+        assert 'fill="#bbbbbb"' in body and ">n/a</text>" in body
 
 
     def test_random_tree_hnn_row_trains(self, tmp_path):
@@ -744,6 +801,17 @@ class TestLowerbound:
         assert summary["hnn_max_dist"] >= 1.0
         assert "dim=2 fitted_exponent=undefined\n" in capsys.readouterr().out
 
+    def test_diverged_rows_write_nan_and_a_null_exponent(self, tmp_path, capsys):
+        # no study seed trains at this step size, so no row has a distortion
+        assert run(["lowerbound", "--leaves", "2,4", "--dims", 2, "--study-seeds", 0,
+                    "--lr", 1e308, "--epochs", 1, "--width", 4, "--hidden-layers", 1,
+                    "--out-dir", tmp_path]) == 0
+        rows = read_csv(tmp_path / "lowerbound.csv")[1:]
+        assert [(r[2], r[3]) for r in rows] == [("nan", "diverged")] * 2
+        assert strict_json(tmp_path / "lowerbound_summary.json")["fitted_exponent_per_dim"] == {
+            "2": None}
+        assert "dim=2 fitted_exponent=undefined\n" in capsys.readouterr().out
+
     def test_no_constructive_embedding_writes_a_null_max(self, tmp_path, capsys):
         # no tau meets lambda = 1.0001 on this spider below the overflow cap
         assert run(["lowerbound", "--leaves", 3, "--dims", 2, "--study-seeds", 0,
@@ -767,6 +835,11 @@ class TestLowerbound:
 
     def test_empty_leaves_exits_2(self, tmp_path):
         assert run(["lowerbound", "--leaves", ",", "--out-dir", tmp_path]) == 2
+
+    def test_non_integer_leaves_exits_2_before_work(self, tmp_path, capsys):
+        assert run(["lowerbound", "--leaves", "4,x", "--out-dir", tmp_path]) == 2
+        assert capsys.readouterr().err == "error: --leaves expects a comma-separated integer list\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv", [["--leaves", "0"], ["--leaves", "4", "--dims", "2,0"]])
     def test_nonpositive_values_exit_2_before_work(self, tmp_path, capsys, argv):

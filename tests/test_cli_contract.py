@@ -3,7 +3,8 @@ configs and flag values go through ``cli.main`` in this process.
 
 Whatever the input, a command
 - exits 0, 2, 3 or 4, and no exception escapes it;
-- at exit 2 prints one ``error:`` line and creates no output directory;
+- at exit 2 prints one ``error:`` line and creates no output directory,
+  and a tree file that lacks a key, or holds a list, gets a line naming it;
 - writes strict JSON only, with no NaN or Infinity;
 - lists in its manifest exactly the other files of its output directory;
 - at exit 0 reports every number finite, or null where it has none. A
@@ -51,10 +52,13 @@ def laid_out(kind, size, seed):
 
 
 def tree_doc(recipe):
-    """The tree file of a recipe (kind, size, layout seed, mutations)."""
+    """The tree file of a recipe (kind, size, layout seed, mutations), and the
+    messages that name what its mutations took away: each dropped key with
+    the object that lacks it, or, for a file that holds a list, the object."""
     kind, size, seed, mutations = recipe
     doc = json.loads(laid_out(kind, size, seed))
     nodes, edges = doc["nodes"], doc["edges"]
+    dropped = []
     for what, i, j, value in mutations:
         node, edge = nodes[i % len(nodes)], edges[i % len(edges)] if edges else {}
         if what == "weight":
@@ -73,14 +77,22 @@ def tree_doc(recipe):
             edges.append({"u": node["id"], "v": nodes[j % len(nodes)]["id"], "w": 1.0})
         elif what == "drop-key":
             for d in (doc, node, edge):
-                d.pop(value, None)
-    return doc
+                if value in d:
+                    del d[value]
+                    dropped.append((d, value))
+    if any(what == "as-list" for what, *_ in mutations):
+        return [doc], ["tree file must be a JSON object, got list"]
+    # an object is named by where it ends up, and an edge dropped later is named by none
+    names = [(doc, "tree file")] + [(n, f"node {k}") for k, n in enumerate(nodes)] + [
+        (e, f"edge {k}") for k, e in enumerate(edges)]
+    return doc, [f'{name} lacks "{key}"' for d, key in dropped for obj, name in names if obj is d]
 
 
 @st.composite
 def mutations(draw):
     what = draw(st.sampled_from(["weight", "weight", "coord", "coord", "coords", "id",
-                                 "same-coords", "drop-edge", "extra-edge", "drop-key"]))
+                                 "same-coords", "drop-edge", "extra-edge", "drop-key",
+                                 "as-list"]))
     i, j = draw(st.integers(0, 14)), draw(st.integers(0, 14))
     if what == "drop-key":
         value = draw(st.sampled_from(["nodes", "edges", "id", "coords", "u", "v", "w"]))
@@ -191,7 +203,8 @@ def numbers(doc):
 
 
 def check_contract(argv, out: Path):
-    """Run ``argv`` with ``--out-dir out`` and assert the contract."""
+    """Run ``argv`` with ``--out-dir out``, assert the contract, and return
+    the exit code and what the command printed to stderr."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
@@ -202,7 +215,7 @@ def check_contract(argv, out: Path):
     if code == 2:
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, err.getvalue()
         assert not out.exists(), (argv, err.getvalue(), sorted(os.listdir(out)))
-        return code
+        return code, err.getvalue()
     files = sorted(os.listdir(out))
     manifests = [f for f in files if f.endswith("_manifest.json")]
     assert len(manifests) == 1, files
@@ -221,7 +234,7 @@ def check_contract(argv, out: Path):
                     assert not math.isnan(float(row.get("dist", 0.0))), (name, row)
                 else:
                     assert row["train_mse"] == row["test_mse"] == row["dist"] == "nan", row
-    return code
+    return code, err.getvalue()
 
 
 # binary(2) laid out at seed 0 with one coordinate at 1e154: every gradient
@@ -237,11 +250,21 @@ ONE_EPOCH = ["--epochs", "1", "--width", "4", "--hidden-layers", "1"]
 # the squared diameter, summed over the pairs, overflows before any step
 @example(recipe=("binary", 1, 0, (("weight", 0, 0, 1e200),)),
          command=["train", "--model", "mlp"] + ONE_EPOCH)
+# a file that lacks a key, or holds a list, exits 2 with a line that names it
+@example(recipe=("binary", 2, 0, (("drop-key", 4, 0, "u"),)), command=["embed", "--lambda", "1.1"])
+@example(recipe=("random", 5, 1, (("drop-key", 2, 0, "coords"), ("drop-key", 0, 0, "edges"))),
+         command=["train", "--model", "mlp"] + ONE_EPOCH)
+@example(recipe=("ternary", 1, 0, (("as-list", 0, 0, None),)), command=["embed", "--lambda", "2.0"])
 def test_tree_file_commands_keep_the_contract(recipe, command):
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp, "t.json")
-        tree.write_text(json.dumps(tree_doc(recipe)))
-        check_contract([command[0], str(tree)] + command[1:], Path(tmp, "out"))
+        doc, missing = tree_doc(recipe)
+        tree.write_text(json.dumps(doc))
+        code, err = check_contract([command[0], str(tree)] + command[1:], Path(tmp, "out"))
+    # argparse rejects a flag value before the file is read, and its usage line says so
+    if missing and all(what in ("drop-key", "as-list") for what, *_ in recipe[3]) \
+            and "usage:" not in err:
+        assert code == 2 and any(m in err for m in missing), (recipe, err)
 
 
 @CONTRACT

@@ -325,8 +325,8 @@ class TestConstructionOracle:
                 assert rows[i, j] == pytest.approx(want, abs=1e-9)
 
     def test_frame_assignment_matches_oracle(self):
-        # the root, the depth bound and the directed-edge table against the
-        # oracle's slots, parents and weights
+        # the root and the directed-edge table against the oracle's slots,
+        # parents and weights
         for t in SMALL_TREES + [UNSORTED]:
             f = em._frame(t)
             root = centroid(t)
@@ -334,11 +334,6 @@ class TestConstructionOracle:
             ids = f.ids
             assert ids == tuple(t.node_ids)
             assert ids[f.root] == root
-            depth = {root: 0.0}
-            for v in oparent:  # the oracle's BFS order: each parent comes first
-                if v != root:
-                    depth[v] = depth[oparent[v]] + ow_up[v]
-            assert f.ecc == max(depth.values())
             assert len(f.head) == 2 * len(t.edges)
             for k, a in enumerate(ids):
                 out = f.head[f.start[k] : f.start[k + 1]]
@@ -438,6 +433,29 @@ class TestPairwiseReference:
         assert math.sqrt(-kappa.kappa) == e.tau
         diameter = _hop_counts(t, t.node_ids).max()
         assert_within_hop_ulps([rep.alpha, rep.beta], want[1:], np.full(2, diameter))
+
+    def test_walk_past_the_overflow_cap(self, tmp_path):
+        # binary(5) at tau = 128 puts its leaves about 640 from the root: the
+        # walk gives every distance, and only the ambient points refuse, naming
+        # the radius that sinh and cosh would get
+        t, tau = gen_binary(5), 128.0
+        e = sarkar_embed(t, tau)
+        ids = e.node_ids()
+        mat = embedding_distance_matrix(e)
+        assert np.isfinite(mat).all()
+        frame = ref.reference_frame(t)
+        iu, ju = np.triu_indices(len(ids), k=1)
+        pick = np.random.default_rng(0).choice(len(iu), 60, replace=False)
+        iu, ju = iu[pick], ju[pick]
+        want = [ref.embedding_distance_pair(frame, tau, ids[i], ids[j]) for i, j in zip(iu, ju)]
+        assert_within_hop_ulps(mat[iu, ju], want, _hop_counts(t, ids)[iu, ju])
+        radius = embedding_distance(e, [centroid(t)]).max()
+        assert 350.0 < radius < tau * 5
+        message = f"tau 128 puts nodes at radius {radius:.1f} > 350; reduce tau"
+        for read in (lambda: e.points, lambda: save_embedding(tmp_path / "e.json", e)):
+            with pytest.raises(OverflowGuardError) as err:
+                read()
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("make", [lambda: gen_binary(9), lambda: gen_random(1000, seed=0)],
                              ids=["binary9", "random1000"])
@@ -567,8 +585,19 @@ class TestEmbeddingInvariants:
         np.testing.assert_array_equal(e.points[5].coords, [0.0, 0.0, 1.0])
 
     def test_overflow_guard(self):
+        e = sarkar_embed(gen_binary(6), 64.0)
         with pytest.raises(OverflowGuardError, match="reduce tau"):
-            sarkar_embed(gen_binary(6), 64.0)
+            e.points
+
+    def test_points_where_the_walk_rounds_past_the_cap(self):
+        # 20 hops of 17.5 each way from the centroid: the scan accepts tau = 1,
+        # where the metric puts the ends exactly 350 from the root, and the
+        # walk's radius rounds past it
+        t = WeightedTree(list(range(41)), [(i, i + 1, 17.5) for i in range(40)])
+        e, _, _ = choose_curvature(t, 1.5)
+        assert e.tau == 1.0
+        assert embedding_distance(e, [centroid(t)]).max() > 350.0
+        assert len(e.points) == 41
 
     def test_non_finite_distance_raises(self):
         # the kernel silences only log(0); the NaN shows as numpy's invalid

@@ -63,6 +63,14 @@ class TestHPoint:
         with pytest.raises(hg.GeometryError):
             hg.HPoint([np.inf, 0.0, np.inf])
 
+    @pytest.mark.parametrize("coords", [[3e200, 0.0, 1e200], [1.0, 0.0, 2e160]],
+                             ids=["nan-residual", "inf-tolerance"])
+    def test_rejects_off_sheet_when_the_check_overflows(self, coords):
+        # the residual inf - inf is NaN in one, and t^2 makes the tolerance inf
+        # in the other; neither compares above its tolerance
+        with pytest.raises(hg.GeometryError, match="off the hyperboloid"):
+            hg.HPoint(np.array(coords))
+
     def test_coords_are_immutable(self):
         p = hg.basepoint(2)
         with pytest.raises(ValueError):
@@ -94,6 +102,12 @@ class TestLiftDrop:
     def test_tangency_is_validated(self):
         with pytest.raises(hg.GeometryError):
             hg.TangentVec(np.array([0.0, 0.0, 1.0]), hg.basepoint(2))
+
+    def test_tangency_check_that_overflows_rejects(self):
+        # <v|x>_M is about 1.9e311 here, and the tolerance overflows to inf
+        x = hg.exp_map(hg.basepoint(2), hg.lift([349.0, 0.0]))
+        with pytest.raises(hg.GeometryError, match="not tangent"):
+            hg.TangentVec(np.array([1e160, 1e160, 0.0]), x)
 
 
 class TestCurvature:
