@@ -67,7 +67,6 @@ from .trees import (
     load_tree,
     save_tree,
     spring_layout,
-    tree_metric,
 )
 
 EXIT_OK = 0
@@ -309,8 +308,7 @@ def cmd_train(args) -> int:
     if t.n_nodes < 2:
         raise UsageError("training needs at least two nodes")
     cfg = _train_config_from_args(args, args.model)
-    metric = tree_metric(t)
-    check_diameter(metric, cfg)
+    check_diameter(t, cfg)
 
     out_csv = _out_path(args.out_dir, "train_loss.csv")
     out_report = _out_path(args.out_dir, "train_report.json")
@@ -319,7 +317,7 @@ def cmd_train(args) -> int:
                    {"tree": os.path.basename(args.tree), "model": args.model, **_train_knobs(cfg)},
                    args.seed) as written:
         try:
-            params, history, report = train_embedding(t, cfg, metric)
+            params, history, report = train_embedding(t, cfg)
         except TrainDivergenceError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_DIVERGENCE
@@ -427,7 +425,7 @@ def _grid_worker(payload: dict) -> dict:
     t = payload["tree"]
     row = _grid_row(payload, t.n_nodes, "ok")
     try:
-        _, history, report = train_embedding(t, payload["config"], payload["metric"])
+        _, history, report = train_embedding(t, payload["config"])
     except TrainDivergenceError as exc:
         row["status"] = f"diverged@{exc.epoch}"
         return row
@@ -505,14 +503,14 @@ def cmd_grid(args) -> int:
     payloads = []
     for ti, (spec, size) in enumerate(zip(cfg["trees"], sizes)):
         t = _build_tree(spec["kind"], size, args.seed, f"-{ti}")
-        metric = tree_metric(t)  # one per tree, shared by its rows
+        t.metric  # built here, once per tree, and carried to pool workers with it
         n = t.n_nodes
         pairs = {} if "max_pairs" in cfg["train"] else {"max_pairs": min(n * (n - 1) // 2, 50 * n)}
         for dim in cfg["dims"]:
             for model in cfg["models"]:
                 for seed in cfg["seeds"]:
                     payloads.append({
-                        "tree": t, "metric": metric, "kind": spec["kind"],
+                        "tree": t, "kind": spec["kind"],
                         "config": replace(bases[dim, model], seed=seed, **pairs),
                     })
 
@@ -674,20 +672,19 @@ def cmd_lowerbound(args) -> int:
         for L in leaf_counts:
             t = gen_spider(L, leg_length=2)
             spring_layout(t, dim=2, seed=args.seed)
-            metric = tree_metric(t)
             try:
-                spiders.append((L, t, metric, choose_curvature(t, args.lam, metric)[2].dist, "ok"))
+                spiders.append((L, t, choose_curvature(t, args.lam)[2].dist, "ok"))
             except EmbedError as exc:
-                spiders.append((L, t, metric, math.nan, f"error:{exc}"))
+                spiders.append((L, t, math.nan, f"error:{exc}"))
 
         csv_rows, exponents = [], {}
         for dim in dims:
             fit = []
-            for L, t, metric, hnn_dist, hnn_status in spiders:
+            for L, t, hnn_dist, hnn_status in spiders:
                 dists = []
                 for seed in study_seeds:
                     try:
-                        _, _, report = train_embedding(t, replace(cfg, embed_dim=dim, seed=seed), metric)
+                        _, _, report = train_embedding(t, replace(cfg, embed_dim=dim, seed=seed))
                     except TrainDivergenceError:
                         continue
                     dists.append(report.dist)
@@ -707,7 +704,7 @@ def cmd_lowerbound(args) -> int:
             ["L", "dim", "mlp_dist", "mlp_status", "hnn_dist", "hnn_status"],
             csv_rows,
         )
-        hnn_finite = [d for _, _, _, d, _ in spiders if math.isfinite(d)]
+        hnn_finite = [d for _, _, d, _ in spiders if math.isfinite(d)]
         summary = {
             "lambda": args.lam,
             "fitted_exponent_per_dim": exponents,

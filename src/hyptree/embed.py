@@ -50,7 +50,7 @@ import numpy as np
 from . import kernels
 from .hypgeom import Curvature, HPoint, OVERFLOW_CAP, OverflowGuardError
 from .networks import HnnParams, memorize_hnn
-from .trees import TreeMetric, WeightedTree, _preorder, centroid, tree_metric
+from .trees import TreeMetric, WeightedTree, _preorder, centroid
 
 _TWO_PI = 2.0 * math.pi
 
@@ -314,7 +314,7 @@ def _full_check(record: HyperbolicEmbedding, metric: TreeMetric) -> kernels.Dist
     return kernels.block_ratio_bounds(blocks, metric.matrix, record.tau)
 
 
-def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = None):
+def choose_curvature(t: WeightedTree, lam: float):
     """Smallest grid scale whose embedding meets the two-sided bound.
 
     For each tau (ascending) the tree is embedded at unit curvature and
@@ -332,8 +332,8 @@ def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = No
     it comes; when no tau is accepted, the best distortion comes from full
     checks of the rejected ones, none twice. The tree's frame is built once
     and walked at each tau, and no ambient point is formed until the caller
-    reads the returned embedding's. ``metric`` is ``tree_metric(t)`` when the
-    caller has it already.
+    reads the returned embedding's. Pairs are judged against the tree's own
+    metric, ``t.metric``, built once per tree.
 
     The scan stops at the first tau that puts the centroid's row of the
     metric past the overflow cap; that bounds every walked radius.
@@ -345,8 +345,7 @@ def choose_curvature(t: WeightedTree, lam: float, metric: TreeMetric | None = No
     """
     if not lam > 1.0:
         raise EmbedError("lambda must exceed 1")
-    if metric is None:
-        metric = tree_metric(t)
+    metric = t.metric
     if len(metric.ids) < 2:
         raise EmbedError("need at least two nodes")
     frame = _frame(t)
@@ -387,15 +386,16 @@ def hnn_realize(e: HyperbolicEmbedding, t: WeightedTree, seed: int = 0) -> HnnPa
 
     Exact interpolation of the embedding's ambient points from the layout
     rows, both in node order, so in exact arithmetic the network inherits
-    the embedding's distortion. Raises EmbedError when the embedding lacks a
-    node, TreeError ``missing_coords`` when the tree lacks a layout, and
-    NetworkError when two nodes share coordinates or no seeded direction
-    separates them. The targets are the embedding's ``points``, so a tau past
+    the embedding's distortion. Raises EmbedError when the embedding's frame
+    lacks a node of the tree, before any point is formed; TreeError
+    ``missing_coords`` when the tree lacks a layout; and NetworkError when
+    two nodes share coordinates or no seeded direction separates them. The
+    targets are the embedding's ``points``, so on a matching tree a tau past
     the overflow cap raises OverflowGuardError there. Nothing evaluates the
     realized network: beyond r ~ 35 float64 ambient targets cannot separate
     nearby images (ROADMAP item 1).
     """
-    missing = [v for v in t.node_ids if v not in e.points]
+    missing = [v for v in t.node_ids if v not in e.frame.index]
     if missing:
         raise EmbedError(f"embedding is missing nodes {missing[:3]}")
     return memorize_hnn(t.layout(), [e.points[v] for v in t.node_ids], seed=seed)
@@ -413,6 +413,7 @@ def embedding_to_dict(e: HyperbolicEmbedding) -> dict:
 
 
 def save_embedding(path, e: HyperbolicEmbedding) -> None:
+    doc = embedding_to_dict(e)  # past the overflow cap this raises before any file exists
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(embedding_to_dict(e), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")

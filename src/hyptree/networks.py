@@ -94,7 +94,9 @@ class HnnParams:
 
     Layer i maps H^{m_{i-1}} to H^{m_i}: it reads at the previous layer's
     hyperbolic bias and writes at its own ``c``, so consecutive layers share
-    one bias point. ReLU applies on every layer except the last.
+    one bias point. ReLU applies on every layer except the last. The affine
+    layers are checked and frozen as an ``MlpParams``; only the bias points'
+    checks are made here.
     """
 
     entry_bias: HPoint
@@ -103,25 +105,19 @@ class HnnParams:
     def __post_init__(self):
         if not isinstance(self.entry_bias, HPoint):
             raise NetworkError("entry bias must be a hyperboloid point")
-        if not self.layers:
-            raise NetworkError("a network needs at least one layer")
-        checked = []
-        prev = self.entry_bias.dim
-        for i, (A, b, c) in enumerate(self.layers):
-            A, b = _check_affine(A, b, i)
+        affine = MlpParams(tuple((A, b) for A, b, _ in self.layers))
+        biases = [c for _, _, c in self.layers]
+        if affine.input_dim != self.entry_bias.dim:
+            raise NetworkError(f"layer 0: expects dim {affine.input_dim}, "
+                               f"previous layer emits {self.entry_bias.dim}")
+        for i, ((A, _), c) in enumerate(zip(affine.layers, biases)):
             if not isinstance(c, HPoint):
                 raise NetworkError(f"layer {i}: hyperbolic bias must be an HPoint")
-            if A.shape[1] != prev:
-                raise NetworkError(
-                    f"layer {i}: expects dim {A.shape[1]}, previous layer emits {prev}"
-                )
             if c.dim != A.shape[0]:
                 raise NetworkError(
                     f"layer {i}: bias lives on H^{c.dim} but A emits dim {A.shape[0]}"
                 )
-            prev = A.shape[0]
-            checked.append((_freeze(A), _freeze(b), c))
-        object.__setattr__(self, "layers", tuple(checked))
+        object.__setattr__(self, "layers", tuple((A, b, c) for (A, b), c in zip(affine.layers, biases)))
 
     @property
     def dims(self) -> tuple:
@@ -187,14 +183,11 @@ def _nnz(a: np.ndarray) -> int:
 
 def par_count(p) -> ParamCount:
     """Count non-zero trainable entries; shared hyperbolic biases count once."""
-    if isinstance(p, MlpParams):
-        par = sum(_nnz(A) + _nnz(b) for A, b in p.layers)
-    elif isinstance(p, HnnParams):
-        par = _nnz(p.entry_bias.coords) + sum(
-            _nnz(A) + _nnz(b) + _nnz(c.coords) for A, b, c in p.layers
-        )
-    else:
+    if not isinstance(p, (MlpParams, HnnParams)):
         raise NetworkError("expected MlpParams or HnnParams")
+    par = sum(_nnz(A) + _nnz(b) for A, b, *_ in p.layers)
+    if isinstance(p, HnnParams):
+        par += _nnz(p.entry_bias.coords) + sum(_nnz(c.coords) for *_, c in p.layers)
     return ParamCount(depth=len(p.layers), width=max(p.dims), par=par)
 
 

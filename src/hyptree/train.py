@@ -52,7 +52,7 @@ from . import kernels
 from .autodiff import Tape
 from .networks import HnnParams, MlpParams, hnn_from_mlp
 from .seeding import seed_stream
-from .trees import TreeMetric, WeightedTree, tree_metric
+from .trees import WeightedTree
 
 _LN2 = math.log(2.0)
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -335,24 +335,24 @@ def _pair_index(n, flat):
     return row, flat - start[row] + row + 1
 
 
-def check_diameter(metric: TreeMetric, cfg: TrainConfig) -> None:
+def check_diameter(t: WeightedTree, cfg: TrainConfig) -> None:
     """Raise TrainError when the tree's squared diameter, summed over the
     pairs that ``cfg`` trains on, overflows: then every epoch's loss does,
-    whatever the model does."""
-    n = len(metric.ids)
+    whatever the model does. Reads the tree's own metric, ``t.metric``."""
+    n = t.n_nodes
     pairs = min(n * (n - 1) // 2, cfg.max_pairs or math.inf)
-    diam = metric.matrix.max()
+    diam = t.metric.matrix.max()
     with np.errstate(over="ignore"):
         if not np.isfinite(np.square(diam) * pairs):
             raise TrainError(f"tree diameter {diam:g} is too large to train on: its square "
                              f"summed over {pairs} pairs overflows float64")
 
 
-def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None = None):
+def train_embedding(t: WeightedTree, cfg: TrainConfig):
     """Fit a model to the tree's metric from its layout coordinates.
 
-    ``metric`` is ``tree_metric(t)`` when the caller has it already; by
-    default it is computed here.
+    The targets come from ``t.metric``, which the tree builds once and
+    keeps, so every call on one tree shares it.
 
     Returns (params, history, report): the final parameters, per-epoch
     EpochStats (train and held-out MSE), and the distortion of the node
@@ -367,9 +367,7 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
     n, in_dim = X.shape
     if n < 2:
         raise TrainError("training needs at least two nodes")
-    if metric is None:
-        metric = tree_metric(t)
-    check_diameter(metric, cfg)
+    check_diameter(t, cfg)
 
     n_all = n * (n - 1) // 2
     if cfg.max_pairs is not None and cfg.max_pairs < n_all:
@@ -381,7 +379,7 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
         sel = np.arange(n_all)
     iu, ju = _pair_index(n, sel)
     del sel  # all pairs' flat indices would outlive their decoding
-    d_all = metric.matrix[iu, ju]
+    d_all = t.metric.matrix[iu, ju]
 
     perm = seed_stream(cfg.seed, "pair-split").permutation(iu.size)
     n_test = iu.size // 10
@@ -455,5 +453,5 @@ def train_embedding(t: WeightedTree, cfg: TrainConfig, metric: TreeMetric | None
         params = MlpParams(tuple(layers))
         blocks = kernels.euclidean_blocks(pts)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = kernels.block_ratio_bounds(blocks, metric.matrix)
+        report = kernels.block_ratio_bounds(blocks, t.metric.matrix)
     return params, history, report

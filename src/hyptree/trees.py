@@ -2,9 +2,10 @@
 
 A tree is nodes with integer ids (plus optional Euclidean coordinates used
 as network inputs) and positively weighted undirected edges, with exactly
-|V| - 1 edges and one connected component. The all-pairs path metric is the
-n x n matrix of weighted path lengths. ``WeightedTree.layout`` reads the
-coordinates as rows in node order. Tree files are type-checked field by field.
+|V| - 1 edges and one connected component. The all-pairs path metric, the
+n x n matrix of weighted path lengths, is built once per tree (``metric``).
+``layout`` reads the coordinates as rows in node order. Tree files are
+type-checked field by field.
 """
 
 from __future__ import annotations
@@ -29,7 +30,11 @@ class TreeError(ValueError):
 
 @dataclass
 class WeightedTree:
-    """Nodes with ids (and optional coords) plus weighted edges."""
+    """Nodes with ids (and optional coords) plus weighted edges.
+
+    Ids and edges are fixed once validated (``spring_layout`` writes only
+    coords), so ``metric``, ``tree_metric(self)``, is built once and kept.
+    """
 
     node_ids: list[int]
     edges: list[tuple[int, int, float]]
@@ -50,6 +55,10 @@ class WeightedTree:
         if not self.coords:
             return 0
         return next(iter(self.coords.values())).size
+
+    @cached_property
+    def metric(self) -> TreeMetric:
+        return tree_metric(self)
 
     def layout(self) -> np.ndarray:
         """The layout coordinates, one row per node in node order. Raises

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyptree import cli, embed, train
+from hyptree import cli, trees
 from hyptree.kernels import pairwise_hyperboloid
 from hyptree.networks import HnnParams, MlpParams, hnn_forward
 from hyptree.train import TrainConfig, _predict_rows
@@ -686,10 +686,10 @@ class TestGrid:
     def test_memory_error_costs_only_its_row(self, tmp_path, monkeypatch):
         train_embedding = cli.train_embedding
 
-        def train_or_fail(t, cfg, metric):
+        def train_or_fail(t, cfg):
             if cfg.model_kind == "hnn":
                 raise MemoryError
-            return train_embedding(t, cfg, metric)
+            return train_embedding(t, cfg)
 
         monkeypatch.setattr(cli, "train_embedding", train_or_fail)
         assert run(["grid", tiny_grid_config(tmp_path / "cfg.json"), "--out-dir", tmp_path]) == 0
@@ -703,17 +703,33 @@ class TestGrid:
         assert len(read_csv(tmp_path / "grid_results.csv")) == 5
         assert calls == [15]
 
+    def test_pool_payload_trees_hold_their_metric(self, tmp_path, monkeypatch):
+        # the parent builds each tree's metric, so the pickled tree carries it
+        # and no pool worker builds it again
+        held = []
+        pool_rows = cli._pool_rows
+
+        def spy(payloads, workers):
+            held.extend("metric" in vars(p["tree"]) for p in payloads)
+            return pool_rows(payloads, workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_pool_rows", spy)
+        cfgf = tiny_grid_config(tmp_path / "cfg.json", seeds=[0, 1])
+        assert run(["grid", cfgf, "--threads", 2, "--out-dir", tmp_path]) == 0
+        assert held == [True] * 4
+
 
 def count_tree_metric(monkeypatch):
-    """Record the node count of every tree_metric call the CLI makes."""
+    """Record the node count of every tree_metric call: a tree's ``metric``
+    is the library's only caller."""
     calls = []
 
     def counted(t):
         calls.append(t.n_nodes)
         return tree_metric(t)
 
-    for module in (cli, embed, train):
-        monkeypatch.setattr(module, "tree_metric", counted)
+    monkeypatch.setattr(trees, "tree_metric", counted)
     return calls
 
 

@@ -437,8 +437,10 @@ class TestPairwiseReference:
     def test_walk_past_the_overflow_cap(self, tmp_path):
         # binary(5) at tau = 128 puts its leaves about 640 from the root: the
         # walk gives every distance, and only the ambient points refuse, naming
-        # the radius that sinh and cosh would get
+        # the radius that sinh and cosh would get, before a file is opened or
+        # a network built
         t, tau = gen_binary(5), 128.0
+        spring_layout(t, dim=2, seed=0)
         e = sarkar_embed(t, tau)
         ids = e.node_ids()
         mat = embedding_distance_matrix(e)
@@ -452,10 +454,12 @@ class TestPairwiseReference:
         radius = embedding_distance(e, [centroid(t)]).max()
         assert 350.0 < radius < tau * 5
         message = f"tau 128 puts nodes at radius {radius:.1f} > 350; reduce tau"
-        for read in (lambda: e.points, lambda: save_embedding(tmp_path / "e.json", e)):
+        for read in (lambda: e.points, lambda: save_embedding(tmp_path / "e.json", e),
+                     lambda: hnn_realize(e, t)):
             with pytest.raises(OverflowGuardError) as err:
                 read()
             assert str(err.value) == message
+        assert not (tmp_path / "e.json").exists()
 
     @pytest.mark.parametrize("make", [lambda: gen_binary(9), lambda: gen_random(1000, seed=0)],
                              ids=["binary9", "random1000"])
@@ -494,10 +498,10 @@ class TestTemporaries:
         # the full check reduces each block of walked rows as it is walked:
         # no n x n array of walked distances, no scaled copy of the metric
         t = make()
-        metric = tree_metric(t)
+        t.metric  # built before tracing
         tracemalloc.start()
         try:
-            choose_curvature(t, lam, metric)
+            choose_curvature(t, lam)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -921,6 +925,16 @@ class TestRealize:
         spring_layout(t, dim=2, seed=0)
         e = sarkar_embed(gen_binary(1), 2.0)
         with pytest.raises(EmbedError, match="missing"):
+            hnn_realize(e, t)
+
+    @pytest.mark.parametrize("tau", [2.0, 128.0])
+    def test_missing_nodes_rejected_at_any_tau(self, tau):
+        # the tree's ids are checked against the frame before any point is
+        # formed, so a tau past the overflow cap gives the same error
+        t = gen_binary(6)
+        spring_layout(t, dim=2, seed=0)
+        e = sarkar_embed(gen_binary(5), tau)
+        with pytest.raises(EmbedError, match=r"embedding is missing nodes \[63, 64, 65\]"):
             hnn_realize(e, t)
 
 

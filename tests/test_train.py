@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from hyptree import kernels
+from hyptree import kernels, trees
 from hyptree import train as tr
 from hyptree.autodiff import Tape
+from hyptree.embed import choose_curvature
 from hyptree.hypgeom import (
     HPoint,
     basepoint,
@@ -721,7 +722,7 @@ class TestPairSample:
 
     @pytest.mark.parametrize("kind", ["mlp", "hnn"])
     def test_sampled_run_holds_no_square_array(self, kind):
-        # with the metric passed in, a run on a sample of 2048 of the 499,500
+        # with the metric built, a run on a sample of 2048 of the 499,500
         # pairs of random(1000) holds no n x n array: the pairs are drawn by
         # flat index, and the model's distances reach the distortion
         # reduction block by block. The tower is narrow because each step
@@ -729,12 +730,12 @@ class TestPairSample:
         # TestStepMemory bounds.
         t = gen_random(1000, 0)
         spring_layout(t, dim=2, seed=1)
-        metric = tree_metric(t)
+        t.metric  # built before tracing
         cfg = TrainConfig(model_kind=kind, max_pairs=2048, epochs=1, hidden_layers=2,
                           hidden_width=16)
         tracemalloc.start()
         try:
-            train_embedding(t, cfg, metric)
+            train_embedding(t, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -746,10 +747,10 @@ class TestPairSample:
         # metric, and at 3.11 when the flat indices outlive their decoding
         t = gen_random(1000, 3)
         spring_layout(t, dim=2, seed=0)
-        metric = tree_metric(t)
+        t.metric  # built before tracing
         tracemalloc.start()
         try:
-            train_embedding(t, TrainConfig(epochs=1, hidden_layers=1, hidden_width=8), metric)
+            train_embedding(t, TrainConfig(epochs=1, hidden_layers=1, hidden_width=8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -763,11 +764,10 @@ class TestStepMemory:
 
     @pytest.fixture(scope="class")
     def first_batch(self):
-        # the first batch of a grid-bigtree row: random(1000) with the metric
-        # passed in, 2048 sampled pairs and the grid's default 4 x 64 tower
+        # the first batch of a grid-bigtree row: random(1000), whose metric
+        # both runs share, 2048 sampled pairs and the grid's default 4 x 64 tower
         t = gen_random(1000, 0)
         spring_layout(t, dim=2, seed=1)
-        metric = tree_metric(t)
         batches = {}
         real_step = tr._step
 
@@ -781,7 +781,7 @@ class TestStepMemory:
         tr._step = spy
         try:
             for kind in ("mlp", "hnn"):
-                train_embedding(t, TrainConfig(model_kind=kind, max_pairs=2048, epochs=1), metric)
+                train_embedding(t, TrainConfig(model_kind=kind, max_pairs=2048, epochs=1))
         finally:
             tr._step = real_step
         return batches
@@ -886,6 +886,16 @@ class TestOptimizerStep:
 
 
 class TestTrainEmbedding:
+    def test_scan_and_training_build_one_metric(self, monkeypatch):
+        # the tree keeps the metric that the scan built, and training reads it
+        calls = []
+        monkeypatch.setattr(trees, "tree_metric", lambda t: calls.append(t.n_nodes) or tree_metric(t))
+        t = gen_binary(3)
+        spring_layout(t, dim=2, seed=0)
+        choose_curvature(t, 1.1)
+        train_embedding(t, TrainConfig(seed=0, **SMALL))
+        assert calls == [15]
+
     @pytest.mark.parametrize("kind", ["mlp", "hnn"])
     def test_two_node_tree_converges(self, kind):
         cfg = TrainConfig(

@@ -166,6 +166,12 @@ class TestMetric:
             got = kernels.tree_metric_all_pairs(order, parent, weight)
             assert_allclose(got, dijkstra_oracle(t), rtol=1e-12, atol=1e-12)
 
+    def test_tree_keeps_its_metric(self):
+        t = random_weighted_tree(30, 14)
+        assert t.metric is t.metric
+        assert t.metric.ids == tuple(t.node_ids)
+        assert_allclose(t.metric.matrix, trees.tree_metric(t).matrix, rtol=0, atol=0)
+
     def test_single_node(self):
         m = trees.tree_metric(trees.WeightedTree([3], []))
         assert m.matrix.shape == (1, 1)
