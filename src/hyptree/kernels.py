@@ -10,14 +10,18 @@ place by two sweeps along a DFS preorder that it is given (the tree's one
 walk, ``trees._preorder``), and ``_mirror_lower`` makes it symmetric, one
 block of rows at a time. Everything else over all pairs walks blocks of
 rows, so a block's arrays stay in cache and no kernel allocates an n x n
-scratch array. One walk forms the pairs: ``fr_step``, ``euclidean_blocks``,
-``intrinsic_blocks`` and ``pairwise_hyperboloid`` walk the upper triangle
-(``_triangle_blocks``): rows [r0, r1) against the columns [r0, n), the rows
-growing as the columns shrink, so each unordered pair is formed once. A
-block's whole buffer is about ``_TRIANGLE_BYTES``, 1 MB: at dim 2,
-fr_step's four block arrays hold 2^15 entries each. Spring layouts of
-random(1000) took about the same time with 512 KB to 2 MB buffers, and a
-third longer or more at 256 KB and at 4 MB.
+scratch array. A walk is a list of spans (r0, r1, c1): the rows [r0, r1)
+against the columns [r0, c1), so each unordered pair is formed once.
+``euclidean_blocks``, ``intrinsic_blocks`` and ``pairwise_hyperboloid`` walk
+the upper triangle (``_triangle_blocks``, c1 = n), the rows growing as the
+columns shrink. ``fr_step`` walks strips (``_strip_blocks``): its rows
+sorted by their first coordinate, in the triangle walk's row blocks, each
+against the columns up to the end of its last row's 2k strip, since no pair
+farther apart repels. A block's whole buffer is at most about
+``_TRIANGLE_BYTES``, 1 MB: at dim 2, a triangle block's four arrays hold
+2^15 entries each, and a strip block's hold fewer. On a 2-vCPU machine,
+strip-walked spring layouts of random(1000) took 72 ms with 1 MB buffers,
+84-85 ms at 512 KB and at 2 MB, and 107-120 ms at 256 KB and at 4 MB.
 
 ``block_ratio_bounds``, the one distortion reduction, consumes such blocks
 and returns their ``DistortionReport``: training reduces its model's
@@ -27,18 +31,18 @@ distances straight from ``euclidean_blocks`` (R^k) or ``intrinsic_blocks``
 ``pairwise_hyperboloid`` fill a matrix from theirs; only the gates, the
 benchmark's tracer and the tests call these.
 
-``_row_blocks`` gives each block of ``pairwise_hyperboloid``,
-``euclidean_blocks`` and ``fr_step`` its coordinate differences and their
-squared sum. It forms the differences x_i - x_j of a block with one matmul
-of the rows [x_i, 1] by the columns [1; -x_j]: a broadcast subtraction pays
-numpy's per-row overhead on every row of the block, which made it about 40%
-of a spring-layout step at n = 1000, and the matmul does not. Both products
-are exact, so each difference is the subtraction rounded once (up to the
-sign of a zero, which no output carries), and x_j - x_i is x_i - x_j
-negated, so a distance is the same double as the full-matrix form's at
-(i, j) and at (j, i). ``fr_step`` sums each pair's repulsion into both of
-its rows, in another order than the full-matrix form, so the two agree to
-rounding.
+``_row_blocks`` gives each block of the walk that its caller passes
+(``pairwise_hyperboloid``, ``euclidean_blocks`` and ``fr_step``) its
+coordinate differences and their squared sum. It forms the differences
+x_i - x_j of a block with one matmul of the rows [x_i, 1] by the columns
+[1; -x_j]: a broadcast subtraction pays numpy's per-row overhead on every
+row of the block, which made it about 40% of a spring-layout step at
+n = 1000, and the matmul does not. Both products are exact, so each
+difference is the subtraction rounded once (up to the sign of a zero,
+which no output carries), and x_j - x_i is x_i - x_j negated, so a
+distance is the same double as the full-matrix form's at (i, j) and at
+(j, i). ``fr_step`` sums each pair's repulsion into both of its rows, in
+another order than the full-matrix form, so the two agree to rounding.
 
 ``_half_angle_side`` is the one hyperbolic triangle formula. It forms the
 H^k distance of ``_apex_distance`` (``intrinsic_blocks`` and the HNN
@@ -57,50 +61,65 @@ _EPS = 1e-12
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
 _BLOCK = 1 << 16  # float64 entries per block of a matrix's rows (512 KB)
-_TRIANGLE_BYTES = 1 << 20  # a triangle block's whole buffer, over all its arrays
+_TRIANGLE_BYTES = 1 << 20  # the most a walk block's whole buffer holds, over all its arrays
 
 # The benchmark's traced run records this name; numpy is the only backend.
 ACTIVE_BACKEND = "numpy"
 
 
 def fr_step(pos, eu, ev, k, t):
-    """One Fruchterman-Reingold iteration: k^2/d repulsion between all pairs,
-    d^2/k attraction along edges, displacement capped at the temperature t.
+    """One Fruchterman-Reingold iteration, the grid variant: k^2/d repulsion
+    between the pairs closer than 2k, d^2/k attraction along edges,
+    displacement capped at the temperature t.
 
-    The repulsion walks the upper triangle in blocks (``_triangle_blocks``):
-    rows [r0, r1) against columns [r0, n), a block's dim + 2 arrays about
-    _TRIANGLE_BYTES in all. In each block the squared distances turn in
-    place into the coefficients c_ij = k^2/max(d^2, eps^2), so each
-    unordered pair's coefficient and differences are formed once, and the
-    step holds no n x n array. For each coordinate the block adds its row
-    contraction sum_j c_ij (x_i - x_j) to the displacement of its rows, and
-    subtracts its column contraction sum_i c_ij (x_i - x_j) over the columns
-    j >= r1 from theirs (the pairs among the block's own rows appear in both
-    orders and reach their rows through the row contraction). The diagonal
-    needs no zeroing: for finite coordinates its differences are exactly +0,
-    so its coefficient k^2/eps^2, finite for k < 1e142, adds +0. Both
-    contractions keep the difference form, since the expanded
-    x_i sum_j c_ij - sum_j c_ij x_j cancels on near-coincident points (with
-    two of 40 points 1e-9 apart, the step's relative error is 2e-7 in that
-    form and 5e-15 in this one), and a pair split across two blocks reaches
-    its second point through the column contraction. The sums run in another order than a
-    full-matrix step's, so the two agree to rounding, not bit for bit.
+    A pair repels when its squared distance d^2, summed as ``_row_blocks``
+    sums it, is below (2k)^2: the cutoff reads the same rounded d^2 as the
+    coefficient c_ij = k^2/max(d^2, eps^2). The rows are sorted by their
+    first coordinate, and the repulsion walks ``_strip_blocks``: rows
+    [r0, r1) against the columns [r0, c1) of the last row's 2k strip, a
+    block's dim + 2 arrays at most about _TRIANGLE_BYTES in all. So each
+    unordered pair that can repel is formed once, no pair past the strip
+    is, and the step holds no n x n array. In each block the squared
+    distances turn in place into the coefficients, 0 past the cutoff. For
+    each coordinate the block adds its row contraction sum_j c_ij (x_i - x_j)
+    to the displacement of its rows, and subtracts its column contraction
+    sum_i c_ij (x_i - x_j) over the columns r1 <= j < c1 from theirs (the
+    pairs among the block's own rows appear in both orders and reach their
+    rows through the row contraction). The diagonal needs no zeroing: for
+    finite coordinates its differences are exactly +0, so its coefficient
+    k^2/eps^2, finite for k < 1e142, adds +0. Both contractions keep the
+    difference form, since the expanded x_i sum_j c_ij - sum_j c_ij x_j
+    cancels on near-coincident points (with two of 40 points 1e-9 apart, the
+    step's relative error is 2e-7 in that form and 5e-15 in this one), and a
+    pair split across two blocks reaches its second point through the column
+    contraction. The sums run in another order than a full-matrix step's, so
+    the two agree to rounding, not bit for bit. The edge pull is summed per
+    coordinate by ``np.bincount``.
     """
-    disp = np.zeros_like(pos)
-    for r0, r1, diff, coef in _row_blocks(pos, pos.shape[1]):
+    n, dim = pos.shape
+    order = np.argsort(pos[:, 0], kind="stable")
+    rows = pos[order]
+    cut = 4.0 * k * k  # (2k)^2 rounded once, as 2k is exact
+    rep = np.zeros_like(pos)
+    spans = _strip_blocks(rows[:, 0], 2.0 * k, dim + 2)
+    for r0, r1, diff, coef in _row_blocks(rows, dim, spans):
+        far = coef >= cut
         np.maximum(coef, _EPS * _EPS, out=coef)
         np.divide(k * k, coef, out=coef)
-        h = r1 - r0
-        for c in range(pos.shape[1]):
-            disp[r0:r1, c] += np.einsum("ij,ij->i", coef, diff[c])
-            if r1 < len(pos):  # the last block has no columns past its rows
-                disp[r1:, c] -= np.einsum("ij,ij->j", coef[:, h:], diff[c][:, h:])
+        np.copyto(coef, 0.0, where=far)
+        h, c1 = r1 - r0, r0 + coef.shape[1]
+        for c in range(dim):
+            rep[r0:r1, c] += np.einsum("ij,ij->i", coef, diff[c])
+            if r1 < c1:  # a block whose strip ends at its last row has no columns past its rows
+                rep[r1:c1, c] -= np.einsum("ij,ij->j", coef[:, h:], diff[c][:, h:])
+    disp = np.empty_like(pos)
+    disp[order] = rep
 
     edge_diff = pos[eu] - pos[ev]
     edge_dist = np.maximum(np.sqrt(np.sum(edge_diff**2, axis=-1)), _EPS)
     pull = edge_diff * (edge_dist / k)[:, None]
-    np.subtract.at(disp, eu, pull)
-    np.add.at(disp, ev, pull)
+    for c in range(dim):
+        disp[:, c] += np.bincount(ev, pull[:, c], n) - np.bincount(eu, pull[:, c], n)
 
     length = np.sqrt(np.sum(disp * disp, axis=-1))
     scale = np.where(length > _EPS, np.minimum(length, t) / np.maximum(length, _EPS), 0.0)
@@ -169,49 +188,64 @@ def _block_rows(n):
 
 
 def _triangle_blocks(n, arrays):
-    """Row blocks [r0, r1) of an upper-triangle walk, each against the
-    columns [r0, n). A block's ``arrays`` float64 arrays fill about
-    _TRIANGLE_BYTES, with at least one row, so its rows grow as its
-    columns shrink."""
+    """Spans (r0, r1, n) of an upper-triangle walk: the row blocks [r0, r1),
+    each against the columns [r0, n). A block's ``arrays`` float64 arrays
+    fill about _TRIANGLE_BYTES, with at least one row, so its rows grow as
+    its columns shrink."""
     entries = _TRIANGLE_BYTES // (8 * arrays)
     r0 = 0
     while r0 < n:
         r1 = min(n, r0 + max(1, entries // (n - r0)))
-        yield r0, r1
+        yield r0, r1, n
         r0 = r1
 
 
-def _row_blocks(pts, summed):
-    """Walk the upper triangle of the pairs of rows of pts in blocks
-    (``_triangle_blocks``, the whole buffer about _TRIANGLE_BYTES); yield
-    (r0, r1, diff, sq) for each.
+def _strip_blocks(x, reach, arrays):
+    """Spans (r0, r1, c1) of a strip walk over the sorted coordinates x: the
+    row blocks of ``_triangle_blocks``, each against the columns [r0, c1),
+    where c1 - 1 is the last column with x_j <= x_{r1-1} + reach, the sum
+    rounded. A column past it has x_j > x_{r1-1} + reach exactly, since the
+    sum rounds to nearest, so every row i of the block has x_j - x_i > reach.
+    Rounding is monotone, so that pair's rounded difference is at least
+    reach, and any rounded sum of squares over it at least reach^2 rounded:
+    the strip drops no pair whose rounded squared distance is below that."""
+    for r0, r1, _ in _triangle_blocks(len(x), arrays):
+        yield r0, r1, int(np.searchsorted(x, x[r1 - 1] + reach, side="right"))
+
+
+def _row_blocks(pts, summed, spans):
+    """Walk the pairs of rows of pts in the given spans (r0, r1, c1), the
+    rows [r0, r1) against the columns [r0, c1) (``_triangle_blocks``,
+    ``_strip_blocks``); yield (r0, r1, diff, sq) for each.
 
     diff[c] holds x_ic - x_jc for the rows i in [r0, r1) and the columns
-    j >= r0. It is formed as the product of left[c], the rows [x_ic, 1], and
-    right[c], the rows [1; -x_jc], both built once per call: one matmul
-    fills a block for every coordinate, where a broadcast subtraction pays
-    numpy's overhead once per row of the block. With K = 2 both products are
-    exact, so in any summation order, with or without FMA, the only rounding
-    is that of x_ic - x_jc: the same double as the subtraction, except that
-    a zero may come out +0 where x_ic = -0 and x_jc = +0 would give -0. A
-    block's product is about 2^17 multiply-adds, too small for the BLAS to
-    split it across threads, so it runs on the calling thread.
+    j in [r0, c1). It is formed as the product of left[c], the rows
+    [x_ic, 1], and right[c], the rows [1; -x_jc], both built once per call:
+    one matmul fills a block for every coordinate, where a broadcast
+    subtraction pays numpy's overhead once per row of the block. With K = 2
+    both products are exact, so in any summation order, with or without
+    FMA, the only rounding is that of x_ic - x_jc: the same double as the
+    subtraction, except that a zero may come out +0 where x_ic = -0 and
+    x_jc = +0 would give -0. A block's product is about 2^17 multiply-adds,
+    too small for the BLAS to split it across threads, so it runs on the
+    calling thread.
 
     sq holds the sum of diff[c]^2 over the first ``summed`` coordinates,
     accumulated as square(diff[0]), then += square(diff[c]) in coordinate
-    order. Both are views of one buffer that the next block overwrites.
+    order. Both are views of one buffer, sized for the largest span, that
+    the next block overwrites.
     """
     n, dim = pts.shape
     left = np.ones((dim, n, 2))
     left[:, :, 0] = pts.T
     right = np.ones((dim, 2, n))
     np.negative(pts.T, out=right[:, 1])
-    spans = list(_triangle_blocks(n, dim + 2))
-    buf = np.empty((dim + 2) * max(((r1 - r0) * (n - r0) for r0, r1 in spans), default=0))
-    for r0, r1 in spans:
-        block = buf[: (dim + 2) * (r1 - r0) * (n - r0)].reshape(dim + 2, r1 - r0, n - r0)
+    spans = list(spans)
+    buf = np.empty((dim + 2) * max(((r1 - r0) * (c1 - r0) for r0, r1, c1 in spans), default=0))
+    for r0, r1, c1 in spans:
+        block = buf[: (dim + 2) * (r1 - r0) * (c1 - r0)].reshape(dim + 2, r1 - r0, c1 - r0)
         diff, sq, tmp = block[:dim], block[dim], block[dim + 1]
-        np.matmul(left[:, r0:r1], right[:, :, r0:], out=diff)
+        np.matmul(left[:, r0:r1], right[:, :, r0:c1], out=diff)
         np.square(diff[0], out=sq)
         for c in range(1, summed):
             sq += np.square(diff[c], out=tmp)
@@ -222,7 +256,8 @@ def euclidean_blocks(pts):
     """Walk the upper triangle of |x_i - x_j| in blocks (``_row_blocks``);
     yield (r0, r1, d), the rows [r0, r1) at the columns [r0, n). d is a view
     that the next block overwrites."""
-    for r0, r1, _, sq in _row_blocks(pts, pts.shape[1]):
+    n, dim = pts.shape
+    for r0, r1, _, sq in _row_blocks(pts, dim, _triangle_blocks(n, dim + 2)):
         yield r0, r1, np.sqrt(sq, out=sq)
 
 
@@ -248,7 +283,8 @@ def pairwise_hyperboloid(pts):
     exactly symmetric."""
 
     def blocks():
-        for r0, r1, diff, q in _row_blocks(pts, pts.shape[1] - 1):
+        n, dim = pts.shape
+        for r0, r1, diff, q in _row_blocks(pts, dim - 1, _triangle_blocks(n, dim + 2)):
             q -= np.square(diff[-1], out=diff[-1])
             np.sqrt(np.maximum(q, 0.0, out=q), out=q)
             yield r0, r1, 2.0 * np.arcsinh(np.multiply(q, 0.5, out=q), out=q)
@@ -326,8 +362,8 @@ def intrinsic_blocks(U):
     n = U.shape[0]
     a, r, ls = _apex_radii(U)
     cols = np.ascontiguousarray(U.T)
-    for r0, r1 in _triangle_blocks(n, 16):
-        i, j = slice(r0, r1), slice(r0, n)
+    for r0, r1, c1 in _triangle_blocks(n, 16):
+        i, j = slice(r0, r1), slice(r0, c1)
         yield r0, r1, _apex_distance(
             a[i, None], a[None, j], r[i, None], r[None, j], ls[i, None], ls[None, j],
             cols[:, i, None] - cols[:, None, j], cols[:, i, None] + cols[:, None, j],

@@ -1,5 +1,9 @@
 """Weighted trees: validation, metrics, generators, spring layout, JSON I/O.
 
+The spring layout is the grid variant of Fruchterman & Reingold (1991):
+nodes repel only within 2k, so a step walks the 2k strips of the nodes
+sorted by their first coordinate (``kernels.fr_step``), not all pairs.
+
 A tree is nodes with integer ids (plus optional Euclidean coordinates used
 as network inputs) and positively weighted undirected edges, with exactly
 |V| - 1 edges and one connected component. The all-pairs path metric, the
@@ -264,11 +268,13 @@ def gen_random(n: int, seed: int) -> WeightedTree:
 def spring_layout(t: WeightedTree, dim: int = 2, seed: int = 0) -> dict[int, np.ndarray]:
     """Force-directed node coordinates in R^dim; deterministic given the seed.
 
-    k = sqrt(area/n) with unit area, repulsion k^2/d between all pairs,
-    attraction d^2/k along edges, 50 iterations with the displacement capped
-    by the temperature t_i = t_0 (1 - i/50), t_0 = 0.1 k, positions seeded
-    uniformly in the unit square. Coordinates are written back onto the
-    tree's nodes and also returned.
+    Fruchterman & Reingold's grid variant: k = sqrt(area/n) with unit
+    area, repulsion k^2/d between the pairs closer than 2k (the cutoff read
+    on the rounded squared distance), attraction d^2/k along edges, 50
+    iterations with the displacement capped by the temperature
+    t_i = t_0 (1 - i/50), t_0 = 0.1 k, positions seeded uniformly in the
+    unit square. Coordinates are written back onto the tree's nodes and
+    also returned.
     """
     n = t.n_nodes
     rng = np.random.default_rng(seed)

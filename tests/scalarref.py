@@ -6,7 +6,8 @@ layout step, the distortion bounds, one hyperbolic layer, the pair
 distance heads and the pair loss. The ``*_full`` kernels compute the spring
 layout step and the pairwise distance matrices on whole n x n matrices,
 with the float operations of the row-blocked library kernels, as oracles
-those kernels must match bit for bit; ``hyperbolic_matrix`` evaluates the
+those kernels must match bit for bit (the spring step, which sums in
+another order, to rounding); ``hyperbolic_matrix`` evaluates the
 HNN training head on every ordered pair, the oracle of the symmetric
 intrinsic kernel. ``stacked_pair_loss`` restates the
 batched training loss without deduplicating the pair endpoints.
@@ -53,11 +54,13 @@ _TWO_PI = 2.0 * math.pi
 
 
 def fr_step(pos, eu, ev, k, t):
-    """One Fruchterman-Reingold iteration as scalar loops over Python floats."""
+    """One Fruchterman-Reingold iteration (the grid variant) as scalar loops
+    over Python floats: pairs whose summed d2 is 4k^2 or more do not repel."""
     n, dim = pos.shape
     x = pos.tolist()
+    cut = 4.0 * k * k
     disp = [[0.0] * dim for _ in range(n)]
-    # repulsion between every pair: k^2 / d along the separation
+    # repulsion between every pair closer than 2k: k^2 / d along the separation
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -66,6 +69,8 @@ def fr_step(pos, eu, ev, k, t):
             for c in range(dim):
                 diff = x[i][c] - x[j][c]
                 d2 += diff * diff
+            if d2 >= cut:
+                continue
             d = max(math.sqrt(d2), _EPS)
             coef = k * k / (d * d)
             for c in range(dim):
@@ -127,14 +132,17 @@ def _squared_distances_full(pts, diff):
 
 
 def fr_step_full(pos, eu, ev, k, t):
-    """One Fruchterman-Reingold iteration on full n x n matrices, with the
-    float operations of the row-blocked kernel in the same order: the oracle
-    the kernel must match bit for bit."""
+    """One Fruchterman-Reingold iteration (the grid variant) on full n x n
+    matrices, with the repulsion's float operations of the strip-walked
+    kernel: each pair's squared distance, its 4k^2 cutoff and its
+    coefficient are the kernel's doubles, summed in another order."""
     n = pos.shape[0]
     diff = np.empty((n, n))
     coef = _squared_distances_full(pos, diff)
+    far = coef >= 4.0 * k * k
     np.maximum(coef, _EPS * _EPS, out=coef)
     np.divide(k * k, coef, out=coef)
+    coef[far] = 0.0
     np.fill_diagonal(coef, 0.0)
     disp = np.empty_like(pos)
     for c in range(pos.shape[1]):

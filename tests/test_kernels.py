@@ -256,17 +256,19 @@ class TestRowBlocks:
 
 
 def _triangle_sizes():
-    """Sizes from the schedule of ``fr_step``'s triangle walk, whose blocks
-    hold dim + 2 arrays: n = 2, the largest n that one block takes at every
-    dim 1-4, the smallest n whose last block is one row at some dim, and the
-    smallest n that every dim splits into two blocks or more."""
+    """Sizes from the row schedule of ``fr_step``'s strip walk, the triangle
+    walk's row blocks, which hold dim + 2 arrays: n = 2, the largest n that
+    one block takes at every dim 1-4, the smallest n whose last block is one
+    row at some dim, and the smallest n that every dim splits into two
+    blocks or more."""
     dims = (1, 2, 3, 4)
 
     def blocks(n, dim):
         return list(kernels._triangle_blocks(n, dim + 2))
 
     within = max(n for n in range(2, 1024) if all(len(blocks(n, d)) == 1 for d in dims))
-    one_row = next(n for n in range(2, 1024) if any(blocks(n, d)[-1] == (n - 1, n) for d in dims))
+    one_row = next(n for n in range(2, 1024)
+                   if any(blocks(n, d)[-1] == (n - 1, n, n) for d in dims))
     split = next(n for n in range(2, 1024) if all(len(blocks(n, d)) > 1 for d in dims))
     return (2, within, one_row, split)
 
@@ -276,10 +278,11 @@ TRIANGLE_SIZES = _triangle_sizes()
 
 @pytest.mark.filterwarnings("error")
 class TestTriangleWalk:
-    """``fr_step`` walks the upper triangle of its pairs, so it sums in
-    another order than a full-matrix step. It is checked against the scalar
-    step at TestBackendsAgree's tolerance, at sizes on the edges of its
-    schedule, on random and on adversarial finite coordinates."""
+    """``fr_step`` walks the strips of its x-sorted rows in the triangle
+    walk's row blocks, so it sums in another order than a full-matrix step.
+    It is checked against the scalar step at TestBackendsAgree's tolerance,
+    at sizes on the edges of its row schedule, on random and on adversarial
+    finite coordinates."""
 
     @pytest.mark.parametrize("n", TRIANGLE_SIZES)
     def test_fr_step(self, n):
@@ -302,16 +305,24 @@ class TestTriangleWalk:
 
     def test_near_coincident_pair_across_blocks(self):
         # As test_fr_step_near_coincident_points, with one pair astride the
-        # first block boundary and one far apart, so each pair's repulsion
-        # reaches its second point through the column contraction.
+        # first block boundary of the x-sorted rows, so its repulsion reaches
+        # its second point through the column contraction, and one pair of
+        # rows far apart in index order, which the sort makes neighbours.
         n = TRIANGLE_SIZES[-1]
-        (_, r1), *_ = kernels._triangle_blocks(n, 4)
+        (_, r1, _), *_ = kernels._triangle_blocks(n, 4)
         rng = np.random.default_rng(7)
         eu, ev = _random_tree_arrays(n, 1)
         pos = rng.uniform(size=(n, 2))
-        for i, j in ((r1 - 1, r1), (3, n - 2)):
+
+        def near(i, j):
             direction = rng.normal(size=2)
             pos[j] = pos[i] + 1e-9 * direction / np.linalg.norm(direction)
+
+        near(3, n - 2)
+        order = np.argsort(pos[:, 0], kind="stable")
+        near(order[r1 - 1], order[r1])
+        rank = np.argsort(np.argsort(pos[:, 0], kind="stable"))
+        assert sorted(rank[order[r1 - 1 : r1 + 1]]) == [r1 - 1, r1]
         k, t = 0.05, 0.01
         for _ in range(2):
             want = scalarref.fr_step(pos, eu, ev, k, t)
@@ -320,20 +331,109 @@ class TestTriangleWalk:
             pos = want
 
 
+def _at_cutoff(y0, k, below):
+    """A y with (y0 - y)^2, rounded as the step rounds it, the largest double
+    below 4k^2 (``below``) or the smallest one at or above it."""
+    cut = 4.0 * k * k
+    y = y0 + 2.0 * k
+    while (y0 - y) ** 2 >= cut:
+        y = math.nextafter(y, -math.inf)
+    while (y0 - y) ** 2 < cut:
+        y = math.nextafter(y, math.inf)
+    return math.nextafter(y, -math.inf) if below else y
+
+
+@pytest.mark.filterwarnings("error")
+class TestStripWalk:
+    """``fr_step`` is the grid variant: pairs whose rounded squared distance
+    is 4k^2 or more do not repel, and its walk forms only the pairs in the
+    2k strips of its x-sorted rows."""
+
+    def test_far_cluster_leaves_other_rows_bitwise(self):
+        # A cluster narrower than 2k and more than 2k beyond every other row
+        # in x, with no edge to them, moves; the other rows' step keeps its
+        # bits, whichever blocks the cluster shares with them.
+        rng = np.random.default_rng(5)
+        near, far, k = 300, 20, 0.05
+        pos = np.vstack([rng.uniform(size=(near, 2)), rng.uniform(1.2, 1.25, size=(far, 2))])
+        tree_a, tree_b = _random_tree_arrays(near, 3), _random_tree_arrays(far, 4)
+        eu = np.concatenate([tree_a[0], near + tree_b[0]])
+        ev = np.concatenate([tree_a[1], near + tree_b[1]])
+        moved = pos.copy()
+        moved[near:] += (0.5, -0.75)
+        before = kernels.fr_step(pos, eu, ev, k, 0.01)
+        after = kernels.fr_step(moved, eu, ev, k, 0.01)
+        assert_array_equal(after[:near].view(np.int64), before[:near].view(np.int64))
+        assert_allclose(after, scalarref.fr_step(moved, eu, ev, k, 0.01), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_pairs_at_the_cutoff_match_the_scalar_step(self, below):
+        # Pairs at squared distance one double below 4k^2, or at or just
+        # above it: inside the first block, astride its boundary, and along x
+        # at the end of its last row's strip. With 2k = 1/8 and y = 1/2, the
+        # pairs apart in y sit at exactly 4k^2 above. The temperature caps no
+        # step, so one pair's repulsion k/2 would show.
+        n, k = TRIANGLE_SIZES[-1], 1.0 / 16.0
+        (_, r1, _), *_ = kernels._triangle_blocks(n, 4)
+        pos = np.random.default_rng(11).uniform(size=(n, 2))
+        order = np.argsort(pos[:, 0], kind="stable")
+        pairs = [(order[10], order[11]), (order[r1 - 1], order[r1])]
+        for i, j in pairs:  # apart in y only
+            pos[i, 1] = 0.5
+            pos[j] = pos[i, 0], _at_cutoff(0.5, k, below)
+        edge, end = np.argsort(pos[:, 0], kind="stable")[[r1 - 1, -1]]
+        pos[end] = _at_cutoff(pos[edge, 0], k, below), pos[edge, 1]  # apart in x only
+        pairs.append((edge, end))
+        order = np.argsort(pos[:, 0], kind="stable")
+        assert order[r1 - 1] == edge and set(order[r1 - 1 : r1 + 1]) == set(pairs[1])
+        for m, (i, j) in enumerate(pairs):
+            d2 = sum((a - b) ** 2 for a, b in zip(pos[i].tolist(), pos[j].tolist()))
+            assert (d2 < 4.0 * k * k) == below
+            assert below or m == 2 or d2 == 4.0 * k * k
+        eu, ev = np.arange(n - 1), np.arange(1, n)
+        got = kernels.fr_step(pos, eu, ev, k, 1e3)
+        want = scalarref.fr_step(pos, eu, ev, k, 1e3)
+        assert_allclose(got - pos, want - pos, rtol=1e-9, atol=1e-12)
+
+    def test_uniform_start_forms_few_entries(self, monkeypatch):
+        # random(1000)'s first step from spring_layout's uniform start
+        n = 1000
+        formed = []
+        row_blocks = kernels._row_blocks
+
+        def spy(*args):
+            for block in row_blocks(*args):
+                formed.append(block[3].size)
+                yield block
+
+        monkeypatch.setattr(kernels, "_row_blocks", spy)
+        pos = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, 2))
+        eu, ev = _random_tree_arrays(n, 0)
+        k = math.sqrt(1.0 / n)
+        kernels.fr_step(pos, eu, ev, k, 0.1 * k)
+        assert 0 < sum(formed) <= 0.4 * n * (n - 1) / 2
+
+
 class TestFormedDifferences:
     """``_row_blocks`` forms x_i - x_j as the product of the rows [x_i, 1] and
     [1; -x_j]. Both products are exact, so in any summation order the only
     rounding is that of the subtraction. Every block of the upper-triangle
-    walk is checked."""
+    walk and of the strip walk is checked."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 3)),
                   elements=st.floats(allow_nan=False, allow_infinity=False)))
     def test_equals_subtraction_for_finite_pairs(self, pts):
+        n, dim = pts.shape
+        pts = pts[np.argsort(pts[:, 0], kind="stable")]
+        walks = (kernels._triangle_blocks(n, dim + 2),
+                 kernels._strip_blocks(pts[:, 0], 1.0, dim + 2))
         with np.errstate(over="ignore"):  # |x_i - x_j| may round past the largest double
-            for r0, r1, diff, _ in kernels._row_blocks(pts, pts.shape[1]):
-                for c in range(pts.shape[1]):
-                    assert np.array_equal(diff[c], np.subtract.outer(pts[r0:r1, c], pts[r0:, c]))
+            for spans in walks:
+                for r0, r1, diff, _ in kernels._row_blocks(pts, dim, spans):
+                    cols = pts[r0 : r0 + diff.shape[-1]]
+                    for c in range(dim):
+                        assert np.array_equal(diff[c], np.subtract.outer(pts[r0:r1, c], cols[:, c]))
 
 
 def _tangent_rows(rng, n, dim, scale):
