@@ -14,14 +14,20 @@ scratch array. A walk is a list of spans (r0, r1, c1): the rows [r0, r1)
 against the columns [r0, c1), so each unordered pair is formed once.
 ``euclidean_blocks``, ``intrinsic_blocks`` and ``pairwise_hyperboloid`` walk
 the upper triangle (``_triangle_blocks``, c1 = n), the rows growing as the
-columns shrink. ``fr_step`` walks strips (``_strip_blocks``): its rows
+columns shrink. ``near_pairs`` walks strips (``_strip_blocks``): its rows
 sorted by their first coordinate, in the triangle walk's row blocks, each
-against the columns up to the end of its last row's 2k strip, since no pair
-farther apart repels. A block's whole buffer is at most about
+against the columns up to the end of its last row's strip, since no pair
+farther apart is near. A block's whole buffer is at most about
 ``_TRIANGLE_BYTES``, 1 MB: at dim 2, a triangle block's four arrays hold
 2^15 entries each, and a strip block's hold fewer. On a 2-vCPU machine,
-strip-walked spring layouts of random(1000) took 68-73 ms with 1 MB buffers,
-71-74 ms at 2 MB, 84-87 ms at 512 KB, and 93-126 ms at 4 MB and at 256 KB.
+spring layouts of random(1000), which walk their 3k strips 5 times, took a
+median 27.3 ms with 1 MB buffers, 27.4 ms at 512 KB, 28.4 ms at 2 MB,
+29.4 ms at 256 KB and 31.4 ms at 4 MB (9 interleaved repeats).
+
+``fr_step``, one spring-layout step, walks no blocks: it reads the list of
+near pairs that ``near_pairs`` found, a Verlet list that the layout reuses
+for several steps, and sums each pair's repulsion into its two rows by
+``np.bincount``.
 
 ``block_ratio_bounds``, the one distortion reduction, consumes such blocks
 and returns their ``DistortionReport``: training reduces its model's
@@ -32,7 +38,7 @@ distances straight from ``euclidean_blocks`` (R^k) or ``intrinsic_blocks``
 benchmark's tracer and the tests call these.
 
 ``_row_blocks`` gives each block of the walk that its caller passes
-(``pairwise_hyperboloid``, ``euclidean_blocks`` and ``fr_step``) its
+(``pairwise_hyperboloid``, ``euclidean_blocks`` and ``near_pairs``) its
 coordinate differences and their squared sum. It forms the differences
 x_i - x_j of a block with one matmul of the rows [x_i, 1] by the columns
 [1; -x_j]: a broadcast subtraction pays numpy's per-row overhead on every
@@ -41,8 +47,9 @@ n = 1000, and the matmul does not. Both products are exact, so each
 difference is the subtraction rounded once (up to the sign of a zero,
 which no output carries), and x_j - x_i is x_i - x_j negated, so a
 distance is the same double as the full-matrix form's at (i, j) and at
-(j, i). ``fr_step`` sums each pair's repulsion into both of its rows, in
-another order than the full-matrix form, so the two agree to rounding.
+(j, i), and as ``fr_step``'s, which subtracts each listed pair's rows.
+``fr_step`` sums each pair's repulsion into both of its rows, in another
+order than the full-matrix form, so the two agree to rounding.
 
 ``_half_angle_side`` is the one hyperbolic triangle formula. It forms the
 H^k distance of ``_apex_distance`` (``intrinsic_blocks`` and the HNN
@@ -67,53 +74,67 @@ _TRIANGLE_BYTES = 1 << 20  # the most a walk block's whole buffer holds, over al
 ACTIVE_BACKEND = "numpy"
 
 
-def fr_step(pos, eu, ev, k, t):
+def near_pairs(pos, reach):
+    """The pairs (i, j) of rows of pos whose squared distance, summed as
+    ``_row_blocks`` sums it, is below reach^2 rounded: two index arrays,
+    each pair once.
+
+    The rows are sorted by their first coordinate (stable), and the walk is
+    ``_strip_blocks``: rows [r0, r1) against the columns [r0, c1) of the
+    last row's reach strip, a block's dim + 2 arrays at most about
+    _TRIANGLE_BYTES in all. A pair past the strip has a rounded squared
+    distance of at least reach^2, so none below it is dropped, and the walk
+    holds no n x n array. Of a block's entries, those at a column past
+    their row (in sorted order) are kept. The pairs come in walk order, as
+    node indices of pos.
+    """
+    dim = pos.shape[1]
+    order = np.argsort(pos[:, 0], kind="stable")
+    rows = pos[order]
+    cut = reach * reach
+    first, second = [], []
+    for r0, r1, _, sq in _row_blocks(rows, dim, _strip_blocks(rows[:, 0], reach, dim + 2)):
+        i, j = np.nonzero(sq < cut)
+        upper = j > i
+        first.append(i[upper] + r0)
+        second.append(j[upper] + r0)
+    return order[np.concatenate(first)], order[np.concatenate(second)]
+
+
+def fr_step(pos, pairs, eu, ev, k, t):
     """One Fruchterman-Reingold iteration, the grid variant: k^2/d repulsion
     between the pairs closer than 2k, d^2/k attraction along edges,
     displacement capped at the temperature t.
 
-    A pair repels when its squared distance d^2, summed as ``_row_blocks``
-    sums it, is below (2k)^2: the cutoff reads the same rounded d^2 as the
-    coefficient c_ij = k^2/max(d^2, eps^2). The rows are sorted by their
-    first coordinate, and the repulsion walks ``_strip_blocks``: rows
-    [r0, r1) against the columns [r0, c1) of the last row's 2k strip, a
-    block's dim + 2 arrays at most about _TRIANGLE_BYTES in all. So each
-    unordered pair that can repel is formed once, no pair past the strip
-    is, and the step holds no n x n array. In each block the squared
-    distances turn in place into the coefficients, 0 past the cutoff. For
-    each coordinate the block adds its row contraction sum_j c_ij (x_i - x_j)
-    to the displacement of its rows, and subtracts its column contraction
-    sum_i c_ij (x_i - x_j) over the columns r1 <= j < c1 from theirs (the
-    pairs among the block's own rows appear in both orders and reach their
-    rows through the row contraction). The diagonal needs no zeroing: for
-    finite coordinates its differences are exactly +0, so its coefficient
-    k^2/eps^2, finite for k < 1e142, adds +0. Both contractions keep the
-    difference form, since the expanded x_i sum_j c_ij - sum_j c_ij x_j
-    cancels on near-coincident points (with two of 40 points 1e-9 apart, the
-    step's relative error is 2e-7 in that form and 5e-15 in this one), and a
-    pair split across two blocks reaches its second point through the column
-    contraction. The sums run in another order than a full-matrix step's, so
-    the two agree to rounding, not bit for bit. The edge pull is summed per
-    coordinate by ``np.bincount``.
+    The repulsion reads only ``pairs``, two index arrays (``near_pairs``),
+    which must hold every pair closer than 2k. Per pair it forms the
+    difference x_i - x_j by subtraction and sums d^2 in coordinate order, as
+    ``_row_blocks`` does. A pair repels when that d^2 is below (2k)^2, so
+    the cutoff reads the same rounded d^2 as the coefficient
+    c_ij = k^2/max(d^2, eps^2), and a listed pair farther apart adds 0. For
+    each coordinate, c_ij (x_i - x_j) is added to row i and subtracted from
+    row j, one ``np.bincount`` per side. This keeps the difference form,
+    since the expanded x_i sum_j c_ij - sum_j c_ij x_j cancels on
+    near-coincident points (with two of 40 points 1e-9 apart, the step's
+    relative error is 4e-8 in that form and 6e-15 in this one). The sums
+    run in another order than a full-matrix step's, so the two agree to
+    rounding, not bit for bit. The edge pull is summed per coordinate by
+    ``np.bincount`` too.
     """
     n, dim = pos.shape
-    order = np.argsort(pos[:, 0], kind="stable")
-    rows = pos[order]
-    cut = 4.0 * k * k  # (2k)^2 rounded once, as 2k is exact
-    rep = np.zeros_like(pos)
-    spans = _strip_blocks(rows[:, 0], 2.0 * k, dim + 2)
-    for r0, r1, diff, coef in _row_blocks(rows, dim, spans):
-        near = coef < cut
-        np.maximum(coef, _EPS * _EPS, out=coef)
-        np.divide(k * k, coef, out=coef)
-        coef *= near  # exact (a factor 1 or 0), and faster than a masked copyto
-        h, c1 = r1 - r0, r0 + coef.shape[1]
-        for c in range(dim):
-            rep[r0:r1, c] += np.einsum("ij,ij->i", coef, diff[c])
-            if r1 < c1:  # a block whose strip ends at its last row has no columns past its rows
-                rep[r1:c1, c] -= np.einsum("ij,ij->j", coef[:, h:], diff[c][:, h:])
+    first, second = pairs
+    diff = [x[first] - x[second] for x in pos.T]
+    coef = np.square(diff[0])
+    for c in range(1, dim):
+        coef += np.square(diff[c])
+    near = coef < 4.0 * k * k  # (2k)^2 rounded once, as 2k is exact
+    np.maximum(coef, _EPS * _EPS, out=coef)
+    np.divide(k * k, coef, out=coef)
+    coef *= near  # exact (a factor 1 or 0), and faster than a masked copyto
     disp = np.empty_like(pos)
-    disp[order] = rep
+    for c in range(dim):
+        push = np.multiply(diff[c], coef, out=diff[c])
+        disp[:, c] = np.bincount(first, push, n) - np.bincount(second, push, n)
 
     edge_diff = pos[eu] - pos[ev]
     edge_dist = np.maximum(np.sqrt(np.sum(edge_diff**2, axis=-1)), _EPS)

@@ -19,6 +19,9 @@ every scale on its full distance matrix with ``distortion_from_matrices``,
 the oracle of every decision and exit message of the library's probing
 scan, whose full check streams its blocks instead.
 
+``prufer_edges`` decodes a Pruefer sequence without a heap, the oracle of
+``trees.gen_random``.
+
 The library has no caller for a few forms that the tests use as shorthand,
 so they live here: ``pairwise_intrinsic`` (the matrix of
 ``kernels.intrinsic_blocks``), ``mlp_forward`` (one input through an MLP),
@@ -95,6 +98,25 @@ def fr_step(pos, eu, ev, k, t):
             for c in range(dim):
                 out[i][c] += disp[i][c] * scale
     return np.array(out)
+
+
+def prufer_edges(seq, n):
+    """The edges (u < v, weight 1) of the labelled tree on nodes 0..n-1 with
+    Pruefer sequence ``seq``, by the textbook decode: each entry, in order,
+    joins the smallest node of degree 1 still in the tree, which then
+    leaves it; the last two nodes are joined."""
+    deg = [1] * n
+    for s in seq:
+        deg[s] += 1
+    edges = []
+    for s in seq:
+        leaf = min(i for i in range(n) if deg[i] == 1)
+        edges.append((min(leaf, s), max(leaf, s), 1.0))
+        deg[leaf] -= 1
+        deg[s] -= 1
+    u, v = (i for i in range(n) if deg[i] == 1)
+    edges.append((u, v, 1.0))
+    return edges
 
 
 def ratio_bounds(dspace, dtree):

@@ -10,7 +10,8 @@ rows). ``TestFormedDifferences`` checks the blocks' differences against the
 subtraction on arbitrary finite inputs, and ``TestPairwiseIntrinsic`` the
 intrinsic kernel against the training head on every pair.
 ``TestTemporaries`` bounds the memory the n x n kernels allocate, so none of
-them builds an n x n scratch array.
+them builds an n x n scratch array. ``TestVerletList`` checks the spring
+layout's shared list of near pairs at every step.
 """
 
 import math
@@ -33,6 +34,12 @@ def bounds(report):
     return report.alpha, report.beta, report.injective
 
 
+def _step(pos, eu, ev, k, t):
+    """One spring-layout step on a pair list built at its own positions: the
+    pairs closer than 2k (``near_pairs``), then ``fr_step`` over them."""
+    return kernels.fr_step(pos, kernels.near_pairs(pos, 2.0 * k), eu, ev, k, t)
+
+
 def _random_tree_arrays(n, seed):
     t = trees.gen_random(n, seed)
     index = {i: k for k, i in enumerate(t.node_ids)}
@@ -53,7 +60,7 @@ class TestBackendsAgree:
             pos = rng.uniform(size=(40, dim))
             for _ in range(3):
                 want = scalarref.fr_step(pos, eu, ev, k, t)
-                assert_allclose(kernels.fr_step(pos, eu, ev, k, t), want, rtol=1e-9, atol=1e-12)
+                assert_allclose(_step(pos, eu, ev, k, t), want, rtol=1e-9, atol=1e-12)
                 pos = want
 
     def test_fr_step_near_coincident_points(self):
@@ -70,7 +77,7 @@ class TestBackendsAgree:
         k, t = 0.15, 0.02
         for _ in range(2):
             want = scalarref.fr_step(pos, eu, ev, k, t)
-            got = kernels.fr_step(pos, eu, ev, k, t)
+            got = _step(pos, eu, ev, k, t)
             assert_allclose(got - pos, want - pos, rtol=1e-9, atol=1e-12)
             pos = want
 
@@ -175,12 +182,12 @@ class TestRowBlocks:
         eu, ev = np.arange(n - 1), np.arange(1, n)
         for dim in (1, 2, 3, 4):
             pos = rng.uniform(size=(n, dim))
-            _assert_step_close(kernels.fr_step(pos, eu, ev, 0.05, 0.01),
+            _assert_step_close(_step(pos, eu, ev, 0.05, 0.01),
                                scalarref.fr_step_full(pos, eu, ev, 0.05, 0.01))
             for pos in _adversarial_rows(rng, n, dim):
                 with np.errstate(all="ignore"):
                     want = scalarref.fr_step_full(pos, eu, ev, 0.05, 0.01)
-                    got = kernels.fr_step(pos, eu, ev, 0.05, 0.01)
+                    got = _step(pos, eu, ev, 0.05, 0.01)
                 _assert_step_close(got, want)
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
@@ -208,9 +215,10 @@ class TestRowBlocks:
                 _assert_bitwise(got, want)
 
     def test_spring_layout_random_1000(self, monkeypatch):
-        # 50 steps at n = 1000 move the layout by rounding only
+        # 50 steps at n = 1000 move the layout by rounding only; the
+        # full-matrix step reads every pair, not the list
         got = trees.spring_layout(trees.gen_random(1000, 3))
-        monkeypatch.setattr(kernels, "fr_step", scalarref.fr_step_full)
+        monkeypatch.setattr(kernels, "fr_step", lambda pos, pairs, *args: scalarref.fr_step_full(pos, *args))
         want = trees.spring_layout(trees.gen_random(1000, 3))
         assert want.keys() == got.keys()
         for i in want:
@@ -256,11 +264,11 @@ class TestRowBlocks:
 
 
 def _triangle_sizes():
-    """Sizes from the row schedule of ``fr_step``'s strip walk, the triangle
-    walk's row blocks, which hold dim + 2 arrays: n = 2, the largest n that
-    one block takes at every dim 1-4, the smallest n whose last block is one
-    row at some dim, and the smallest n that every dim splits into two
-    blocks or more."""
+    """Sizes from the row schedule of ``near_pairs``'s strip walk, the
+    triangle walk's row blocks, which hold dim + 2 arrays: n = 2, the
+    largest n that one block takes at every dim 1-4, the smallest n whose
+    last block is one row at some dim, and the smallest n that every dim
+    splits into two blocks or more."""
     dims = (1, 2, 3, 4)
 
     def blocks(n, dim):
@@ -278,11 +286,11 @@ TRIANGLE_SIZES = _triangle_sizes()
 
 @pytest.mark.filterwarnings("error")
 class TestTriangleWalk:
-    """``fr_step`` walks the strips of its x-sorted rows in the triangle
-    walk's row blocks, so it sums in another order than a full-matrix step.
-    It is checked against the scalar step at TestBackendsAgree's tolerance,
-    at sizes on the edges of its row schedule, on random and on adversarial
-    finite coordinates."""
+    """A step on the pairs that ``near_pairs`` finds in the strips of the
+    x-sorted rows, walked in the triangle walk's row blocks, sums in another
+    order than a full-matrix step. It is checked against the scalar step at
+    TestBackendsAgree's tolerance, at sizes on the edges of its row
+    schedule, on random and on adversarial finite coordinates."""
 
     @pytest.mark.parametrize("n", TRIANGLE_SIZES)
     def test_fr_step(self, n):
@@ -290,11 +298,11 @@ class TestTriangleWalk:
         eu, ev = np.arange(n - 1), np.arange(1, n)
         for dim in (1, 2, 3, 4):
             pos = rng.uniform(size=(n, dim))
-            assert_allclose(kernels.fr_step(pos, eu, ev, 0.05, 0.01),
+            assert_allclose(_step(pos, eu, ev, 0.05, 0.01),
                             scalarref.fr_step(pos, eu, ev, 0.05, 0.01), rtol=1e-9, atol=1e-12)
             for pos in _adversarial_rows(rng, n, dim):
                 with np.errstate(all="ignore"):
-                    got = kernels.fr_step(pos, eu, ev, 0.05, 0.01)
+                    got = _step(pos, eu, ev, 0.05, 0.01)
                     want = scalarref.fr_step(pos, eu, ev, 0.05, 0.01)
                     full = scalarref.fr_step_full(pos, eu, ev, 0.05, 0.01)
                 # Rows of 1e+-300 overflow the edge pull to inf. Where a
@@ -305,9 +313,9 @@ class TestTriangleWalk:
 
     def test_near_coincident_pair_across_blocks(self):
         # As test_fr_step_near_coincident_points, with one pair astride the
-        # first block boundary of the x-sorted rows, so its repulsion reaches
-        # its second point through the column contraction, and one pair of
-        # rows far apart in index order, which the sort makes neighbours.
+        # first block boundary of the x-sorted rows, so the walk finds it
+        # between a block's rows and its columns, and one pair of rows far
+        # apart in index order, which the sort makes neighbours.
         n = TRIANGLE_SIZES[-1]
         (_, r1, _), *_ = kernels._triangle_blocks(n, 4)
         rng = np.random.default_rng(7)
@@ -326,7 +334,7 @@ class TestTriangleWalk:
         k, t = 0.05, 0.01
         for _ in range(2):
             want = scalarref.fr_step(pos, eu, ev, k, t)
-            got = kernels.fr_step(pos, eu, ev, k, t)
+            got = _step(pos, eu, ev, k, t)
             assert_allclose(got - pos, want - pos, rtol=1e-9, atol=1e-12)
             pos = want
 
@@ -346,8 +354,8 @@ def _at_cutoff(y0, k, below):
 @pytest.mark.filterwarnings("error")
 class TestStripWalk:
     """``fr_step`` is the grid variant: pairs whose rounded squared distance
-    is 4k^2 or more do not repel, and its walk forms only the pairs in the
-    2k strips of its x-sorted rows."""
+    is 4k^2 or more do not repel, and the walk of ``near_pairs`` forms only
+    the pairs in the strips of its x-sorted rows."""
 
     def test_far_cluster_leaves_other_rows_bitwise(self):
         # A cluster narrower than 2k and more than 2k beyond every other row
@@ -361,8 +369,8 @@ class TestStripWalk:
         ev = np.concatenate([tree_a[1], near + tree_b[1]])
         moved = pos.copy()
         moved[near:] += (0.5, -0.75)
-        before = kernels.fr_step(pos, eu, ev, k, 0.01)
-        after = kernels.fr_step(moved, eu, ev, k, 0.01)
+        before = _step(pos, eu, ev, k, 0.01)
+        after = _step(moved, eu, ev, k, 0.01)
         assert_array_equal(after[:near].view(np.int64), before[:near].view(np.int64))
         assert_allclose(after, scalarref.fr_step(moved, eu, ev, k, 0.01), rtol=1e-9, atol=1e-12)
 
@@ -391,7 +399,7 @@ class TestStripWalk:
             assert (d2 < 4.0 * k * k) == below
             assert below or m == 2 or d2 == 4.0 * k * k
         eu, ev = np.arange(n - 1), np.arange(1, n)
-        got = kernels.fr_step(pos, eu, ev, k, 1e3)
+        got = _step(pos, eu, ev, k, 1e3)
         want = scalarref.fr_step(pos, eu, ev, k, 1e3)
         assert_allclose(got - pos, want - pos, rtol=1e-9, atol=1e-12)
 
@@ -410,8 +418,70 @@ class TestStripWalk:
         pos = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, 2))
         eu, ev = _random_tree_arrays(n, 0)
         k = math.sqrt(1.0 / n)
-        kernels.fr_step(pos, eu, ev, k, 0.1 * k)
+        _step(pos, eu, ev, k, 0.1 * k)
         assert 0 < sum(formed) <= 0.4 * n * (n - 1) / 2
+
+
+class TestVerletList:
+    """``spring_layout`` steps on a pair list (``near_pairs``) built with a
+    margin and rebuilt before the temperatures could close it."""
+
+    # random trees, complete ones, a star (a spider with legs of one edge), a
+    # spider, and the layout dims 1 and 3: (generator, its arguments, dim, seed)
+    @pytest.mark.parametrize("gen, args, dim, seed", [
+        ("gen_random", (1000, 0), 2, 0), ("gen_random", (1000, 1), 2, 1),
+        ("gen_random", (1000, 2), 2, 2), ("gen_binary", (6,), 2, 0), ("gen_ternary", (5,), 2, 0),
+        ("gen_spider", (200, 1), 2, 0), ("gen_spider", (64,), 2, 0),
+        ("gen_random", (300, 4), 1, 4), ("gen_random", (300, 5), 3, 5),
+    ])
+    def test_every_repelling_pair_is_listed(self, gen, args, dim, seed, monkeypatch):
+        # at every step, each pair whose squared distance, rounded as the
+        # step rounds it, is below 4k^2 is in the list the step reads, once
+        tree = getattr(trees, gen)(*args)
+        n, step = tree.n_nodes, kernels.fr_step
+        checked = []
+
+        def spy(pos, pairs, eu, ev, k, t):
+            first, second = pairs
+            listed = np.zeros((n, n), bool)
+            listed[first, second] = True
+            listed[second, first] = True
+            assert np.count_nonzero(listed) == 2 * first.size  # no pair twice, none (i, i)
+            sq = np.zeros((n, n))
+            for c in range(dim):
+                sq += np.square(np.subtract.outer(pos[:, c], pos[:, c]))
+            repel = sq < 4.0 * k * k
+            np.fill_diagonal(repel, False)
+            assert not np.any(repel & ~listed)
+            checked.append(np.count_nonzero(repel))
+            return step(pos, pairs, eu, ev, k, t)
+
+        monkeypatch.setattr(kernels, "fr_step", spy)
+        trees.spring_layout(tree, dim=dim, seed=seed)
+        assert len(checked) == 50 and min(checked) > 0
+
+    def test_random_1000_layout_forms_few_entries(self, monkeypatch):
+        # the list is built 5 times in 50 steps; a walk per step at reach 2k
+        # formed about 13 n(n-1)/2 entries
+        n = 1000
+        formed = []
+        row_blocks = kernels._row_blocks
+
+        def spy(*args):
+            for block in row_blocks(*args):
+                formed.append(block[3].size)
+                yield block
+
+        monkeypatch.setattr(kernels, "_row_blocks", spy)
+        trees.spring_layout(trees.gen_random(n, 0))
+        assert 0 < sum(formed) <= 3 * n * (n - 1) / 2
+
+    def test_random_1000_layout_peak(self):
+        # below a quarter of one n x n float64 array, as fr_step's bound in
+        # TestTemporaries: the walk's 1 MB buffer and two pair lists
+        n = 1000
+        tree = trees.gen_random(n, 0)
+        assert _peak_bytes(trees.spring_layout, tree) < n * n * 8 / 4
 
 
 class TestFormedDifferences:
@@ -511,8 +581,8 @@ def _peak_bytes(fn, *args):
 class TestTemporaries:
     """Each n x n kernel peaks below four n x n float64 arrays at dim 4: it
     accumulates one coordinate at a time, with no (n, n, dim) temporary. At
-    n = 2000 the row blocks bound fr_step and ratio_bounds below a quarter of
-    one n x n array, so their peak no longer grows with n^2, the pairwise
+    n = 2000 the row blocks bound a spring step (``near_pairs`` and
+    ``fr_step``) and ratio_bounds below a quarter of one n x n array, so their peak no longer grows with n^2, the pairwise
     kernels below their output plus half of one more, and the tree metric,
     built and mirrored in place, below its output plus a quarter of one."""
 
@@ -524,7 +594,7 @@ class TestTemporaries:
     def test_fr_step(self):
         eu, ev = _random_tree_arrays(self.N, 2)
         pos = np.random.default_rng(8).uniform(size=(self.N, self.DIM))
-        assert _peak_bytes(kernels.fr_step, pos, eu, ev, 0.05, 0.005) < self.BOUND
+        assert _peak_bytes(_step, pos, eu, ev, 0.05, 0.005) < self.BOUND
 
     def test_pairwise_euclidean(self):
         pts = np.random.default_rng(9).normal(size=(self.N, self.DIM))
@@ -547,7 +617,7 @@ class TestTemporaries:
     def test_fr_step_big(self):
         eu, ev = _random_tree_arrays(self.BIG_N, 2)
         pos = np.random.default_rng(12).uniform(size=(self.BIG_N, self.DIM))
-        assert _peak_bytes(kernels.fr_step, pos, eu, ev, 0.02, 0.002) < self.SQUARE / 4
+        assert _peak_bytes(_step, pos, eu, ev, 0.02, 0.002) < self.SQUARE / 4
 
     def test_ratio_bounds_big(self):
         rng = np.random.default_rng(13)

@@ -1,4 +1,5 @@
-"""Tree module tests; scipy's Dijkstra is the independent metric oracle."""
+"""Tree module tests; scipy's Dijkstra is the independent metric oracle,
+and ``scalarref.prufer_edges`` the random generator's."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
+import scalarref
 from hyptree import kernels, trees
 
 RNG = np.random.default_rng(7)
@@ -106,6 +108,13 @@ class TestGenerators:
             b = trees.gen_random(n, seed=5)
             assert a.edges == b.edges
             assert a.n_nodes == n
+
+    def test_random_trees_decode_their_pruefer_sequence(self):
+        # gen_random draws the sequence as below and decodes it with a heap
+        for n in (3, 4, 10, 101, 1000):
+            for seed in (0, 1, 2):
+                seq = np.random.default_rng(seed).integers(0, n, size=n - 2).tolist()
+                assert trees.gen_random(n, seed).edges == scalarref.prufer_edges(seq, n)
 
     def test_random_seed_sweep_hits_distinct_trees(self):
         shapes = {tuple(sorted((u, v) for u, v, _ in trees.gen_random(5, s).edges)) for s in range(50)}
