@@ -3,16 +3,17 @@
 The tower is the trained model's affine layers, with a ReLU between two
 layers, after a batch norm when it is enabled. ``Tape`` runs it forward
 when it is made and keeps what the reverse pass reads: per layer, the
-rows that went into it. Between layers it keeps the ReLU's bool mask,
-and with batch norm its centred rows c and column scales rs, from which
-the reverse pass forms the batch norm's output z = c rs again, because
-the ReLU overwrote it. ``backward`` maps the cotangent of the output rows
-to each layer's (dA, db) by the layers' closed-form vjps.
+rows that went into it, and with batch norm the batch norm's output z and
+column scales rs. The ReLU is ``np.fmax(h, 0.0)``, which writes +0.0 where
+h is NaN, as a masked copy would; ``np.maximum`` would keep the NaN. Its
+rows are > 0 exactly where its input was, so the reverse pass masks by
+them. ``backward`` maps the cotangent of the output rows to each layer's
+(dA, db) by the layers' closed-form vjps.
 
 One row buffer per hidden layer is kept, two with batch norm. The affine
-output is the buffer that batch norm centres in place, or that the ReLU
-zeroes in place; with batch norm the ReLU zeroes z in place. The input
-rows X are read, never written.
+output is the buffer that the ReLU overwrites, or that batch norm centres
+and scales into z in place; then the ReLU writes new rows. The input rows
+X are read, never written.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ _BN_EPS = 1e-5
 
 
 # What the reverse pass reads of one layer: its input rows ``value`` and,
-# past the first layer, the ReLU mask and the batch norm's c and rs that
-# formed them from the previous layer's affine output.
-_Layer = namedtuple("_Layer", "value mask c rs", defaults=(None, None, None))
+# past the first layer with batch norm, the batch norm's output z and
+# column scales rs that formed them, through the ReLU, from the previous
+# layer's affine output.
+_Layer = namedtuple("_Layer", "value z rs", defaults=(None, None))
 
 
 class Tape:
@@ -49,18 +51,15 @@ class Tape:
         self.nodes = []
         node = _Layer(X)
         for i, (A, b, *_) in enumerate(layers):
-            if i:
-                c = rs = None
-                if batch_norm:
-                    # whiten each column, z = c rs with c = h - mean and
-                    # rs = (var + eps)^(-1/2), centring h in place
-                    c = H
-                    c -= (np.sum(w[:, None] * H, axis=0) / total)[None, :]
-                    rs = 1.0 / np.sqrt(np.sum(w[:, None] * (c * c), axis=0) / total + _BN_EPS)
-                    H = c * rs[None, :]
-                mask = H > 0.0
-                np.copyto(H, 0.0, where=~mask)
-                node = _Layer(H, mask, c, rs)
+            if i and batch_norm:
+                # whiten each column in place, z = (h - mean) rs with
+                # rs = (var + eps)^(-1/2); the ReLU writes new rows
+                H -= (np.sum(w[:, None] * H, axis=0) / total)[None, :]
+                rs = 1.0 / np.sqrt(np.sum(w[:, None] * (H * H), axis=0) / total + _BN_EPS)
+                H *= rs[None, :]
+                node = _Layer(np.fmax(H, 0.0), H, rs)
+            elif i:
+                node = _Layer(np.fmax(H, 0.0, out=H))
             self.nodes.append(node)
             H = node.value @ A.T + b[None, :]
         self.output = H
@@ -72,13 +71,13 @@ class Tape:
         rows without weights: row k already stands for a share wbar[k].
         """
         grads = []
-        for node, (A, *_) in zip(reversed(self.nodes), reversed(self.layers)):
+        for k in reversed(range(len(self.nodes))):
+            node = self.nodes[k]
             grads.append((G.T @ node.value, G.sum(axis=0)))
-            if node.mask is None:
+            if k == 0:
                 break
-            G = G @ A
-            G *= node.mask  # in place: the previous G is already freed
-            if node.c is not None:
-                z = node.c * node.rs[None, :]
-                G = node.rs * (G - self.wbar * (G.sum(axis=0) + z * (G * z).sum(axis=0)))
+            G = G @ self.layers[k][0]
+            G *= node.value > 0.0  # in place: the previous G is already freed
+            if node.z is not None:
+                G = node.rs * (G - self.wbar * (G.sum(axis=0) + node.z * (G * node.z).sum(axis=0)))
         return grads[::-1]

@@ -153,7 +153,9 @@ def _load_tree_arg(path: str) -> WeightedTree:
         return load_tree(path)
     except OSError as exc:
         raise UsageError(f"cannot read tree file: {exc}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # bytes that are not UTF-8 raise a ValueError; JSON nested past the
+        # decoder's recursion limit, a RecursionError
         raise UsageError(f"malformed tree file {path}: {exc}") from exc
 
 
@@ -490,8 +492,8 @@ def cmd_grid(args) -> int:
             doc = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise UsageError(f"config is not valid JSON: {args.config}: {exc}") from exc
     try:
         cfg, sizes, bases = _parse_grid_config(doc)
     except UsageError as exc:

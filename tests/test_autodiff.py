@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from hyptree import train as tr
 from hyptree.autodiff import Tape
 from hyptree.networks import MlpParams, hnn_from_mlp
+from taperef import MaskedCopyTape
 
 COUNTS = np.array([3.0, 1.0, 5.0, 2.0, 1.0, 4.0, 2.0])
 
@@ -53,11 +54,6 @@ def check_tape_grads(layers, X, T, batch_norm=False, weights=None, rtol=1e-5, at
                 return tape_mse(moved, X, batch_norm, weights, T)
 
             assert_allclose(grads[k][j], fd_grad(loss_at, arr), rtol=rtol, atol=atol)
-
-
-def z_of(node):
-    """The batch norm's output that made a record's input rows, before the ReLU."""
-    return node.c * node.rs[None, :]
 
 
 class TestAffineOps:
@@ -148,8 +144,8 @@ class TestBackwardContract:
 
 class TestBufferContract:
     """What a tape keeps: the layers' input rows, one row buffer per hidden
-    layer (two with batch norm), the ReLU masks and nothing of X or of the
-    reverse pass."""
+    layer (two with batch norm: z and the ReLU's rows), and nothing of X or
+    of the reverse pass."""
 
     TARGET = np.random.default_rng(12).normal(size=(7, 2))
 
@@ -175,21 +171,22 @@ class TestBufferContract:
         before = X.tobytes()
         tape = Tape(self.layers(), X, True, COUNTS)
         assert tape.nodes[0].value is X
-        assert all(not np.shares_memory(X, node.c) for node in tape.nodes[1:])
+        assert all(not np.shares_memory(X, node.z) for node in tape.nodes[1:])
         tape.backward(self.TARGET - tape.output)
         assert X.tobytes() == before
 
     def test_relu_reuses_the_buffer_of_the_op_before_it(self):
         # a tower of 3 hidden layers holds per hidden layer one row array,
-        # the ReLU output written over the affine output, and a mask of 1/8
-        # of a row array; with batch norm also the affine output, centred in
-        # place. A tape that kept the affine output beside the ReLU output
-        # would hold one more row array per layer (3.41 and 6.44 here)
+        # the ReLU output written over the affine output; with batch norm
+        # also the affine output, centred and scaled into z in place (3.04
+        # and 6.06 row arrays here). A tape that kept a ReLU mask, 1/8 of a
+        # row array, would hold 3.41 and 6.44; one that kept the affine
+        # output beside the ReLU output, one more row array per layer
         rng = np.random.default_rng(14)
         width, B = 64, 500
         layers = random_layers(rng, (3, width, width, width, 2))
         X = rng.normal(size=(B, 3))
-        for bn, bound in ((False, 4.0), (True, 7.0)):
+        for bn, bound in ((False, 3.2), (True, 6.25)):
             tracemalloc.start()
             try:
                 tape = Tape(layers, X, bn)
@@ -200,7 +197,7 @@ class TestBufferContract:
             assert held <= bound * B * width * 8, bn
 
     def test_batch_norm_relu_tower_grads(self):
-        # the reverse pass re-forms the batch norm's output, which the relu overwrote
+        # the reverse pass reads the batch norm's output z, kept beside the ReLU's rows
         check_tape_grads(self.layers(), self.X(), self.TARGET, True, COUNTS)
 
     def test_backward_twice_gives_bitwise_equal_leaf_grads(self):
@@ -215,10 +212,58 @@ class TestBufferContract:
         # the reverse pass stores no cotangent on the tape and writes no buffer
         tape = Tape(self.layers(), self.X(), True, COUNTS)
         keys = set(vars(tape))
-        before = [(n.value.tobytes(), n.c.tobytes()) for n in tape.nodes[1:]]
+        before = [(n.value.tobytes(), n.z.tobytes()) for n in tape.nodes[1:]]
         tape.backward(self.TARGET - tape.output)
         assert set(vars(tape)) == keys
-        assert [(n.value.tobytes(), n.c.tobytes()) for n in tape.nodes[1:]] == before
+        assert [(n.value.tobytes(), n.z.tobytes()) for n in tape.nodes[1:]] == before
+
+
+def special_values(a):
+    """Which of NaN, -0.0, +0.0, subnormals, +inf and -inf occur in a."""
+    zero, tiny = a == 0.0, np.finfo(np.float64).tiny
+    found = {"nan": np.isnan(a), "-0": zero & np.signbit(a), "+0": zero & ~np.signbit(a),
+             "subnormal": (~zero) & (np.abs(a) < tiny), "+inf": a == np.inf, "-inf": a == -np.inf}
+    return {name for name, where in found.items() if where.any()}
+
+
+class TestReluBits:
+    """The ReLU, ``np.fmax(h, 0.0)``, and the reverse pass's mask ``value >
+    0``, against a tape whose ReLU is a masked copy (``taperef``), on
+    pre-activations that overflow, cancel to NaN and underflow."""
+
+    # 7 rows of width 5 make 35 entries. numpy 2.4's contiguous fmax (seen
+    # on AVX-512) keeps -0.0 at entry 32, the first one past its last full
+    # 8-wide vector, where the masked copy writes +0.0. With batch norm,
+    # column 2's squares overflow, so rs = 0 and z = c * 0 is -0.0 at row 6,
+    # entry 32
+    X = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [0.5, -2.0], [0.0, 0.0], [-0.0, 3.0],
+                  [-3.0, 1.0]])
+    A0 = np.array([[1e308, 1e308], [1e308, -1e308], [1e200, 0.0], [5e-324, 0.0], [0.5, -0.25]])
+
+    @pytest.mark.parametrize("batch_norm, reaching", [
+        # batch norm turns a column with an inf into NaN, and never forms
+        # an inf; without it a small matmul plus a bias never forms -0.0
+        (False, {"nan", "+0", "subnormal", "+inf", "-inf"}),
+        (True, {"nan", "-0", "+0", "subnormal"})])
+    def test_relu_matches_the_masked_copy_bit_for_bit(self, batch_norm, reaching):
+        rng = np.random.default_rng(16)
+        layers = [(self.A0, np.array([0.0, 0.0, 0.0, 0.0, 0.1]))] + random_layers(rng, (5, 5, 2))
+        G = rng.normal(size=(7, 2))
+        with np.errstate(all="ignore"):  # as train._step runs the tape
+            ref = MaskedCopyTape(layers, self.X, batch_norm)
+            tape = Tape(layers, self.X, batch_norm)
+            want, got = ref.backward(G), tape.backward(G)
+        assert set().union(*map(special_values, ref.pre)) == reaching
+        assert tape.output.tobytes() == ref.output.tobytes()
+        for (dA, db), (rA, rb) in zip(got, want, strict=True):
+            assert dA.tobytes() == rA.tobytes() and db.tobytes() == rb.tobytes()
+        # the ReLU's rows equal the copy's as numbers (-0.0 == +0.0), and
+        # are > 0 exactly where the pre-activations were
+        for node, (value, mask, c, rs), pre in zip(tape.nodes[1:], ref.nodes[1:], ref.pre):
+            assert np.array_equal(node.value, value)
+            assert np.array_equal(node.value > 0.0, mask) and np.array_equal(mask, pre > 0.0)
+            if batch_norm:
+                assert node.z.tobytes() == (c * rs[None, :]).tobytes()
 
 
 class TestBatchingOps:
@@ -244,19 +289,19 @@ class TestBatchingOps:
         M = rng.normal(size=(7, 3))
         layers = [(np.eye(3), np.zeros(3))] * 2
         reps = COUNTS.astype(int)
-        got = z_of(Tape(layers, M, True, COUNTS).nodes[1])
-        rep = z_of(Tape(layers, np.repeat(M, reps, axis=0), True).nodes[1])
+        got = Tape(layers, M, True, COUNTS).nodes[1].z
+        rep = Tape(layers, np.repeat(M, reps, axis=0), True).nodes[1].z
         assert_allclose(np.repeat(got, reps, axis=0), rep, rtol=1e-13, atol=1e-14)
 
     def test_batch_norm_whitens(self):
         rng = np.random.default_rng(7)
         M = rng.normal(size=(64, 4)) * 5.0 - 3.0
         layers = [(np.eye(4), np.zeros(4))] * 2
-        h = z_of(Tape(layers, M, True).nodes[1])
+        h = Tape(layers, M, True).nodes[1].z
         assert_allclose(h.mean(axis=0), 0.0, atol=1e-14)
         assert_allclose(h.std(axis=0), 1.0, atol=1e-3)
         w = rng.integers(1, 6, size=64).astype(float)
-        h = z_of(Tape(layers, M, True, w).nodes[1])
+        h = Tape(layers, M, True, w).nodes[1].z
         assert_allclose(np.average(h, axis=0, weights=w), 0.0, atol=1e-14)
         assert_allclose(np.sqrt(np.average(h * h, axis=0, weights=w)), 1.0, atol=1e-3)
 

@@ -396,6 +396,16 @@ class TestTrain:
         assert "malformed tree file" in err and "too large to convert to float" in err
         assert "Traceback" not in err
 
+    def test_tree_file_nested_past_the_decoder_exits_2(self, tmp_path, capsys):
+        # 100,000 brackets deep: json raises a RecursionError, no ValueError
+        (tmp_path / "t.json").write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "out"
+        assert run(["embed", tmp_path / "t.json", "--lambda", 1.1, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed tree file {tmp_path / 't.json'}: maximum recursion")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_same_seed_identical_outputs(self, tmp_path):
         tree = two_node_file(tmp_path / "t.json")
         args = ["train", tree, "--model", "hnn", "--seed", 5,
@@ -632,6 +642,18 @@ class TestGrid:
         out = tmp_path / "out"
         assert run(["grid", tmp_path / "cfg.json", "--out-dir", out]) == 2
         assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data", [b'{"trees": \xff\xfe}', b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf8", "nested-100000-deep"])
+    def test_config_that_cannot_be_decoded_exits_2(self, tmp_path, capsys, data):
+        # a UnicodeDecodeError and a RecursionError, neither a JSONDecodeError
+        (tmp_path / "cfg.json").write_bytes(data)
+        out = tmp_path / "out"
+        assert run(["grid", tmp_path / "cfg.json", "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config is not valid JSON: {tmp_path / 'cfg.json'}: ")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_divergent_rows_recorded(self, tmp_path):

@@ -759,8 +759,8 @@ class TestPairSample:
 
 
 class TestStepMemory:
-    """What one training step holds: a row buffer per hidden layer, the relu
-    masks, the leaves' gradients and a few cotangents at a time."""
+    """What one training step holds: a row buffer per hidden layer (two with
+    batch norm), the leaves' gradients and a few cotangents at a time."""
 
     @pytest.fixture(scope="class")
     def first_batch(self):
