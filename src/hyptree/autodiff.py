@@ -14,6 +14,16 @@ One row buffer per hidden layer is kept, two with batch norm. The affine
 output is the buffer that the ReLU overwrites, or that batch norm centres
 and scales into z in place; then the ReLU writes new rows. The input rows
 X are read, never written.
+
+A weight gradient G.T @ V sums over the batch's rows, and OpenBLAS splits
+one such product over more than a few hundred rows differently on one
+thread and on two, so its last bits would follow the thread count.
+``backward`` sums products over blocks of ``_GRAD_ROWS`` rows in row order
+instead, whose bits matched on one and two threads in every case tried, so
+a process that loaded numpy before the CLI could pin one thread (a library
+caller, a test, the tracer) writes the CLI's outputs. The forward products
+and G @ A read the same bits on one and two threads at 1000 rows, and stay
+one product each.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from collections import namedtuple
 import numpy as np
 
 _BN_EPS = 1e-5
+_GRAD_ROWS = 384
 
 
 # What the reverse pass reads of one layer: its input rows ``value`` and,
@@ -73,7 +84,10 @@ class Tape:
         grads = []
         for k in reversed(range(len(self.nodes))):
             node = self.nodes[k]
-            grads.append((G.T @ node.value, G.sum(axis=0)))
+            dA = G[:_GRAD_ROWS].T @ node.value[:_GRAD_ROWS]
+            for r in range(_GRAD_ROWS, len(G), _GRAD_ROWS):
+                dA += G[r:r + _GRAD_ROWS].T @ node.value[r:r + _GRAD_ROWS]
+            grads.append((dA, G.sum(axis=0)))
             if k == 0:
                 break
             G = G @ self.layers[k][0]

@@ -23,8 +23,8 @@ in TrainConfig and so in a grid), and its manifest records each. ``lowerbound``
 and a grid config (under ``"train"``) take each but ``embed_dim``, which
 ``--dims`` and the grid's dims set per row.
 ``--threads`` belongs to ``grid``, the one command that starts workers.
-The CLI sets OpenBLAS's spin timeout (``OPENBLAS_THREAD_TIMEOUT``) so idle BLAS
-threads sleep at once, and leaves the BLAS thread count alone.
+The CLI runs OpenBLAS on one thread (``OPENBLAS_NUM_THREADS=1``): the
+training products are too small to gain from a second one.
 
 Exit codes: 0 success, 2 usage error, 3 distortion target unreachable on the
 scale grid, 4 training diverged.
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -43,11 +44,12 @@ from dataclasses import asdict, replace
 
 # OpenBLAS reads this once, when numpy loads it, so it is set before the first
 # numpy import of a CLI process (``hyptree/__init__.py`` imports nothing), and
-# pool workers fork with it. An idle BLAS thread then spins 2^4 cycles before
-# it sleeps, not 2^28 (about 0.13 s of CPU) after start-up and after every
-# threaded call; a spin long enough to span a training step competes with the
-# other grid worker. The thread count, and so every output bit, is unchanged.
-os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+# pool workers fork with it. The training products are narrow (64 wide by
+# default): on two threads each one waited for the other thread to wake on
+# another CPU (a random(1000) grid row's backward pass took 70-88 ms, against
+# 2.4 ms on one thread, on 2 vCPUs), and grid workers oversubscribed the cores.
+# The weight gradient's row blocks (``autodiff``) keep outputs off the count.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -808,4 +810,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Move the import-time heap out of the collector's reach: grid's pool forks
+    # from here, and the collector and teardown no longer walk numpy's objects.
+    gc.freeze()
     sys.exit(main())

@@ -32,6 +32,19 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+def src_env(**overrides):
+    """This environment with the library's source first on PYTHONPATH;
+    each keyword sets a variable, or with None removes it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -179,12 +192,10 @@ class TestEmbed:
         save_tree(t, tmp_path / "t.json")
         script = ("import sys\nfrom hyptree import cli\n"
                   "code = cli.main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-c", script, "embed", str(tmp_path / "t.json"), "--lambda", "1.1",
              "--realize-hnn", "--out-dir", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=src_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-2:] == ["0", "False"]
@@ -993,22 +1004,37 @@ class TestThreadsFlag:
         assert "thread count must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_blas_spin_timeout_set_before_numpy_loads(self):
-        # OpenBLAS reads its spin timeout once, when numpy loads it
+    def test_blas_pinned_to_one_thread_before_numpy_loads(self):
+        # OpenBLAS reads its thread count once, when numpy loads it
         script = ("import os, sys\nimport hyptree\nprint('numpy' in sys.modules)\n"
-                  "import hyptree.cli\nprint(os.environ['OPENBLAS_THREAD_TIMEOUT'])")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        env.pop("OPENBLAS_THREAD_TIMEOUT", None)
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env, timeout=120)
+                  "import hyptree.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=src_env(OPENBLAS_NUM_THREADS=None), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "4"]
+        assert proc.stdout.split() == ["False", "1"]
+
+    def test_blas_thread_count_does_not_reach_outputs(self, tmp_path):
+        # a batch of more than 384 rows: one weight-gradient product over it
+        # changes its last bits with the BLAS thread count
+        cfgf = tiny_grid_config(tmp_path / "cfg.json", trees=[{"kind": "random", "n": 500}],
+                                models=["mlp"], train={"epochs": 1, "max_pairs": 1024})
+        unpinned = "import sys, numpy\nfrom hyptree import cli\nsys.exit(cli.main(sys.argv[1:]))"
+        csvs = []
+        # a CLI process pins one BLAS thread; a script that loads numpy
+        # first keeps the two that the environment asks for
+        for k, entry in enumerate((["-m", "hyptree.cli"], ["-c", unpinned])):
+            out = tmp_path / str(k)
+            proc = subprocess.run([sys.executable, *entry, "grid", str(cfgf), "--out-dir", str(out)],
+                                  capture_output=True, text=True,
+                                  env=src_env(OPENBLAS_NUM_THREADS="2"), timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            csvs.append((out / "grid_results.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_library_reads_no_environment_variable(self):
-        # the one environment access is the CLI writing OpenBLAS's spin
-        # timeout, which no input can change
-        allowed = ("cli.py", 'os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"')
+        # the one environment access is the CLI pinning OpenBLAS to one
+        # thread, which no input can change
+        allowed = ("cli.py", 'os.environ["OPENBLAS_NUM_THREADS"] = "1"')
         src = Path(cli.__file__).resolve().parent
         hits = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
                 for line in path.read_text().splitlines()
