@@ -7,19 +7,21 @@ global state, deterministic outputs.
 Memory rule: a ``train`` or ``grid`` row holds one n x n array, the tree
 metric, and nothing else of size n^2. ``tree_metric_all_pairs`` fills it in
 place by two sweeps along a DFS preorder that it is given (the tree's one
-walk, ``trees._preorder``), and ``_mirror_lower`` makes it symmetric, one
-block of rows at a time. Everything else over all pairs walks blocks of
-rows, so a block's arrays stay in cache and no kernel allocates an n x n
-scratch array. A walk is a list of spans (r0, r1, c1): the rows [r0, r1)
+walk, ``trees._preorder``), and ``_mirror_lower``, the one mirror, makes it
+symmetric. Everything else over all pairs walks blocks of rows, so a
+block's arrays stay in cache and no kernel allocates an n x n scratch array.
+One budget sizes every block: its arrays hold about ``_TRIANGLE_BYTES``,
+1 MB, in all. A walk is a list of spans (r0, r1, c1): the rows [r0, r1)
 against the columns [r0, c1), so each unordered pair is formed once.
-``euclidean_blocks``, ``intrinsic_blocks`` and ``pairwise_hyperboloid`` walk
-the upper triangle (``_triangle_blocks``, c1 = n), the rows growing as the
-columns shrink. ``near_pairs`` walks strips (``_strip_blocks``): its rows
-sorted by their first coordinate, in the triangle walk's row blocks, each
-against the columns up to the end of its last row's strip, since no pair
-farther apart is near. A block's whole buffer is at most about
-``_TRIANGLE_BYTES``, 1 MB: at dim 2, a triangle block's four arrays hold
-2^15 entries each, and a strip block's hold fewer. On a 2-vCPU machine,
+``euclidean_blocks``, ``intrinsic_blocks``, ``pairwise_hyperboloid``,
+``ratio_bounds`` and ``_mirror_lower`` walk the upper triangle
+(``_triangle_blocks``, c1 = n), the rows growing as the columns shrink; only
+the tree metric's column reorder takes whole rows. ``near_pairs`` walks
+strips (``_strip_blocks``): its rows sorted by their first coordinate, in
+the triangle walk's row blocks, each against the columns up to the end of
+its last row's strip, since no pair farther apart is near. At dim 2, a
+triangle block's four arrays hold 2^15 entries each, a mirror or ratio
+block's two hold 2^16, and a strip block's hold fewer. On a 2-vCPU machine,
 spring layouts of random(1000), which walk their 3k strips 5 times, took a
 median 27.3 ms with 1 MB buffers, 27.4 ms at 512 KB, 28.4 ms at 2 MB,
 29.4 ms at 256 KB and 31.4 ms at 4 MB (9 interleaved repeats).
@@ -67,8 +69,7 @@ import numpy as np
 _EPS = 1e-12
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
-_BLOCK = 1 << 16  # float64 entries per block of a matrix's rows (512 KB)
-_TRIANGLE_BYTES = 1 << 20  # the most a walk block's whole buffer holds, over all its arrays
+_TRIANGLE_BYTES = 1 << 20  # the most a block's whole buffer holds, over all its arrays
 
 # The benchmark's traced run records this name; numpy is the only backend.
 ACTIVE_BACKEND = "numpy"
@@ -160,7 +161,8 @@ def tree_metric_all_pairs(order, parent, weight):
 
     Each preorder row is kept at its node's row, so only the columns are
     in preorder when the sweeps end; they are put in node order one block of
-    rows at a time. The output is the only n x n array. The two sweeps sum
+    rows at a time, a block's rows and their gathered copy about
+    _TRIANGLE_BYTES in all. The output is the only n x n array. The two sweeps sum
     a path in opposite orders, so the result need not be exactly symmetric
     (``_mirror_lower`` makes it so).
     """
@@ -182,7 +184,7 @@ def tree_metric_all_pairs(order, parent, weight):
         row, p, e = out[order[i]], out[order[par[i]]], end[i]
         np.add(p[:i], edge[i], out=row[:i])
         np.add(p[e:], edge[i], out=row[e:])
-    rows = _block_rows(n)
+    rows = max(1, _TRIANGLE_BYTES // (16 * n))
     for r0 in range(0, n, rows):
         out[r0 : r0 + rows] = out[r0 : r0 + rows, pos]
     return out
@@ -192,20 +194,13 @@ def _mirror_lower(mat):
     """Copy the strict lower triangle of the square ``mat`` onto its strict
     upper triangle in place, so mat[i, j] = mat[j, i] = the old mat[max, min].
 
-    Pure data movement, one block of rows at a time: each block's temporaries
-    are about _BLOCK entries. ``_mirror_lower(mat.T)`` mirrors the upper
-    triangle onto the lower one.
+    Pure data movement over the spans of ``_triangle_blocks``, sized for a
+    block's two arrays: the copy of its source and its mask.
+    ``_mirror_lower(mat.T)`` mirrors the upper triangle onto the lower one.
     """
-    n = mat.shape[0]
-    col, rows = np.arange(n), _block_rows(n)
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
+    col = np.arange(mat.shape[0])
+    for r0, r1, _ in _triangle_blocks(mat.shape[0], 2):
         np.copyto(mat[r0:r1, r0:], mat[r0:, r0:r1].T, where=col[None, r0:] > col[r0:r1, None])
-
-
-def _block_rows(n):
-    """Rows per block of an n-column walk: about _BLOCK entries, at least one."""
-    return max(1, min(n, _BLOCK // max(n, 1)))
 
 
 def _triangle_blocks(n, arrays):
@@ -283,12 +278,12 @@ def euclidean_blocks(pts):
 
 
 def _symmetric_matrix(n, blocks):
-    """The n x n matrix of upper-triangle ``blocks`` (r0, r1, d), each block
-    mirrored below the diagonal."""
+    """The n x n matrix of upper-triangle ``blocks`` (r0, r1, d), mirrored
+    below the diagonal by ``_mirror_lower``."""
     out = np.empty((n, n))
     for r0, r1, d in blocks:
         out[r0:r1, r0:] = d
-        out[r0:, r0:r1] = d.T
+    _mirror_lower(out.T)
     return out
 
 
@@ -404,11 +399,10 @@ class DistortionReport:
 
 def ratio_bounds(dspace, dtree):
     """The report of dspace/dtree over pairs i < j, by ``block_ratio_bounds``
-    over the matrix's blocks of rows."""
-    n = dspace.shape[0]
-    rows = _block_rows(n)
-    blocks = ((r0, min(r0 + rows, n), dspace[r0 : r0 + rows, r0:]) for r0 in range(0, n, rows))
-    return block_ratio_bounds(blocks, dtree)
+    over the matrix's ``_triangle_blocks``, sized for a block's two arrays:
+    its ratios and its mask."""
+    spans = _triangle_blocks(dspace.shape[0], 2)
+    return block_ratio_bounds(((r0, r1, dspace[r0:r1, r0:]) for r0, r1, _ in spans), dtree)
 
 
 def block_ratio_bounds(blocks, dtree, scale=None):

@@ -20,7 +20,8 @@ the oracle of every decision and exit message of the library's probing
 scan, whose full check streams its blocks instead.
 
 ``prufer_edges`` decodes a Pruefer sequence without a heap, the oracle of
-``trees.gen_random``.
+``trees.gen_random``. ``tree_metric_outward`` sums each path hop by hop
+outward from its lower-index end, the bit rule of ``trees.tree_metric``.
 
 The library has no caller for a few forms that the tests use as shorthand,
 so they live here: ``pairwise_intrinsic`` (the matrix of
@@ -117,6 +118,31 @@ def prufer_edges(seq, n):
     u, v = (i for i in range(n) if deg[i] == 1)
     edges.append((u, v, 1.0))
     return edges
+
+
+def tree_metric_outward(t):
+    """The metric of the tree t with rows and columns in ``t.node_ids``
+    order, entry (i, j) for i < j, and its mirror (j, i), summed hop by hop
+    outward from node i: d(i, b) = d(i, a) + w(a, b) for each step a -> b
+    of the path, starting from d(i, i) = 0."""
+    index = {v: k for k, v in enumerate(t.node_ids)}
+    nbrs = [[] for _ in t.node_ids]
+    for u, v, w in t.edges:
+        nbrs[index[u]].append((index[v], w))
+        nbrs[index[v]].append((index[u], w))
+    out = np.zeros((len(nbrs), len(nbrs)))
+    for i in range(len(nbrs)):
+        dist, stack = {i: 0.0}, [i]
+        while stack:
+            a = stack.pop()
+            for b, w in nbrs[a]:
+                if b not in dist:
+                    dist[b] = dist[a] + w
+                    stack.append(b)
+        for j, d in dist.items():
+            if j > i:
+                out[i, j] = out[j, i] = d
+    return out
 
 
 def ratio_bounds(dspace, dtree):

@@ -116,14 +116,19 @@ class TestBackendsAgree:
 
 
 def _block_sizes():
-    """n = 2, n within one block, a multiple of the block's row count, and one
-    row past a multiple, so the last block is a single row."""
-    below = 200
-    assert kernels._block_rows(below) == below
-    multiple = next(n for n in range(below + 1, 4096) if n % kernels._block_rows(n) == 0
-                    and n > kernels._block_rows(n))
-    one_past = next(n for n in range(below + 1, 4096) if n % kernels._block_rows(n) == 1)
-    return (2, below, multiple, one_past)
+    """n = 2; n whose mirror and ratio walk (``_triangle_blocks`` at two
+    arrays) is one block; n that is a multiple of that walk's first block,
+    so it takes several; and n whose tree-metric column reorder, of
+    _TRIANGLE_BYTES // (16 n) rows a block, ends in a single row."""
+    def first_rows(n):
+        (_, r1, _), *_ = kernels._triangle_blocks(n, 2)
+        return r1
+
+    one = 200
+    assert first_rows(one) == one
+    multiple = next(n for n in range(one + 1, 4096) if n % first_rows(n) == 0 and n > first_rows(n))
+    one_past = next(n for n in range(one + 1, 4096) if n % (kernels._TRIANGLE_BYTES // (16 * n)) == 1)
+    return (2, one, multiple, one_past)
 
 
 BLOCK_SIZES = _block_sizes()
@@ -213,6 +218,15 @@ class TestRowBlocks:
                     want = scalarref.pairwise_hyperboloid_full(pts)
                     got = kernels.pairwise_hyperboloid(pts)
                 _assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_tree_metric(self, n):
+        # weights over nine decades, so that the order of a path's sum shows
+        rng = np.random.default_rng(n)
+        base = trees.gen_random(n, n)
+        edges = [(u, v, float(10.0 ** rng.uniform(-6.0, 3.0))) for u, v, _ in base.edges]
+        t = trees.WeightedTree([int(i) for i in rng.permutation(n)], edges)
+        _assert_bitwise(trees.tree_metric(t).matrix, scalarref.tree_metric_outward(t))
 
     def test_spring_layout_random_1000(self, monkeypatch):
         # 50 steps at n = 1000 move the layout by rounding only; the

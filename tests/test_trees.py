@@ -3,7 +3,7 @@ and ``scalarref.prufer_edges`` the random generator's."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
@@ -25,6 +25,15 @@ def weighted_path(n, seed, reverse=False):
     w = np.random.default_rng(seed).uniform(0.5, 2.0, size=n - 1)
     ids = list(range(n))
     return trees.WeightedTree(ids[::-1] if reverse else ids, [(i, i + 1, float(w[i])) for i in range(n - 1)])
+
+
+def scattered_tree(base, seed):
+    """``base`` with weights 10^U(-6, 3) and its node ids listed in a random
+    order, so that a pair's lower index says nothing of where it sits."""
+    rng = np.random.default_rng(seed)
+    ids = [base.node_ids[k] for k in rng.permutation(base.n_nodes)]
+    edges = [(u, v, float(10.0 ** rng.uniform(-6.0, 3.0))) for u, v, _ in base.edges]
+    return trees.WeightedTree(ids, edges)
 
 
 def dijkstra_oracle(t):
@@ -174,6 +183,22 @@ class TestMetric:
             visit(root, -1, order, parent, weight)
             got = kernels.tree_metric_all_pairs(order, parent, weight)
             assert_allclose(got, dijkstra_oracle(t), rtol=1e-12, atol=1e-12)
+
+    def test_bits_sum_outward_from_the_lower_index(self, monkeypatch):
+        """Entry (i, j), i < j, is the path summed hop by hop outward from
+        node i, bit for bit, whichever node roots the sweeps' preorder. The
+        sweeps sum each path from both ends, so this pins which one the
+        mirror keeps; random(300) crosses a block boundary of the column
+        reorder and of the mirror."""
+        preorder = trees._preorder
+        bases = (trees.gen_random(36, 2), trees.gen_binary(5), trees.gen_ternary(3),
+                 trees.gen_spider(12, 3), trees.gen_random(300, 5))
+        # built before the patch, since validation walks a preorder too
+        for t in [scattered_tree(base, seed) for seed, base in enumerate(bases)]:
+            want = scalarref.tree_metric_outward(t).view(np.int64)
+            for root in t.node_ids if t.n_nodes < 100 else t.node_ids[::30]:
+                monkeypatch.setattr(trees, "_preorder", lambda adj, _, root=root: preorder(adj, root))
+                assert_array_equal(trees.tree_metric(t).matrix.view(np.int64), want)
 
     def test_tree_keeps_its_metric(self):
         t = random_weighted_tree(30, 14)
