@@ -9,13 +9,18 @@ Subcommands
 * ``grid``       sweep (tree x dim x model x seed), emit a long-format CSV
 * ``lowerbound`` trained-MLP distortion growth vs the constructive column
 
-Once its input checks pass, every invocation creates its output directory
-(``--out-dir``, or a grid config's ``output_dir`` in its place) and writes
-``<command>_manifest.json`` there after its result files, also when it stops
-with exit 3 or 4; the manifest lists the resolved configuration and the output
-files the run wrote. Manifest content is a pure function of config, seed, and library
-version, so identical invocations produce byte-identical files (wall-clock time
-lives in filesystem metadata only).
+Every output path is an input check, made before any work: each command
+names all the files it can write (``-o``, the ``--svg`` heatmaps and the
+manifest included) in one ``_outputs`` call. A path that is a directory, a
+folder that neither exists nor is the output directory, or two outputs with
+one name exit 2, and a path fault creates nothing. Once its input checks pass,
+every invocation creates its output directory (``--out-dir``, or a grid
+config's ``output_dir`` in its place) and writes ``<command>_manifest.json``
+there after its result files, also when it stops with exit 3 or 4; the
+manifest lists the resolved configuration and the output files the run
+wrote. Manifest content is a pure function of config, seed, and library
+version, so identical invocations produce byte-identical files (wall-clock
+time lives in filesystem metadata only).
 
 The training knobs are declared once, in ``TRAIN_FLAGS``. ``train`` takes
 each as a flag whose default is TrainConfig's, except ``--epochs`` (10 here, 20
@@ -90,35 +95,40 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _out_path(out_dir: str, name: str) -> str:
-    """The path of output ``name``, checked to be writable before any work
-    runs. Creates ``out_dir``, where the manifest goes, so a command asks for
-    its paths only once its input checks pass."""
+def _outputs(out_dir: str, command: str, *names: str) -> list[str]:
+    """The paths of a command's outputs ``names`` and, last, of its manifest,
+    checked before any work runs. A path that is a directory, a folder that
+    neither exists nor is ``out_dir``, or two outputs with one basename (the
+    manifest lists basenames) exit 2; only then is ``out_dir`` created."""
+    paths = [os.path.join(out_dir, name) for name in (*names, f"{command}_manifest.json")]
+    # out_dir as the folder of a plain name, and as the folder of an absolute one
+    homes = {os.path.dirname(os.path.join(out_dir, "")), os.path.abspath(out_dir)}
+    for path in paths:
+        if (folder := os.path.dirname(path)) not in homes and not os.path.isdir(folder):
+            raise UsageError(f"cannot write {path}: {folder} is not a directory")
+        if os.path.isdir(path) or os.path.basename(path) in (os.curdir, os.pardir):
+            raise UsageError(f"cannot write {path}: it is a directory")
+    if (rep := _repeated(os.path.basename(p) for p in paths)) is not None:
+        raise UsageError(f"cannot write two outputs named {rep}")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
-    path = name if os.path.isabs(name) else os.path.join(out_dir, name)
-    folder = os.path.dirname(path) or "."
-    if not os.path.isdir(folder):
-        raise UsageError(f"cannot write {path}: {folder} is not a directory")
-    if os.path.isdir(path):
-        raise UsageError(f"cannot write {path}: it is a directory")
-    return path
+    return paths
 
 
 @contextmanager
-def _manifest(out_dir: str, command: str, config: dict, seed: int):
+def _manifest(path: str, command: str, config: dict, seed: int):
     """Yield a list for the command to add each output path to once written.
 
-    ``<command>_manifest.json`` is written when the block ends, on every
-    exit path, so it lists exactly the outputs that exist.
+    The manifest is written to ``path`` when the block ends, on every exit
+    path, so it lists exactly the outputs that exist.
     """
     outputs = []
     try:
         yield outputs
     finally:
-        _write_json(_out_path(out_dir, f"{command}_manifest.json"), {
+        _write_json(path, {
             "command": command,
             "config": config,
             "library_version": __version__,
@@ -231,9 +241,9 @@ def cmd_gen(args) -> int:
     size = _tree_size({"kind": args.kind, "depth": args.depth, "n": args.n})
     if args.layout_dim < 1:
         raise UsageError(f"--layout-dim must be >= 1, got {args.layout_dim}")
-    out = _out_path(args.out_dir, args.output or f"tree_{args.kind}.json")
+    out, out_manifest = _outputs(args.out_dir, "gen", args.output or f"tree_{args.kind}.json")
     t = _build_tree(args.kind, size, args.seed, layout_dim=args.layout_dim)
-    with _manifest(args.out_dir, "gen",
+    with _manifest(out_manifest, "gen",
                    {"kind": args.kind, "depth": args.depth, "n": args.n,
                     "layout_dim": args.layout_dim}, args.seed) as written:
         save_tree(t, out)
@@ -270,10 +280,9 @@ def cmd_embed(args) -> int:
             raise UsageError("cannot realize the embedding on this layout: no seeded direction "
                              f"separates its nodes' projections (seed {args.seed})")
 
-    out_emb = _out_path(args.out_dir, args.output or "embedding.json")
-    out_report = _out_path(args.out_dir, "embed_report.json")
-    out_params = _out_path(args.out_dir, "hnn_params.json")
-    with _manifest(args.out_dir, "embed",
+    out_emb, out_report, out_params, out_manifest = _outputs(
+        args.out_dir, "embed", args.output or "embedding.json", "embed_report.json", "hnn_params.json")
+    with _manifest(out_manifest, "embed",
                    {"tree": os.path.basename(args.tree), "lambda": args.lam,
                     "realize_hnn": args.realize_hnn}, args.seed) as written:
         try:
@@ -314,10 +323,9 @@ def cmd_train(args) -> int:
     cfg = _train_config_from_args(args, args.model)
     check_diameter(t, cfg)
 
-    out_csv = _out_path(args.out_dir, "train_loss.csv")
-    out_report = _out_path(args.out_dir, "train_report.json")
-    out_params = _out_path(args.out_dir, "model_params.json")
-    with _manifest(args.out_dir, "train",
+    out_csv, out_report, out_params, out_manifest = _outputs(
+        args.out_dir, "train", "train_loss.csv", "train_report.json", "model_params.json")
+    with _manifest(out_manifest, "train",
                    {"tree": os.path.basename(args.tree), "model": args.model, **_train_knobs(cfg)},
                    args.seed) as written:
         try:
@@ -503,7 +511,8 @@ def cmd_grid(args) -> int:
     n_rows = len(cfg["trees"]) * len(cfg["dims"]) * len(cfg["models"]) * len(cfg["seeds"])
     workers = resolve_threads(args.threads, n_rows)
     out_dir = cfg["output_dir"] or args.out_dir
-    out_csv = _out_path(out_dir, "grid_results.csv")
+    svgs = [f"grid_{model}.svg" for model in cfg["models"]] if args.svg else []
+    out_csv, *out_svgs, out_manifest = _outputs(out_dir, "grid", "grid_results.csv", *svgs)
     payloads = []
     for ti, (spec, size) in enumerate(zip(cfg["trees"], sizes)):
         t = _build_tree(spec["kind"], size, args.seed, f"-{ti}")
@@ -518,7 +527,7 @@ def cmd_grid(args) -> int:
                         "config": replace(bases[dim, model], seed=seed, **pairs),
                     })
 
-    with _manifest(out_dir, "grid",
+    with _manifest(out_manifest, "grid",
                    {"config": cfg, "pair_policy": "min(all pairs, 50*N) unless train.max_pairs set",
                     "svg": args.svg}, args.seed) as written:
         rows = _pool_rows(payloads, workers) if workers > 1 else [_grid_worker(p) for p in payloads]
@@ -529,9 +538,9 @@ def cmd_grid(args) -> int:
              for r in rows],
         )
         written.append(out_csv)
-        if args.svg:
-            for model in cfg["models"]:
-                written.append(_svg_for_model(out_dir, model, rows))
+        for model, path in zip(cfg["models"], out_svgs):
+            _svg_for_model(path, model, rows)
+            written.append(path)
 
     n_ok = sum(r["status"] == "ok" for r in rows)
     print(f"grid: {n_ok}/{len(rows)} rows ok, wrote {out_csv}")
@@ -557,9 +566,9 @@ def _svg_heatmap(path: str, col_labels, row_labels, values: np.ndarray, title: s
     height = pad_t + cell * n_rows + pad_b
     finite = values[np.isfinite(values)]
     vmin = float(finite.min()) if finite.size else 0.0
-    vmax = float(finite.max()) if finite.size else 1.0
-    if vmax <= vmin:
-        vmax = vmin + 1.0
+    # one value spans nothing, and colours its cells low; vmin + 1 would round
+    # back to vmin past 2**53 and divide 0 by 0
+    span = (float(finite.max()) if finite.size else 1.0) - vmin or 1.0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="12">',
@@ -574,7 +583,7 @@ def _svg_heatmap(path: str, col_labels, row_labels, values: np.ndarray, title: s
             x = pad_l + j * cell
             v = values[i, j]
             if math.isfinite(v):
-                frac = (v - vmin) / (vmax - vmin)
+                frac = (v - vmin) / span
                 fill = _cell_color(frac)
                 label = f"{v:.3g}"
                 text_fill = "#ffffff" if frac > 0.6 else "#000000"
@@ -602,9 +611,9 @@ def _svg_heatmap(path: str, col_labels, row_labels, values: np.ndarray, title: s
         fh.write("\n")
 
 
-def _svg_for_model(out_dir: str, model: str, rows) -> str:
-    """Write the heatmap of mean test MSE per (tree, dim) cell for one model
-    kind; return its path."""
+def _svg_for_model(path: str, model: str, rows) -> None:
+    """Write to ``path`` the heatmap of mean test MSE per (tree, dim) cell for
+    one model kind."""
     mine = [r for r in rows if r["model"] == model]
     tree_keys = sorted({(r["kind"], r["n_nodes"]) for r in mine})
     dims = sorted({r["dim"] for r in mine})
@@ -618,7 +627,6 @@ def _svg_for_model(out_dir: str, model: str, rows) -> str:
             ]
             if vals:
                 grid[i, j] = float(np.mean(vals))
-    path = _out_path(out_dir, f"grid_{model}.svg")
     _svg_heatmap(
         path,
         [f"dim {d}" for d in dims],
@@ -626,7 +634,6 @@ def _svg_for_model(out_dir: str, model: str, rows) -> str:
         grid,
         f"{model}: mean test MSE over seeds",
     )
-    return path
 
 
 # ----------------------------------------------------------------------
@@ -665,11 +672,11 @@ def cmd_lowerbound(args) -> int:
     _check_lambda(args.lam)
     cfg = _train_config_from_args(args, "mlp")
 
-    out_csv = _out_path(args.out_dir, "lowerbound.csv")
-    out_summary = _out_path(args.out_dir, "lowerbound_summary.json")
+    out_csv, out_summary, out_manifest = _outputs(
+        args.out_dir, "lowerbound", "lowerbound.csv", "lowerbound_summary.json")
     knobs = _train_knobs(cfg)
     del knobs["embed_dim"]  # each row's comes from --dims
-    with _manifest(args.out_dir, "lowerbound",
+    with _manifest(out_manifest, "lowerbound",
                    {"leaves": leaf_counts, "dims": dims, "lambda": args.lam,
                     "study_seeds": study_seeds, **knobs}, args.seed) as written:
         spiders = []

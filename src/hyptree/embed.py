@@ -219,9 +219,15 @@ def sarkar_embed(t: WeightedTree, tau: float) -> HyperbolicEmbedding:
 
 
 def _sources_per_block(n: int) -> int:
-    """Sources that walk together over n nodes: a block of b sources holds at
-    most b * n states in one hop (on a star, almost every ordered pair), so
-    n / 4 sources keep each hop's temporaries to a few n^2 / 4 floats."""
+    """Sources that walk together over n nodes: n / 4 of them.
+
+    A block of b sources holds at most b * n states in one hop, and on a hub
+    almost every ordered pair, so n / 4 sources do not keep a hop's
+    temporaries small there. ``choose_curvature`` peaks beyond the metric
+    (tracemalloc, the metric built before tracing) at 8.36 n^2 floats on
+    star(1000) at lambda 1.1, 3.91 n^2 on spider(300, legs of 2; n = 601) at
+    1.1, and 0.60 n^2 on random(1000), seed 3, at 1.5. Sizing a block by a
+    hop-state budget is ROADMAP item 10."""
     return -(-n // 4)
 
 

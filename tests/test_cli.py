@@ -691,6 +691,19 @@ class TestGrid:
         body = read_bytes(tmp_path / "grid_mlp.svg").decode()
         assert 'fill="#bbbbbb"' in body and ">n/a</text>" in body
 
+    def test_svg_of_one_value_past_2_53_colours_it_low(self, tmp_path):
+        # the one cell's mean is about 5e22, where vmin + 1 rounds to vmin
+        cfgf = tiny_grid_config(
+            tmp_path / "cfg.json",
+            trees=[{"kind": "binary", "depth": 1}], dims=[1], models=["mlp"],
+            train={"epochs": 1, "batch_size": 1, "hidden_layers": 1, "hidden_width": 4,
+                   "learning_rate": 1e6},
+        )
+        assert run(["grid", cfgf, "--svg", "--out-dir", tmp_path]) == 0
+        (row,) = read_csv(tmp_path / "grid_results.csv")[1:]
+        assert float(row[6]) > 2.0**53
+        body = read_bytes(tmp_path / "grid_mlp.svg").decode()
+        assert f'fill="{cli._cell_color(0.0)}"' in body and f">{float(row[6]):.3g}</text>" in body
 
     def test_random_tree_hnn_row_trains(self, tmp_path):
         # random(255), grid seed 3: the HNN's output radii pass 20 within
@@ -1057,6 +1070,16 @@ def no_work(*args, **kwargs):
     raise AssertionError("work ran before the output paths were checked")
 
 
+def forbid_work(monkeypatch, *names):
+    """Patch each named function of ``cli`` with ``no_work``; return the list
+    of names called, which also shows a call whose AssertionError a later
+    exception replaced."""
+    called = []
+    for name in names:
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: called.append(name) or no_work())
+    return called
+
+
 class TestOutputPaths:
     """An output that cannot be written exits 2 before any work runs."""
 
@@ -1076,7 +1099,45 @@ class TestOutputPaths:
         assert run(["embed", tree, "--lambda", 1.1, "--out-dir", tmp_path / "out",
                     "-o", "nosuch/e.json"]) == 2
         assert "nosuch is not a directory" in capsys.readouterr().err
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["gen", "--kind", "binary", "--depth", 2, "-o", "gen_manifest.json"], "gen_manifest.json"),
+        (["embed", "-o", "embed_report.json"], "embed_report.json"),
+        (["embed", "-o", "embed_manifest.json"], "embed_manifest.json"),
+        (["embed", "--realize-hnn", "-o", "hnn_params.json"], "hnn_params.json"),
+    ], ids=["gen-manifest", "embed-report", "embed-manifest", "embed-hnn-params"])
+    def test_output_named_as_another_output(self, tmp_path, capsys, monkeypatch, argv, name):
+        # the manifest lists basenames, so two outputs with one name could
+        # overwrite each other and could not be told apart in it
+        called = forbid_work(monkeypatch, "spring_layout", "choose_curvature")
+        if argv[0] == "embed":
+            argv = ["embed", two_node_file(tmp_path / "t.json"), "--lambda", 1.1] + argv[1:]
+        assert run(argv + ["--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write two outputs named {name}\n"
+        assert called == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, blocked", [
+        (["grid", "cfg.json", "--svg"], "grid_mlp.svg"),
+        (["train", "t.json"], "train_manifest.json"),
+    ], ids=["grid-svg", "train-manifest"])
+    def test_directory_at_an_output_path(self, tmp_path, capsys, monkeypatch, argv, blocked):
+        # the heatmaps and the manifest are written last, so their paths are
+        # checked with the others before any work
+        tiny_grid_config(tmp_path / "cfg.json")
+        two_node_file(tmp_path / "t.json")
+        monkeypatch.chdir(tmp_path)
+        called = forbid_work(monkeypatch, "spring_layout", "train_embedding")
+        (tmp_path / "out" / blocked).mkdir(parents=True)
+        assert run(argv + ["--out-dir", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {os.path.join('out', blocked)}: it is a directory\n"
+        assert called == []
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out", "t.json"]
+        assert os.listdir(tmp_path / "out") == [blocked]
+        assert os.listdir(tmp_path / "out" / blocked) == []
 
     def test_out_dir_naming_a_file(self, tmp_path, capsys):
         blocker = tmp_path / "file"

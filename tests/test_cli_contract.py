@@ -3,8 +3,10 @@ configs and flag values go through ``cli.main`` in this process.
 
 Whatever the input, a command
 - exits 0, 2, 3 or 4, and no exception escapes it;
-- at exit 2 prints one ``error:`` line and creates no output directory,
-  and a tree file that lacks a key, or holds a list, gets a line naming it;
+- at exit 2 prints one ``error:`` line and creates nothing: no output
+  directory, and no file beside a directory placed at an output's path
+  before the run; a tree file that lacks a key, or holds a list, gets a
+  line naming it;
 - writes strict JSON only, with no NaN or Infinity;
 - lists in its manifest exactly the other files of its output directory;
 - at exit 0 reports every number finite, or null where it has none. A
@@ -124,12 +126,30 @@ def flags(draw, valid, invalid):
     return [str(x) for k, v in sorted(chosen.items()) for x in ([k] if v is None else [k, v])]
 
 
+def output_names(command, *others):
+    """``-o`` values: a fresh plain name, the name of each other output of
+    ``command``, its manifest's included, a path into a missing folder, and a
+    directory."""
+    return ["x.json", *others, f"{command}_manifest.json", "nosuch/x.json", "."]
+
+
+@st.composite
+def gen_commands(draw):
+    kind = draw(st.sampled_from(["binary", "ternary", "random"]))
+    size = ["--n", draw(st.integers(0, 15))] if kind == "random" else \
+        ["--depth", draw(st.integers(-1, {"binary": 3, "ternary": 2}[kind]))]
+    return ["gen", "--kind", kind] + [str(x) for x in size] + flags(
+        draw, {"-o": output_names("gen"), "--layout-dim": [1, 2, 3], "--seed": [0, 1]},
+        {"--layout-dim": [0, -1], "--seed": [-1]})
+
+
 @st.composite
 def tree_commands(draw):
     if draw(st.booleans()):
         lam = draw(st.sampled_from([1.001, 1.1, 1.1, 1.5, 2.0, 1e308]))
         return ["embed", "--lambda", str(lam)] + flags(
-            draw, {"--realize-hnn": [None], "--seed": [0, 1]},
+            draw, {"--realize-hnn": [None], "--seed": [0, 1],
+                   "-o": output_names("embed", "embed_report.json", "hnn_params.json")},
             {"--lambda": [1.0, -1.0, "nan", "inf"], "--seed": [-1]})
     width, depth = draw(st.integers(1, 4)), draw(st.integers(1, 2))
     return ["train", "--model", draw(st.sampled_from(["mlp", "hnn"])), "--epochs", "1",
@@ -202,9 +222,15 @@ def numbers(doc):
     return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
 
 
+def contents(path: Path):
+    """Every path under ``path``, or None where nothing is."""
+    return sorted(str(p.relative_to(path)) for p in path.rglob("*")) if path.exists() else None
+
+
 def check_contract(argv, out: Path):
     """Run ``argv`` with ``--out-dir out``, assert the contract, and return
     the exit code and what the command printed to stderr."""
+    before = contents(out)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
@@ -214,7 +240,7 @@ def check_contract(argv, out: Path):
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     if code == 2:
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, err.getvalue()
-        assert not out.exists(), (argv, err.getvalue(), sorted(os.listdir(out)))
+        assert contents(out) == before, (argv, err.getvalue(), before)
         return code, err.getvalue()
     files = sorted(os.listdir(out))
     manifests = [f for f in files if f.endswith("_manifest.json")]
@@ -255,6 +281,10 @@ ONE_EPOCH = ["--epochs", "1", "--width", "4", "--hidden-layers", "1"]
 @example(recipe=("random", 5, 1, (("drop-key", 2, 0, "coords"), ("drop-key", 0, 0, "edges"))),
          command=["train", "--model", "mlp"] + ONE_EPOCH)
 @example(recipe=("ternary", 1, 0, (("as-list", 0, 0, None),)), command=["embed", "--lambda", "2.0"])
+# an output named as another one: two files, or the manifest, would share a name
+@example(recipe=("binary", 2, 0, ()), command=["embed", "--lambda", "1.1", "-o", "embed_report.json"])
+@example(recipe=("binary", 2, 0, ()),
+         command=["embed", "--lambda", "1.1", "-o", "embed_manifest.json"])
 def test_tree_file_commands_keep_the_contract(recipe, command):
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp, "t.json")
@@ -268,13 +298,32 @@ def test_tree_file_commands_keep_the_contract(recipe, command):
 
 
 @CONTRACT
-@given(doc=grid_docs(), threads=st.sampled_from([1, 1, 1, 2, 0, -1]), seed=st.integers(0, 1))
-def test_grid_configs_keep_the_contract(doc, threads, seed):
+@given(command=gen_commands())
+@example(command=["gen", "--kind", "binary", "--depth", "2", "-o", "gen_manifest.json"])
+def test_gen_keeps_the_contract(command):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_contract(command, Path(tmp, "out"))
+
+
+@CONTRACT
+@given(doc=grid_docs(), threads=st.sampled_from([1, 1, 1, 2, 0, -1]), seed=st.integers(0, 1),
+       svg=st.booleans(), blocked=st.one_of(st.none(), st.integers(0, 3)))
+# the heatmaps are written last, after every row has trained
+@example(doc={"trees": [{"kind": "binary", "depth": 1}], "dims": [1], "models": ["mlp"],
+              "seeds": [0], "train": {"epochs": 1, "hidden_layers": 1, "hidden_width": 4}},
+         threads=1, seed=0, svg=True, blocked=2)
+def test_grid_configs_keep_the_contract(doc, threads, seed, svg, blocked):
+    """``blocked`` picks an output, at whose path a directory is made first."""
+    models = doc["models"] if isinstance(doc["models"], list) else []
+    outputs = ["grid_results.csv", "grid_manifest.json"] + [
+        f"grid_{m}.svg" for m in ("mlp", "hnn") if svg and m in models]
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp, "grid.json")
         config.write_text(json.dumps(doc))
-        check_contract(["grid", str(config), "--threads", str(threads), "--seed", str(seed)],
-                       Path(tmp, "out"))
+        if blocked is not None:
+            Path(tmp, "out", outputs[blocked % len(outputs)]).mkdir(parents=True)
+        check_contract(["grid", str(config), "--threads", str(threads), "--seed", str(seed)]
+                       + ["--svg"] * svg, Path(tmp, "out"))
 
 
 @settings(derandomize=True, database=None)
